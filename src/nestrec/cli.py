@@ -174,6 +174,8 @@ def cmd_verify(args) -> int:
         ic = fam.standard_ics(family)
     except fam.NoTreeKnown as err:
         raise UsageError(str(err)) from None
+    if args.sparse:
+        return verify_sparse(family, tspec, args)
     result = recursion.evaluate(fam.recursion_of(family), ic, args.n)
     counts = tree.cell_count_sequence(tspec, args.n)
     if not result.alive:
@@ -184,6 +186,32 @@ def cmd_verify(args) -> int:
             print(f"DIVERGE at n = {n}: recursion {a}, tree {b}")
             return 1
     print(f"AGREE for n <= {args.n}: recursion matches cell counts")
+    return 0
+
+
+def verify_sparse(family: fam.Family, tspec: tree.TreeSpec, args) -> int:
+    """The recursion identity on closed-form counts at seeded n past the ICs, up to --n."""
+    ic_length = fam.ic_length(family)
+    if args.sparse < 0:
+        raise UsageError("--sparse needs a positive sample count")
+    if args.n <= ic_length:
+        raise UsageError(f"--n must exceed the {ic_length} initial conditions")
+    seed = args.seed if args.seed is not None else random.randrange(10**9)
+    print(f"seed = {seed}", file=sys.stderr)
+    rng = random.Random(seed)
+    rspec = fam.recursion_of(family)
+
+    def count(n: int) -> int:
+        return tree.cell_count(tspec, n)
+
+    for _ in range(args.sparse):
+        n = rng.randint(ic_length + 1, args.n)
+        lhs, rhs = count(n), recursion.right_side(rspec, count, n)
+        if lhs != rhs:
+            print(f"DIVERGE at n = {n}: tree {lhs}, recursion applied to tree counts {rhs}")
+            return 1
+    print(f"AGREE at {args.sparse} sampled n in ({ic_length}, {args.n}]: "
+          "recursion holds on closed-form cell counts")
     return 0
 
 
@@ -317,6 +345,8 @@ def adjacent_ics(name: str, point: dict[str, int], length: int) -> list[int]:
         elif name == "superposed":
             clamped["m"] = min(max(point["m"], -point["p"] + 1), point["p"] * point["j"])
         elif name == "kary":
+            if point["k"] < 2:
+                raise ValueError("a k-ary tree needs k >= 2")
             lo = point["p"] - 1
             hi = point["k"] * point["p"] // (point["k"] - 1) - 1
             clamped["m"] = min(max(point["m"], lo), hi)
@@ -345,10 +375,16 @@ def explore_rows(name: str, points: list[dict[str, int]], n_max: int, prune_chec
     rows = []
     for point in points:
         row = {"family": name, **point}
-        if name == "neg_gamma":
-            rows.append(_neg_gamma_row(row, point, n_max))
+        try:
+            family = fam.build_family(name, **point)
+        except TypeError as err:  # a grid key missing or foreign to the family
+            row.update(valid="no", survived_to="", dead_reason=f"parameters do not fit: {err}",
+                       slow="", freq_match="")
+            rows.append(row)
             continue
-        family = fam.build_family(name, **point)
+        if name == "neg_gamma":
+            rows.append(_neg_gamma_row(row, family, n_max))
+            continue
         verdict = fam.validate(family)
         row["valid"] = "yes" if verdict.ok and not verdict.exploratory else (
             "exploratory" if verdict.ok else "no"
@@ -433,8 +469,7 @@ def _prune_identity(family, verdict, n_max) -> str:
         return f"skipped({err})"
 
 
-def _neg_gamma_row(row: dict, point: dict[str, int], n_max: int) -> dict:
-    family = fam.NegGammaCandidate(point["k"], point["gamma"], point["delta"])
+def _neg_gamma_row(row: dict, family: fam.NegGammaCandidate, n_max: int) -> dict:
     verdict = fam.validate(family)
     row["valid"] = "candidate" if verdict.ok else "no"
     if not verdict.ok:
@@ -538,6 +573,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser("verify", help="recursion vs tree cell counts")
     add_source_args(sub)
     sub.add_argument("--n", type=int, required=True)
+    sub.add_argument("--sparse", type=int, default=0,
+                     help="check the recursion at this many seeded n <= N, closed-form counts only")
+    sub.add_argument("--seed", type=int)
     sub.set_defaults(func=cmd_verify)
 
     sub = subparsers.add_parser("prune", help="run a pruning operation and check the identity")
@@ -553,7 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--grid", help="e.g. \"s=0,1;j=1..3;m=-2..5\"")
     sub.add_argument("--n", type=int, default=1000)
     sub.add_argument("--prune-check", action="store_true", dest="prune_check")
-    sub.add_argument("--seed", type=int)
     sub.add_argument("--out")
     sub.set_defaults(func=cmd_explore)
 

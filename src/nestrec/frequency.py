@@ -45,9 +45,16 @@ def closed_form(spec: TreeSpec, v: int) -> int:
     j = spec.leaf_cells
     if v % j:
         return spec.per_cell
+    # one pass finds e = nu_k(q) and the part of q prime to k; q is a power
+    # of k exactly when that part is 1
+    k = spec.arity
     q = v // j
-    bump = spec.supernode_labels if is_power_of(spec.arity, q) else 0
-    return spec.last_cell + spec.regular_labels * nu(spec.arity, q) + bump
+    e = 0
+    while q % k == 0:
+        q //= k
+        e += 1
+    bump = spec.supernode_labels if q == 1 else 0
+    return spec.last_cell + spec.regular_labels * e + bump
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .frequency import FrequencySequence
 
@@ -94,6 +94,26 @@ def evaluate(spec: RecursionSpec, initial: Sequence[int], n_max: int) -> EvalRes
             raise OverflowError(f"R({n}) exceeds 2^63 - 1")
         values[n] = total
     return EvalResult(tuple(values[1:]))
+
+
+def right_side(spec: RecursionSpec, value: Callable[[int], int], n: int) -> int:
+    """sum over i of value(n - a_i - sum over t of value(n - b_it)) at one n.
+
+    `value` gives any term on its own, such as a closed-form cell count, so
+    the recursion can be checked at a single huge n without the sequence up
+    to it.  A nonpositive index is an error, as it kills the evaluator.
+    """
+    total = 0
+    for a, row in zip(spec.outer_offsets, spec.inner_offsets):
+        idx = n - a
+        for b in row:
+            if n - b <= 0:
+                raise ValueError(f"inner index {n - b} at n = {n} is not positive")
+            idx -= value(n - b)
+        if idx <= 0:
+            raise ValueError(f"outer index {idx} at n = {n} is not positive")
+        total += value(idx)
+    return total
 
 
 def slowness_violation(values: Sequence[int]) -> Optional[int]:

@@ -7,6 +7,13 @@ into the nodes in insertion order: each supernode takes s labels, each
 regular node x labels, and each leaf is split into j cells taking c labels
 apiece except the last cell, which takes l.  The cell counting function
 C_T(n) is the number of cells whose first label is among 1..n.
+
+C_T is computed two independent ways.  The skeleton walk (cell_positions and
+everything built on it) visits every label up to n.  The closed form
+(first_label, and cell_count on top of it) sums the frequency formula to get
+the first label of any cell in O(log n) and finds C_T(n) by binary search in
+O(log^2 n), so single-point counts stay cheap at n = 10^18.  The tests check
+each against the other.
 """
 
 from __future__ import annotations
@@ -192,11 +199,56 @@ def cell_positions(spec: TreeSpec, n_max: int) -> Iterator[tuple[int, int, int]]
         i += 1
 
 
+def first_label(spec: TreeSpec, v: int) -> int:
+    """First label of cell v: 1 + phi(1) + ... + phi(v - 1), in closed form.
+
+    With V = v - 1 and Q = V // j, the cells before cell v hold
+    (V - Q) * per_cell + Q * last_cell labels.  Between them sit
+    nu_k(1) + ... + nu_k(Q) regular nodes, which Legendre's formula sums to
+    (Q - s_k(Q)) / (k - 1) with s_k the base-k digit sum, and one supernode
+    per power of k up to Q, that is one per base-k digit of Q.
+    """
+    if v < 1:
+        raise ValueError("cells are numbered from 1")
+    k = spec.arity
+    before = v - 1
+    q = before // spec.leaf_cells
+    digit_sum = digits = 0
+    rest = q
+    while rest:
+        digit_sum += rest % k
+        rest //= k
+        digits += 1
+    return (
+        1
+        + (before - q) * spec.per_cell
+        + q * spec.last_cell
+        + spec.regular_labels * ((q - digit_sum) // (k - 1))
+        + spec.supernode_labels * digits
+    )
+
+
 def cell_count(spec: TreeSpec, n: int) -> int:
-    """Number of nonempty cells among the first n labels."""
+    """Number of nonempty cells among the first n labels.
+
+    Binary search for the last cell whose first_label is at most n: O(log^2 n)
+    from the closed form, with no tree walk.  cell_count_sequence walks the
+    tree and is the oracle the tests hold this against.
+    """
     if n < 0:
         raise ValueError("n cannot be negative")
-    return sum(1 for _ in cell_positions(spec, n))
+    if n == 0:
+        return 0
+    # cell 1 starts at label 1, and every cell holds a label, so cell n + 1
+    # starts past n
+    lo, hi = 1, n
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if first_label(spec, mid) <= n:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def cell_count_sequence(spec: TreeSpec, n_max: int) -> list[int]:
@@ -223,21 +275,6 @@ def cell_count_split(spec: TreeSpec, n: int) -> tuple[int, ...]:
     for _, leaf, _ in cell_positions(spec, n):
         counts[(leaf - 1) % spec.arity] += 1
     return tuple(counts)
-
-
-def regular_nodes_between_leaves(k: int, h: int) -> int:
-    """Regular nodes strictly between leaf h and leaf h+1.
-
-    Equals the k-adic valuation of h; a supernode also intervenes exactly
-    when h is a power of k (1 included).
-    """
-    if k < 2 or h < 1:
-        raise ValueError("need k >= 2 and h >= 1")
-    count = 0
-    while h % k == 0:
-        h //= k
-        count += 1
-    return count
 
 
 def to_document(spec: TreeSpec) -> dict:

@@ -44,6 +44,35 @@ def test_verify_agreement(capsys):
     assert "AGREE" in out
 
 
+def test_verify_sparse_at_huge_n(capsys):
+    code, out, err = run(["verify", "order_one", "s=1", "j=3", "m=1", "--n", str(10**18),
+                          "--sparse", "20", "--seed", "7"], capsys)
+    assert code == 0
+    assert "seed = 7" in err
+    assert out == f"AGREE at 20 sampled n in (20, {10**18}]: recursion holds on closed-form cell counts\n"
+    code, _, err = run(["verify", "kary", "k=3", "m=1", "p=2", "--n", "5000", "--sparse", "5"], capsys)
+    assert code == 0
+    assert err.startswith("seed = ")
+
+
+def test_verify_sparse_reports_divergence(capsys, monkeypatch):
+    from nestrec import tree
+
+    real = tree.cell_count
+    monkeypatch.setattr(tree, "cell_count", lambda spec, n: real(spec, n) + (n > 700))
+    code, out, _ = run(["verify", "conolly", "--n", "800", "--sparse", "400", "--seed", "3"], capsys)
+    assert code == 1
+    assert out.startswith("DIVERGE at n = 7")
+
+
+def test_verify_sparse_usage_errors(capsys):
+    code, _, err = run(["verify", "q_family", "s=1", "j=3", "q=1", "--n", "1000", "--sparse", "5"], capsys)
+    assert code == 2
+    assert "no tree" in err
+    code, _, err = run(["verify", "order_one", "s=1", "j=3", "m=1", "--n", "20", "--sparse", "5"], capsys)
+    assert code == 2
+
+
 def test_freq_csv_header(capsys):
     code, out, _ = run(["freq", "order_one", "s=1", "j=3", "m=1", "--vmax", "6"], capsys)
     assert code == 0
@@ -177,3 +206,17 @@ def test_grid_parser():
         cli.parse_grid("j=a..b")
     with pytest.raises(cli.UsageError):
         cli.parse_grid("nonsense")
+
+
+@pytest.mark.parametrize("name,grid,reason", [
+    ("kary", "k=1;m=0;p=1", "no adjacent tree"),
+    ("order_one", "s=0;j=2", "parameters do not fit"),
+])
+def test_explore_hostile_points_give_rows(name, grid, reason, capsys):
+    code, out, _ = run(["explore", name, "--grid", grid, "--n", "200"], capsys)
+    assert code == 0
+    header, *rows = out.strip().splitlines()
+    assert len(rows) == 1
+    row = dict(zip(header.split(","), rows[0].split(",")))
+    assert row["valid"] == "no"
+    assert row["dead_reason"].startswith(reason)

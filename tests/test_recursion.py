@@ -150,3 +150,14 @@ def test_conolly_against_tree_counts(n_a, n_b):
     values = recursion.evaluate(CONOLLY, ic, n).values
     counts = tree.cell_count_sequence(spec, n)
     assert list(values) == counts
+
+
+def test_right_side_matches_evaluate():
+    """One step of the recursion at a time gives the evaluator's terms."""
+    values = recursion.evaluate(CONOLLY, [1, 2], 300).values
+    for n in range(3, 301):
+        assert recursion.right_side(CONOLLY, lambda i: values[i - 1], n) == values[n - 1]
+    with pytest.raises(ValueError):
+        recursion.right_side(CONOLLY, lambda i: values[i - 1], 1)  # inner index 0
+    with pytest.raises(ValueError):
+        recursion.right_side(CONOLLY, lambda i: 100, 10)  # outer index below 1

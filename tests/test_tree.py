@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import random
 from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nestrec import tree
+from nestrec import families as fam
+from nestrec import frequency, recursion, tree
 from nestrec.tree import LEAF, REGULAR, SUPERNODE, TreeSpec
 
 
@@ -75,7 +77,7 @@ def test_supernode_follows_leaf_power(k, spine):
 def test_regulars_between_leaves(k):
     """Regular count between consecutive leaves is the k-adic valuation."""
     for h in range(1, 2001):
-        assert tree.regular_nodes_between_leaves(k, h) == brute_nu(k, h)
+        assert frequency.nu(k, h) == brute_nu(k, h)
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
@@ -150,7 +152,7 @@ def test_cell_positions_are_label_sorted():
     st.integers(1, 800),
 )
 def test_count_is_slow(k, s, j, c, last, x, n):
-    """Cell counts climb by 0 or 1 per label."""
+    """Cell counts climb by 0 or 1 per label, and the closed form matches the walk."""
     spec = TreeSpec(k, s, j, c, last, x)
     seq = tree.cell_count_sequence(spec, n)
     assert len(seq) == n
@@ -158,6 +160,38 @@ def test_count_is_slow(k, s, j, c, last, x, n):
     for value in seq:
         assert value - prev in (0, 1)
         prev = value
+    assert tree.cell_count(spec, 0) == 0
+    for i in range(1, n + 1):
+        assert tree.cell_count(spec, i) == seq[i - 1], i
+
+
+HUGE_SEED = 20131
+HUGE = 10**18
+
+
+def test_closed_form_count_at_huge_n():
+    """Cell boundaries, slowness and the recursion identity far beyond any walk."""
+    print(f"seed = {HUGE_SEED}")
+    rng = random.Random(HUGE_SEED)
+    for spec in (RUNNING, TreeSpec(3, 2, 2, 1, 3, 1), TreeSpec(4, 0, 1, 2, 1, 0)):
+        for _ in range(40):
+            v = rng.randint(2, 10**17)
+            first = tree.first_label(spec, v)
+            assert tree.cell_count(spec, first) == v, (HUGE_SEED, spec, v)
+            assert tree.cell_count(spec, first - 1) == v - 1, (HUGE_SEED, spec, v)
+            n = rng.randint(1, HUGE)
+            assert tree.cell_count(spec, n + 1) - tree.cell_count(spec, n) in (0, 1), (HUGE_SEED, spec, n)
+    for family in (fam.OrderOne(1, 3, 1), fam.HigherOrder(1, 2, 3, 2), fam.Superposed(1, 2, 2, 2),
+                   fam.KaryOrderP(3, 1, 2), fam.kary_ceiling(3, 2)):
+        spec = fam.tree_of(family)
+        rspec = fam.recursion_of(family)
+
+        def count(n):
+            return tree.cell_count(spec, n)
+
+        for _ in range(50):
+            n = rng.randint(fam.ic_length(family) + 1, HUGE)
+            assert count(n) == recursion.right_side(rspec, count, n), (HUGE_SEED, family, n)
 
 
 def test_split_counts_sum():
