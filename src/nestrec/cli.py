@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import operator
 import os
 import random
 import sys
@@ -176,15 +177,17 @@ def cmd_verify(args) -> int:
         raise UsageError(str(err)) from None
     if args.sparse:
         return verify_sparse(family, tspec, args)
+    if args.n < 1:
+        raise UsageError("--n must be at least 1")
     result = recursion.evaluate(fam.recursion_of(family), ic, args.n)
     counts = tree.cell_count_sequence(tspec, args.n)
     if not result.alive:
         print(f"DIVERGE: recursion dies at n = {result.dead_at} ({result.reason.value})")
         return 1
-    for n, (a, b) in enumerate(zip(result.values, counts), 1):
-        if a != b:
-            print(f"DIVERGE at n = {n}: recursion {a}, tree {b}")
-            return 1
+    if not all(map(operator.eq, result.values, counts)):
+        n, a, b = next((n, a, b) for n, (a, b) in enumerate(zip(result.values, counts), 1) if a != b)
+        print(f"DIVERGE at n = {n}: recursion {a}, tree {b}")
+        return 1
     print(f"AGREE for n <= {args.n}: recursion matches cell counts")
     return 0
 
@@ -406,10 +409,7 @@ def explore_rows(name: str, points: list[dict[str, int]], n_max: int, prune_chec
             row.update(survived_to="", dead_reason=f"malformed recursion: {err}", slow="", freq_match="")
             rows.append(row)
             continue
-        probe = recursion.death_probe(rspec, ic, n_max)
-        row["survived_to"] = probe.survived_to
-        row["dead_reason"] = probe.reason.value if probe.reason else ""
-        values = recursion.evaluate(rspec, ic, n_max).values
+        values = _survival(row, recursion.evaluate(rspec, ic, n_max), n_max)
         violation = recursion.slowness_violation(values)
         row["slow"] = "yes" if violation is None else f"no(at {violation})"
         row["freq_match"] = _freq_match(name, point, verdict, values)
@@ -417,6 +417,13 @@ def explore_rows(name: str, points: list[dict[str, int]], n_max: int, prune_chec
             row["prune_identity"] = _prune_identity(family, verdict, n_max)
         rows.append(row)
     return rows
+
+
+def _survival(row: dict, result: recursion.EvalResult, n_max: int) -> tuple[int, ...]:
+    """Fill survived_to and dead_reason from one evaluation; return its values."""
+    row["survived_to"] = n_max if result.alive else result.dead_at - 1
+    row["dead_reason"] = result.reason.value if result.reason else ""
+    return result.values
 
 
 def _unchecked_recursion(name: str, point: dict[str, int]) -> recursion.RecursionSpec:
@@ -480,10 +487,7 @@ def _neg_gamma_row(row: dict, family: fam.NegGammaCandidate, n_max: int) -> dict
     conjectured = tree.TreeSpec(k, 0, 1, 1, k * gamma + delta, p - (k - 1) * gamma)
     ic = tree.initial_conditions(conjectured, 2 * k * (p + p - 1 + gamma) + p - (k - 1) * (p - 1 + gamma))
     rspec = fam.recursion_of(family)
-    probe = recursion.death_probe(rspec, ic, n_max)
-    row["survived_to"] = probe.survived_to
-    row["dead_reason"] = probe.reason.value if probe.reason else ""
-    values = recursion.evaluate(rspec, ic, n_max).values
+    values = _survival(row, recursion.evaluate(rspec, ic, n_max), n_max)
     violation = recursion.slowness_violation(values)
     row["slow"] = "yes" if violation is None else f"no(at {violation})"
     # compare what frequency evidence there is, even from a prefix that

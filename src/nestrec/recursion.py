@@ -7,11 +7,19 @@ A spec with arity k and order p defines
 and is evaluated bottom-up from explicit initial conditions.  Whenever an
 index escapes the range of already-defined values the sequence "dies" and
 the evaluator reports where and why instead of guessing.
+
+The bottom-up loop is generated and compiled once per shape (k, p), with the
+offsets passed in as arguments, so each term costs a few bytecodes and no
+inner Python loop.  Past n = max b every inner index n - b lies in 1..n-1,
+so the loop only has to watch the outer indices; a run that starts at or
+below max b dies at its first open n.  _death_reason then names why, walking
+the summands in order.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -71,29 +79,59 @@ def evaluate(spec: RecursionSpec, initial: Sequence[int], n_max: int) -> EvalRes
         raise ValueError("at least one initial condition is required")
     if any(v < 1 for v in initial):
         raise ValueError("initial conditions must be positive")
-    if n_max < len(initial):
+    if n_max <= len(initial):
         return EvalResult(tuple(initial[: max(0, n_max)]), None, None)
     values = [0] * (n_max + 1)  # 1-indexed
     values[1 : len(initial) + 1] = list(initial)
-    offsets = tuple(zip(spec.outer_offsets, spec.inner_offsets))
-    for n in range(len(initial) + 1, n_max + 1):
-        total = 0
-        for a, row in offsets:
-            idx = n - a
-            for b in row:
-                t = n - b
-                if t <= 0:
-                    return EvalResult(tuple(values[1:n]), n, DeadReason.INNER_INDEX_NONPOSITIVE)
-                idx -= values[t]
-            if idx <= 0:
-                return EvalResult(tuple(values[1:n]), n, DeadReason.OUTER_INDEX_NONPOSITIVE)
-            if idx >= n:
-                return EvalResult(tuple(values[1:n]), n, DeadReason.OUTER_INDEX_NOT_YET_DEFINED)
-            total += values[idx]
-        if total > MAX_VALUE:
-            raise OverflowError(f"R({n}) exceeds 2^63 - 1")
-        values[n] = total
+    if len(initial) < max(max(row) for row in spec.inner_offsets):
+        dead_at = len(initial) + 1  # some inner index n - b is still below 1
+    else:
+        offsets = [x for a, row in zip(spec.outer_offsets, spec.inner_offsets) for x in (a, *row)]
+        dead_at = _shape_loop(spec.arity, spec.order)(values, len(initial) + 1, n_max + 1, *offsets)
+    if dead_at:
+        return EvalResult(tuple(values[1:dead_at]), dead_at, _death_reason(spec, values, dead_at))
     return EvalResult(tuple(values[1:]))
+
+
+@functools.cache
+def _shape_loop(arity: int, order: int) -> Callable[..., int]:
+    """The evaluation loop for one (arity, order), compiled on first use.
+
+    loop(v, start, stop, a0, b0_0, ..., a1, b1_0, ...) fills v[start:stop]
+    and returns 0, or returns the first n whose outer index leaves 1..n-1.
+    It assumes start > max b, so no inner index needs a check.  Only
+    summand and term numbers go into the source; the offsets are arguments.
+    """
+    params = ", ".join(f"a{i}, " + ", ".join(f"b{i}_{t}" for t in range(order)) for i in range(arity))
+    lines = [f"def loop(v, start, stop, {params}, cap=MAX_VALUE):", "    for n in range(start, stop):"]
+    for i in range(arity):
+        inner = "".join(f" - v[n - b{i}_{t}]" for t in range(order))
+        lines += [f"        i{i} = n - a{i}{inner}", f"        if not 0 < i{i} < n:", "            return n"]
+    lines += [
+        "        total = " + " + ".join(f"v[i{i}]" for i in range(arity)),
+        "        if total > cap:",
+        '            raise OverflowError(f"R({n}) exceeds 2^63 - 1")',
+        "        v[n] = total",
+        "    return 0",
+    ]
+    namespace = {"MAX_VALUE": MAX_VALUE}
+    exec("\n".join(lines), namespace)
+    return namespace["loop"]
+
+
+def _death_reason(spec: RecursionSpec, values: Sequence[int], n: int) -> DeadReason:
+    """Why R(n) is undefined, given R(1..n-1): the first summand to fail decides."""
+    for a, row in zip(spec.outer_offsets, spec.inner_offsets):
+        idx = n - a
+        for b in row:
+            if n - b <= 0:
+                return DeadReason.INNER_INDEX_NONPOSITIVE
+            idx -= values[n - b]
+        if idx <= 0:
+            return DeadReason.OUTER_INDEX_NONPOSITIVE
+        if idx >= n:
+            return DeadReason.OUTER_INDEX_NOT_YET_DEFINED
+    raise AssertionError(f"R({n}) is defined; the evaluator stopped there in error")
 
 
 def right_side(spec: RecursionSpec, value: Callable[[int], int], n: int) -> int:

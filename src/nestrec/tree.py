@@ -8,18 +8,24 @@ regular node x labels, and each leaf is split into j cells taking c labels
 apiece except the last cell, which takes l.  The cell counting function
 C_T(n) is the number of cells whose first label is among 1..n.
 
-C_T is computed two independent ways.  The skeleton walk (cell_positions and
-everything built on it) visits every label up to n.  The closed form
-(first_label, and cell_count on top of it) sums the frequency formula to get
-the first label of any cell in O(log n) and finds C_T(n) by binary search in
-O(log^2 n), so single-point counts stay cheap at n = 10^18.  The tests check
-each against the other.
+C_T is computed two independent ways.  The template walk (cell_positions
+and everything built on it) writes the labels as bytes, 1 where a cell
+opens and 0 elsewhere.  A full regular subtree of height h is the bytes of
+its root followed by k copies of the subtree of height h - 1, so each
+subtree is built once from the one below it and the labels 1..n come out
+of C-level bytes and itertools calls, in O(n) transient bytes.  The closed
+form (first_label, and cell_count on top of it) sums the frequency formula
+to get the first label of any cell in O(log n) and finds C_T(n) by binary
+search in O(log^2 n), so single-point counts stay cheap at n = 10^18.  The
+node-by-node walks node_stream and _descriptors serve pruning and are a
+third, independent oracle.  The tests check each against the others.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, compress, count, islice, repeat, tee
 from typing import Iterator, Optional
 
 SUPERNODE = "supernode"
@@ -151,52 +157,51 @@ def labels_in(spec: TreeSpec, node: NodeDescriptor) -> int:
     return spec.leaf_labels()
 
 
+def _start_chunks(spec: TreeSpec) -> Iterator[bytes]:
+    """The labels in insertion order, node by node or subtree by subtree.
+
+    One byte per label, 1 where a cell opens.  Leaf 1, supernode 1 and
+    leaves 2..k come first; then each supernode i is followed by k - 1
+    copies of the regular subtree of height i - 1.  Each subtree is built
+    only when asked for, so a caller that stops once it has n labels never
+    holds a template much longer than n.
+    """
+    leaf = b"".join(b"\1" + bytes(size - 1) for size in spec.cell_sizes())
+    supernode = bytes(spec.supernode_labels)
+    regular = bytes(spec.regular_labels)
+    yield leaf
+    yield supernode
+    for _ in range(spec.arity - 1):
+        yield leaf
+    subtree = leaf
+    while True:
+        yield supernode
+        subtree = b"".join([regular] + [subtree] * spec.arity)
+        for _ in range(spec.arity - 1):
+            yield subtree
+
+
+def _first_label_runs(spec: TreeSpec, n_max: int) -> Iterator[Iterator[int]]:
+    """One iterator per template chunk over the first labels of its cells, up to n_max."""
+    pos = 0
+    chunks = _start_chunks(spec)
+    while pos < n_max:
+        chunk = next(chunks)
+        yield compress(count(pos + 1), chunk[: n_max - pos])
+        pos += len(chunk)
+
+
 def cell_positions(spec: TreeSpec, n_max: int) -> Iterator[tuple[int, int, int]]:
     """Yield (first_label, leaf_index, cell_index) for cells starting by n_max.
 
-    This is the hot path behind every counting routine, so the skeleton walk
-    is inlined rather than layered over node_stream.
+    First labels come from the byte templates of _start_chunks; every leaf
+    has j cells, so the c-th cell (from 0) is cell c % j + 1 of leaf
+    c // j + 1.
     """
-    k = spec.arity
-    s = spec.supernode_labels
-    x = spec.regular_labels
-    sizes = spec.cell_sizes()
-    pos = 0
-    leaf = 0
-
-    def emit_leaf():
-        nonlocal pos, leaf
-        leaf += 1
-        for ci, size in enumerate(sizes, 1):
-            if pos >= n_max:
-                return
-            yield (pos + 1, leaf, ci)
-            pos += size
-
-    # leaf 1, supernode 1, leaves 2..k
-    yield from emit_leaf()
-    pos += s
-    for _ in range(k - 1):
-        if pos >= n_max:
-            return
-        yield from emit_leaf()
-    i = 2
-    while True:
-        if pos >= n_max:
-            return
-        pos += s
-        for _ in range(k - 1):
-            stack = [i - 1]
-            while stack:
-                if pos >= n_max:
-                    return
-                level = stack.pop()
-                if level == 0:
-                    yield from emit_leaf()
-                else:
-                    pos += x
-                    stack.extend((level - 1,) * k)
-        i += 1
+    j = spec.leaf_cells
+    for c, first in enumerate(chain.from_iterable(_first_label_runs(spec, n_max))):
+        leaf, cell = divmod(c, j)
+        yield (first, leaf + 1, cell + 1)
 
 
 def first_label(spec: TreeSpec, v: int) -> int:
@@ -252,16 +257,16 @@ def cell_count(spec: TreeSpec, n: int) -> int:
 
 
 def cell_count_sequence(spec: TreeSpec, n_max: int) -> list[int]:
-    """C_T(1), ..., C_T(n_max) in one pass."""
-    seq: list[int] = []
-    count = 0
-    for first, _, _ in cell_positions(spec, n_max):
-        if first - 1 > len(seq):
-            seq.extend([count] * (first - 1 - len(seq)))
-        count += 1
-        seq.append(count)
-    seq.extend([count] * (n_max - len(seq)))
-    return seq
+    """C_T(1), ..., C_T(n_max) in one pass.
+
+    C_T is v from the first label of cell v up to the label before cell
+    v + 1, and cell 1 opens at label 1; every repeat of v is the same int
+    object.
+    """
+    firsts, nexts = tee(chain.from_iterable(_first_label_runs(spec, n_max)))
+    next(nexts, None)
+    gaps = map(operator.sub, chain(nexts, (n_max + 1,)), firsts)
+    return list(chain.from_iterable(map(repeat, count(1), gaps)))
 
 
 def initial_conditions(spec: TreeSpec, count: int) -> list[int]:

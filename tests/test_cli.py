@@ -44,6 +44,27 @@ def test_verify_agreement(capsys):
     assert "AGREE" in out
 
 
+def test_verify_dense_reports_first_divergence(capsys, monkeypatch):
+    from nestrec import families as fam
+    from nestrec import tree
+
+    real = tree.cell_count_sequence
+    monkeypatch.setattr(tree, "cell_count_sequence",
+                        lambda spec, n: [c + (i > 700) for i, c in enumerate(real(spec, n), 1)])
+    r = real(fam.tree_of(fam.conolly()), 701)[-1]
+    code, out, _ = run(["verify", "conolly", "--n", "800"], capsys)
+    assert code == 1
+    assert out == f"DIVERGE at n = 701: recursion {r}, tree {r + 1}\n"
+
+
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_verify_dense_needs_positive_n(n, capsys):
+    code, out, err = run(["verify", "conolly", "--n", n], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--n must be at least 1" in err
+
+
 def test_verify_sparse_at_huge_n(capsys):
     code, out, err = run(["verify", "order_one", "s=1", "j=3", "m=1", "--n", str(10**18),
                           "--sparse", "20", "--seed", "7"], capsys)

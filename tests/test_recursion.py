@@ -161,3 +161,45 @@ def test_right_side_matches_evaluate():
         recursion.right_side(CONOLLY, lambda i: values[i - 1], 1)  # inner index 0
     with pytest.raises(ValueError):
         recursion.right_side(CONOLLY, lambda i: 100, 10)  # outer index below 1
+
+
+def reference_evaluate(spec, initial, n_max):
+    """The plain stepper: every index checked at every n, summands in order."""
+    if n_max <= len(initial):
+        return tuple(initial[: max(0, n_max)]), None, None
+    values = [0, *initial]
+    for n in range(len(initial) + 1, n_max + 1):
+        total = 0
+        for a, row in zip(spec.outer_offsets, spec.inner_offsets):
+            idx = n - a
+            for b in row:
+                if n - b <= 0:
+                    return tuple(values[1:]), n, DeadReason.INNER_INDEX_NONPOSITIVE
+                idx -= values[n - b]
+            if idx <= 0:
+                return tuple(values[1:]), n, DeadReason.OUTER_INDEX_NONPOSITIVE
+            if idx >= n:
+                return tuple(values[1:]), n, DeadReason.OUTER_INDEX_NOT_YET_DEFINED
+            total += values[idx]
+        values.append(total)
+    return tuple(values[1:]), None, None
+
+
+@st.composite
+def recursions(draw):
+    arity, order = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    outer = tuple(draw(st.lists(st.integers(0, 8), min_size=arity, max_size=arity)))
+    inner = tuple(tuple(draw(st.lists(st.integers(1, 8), min_size=order, max_size=order)))
+                  for _ in range(arity))
+    initial = draw(st.lists(st.integers(1, 6), min_size=1, max_size=12))
+    n_max = draw(st.one_of(st.just(len(initial)), st.integers(0, 400)))
+    return RecursionSpec(arity, order, outer, inner), initial, n_max
+
+
+@settings(max_examples=400)
+@given(recursions())
+def test_evaluate_matches_reference_stepper(case):
+    """The compiled per-shape loop gives the plain stepper's values, death index and reason."""
+    spec, initial, n_max = case
+    result = recursion.evaluate(spec, initial, n_max)
+    assert (result.values, result.dead_at, result.reason) == reference_evaluate(spec, initial, n_max)

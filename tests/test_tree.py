@@ -143,6 +143,34 @@ def test_cell_positions_are_label_sorted():
 
 @settings(max_examples=60)
 @given(
+    st.integers(2, 5),
+    st.integers(0, 3),
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.integers(0, 3),
+    st.integers(0, 1500),
+)
+def test_cell_positions_match_node_stream(k, s, j, c, last, x, n):
+    """The byte-template walk against cells rebuilt node by node from node_stream."""
+    spec = TreeSpec(k, s, j, c, last, x)
+    expected = []
+    pos = 0
+    for kind, index in tree.node_stream(k):
+        if pos >= n:
+            break
+        if kind == LEAF:
+            for cell, size in enumerate(spec.cell_sizes(), 1):
+                if pos < n:
+                    expected.append((pos + 1, index, cell))
+                pos += size
+        else:
+            pos += s if kind == SUPERNODE else x
+    assert list(tree.cell_positions(spec, n)) == expected
+
+
+@settings(max_examples=60)
+@given(
     st.integers(2, 4),
     st.integers(0, 2),
     st.integers(1, 4),
