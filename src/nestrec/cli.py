@@ -225,12 +225,6 @@ def cmd_prune(args) -> int:
     except fam.NoTreeKnown as err:
         raise UsageError(str(err)) from None
 
-    def run_one(n: int) -> tuple[bool, pruning.PruneReport]:
-        t = pruning.build_prefix(tspec, n)
-        report = pruning.prune_family(family, t)
-        rebuilt = pruning.build_prefix(tspec, n - report.removed)
-        return pruning.trees_equal(report.result, rebuilt), report
-
     if args.check:
         seed = args.seed if args.seed is not None else random.randrange(10**9)
         print(f"seed = {seed}", file=sys.stderr)
@@ -240,13 +234,13 @@ def cmd_prune(args) -> int:
         failures = 0
         for _ in range(args.check):
             n = rng.randint(lo, hi)
-            ok, report = run_one(n)
+            ok, report = _prune_round_trip(family, tspec, n)
             status = "ok" if ok else "MISMATCH"
             print(f"n = {n}: removed {report.removed}, identity {status}")
             failures += 0 if ok else 1
         return 1 if failures else 0
 
-    ok, report = run_one(args.n)
+    ok, report = _prune_round_trip(family, tspec, args.n)
     print(f"removed {report.removed} labels; result has {report.result.n}")
     print(f"identity {'holds' if ok else 'FAILS'}: pruned tree vs rebuilt prefix")
     for note in report.anomalies:
@@ -256,11 +250,10 @@ def cmd_prune(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_export(args) -> int:
-    spec, ic, _ = resolve_recursion(args)
-    result = recursion.evaluate(spec, ic, args.n)
-    write_output(render_sequence(result.values, args.format), args.out)
-    return 0
+def _prune_round_trip(family: fam.Family, tspec: tree.TreeSpec, n: int) -> tuple[bool, pruning.PruneReport]:
+    """Prune T(n) and compare the result with T(n - removed) built afresh."""
+    report = pruning.prune_family(family, pruning.build_prefix(tspec, n))
+    return pruning.trees_equal(report.result, pruning.build_prefix(tspec, n - report.removed)), report
 
 
 def cmd_oeis_match(args) -> int:
@@ -328,181 +321,103 @@ def grid_points(grid: dict[str, list[int]]) -> list[dict[str, int]]:
     return points
 
 
-def adjacent_ics(name: str, point: dict[str, int], length: int) -> list[int]:
-    """Initial conditions borrowed from the nearest tree anyone knows.
-
-    Out-of-range parameter points have no tree of their own, so probes run
-    them with the cell counts of the closest valid shape, truncated or
-    extended to the requested length.  The families without any tree
-    construction borrow from the family they coincide with at one corner
-    of their parameter space.
-    """
-    if name == "q_family":
-        neighbour = fam.OrderOne(point["s"], point["j"], 0)
-    elif name == "c_sjk":
-        neighbour = fam.kary_conolly(point["k"])
-    else:
-        clamped = dict(point)
-        if name == "order_one":
-            clamped["m"] = min(max(point["m"], 0), point["j"])
-        elif name == "superposed":
-            clamped["m"] = min(max(point["m"], -point["p"] + 1), point["p"] * point["j"])
-        elif name == "kary":
-            if point["k"] < 2:
-                raise ValueError("a k-ary tree needs k >= 2")
-            lo = point["p"] - 1
-            hi = point["k"] * point["p"] // (point["k"] - 1) - 1
-            clamped["m"] = min(max(point["m"], lo), hi)
-        neighbour = fam.build_family(name, **clamped)
-    return tree.initial_conditions(fam.tree_of(neighbour), length)
-
-
-def probe_ic_length(name: str, point: dict[str, int]) -> int:
-    if name == "order_one":
-        return 5 * point["j"] + 3 * point["m"] + 2 * point["s"]
-    if name == "superposed":
-        return 5 * point["p"] * point["j"] + 3 * point["m"] + 2 * point["s"]
-    if name == "kary":
-        k, m, p = point["k"], point["m"], point["p"]
-        return 2 * k * (p + m) + p - (k - 1) * m
-    if name == "q_family":
-        return 5 * point["j"] + 2 * point["s"]
-    if name == "c_sjk":
-        # scaled so the ICs cover the deepest inner offset k*j
-        return 2 * point["k"] * point["j"] + 1 + 2 * point["s"]
-    raise UsageError(f"no probe support for family {name!r}")
-
-
 def explore_rows(name: str, points: list[dict[str, int]], n_max: int, prune_check: bool = False) -> list[dict]:
     """One results row per grid point; all outcomes are data, never errors."""
+    build = fam.constructor(name)  # an unknown family name is a usage error, not a row
     rows = []
     for point in points:
         row = {"family": name, **point}
         try:
-            family = fam.build_family(name, **point)
-        except TypeError as err:  # a grid key missing or foreign to the family
-            row.update(valid="no", survived_to="", dead_reason=f"parameters do not fit: {err}",
-                       slow="", freq_match="")
-            rows.append(row)
-            continue
-        if name == "neg_gamma":
-            rows.append(_neg_gamma_row(row, family, n_max))
-            continue
-        verdict = fam.validate(family)
-        row["valid"] = "yes" if verdict.ok and not verdict.exploratory else (
-            "exploratory" if verdict.ok else "no"
-        )
-        length = probe_ic_length(name, point)
-        if length < 1:
-            row.update(survived_to="", dead_reason="ic length not positive", slow="", freq_match="")
-            rows.append(row)
-            continue
-        try:
-            ic = adjacent_ics(name, point, length)
-        except (ValueError, fam.NoTreeKnown) as err:
-            row.update(survived_to="", dead_reason=f"no adjacent tree: {err}", slow="", freq_match="")
-            rows.append(row)
-            continue
-        try:
-            rspec = fam.recursion_of(family) if verdict.ok else _unchecked_recursion(name, point)
-        except ValueError as err:
-            row.update(survived_to="", dead_reason=f"malformed recursion: {err}", slow="", freq_match="")
-            rows.append(row)
-            continue
-        values = _survival(row, recursion.evaluate(rspec, ic, n_max), n_max)
-        violation = recursion.slowness_violation(values)
-        row["slow"] = "yes" if violation is None else f"no(at {violation})"
-        row["freq_match"] = _freq_match(name, point, verdict, values)
-        if prune_check:
-            row["prune_identity"] = _prune_identity(family, verdict, n_max)
+            family = build(**point)
+        except (TypeError, ValueError) as err:  # a grid key missing or foreign, or the constructor's own check
+            row["valid"] = "no"
+            reason = f"parameters do not fit: {err}"
+        else:
+            probe = _neg_gamma_row if family.name == "neg_gamma" else _probe_row
+            reason = probe(row, family, n_max, prune_check)
+        if reason is not None:
+            row.update(survived_to="", dead_reason=reason, slow="", freq_match="")
         rows.append(row)
     return rows
 
 
-def _survival(row: dict, result: recursion.EvalResult, n_max: int) -> tuple[int, ...]:
-    """Fill survived_to and dead_reason from one evaluation; return its values."""
+def _probe_row(row: dict, family: fam.Family, n_max: int, prune_check: bool) -> Optional[str]:
+    """Run one point from the ICs of its nearest tree; the reason it cannot run, if any.
+
+    Out-of-range points have no tree of their own, so they borrow the cell
+    counts of the closest valid shape (family.neighbour()), truncated or
+    extended to the point's own IC length.
+    """
+    verdict = fam.validate(family)
+    row["valid"] = "yes" if verdict.ok and not verdict.exploratory else (
+        "exploratory" if verdict.ok else "no"
+    )
+    length = family.ic_length()
+    if length < 1:
+        return "ic length not positive"
+    try:
+        spec = fam.tree_of(family.neighbour())  # the family's own tree when it is in range
+    except (ValueError, fam.NoTreeKnown) as err:
+        return f"no adjacent tree: {err}"
+    ic = tree.initial_conditions(spec, length)
+    try:
+        rspec = family.offsets()
+    except ValueError as err:
+        return f"malformed recursion: {err}"
+    values, violation = _survival(row, recursion.evaluate(rspec, ic, n_max), n_max)
+    in_range = verdict.ok and not verdict.exploratory and violation is None
+    row["freq_match"] = _freq_match(spec, values) if in_range else ""
+    if prune_check:
+        row["prune_identity"] = _prune_identity(family, n_max)
+    return None
+
+
+def _survival(row: dict, result: recursion.EvalResult, n_max: int) -> tuple[tuple[int, ...], Optional[int]]:
+    """Fill survived_to, dead_reason and slow from one evaluation; return its values and slowness violation."""
     row["survived_to"] = n_max if result.alive else result.dead_at - 1
     row["dead_reason"] = result.reason.value if result.reason else ""
-    return result.values
+    violation = recursion.slowness_violation(result.values)
+    row["slow"] = "yes" if violation is None else f"no(at {violation})"
+    return result.values, violation
 
 
-def _unchecked_recursion(name: str, point: dict[str, int]) -> recursion.RecursionSpec:
-    """Offsets for out-of-range points, built without the family range checks."""
-    if name == "order_one":
-        s, j, m = point["s"], point["j"], point["m"]
-        return recursion.RecursionSpec(2, 1, (s, s + j + m), ((j,), (2 * j + m,)))
-    if name == "superposed":
-        s, j, m, p = point["s"], point["j"], point["m"], point["p"]
-        first = tuple(2 * t - 1 + p * (j - 1) for t in range(1, p + 1))
-        second = tuple(2 * t - 1 + m + p * (2 * j - 1) for t in range(1, p + 1))
-        return recursion.RecursionSpec(2, p, (s, s + p * j + m), (first, second))
-    if name == "kary":
-        k, m, p = point["k"], point["m"], point["p"]
-        outer = tuple((i - 1) * (1 + m) for i in range(1, k + 1))
-        inner = tuple(tuple((i - 1) * (1 + m) + t for t in range(1, p + 1)) for i in range(1, k + 1))
-        return recursion.RecursionSpec(k, p, outer, inner)
-    if name == "q_family":
-        s, j, q = point["s"], point["j"], point["q"]
-        return recursion.RecursionSpec(2, 1, (s, s + j), ((j,), (2 * j - q,)))
-    if name == "c_sjk":
-        s, j, k = point["s"], point["j"], point["k"]
-        outer = tuple(s + (i - 1) * j for i in range(1, k + 1))
-        return recursion.RecursionSpec(k, 1, outer, tuple((i * j,) for i in range(1, k + 1)))
-    raise UsageError(f"no probe support for family {name!r}")
-
-
-def _freq_match(name, point, verdict, values) -> str:
-    if not verdict.ok or verdict.exploratory or recursion.slowness_violation(values) is not None:
-        return ""
-    family = fam.build_family(name, **point)
+def _freq_match(spec: tree.TreeSpec, values: Sequence[int]) -> str:
+    """Observed frequencies of `values` against the tree's closed form; "" if none complete."""
     empirical = recursion.frequency_of(values)
     if empirical.vmax < 1:
         return ""
-    closed = freq.closed_form_sequence(fam.tree_of(family), empirical.vmax)
+    closed = freq.closed_form_sequence(spec, empirical.vmax)
     report = freq.compare(empirical, closed, empirical.vmax)
     return "yes" if report.agree else f"no(v={report.first_diff})"
 
 
-def _prune_identity(family, verdict, n_max) -> str:
+def _prune_identity(family: fam.Family, n_max: int) -> str:
     try:
         tspec = fam.tree_of(family)
         n = max(n_max, fam.prune_threshold(family))
-        t = pruning.build_prefix(tspec, n)
-        report = pruning.prune_family(family, t)
-        rebuilt = pruning.build_prefix(tspec, n - report.removed)
-        ok = pruning.trees_equal(report.result, rebuilt)
+        ok, _ = _prune_round_trip(family, tspec, n)
         return f"yes(n={n})" if ok else f"no(n={n})"
     except (fam.NoTreeKnown, ValueError) as err:
         return f"skipped({err})"
 
 
-def _neg_gamma_row(row: dict, family: fam.NegGammaCandidate, n_max: int) -> dict:
+def _neg_gamma_row(row: dict, family: fam.NegGammaCandidate, n_max: int, prune_check: bool) -> Optional[str]:
+    """Run a candidate point from the ICs of its conjectured tree; it has no pruning operation."""
     verdict = fam.validate(family)
     row["valid"] = "candidate" if verdict.ok else "no"
     if not verdict.ok:
-        row.update(survived_to="", dead_reason=verdict.message, slow="", freq_match="")
-        return row
-    k, gamma, delta = family.k, family.gamma, family.delta
-    p = (k - 1) * gamma + delta
-    conjectured = tree.TreeSpec(k, 0, 1, 1, k * gamma + delta, p - (k - 1) * gamma)
-    ic = tree.initial_conditions(conjectured, 2 * k * (p + p - 1 + gamma) + p - (k - 1) * (p - 1 + gamma))
-    rspec = fam.recursion_of(family)
-    values = _survival(row, recursion.evaluate(rspec, ic, n_max), n_max)
-    violation = recursion.slowness_violation(values)
-    row["slow"] = "yes" if violation is None else f"no(at {violation})"
+        return verdict.message
+    conjectured = family.conjectured()
+    spec = conjectured.tree()
+    ic = tree.initial_conditions(spec, conjectured.ic_length())
+    values, violation = _survival(row, recursion.evaluate(family.offsets(), ic, n_max), n_max)
     # compare what frequency evidence there is, even from a prefix that
     # later stops being slow
     prefix = values if violation is None else values[: violation - 1]
-    row["freq_match"] = ""
-    if prefix and prefix[0] == 1:
-        empirical = recursion.frequency_of(prefix)
-        if empirical.vmax >= 1:
-            closed = freq.closed_form_sequence(conjectured, empirical.vmax)
-            report = freq.compare(empirical, closed, empirical.vmax)
-            verdict = "yes" if report.agree else f"no(v={report.first_diff})"
-            scope = "" if violation is None else f"prefix({len(prefix)}):"
-            row["freq_match"] = scope + verdict
-    return row
+    match = _freq_match(spec, prefix) if prefix and prefix[0] == 1 else ""
+    scope = "" if violation is None or not match else f"prefix({len(prefix)}):"
+    row["freq_match"] = scope + match
+    return None
 
 
 def cmd_explore(args) -> int:
@@ -603,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--format", default="bfile", choices=["bfile", "csv", "json", "table"])
     sub.add_argument("--out", required=True)
-    sub.set_defaults(func=cmd_export)
+    sub.set_defaults(func=cmd_eval)
 
     sub = subparsers.add_parser("oeis-match", help="search a local OEIS stripped snapshot")
     add_source_args(sub)
@@ -618,10 +533,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (ValueError, fam.NoTreeKnown, OSError) as err:
+    except (UsageError, ValueError, fam.NoTreeKnown, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -130,6 +130,16 @@ def first_difference(a: LabelledTree, b: LabelledTree) -> Optional[str]:
 # -- shared steps -------------------------------------------------------------
 
 
+def _fits(t: LabelledTree, family) -> None:
+    """Refuse a tree built for another shape, or one too small for the family's operation."""
+    expected = fam.tree_of(family)
+    if t.spec != expected:
+        raise ValueError(f"tree was built for {t.spec}, not {expected}")
+    threshold = fam.prune_threshold(family)
+    if t.n < threshold:
+        raise PruneRefused(f"need n >= {threshold}, got {t.n}")
+
+
 def _ordinals(t: LabelledTree) -> dict[int, int]:
     return {id(node): ordinal for ordinal, node in enumerate(t.nodes, 1)}
 
@@ -261,12 +271,8 @@ def _relabel(t: LabelledTree, steps: list[dict], anomalies: list[str]) -> Labell
 
 def prune_order2(t: LabelledTree, s: int, j: int, m: int) -> PruneReport:
     """Prune for the order-one binary family: move-in correction, no end correction."""
-    expected = TreeSpec(2, s, j, 1, 1 + m, j - m)
-    if t.spec != expected:
-        raise ValueError(f"tree was built for {t.spec}, not {expected}")
+    _fits(t, fam.OrderOne(s, j, m))
     n = t.n
-    if n < 4 * j + 2 * m + 2 * s:
-        raise PruneRefused(f"need n >= {4 * j + 2 * m + 2 * s}, got {n}")
     steps: list[dict] = []
     anomalies: list[str] = []
 
@@ -328,13 +334,8 @@ def _delete_with_fallback(leaf, cell_slot, parent, parent_ordinal, leaf_ordinal,
 
 def prune_orderp(t: LabelledTree, s: int, j: int, m: int, p: int) -> PruneReport:
     """Prune for the order-p binary family, deleting against p nested subtrees."""
-    x = (2 * p - 1) * j - m
-    expected = TreeSpec(2, s, j, 1, 1 + m, x)
-    if t.spec != expected:
-        raise ValueError(f"tree was built for {t.spec}, not {expected}")
-    n = t.n
-    if n <= 3 * (j + m) + x + 2 * s:
-        raise PruneRefused(f"need n > {3 * (j + m) + x + 2 * s}, got {n}")
+    _fits(t, fam.HigherOrder(s, j, m, p))
+    n, x = t.n, t.spec.regular_labels
     steps: list[dict] = []
     anomalies: list[str] = []
 
@@ -361,29 +362,17 @@ def prune_orderp(t: LabelledTree, s: int, j: int, m: int, p: int) -> PruneReport
 
 def prune_superposed(t: LabelledTree, s: int, j: int, m: int, p: int) -> PruneReport:
     """Prune for the superposed family; exploratory m < 0 shapes may come up short."""
-    expected = TreeSpec(2, s, j, p, p + m, p * j - m)
-    if t.spec != expected:
-        raise ValueError(f"tree was built for {t.spec}, not {expected}")
-    n = t.n
-    full_bound = 5 * p * j + 3 * m + 2 * s
-    if m >= 0:
-        if n <= full_bound:
-            raise PruneRefused(f"need n > {full_bound}, got {n}")
-    else:
-        # run anyway for exploratory shapes, but insist on basic structure
-        if n <= 3 * p * j + m + 2 * s:
-            raise PruneRefused(f"need n > {3 * p * j + m + 2 * s}, got {n}")
-        if n <= full_bound:
-            anomalies_note = f"n = {n} is below the full-shape bound {full_bound}"
-        else:
-            anomalies_note = None
+    _fits(t, fam.Superposed(s, j, m, p))
+    n, x = t.n, t.spec.regular_labels
     steps: list[dict] = []
     anomalies: list[str] = []
-    if m < 0 and anomalies_note:
-        anomalies.append(anomalies_note)
+    # exploratory m < 0 shapes run from a lower threshold, so flag them below the full one
+    full_bound = 5 * p * j + 3 * m + 2 * s
+    if n <= full_bound:
+        anomalies.append(f"n = {n} is below the full-shape bound {full_bound}")
 
     _drop_supernode_labels(t, steps)
-    _insert_placeholders(t, p * j - m, steps)
+    _insert_placeholders(t, x, steps)
 
     ordinals = _ordinals(t)
     for i in range(1, p + 1):
@@ -400,21 +389,15 @@ def prune_superposed(t: LabelledTree, s: int, j: int, m: int, p: int) -> PruneRe
                         anomalies.append(f"cell {slot + 1} of leaf {leaf.index} was already empty in pass {i}")
 
     _lift(t, steps)
-    _end_correction(t, p * j - m, steps, anomalies)
+    _end_correction(t, x, steps, anomalies)
     result = _relabel(t, steps, anomalies)
     return PruneReport(t.n - result.n, result, steps, anomalies)
 
 
 def prune_kary(t: LabelledTree, m: int, p: int, k: int) -> PruneReport:
     """Prune for the k-ary family: single-cell leaves, placeholder-only correction."""
-    x = p * k - (k - 1) * (1 + m)
-    expected = TreeSpec(k, 0, 1, 1, 1 + m, x)
-    if t.spec != expected:
-        raise ValueError(f"tree was built for {t.spec}, not {expected}")
-    n = t.n
-    bound = k * (p + m) + p - (k - 1) * m
-    if n <= bound:
-        raise PruneRefused(f"need n > {bound}, got {n}")
+    _fits(t, fam.KaryOrderP(k, m, p))
+    n, x = t.n, t.spec.regular_labels
     steps: list[dict] = []
     anomalies: list[str] = []
 
@@ -444,17 +427,21 @@ def prune_kary(t: LabelledTree, m: int, p: int, k: int) -> PruneReport:
 # -- family-facing wrappers ---------------------------------------------------
 
 
+_OPS = {  # names resolve at call time, so a prune_* replaced on the module is the one run
+    "order_one": lambda f, t: prune_order2(t, f.s, f.j, f.m),
+    "higher_order": lambda f, t: prune_orderp(t, f.s, f.j, f.m, f.p),
+    "superposed": lambda f, t: prune_superposed(t, f.s, f.j, f.m, f.p),
+    "kary": lambda f, t: prune_kary(t, f.m, f.p, f.k),
+}
+
+
 def prune_family(family, t: LabelledTree) -> PruneReport:
     """Dispatch to the pruning operation matching the family's shape."""
-    if isinstance(family, fam.OrderOne):
-        return prune_order2(t, family.s, family.j, family.m)
-    if isinstance(family, fam.HigherOrder):
-        return prune_orderp(t, family.s, family.j, family.m, family.p)
-    if isinstance(family, fam.Superposed):
-        return prune_superposed(t, family.s, family.j, family.m, family.p)
-    if isinstance(family, fam.KaryOrderP):
-        return prune_kary(t, family.m, family.p, family.k)
-    raise fam.NoTreeKnown(f"no pruning operation for {family}")
+    try:
+        op = _OPS[family.name]
+    except KeyError:
+        raise fam.NoTreeKnown(f"no pruning operation for {family}") from None
+    return op(family, t)
 
 
 def left_leaf_correspondence(spec: TreeSpec, n: int, family) -> bool:

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import inspect
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nestrec import cli
+from nestrec import families as fam
 
 
 def run(argv, capsys):
@@ -241,3 +244,31 @@ def test_explore_hostile_points_give_rows(name, grid, reason, capsys):
     row = dict(zip(header.split(","), rows[0].split(",")))
     assert row["valid"] == "no"
     assert row["dead_reason"].startswith(reason)
+
+
+CATALOG_KEYS = sorted({key for build in fam.NAMED_FAMILIES.values()
+                       for key in inspect.signature(build).parameters})
+
+
+@st.composite
+def explore_points(draw):
+    """A catalog name and a grid point: its constructor's own keys half the time, any keys otherwise."""
+    name = draw(st.sampled_from(sorted(fam.NAMED_FAMILIES)))
+    own = list(inspect.signature(fam.NAMED_FAMILIES[name]).parameters)
+    keys = own if draw(st.booleans()) else draw(st.lists(st.sampled_from(CATALOG_KEYS), unique=True, max_size=4))
+    return name, {key: draw(st.integers(-4, 7)) for key in keys}
+
+
+@settings(max_examples=300, deadline=None)
+@given(explore_points(), st.booleans())
+def test_explore_rows_never_raise(case, prune_check):
+    """Every catalog name and every point, in range or not, gives exactly one row."""
+    name, point = case
+    rows = cli.explore_rows(name, [point], 120, prune_check=prune_check)
+    assert len(rows) == 1
+    row = rows[0]
+    assert row["family"] == name and all(row[key] == v for key, v in point.items())
+    assert row["valid"] in ("yes", "exploratory", "candidate", "no")
+    if row["valid"] == "yes":
+        assert (row["survived_to"], row["dead_reason"], row["slow"], row["freq_match"]) == (120, "", "yes", "yes")
+        assert not prune_check or row["prune_identity"].startswith("yes(")

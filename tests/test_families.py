@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from nestrec import families as fam
-from nestrec import recursion, tree
+from nestrec import pruning, recursion, tree
 
 
 def test_order_one_offsets():
@@ -154,3 +154,51 @@ def test_build_family_and_documents():
 def test_named_catalog_covers_classics():
     for name in ("conolly", "h", "r_sj", "h_sj", "alpha_beta", "kary_conolly", "kary_h", "kary_ceiling"):
         assert name in fam.NAMED_FAMILIES
+
+
+def core_points(margin: int) -> list[fam.Family]:
+    """Points of the four core families; m runs `margin` past its range on both sides."""
+    return (
+        [fam.OrderOne(s, j, m) for s in (0, 1, 2) for j in (1, 2, 3)
+         for m in range(-margin, j + margin + 1)]
+        + [fam.HigherOrder(s, j, m, p) for s in (0, 1) for j in (1, 2) for p in (1, 2, 3)
+           for m in range(-margin, (2 * p - 1) * j + margin + 1)]
+        + [fam.Superposed(s, j, m, p) for s in (0, 1) for j in (1, 2) for p in (1, 2, 3)
+           for m in range(-p + 1 - margin, p * j + margin + 1)]
+        + [fam.KaryOrderP(k, m, p) for k in (2, 3, 4) for p in (1, 2, 3)
+           for m in range(p - 1 - margin, k * p // (k - 1) + margin)]
+    )
+
+
+def test_record_facts_agree():
+    """Each core record's prune guard, threshold, clamp, IC length and name fit one another."""
+    points = core_points(0)
+    assert len(points) > 100
+    for f in points:
+        assert fam.validate(f).ok, f
+        spec, threshold = fam.tree_of(f), fam.prune_threshold(f)
+        report = pruning.prune_family(f, pruning.build_prefix(spec, threshold))
+        if not fam.validate(f).exploratory:
+            rebuilt = pruning.build_prefix(spec, threshold - report.removed)
+            assert pruning.trees_equal(report.result, rebuilt), f
+        assert threshold > 1, f
+        with pytest.raises(pruning.PruneRefused, match=f"need n >= {threshold}, got {threshold - 1}"):
+            pruning.prune_family(f, pruning.build_prefix(spec, threshold - 1))
+        assert f.neighbour() == f
+        # standard ICs reach every inner offset, so they never die at the first open n
+        assert fam.ic_length(f) >= max(max(row) for row in fam.recursion_of(f).inner_offsets), f
+        doc = fam.to_document(f)
+        params = {key: v for key, v in doc.items() if key != "family"}
+        assert fam.build_family(doc["family"], **params) == f
+
+
+def test_neighbours_are_in_range():
+    """Out-of-range points clamp to a valid point that has a tree."""
+    outside = [f for f in core_points(3) if not fam.validate(f).ok]
+    assert len(outside) > 100
+    exploratory = [fam.QFamily(s, j, q) for s in (0, 1) for j in (1, 2, 3) for q in range(j + 1)] \
+        + [fam.CSJK(s, j, k) for s in (0, 1) for j in (1, 2) for k in (2, 3, 4)]
+    for f in outside + exploratory:
+        near = f.neighbour()
+        assert fam.validate(near).ok, (f, near)
+        fam.tree_of(near)
