@@ -421,12 +421,10 @@ def _neg_gamma_row(row: dict, family: fam.NegGammaCandidate, n_max: int, prune_c
 
 
 def cmd_explore(args) -> int:
-    if not args.grid:
-        raise UsageError("explore needs --grid, e.g. --grid \"s=0,1;j=1..3;m=-2..5\"")
     name = args.family_name
     if name is None:
         raise UsageError("explore needs a family name")
-    points = grid_points(parse_grid(args.grid))
+    points = grid_points(parse_grid(args.grid)) if args.grid else [{}]
     rows = explore_rows(name, points, args.n, prune_check=args.prune_check)
     columns: list[str] = []
     for row in rows:
@@ -507,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subparsers.add_parser("explore", help="sweep a parameter grid, including broken points")
     add_source_args(sub, with_spec=False)
-    sub.add_argument("--grid", help="e.g. \"s=0,1;j=1..3;m=-2..5\"")
+    sub.add_argument("--grid", help="e.g. \"s=0,1;j=1..3;m=-2..5\"; without it, one point with no parameters")
     sub.add_argument("--n", type=int, default=1000)
     sub.add_argument("--prune-check", action="store_true", dest="prune_check")
     sub.add_argument("--out")

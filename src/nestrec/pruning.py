@@ -55,18 +55,6 @@ class LabelledTree:
     n: int
     nodes: list[TreeNode]
 
-    def leaves(self):
-        return [node for node in self.nodes if node.kind == LEAF]
-
-    def penultimates(self):
-        """Parents of leaves, in order: the first supernode, then the level-1 regulars."""
-        return [
-            node
-            for node in self.nodes
-            if (node.kind == SUPERNODE and node.index == 1)
-            or (node.kind == REGULAR and node.index == 1)
-        ]
-
 
 @dataclass
 class PruneReport:
@@ -140,10 +128,6 @@ def _fits(t: LabelledTree, family) -> None:
         raise PruneRefused(f"need n >= {threshold}, got {t.n}")
 
 
-def _ordinals(t: LabelledTree) -> dict[int, int]:
-    return {id(node): ordinal for ordinal, node in enumerate(t.nodes, 1)}
-
-
 def _first_supernode(t: LabelledTree) -> TreeNode:
     if len(t.nodes) < 2 or t.nodes[1].kind != SUPERNODE:
         raise PruneRefused("tree is too small to hold its first supernode")
@@ -166,53 +150,47 @@ def _insert_placeholders(t: LabelledTree, count: int, steps: list[dict]) -> None
         steps.append({"step": "initial correction", "label": f"placeholder-{i}", "from": None, "to": 2})
 
 
-def _leaf_parents(t: LabelledTree) -> dict[int, tuple[TreeNode, int]]:
-    """Map leaf index -> (parent node, parent ordinal)."""
-    ordinals = _ordinals(t)
-    penults = t.penultimates()
-    k = t.spec.arity
-    out = {}
-    for node in t.nodes:
-        if node.kind != LEAF:
-            continue
-        slot = (node.index - 1) // k
-        if slot >= len(penults):
-            raise PruneRefused(f"leaf {node.index} has no materialized parent")
-        parent = penults[slot]
-        out[node.index] = (parent, ordinals[id(parent)])
+Leaf = tuple[int, TreeNode, int, TreeNode]  # (ordinal, leaf, parent ordinal, parent)
+
+
+def _leaves(t: LabelledTree) -> list[Leaf]:
+    """Every leaf of t with its parent, in node order; ordinals are 1-based positions in t.nodes.
+
+    Leaves 1..k hang off the first supernode, node 2; every later leaf hangs
+    off the level-1 regular node last seen before it.  Call it once the
+    first supernode is known to exist.
+    """
+    out = []
+    parent_ordinal = 2
+    for ordinal, node in enumerate(t.nodes, 1):
+        if node.kind == LEAF:
+            out.append((ordinal, node, parent_ordinal, t.nodes[parent_ordinal - 1]))
+        elif node.kind == REGULAR and node.index == 1:
+            parent_ordinal = ordinal
     return out
 
 
-def _lift(t: LabelledTree, steps: list[dict]) -> None:
-    ordinals = _ordinals(t)
-    parents = _leaf_parents(t)
-    touched = []
-    for node in t.nodes:
-        if node.kind != LEAF:
-            continue
-        parent, parent_ordinal = parents[node.index]
-        source_ordinal = ordinals[id(node)]
-        for cell in node.cells:
+def _lift(leaves: list[Leaf], steps: list[dict]) -> None:
+    for ordinal, leaf, parent_ordinal, parent in leaves:
+        for cell in leaf.cells:
             for label in cell:
-                steps.append({"step": "lifting", "label": label, "from": source_ordinal, "to": parent_ordinal})
+                steps.append({"step": "lifting", "label": label, "from": ordinal, "to": parent_ordinal})
             parent.cells[0].extend(cell)
             cell.clear()
-        touched.append(parent)
-    for parent in touched:
+    for _, _, _, parent in leaves:
         parent.cells[0].sort()
 
 
 def _end_correction(t: LabelledTree, quota: int, steps: list[dict], anomalies: list[str]) -> None:
     """Remove the `quota` largest labels left anywhere in the tree."""
-    ordinals = _ordinals(t)
     left = quota
-    for node in reversed(t.nodes):
-        cell = node.cells[0] if node.kind != LEAF else None
+    for ordinal, node in zip(range(len(t.nodes), 0, -1), reversed(t.nodes)):
         if node.kind == LEAF:
             continue  # leaves are empty after lifting
+        cell = node.cells[0]
         while left and cell:
             label = cell.pop()
-            steps.append({"step": "end correction", "label": label, "from": ordinals[id(node)], "to": None})
+            steps.append({"step": "end correction", "label": label, "from": ordinal, "to": None})
             left -= 1
         if not left:
             return
@@ -266,6 +244,14 @@ def _relabel(t: LabelledTree, steps: list[dict], anomalies: list[str]) -> Labell
     return LabelledTree(t.spec, next_label - 1, new_nodes)
 
 
+def _finish(t: LabelledTree, leaves: list[Leaf], quota: int, steps: list[dict], anomalies: list[str]) -> PruneReport:
+    """The tail every prune shares: lift the leaves, remove the `quota` largest labels, renumber."""
+    _lift(leaves, steps)
+    _end_correction(t, quota, steps, anomalies)
+    result = _relabel(t, steps, anomalies)
+    return PruneReport(t.n - result.n, result, steps, anomalies)
+
+
 # -- the four pruning operations ----------------------------------------------
 
 
@@ -280,33 +266,28 @@ def prune_order2(t: LabelledTree, s: int, j: int, m: int) -> PruneReport:
     # j - m largest labels of the tree
     _drop_supernode_labels(t, steps)
     target = _first_supernode(t)
-    ordinals = _ordinals(t)
     moving = set(range(n - (j - m) + 1, n + 1))
-    for node in reversed(t.nodes):
+    for ordinal, node in zip(range(len(t.nodes), 0, -1), reversed(t.nodes)):
         if not moving:
             break
         for cell in node.cells:
             for label in [lab for lab in cell if lab in moving]:
                 cell.remove(label)
                 target.cells[0].append(label)
-                steps.append({"step": "initial correction", "label": label, "from": ordinals[id(node)], "to": 2})
+                steps.append({"step": "initial correction", "label": label, "from": ordinal, "to": 2})
                 moving.discard(label)
     target.cells[0].sort()
 
     # deletion: every cell reaching back to T(n - j) loses its first label
+    leaves = _leaves(t)
     threshold = n - j
-    for node in t.nodes:
-        if node.kind != LEAF:
-            continue
-        node_ordinal = ordinals[id(node)]
-        for cell, first in zip(node.cells, node.first_labels):
+    for ordinal, leaf, _, _ in leaves:
+        for cell, first in zip(leaf.cells, leaf.first_labels):
             if first is not None and first <= threshold:
                 label = cell.pop(0)
-                steps.append({"step": "deletion", "label": label, "from": node_ordinal, "to": None})
+                steps.append({"step": "deletion", "label": label, "from": ordinal, "to": None})
 
-    _lift(t, steps)
-    result = _relabel(t, steps, anomalies)
-    return PruneReport(t.n - result.n, result, steps, anomalies)
+    return _finish(t, leaves, 0, steps, anomalies)
 
 
 def _delete_with_fallback(leaf, cell_slot, parent, parent_ordinal, leaf_ordinal, steps, anomalies):
@@ -342,22 +323,15 @@ def prune_orderp(t: LabelledTree, s: int, j: int, m: int, p: int) -> PruneReport
     _drop_supernode_labels(t, steps)
     _insert_placeholders(t, x, steps)
 
-    ordinals = _ordinals(t)
-    parents = _leaf_parents(t)
-    leaves = t.leaves()
+    leaves = _leaves(t)
     for i in range(1, p + 1):
         reach = n - (2 * i - 1) * j
-        for leaf in leaves:
-            parent, parent_ordinal = parents[leaf.index]
-            leaf_ordinal = ordinals[id(leaf)]
+        for ordinal, leaf, parent_ordinal, parent in leaves:
             for slot, first in enumerate(leaf.first_labels):
                 if first is not None and first <= reach:
-                    _delete_with_fallback(leaf, slot, parent, parent_ordinal, leaf_ordinal, steps, anomalies)
+                    _delete_with_fallback(leaf, slot, parent, parent_ordinal, ordinal, steps, anomalies)
 
-    _lift(t, steps)
-    _end_correction(t, x, steps, anomalies)
-    result = _relabel(t, steps, anomalies)
-    return PruneReport(t.n - result.n, result, steps, anomalies)
+    return _finish(t, leaves, x, steps, anomalies)
 
 
 def prune_superposed(t: LabelledTree, s: int, j: int, m: int, p: int) -> PruneReport:
@@ -374,24 +348,20 @@ def prune_superposed(t: LabelledTree, s: int, j: int, m: int, p: int) -> PruneRe
     _drop_supernode_labels(t, steps)
     _insert_placeholders(t, x, steps)
 
-    ordinals = _ordinals(t)
+    leaves = _leaves(t)
     for i in range(1, p + 1):
         reach = n - (2 * i - 1) - p * (j - 1)
-        for leaf in t.leaves():
-            leaf_ordinal = ordinals[id(leaf)]
+        for ordinal, leaf, _, _ in leaves:
             for slot, first in enumerate(leaf.first_labels):
                 if first is not None and first <= reach:
                     cell = leaf.cells[slot]
                     if cell:
                         label = cell.pop()  # the largest label in the cell
-                        steps.append({"step": "deletion", "label": label, "from": leaf_ordinal, "to": None})
+                        steps.append({"step": "deletion", "label": label, "from": ordinal, "to": None})
                     else:
                         anomalies.append(f"cell {slot + 1} of leaf {leaf.index} was already empty in pass {i}")
 
-    _lift(t, steps)
-    _end_correction(t, x, steps, anomalies)
-    result = _relabel(t, steps, anomalies)
-    return PruneReport(t.n - result.n, result, steps, anomalies)
+    return _finish(t, leaves, x, steps, anomalies)
 
 
 def prune_kary(t: LabelledTree, m: int, p: int, k: int) -> PruneReport:
@@ -403,25 +373,21 @@ def prune_kary(t: LabelledTree, m: int, p: int, k: int) -> PruneReport:
 
     _insert_placeholders(t, x, steps)
 
-    ordinals = _ordinals(t)
-    for leaf in t.leaves():
+    leaves = _leaves(t)
+    for ordinal, leaf, _, _ in leaves:
         first = leaf.first_labels[0]
         if first is None:
             continue
         demand = min(p, n - first)
-        leaf_ordinal = ordinals[id(leaf)]
         for _ in range(demand):
             cell = leaf.cells[0]
             if cell:
                 label = cell.pop(0)
-                steps.append({"step": "deletion", "label": label, "from": leaf_ordinal, "to": None})
+                steps.append({"step": "deletion", "label": label, "from": ordinal, "to": None})
             else:
                 anomalies.append(f"leaf {leaf.index} ran out of labels during deletion")
 
-    _lift(t, steps)
-    _end_correction(t, x, steps, anomalies)
-    result = _relabel(t, steps, anomalies)
-    return PruneReport(t.n - result.n, result, steps, anomalies)
+    return _finish(t, leaves, x, steps, anomalies)
 
 
 # -- family-facing wrappers ---------------------------------------------------

@@ -192,21 +192,6 @@ def frequency_of(values: Sequence[int]) -> FrequencySequence:
     return FrequencySequence(entries=entries, source="empirical")
 
 
-@dataclass(frozen=True)
-class ProbeReport:
-    survived_to: int
-    dead_at: Optional[int] = None
-    reason: Optional[DeadReason] = None
-
-
-def death_probe(spec: RecursionSpec, initial: Sequence[int], n_max: int) -> ProbeReport:
-    """Run the evaluator and report how far the sequence stays defined."""
-    result = evaluate(spec, initial, n_max)
-    if result.alive:
-        return ProbeReport(survived_to=n_max)
-    return ProbeReport(survived_to=result.dead_at - 1, dead_at=result.dead_at, reason=result.reason)
-
-
 def to_document(spec: RecursionSpec, initial: Sequence[int]) -> dict:
     return {
         "arity": spec.arity,

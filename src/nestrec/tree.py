@@ -17,16 +17,16 @@ of C-level bytes and itertools calls, in O(n) transient bytes.  The closed
 form (first_label, and cell_count on top of it) sums the frequency formula
 to get the first label of any cell in O(log n) and finds C_T(n) by binary
 search in O(log^2 n), so single-point counts stay cheap at n = 10^18.  The
-node-by-node walks node_stream and _descriptors serve pruning and are a
-third, independent oracle.  The tests check each against the others.
+one node-by-node walk, node_stream, feeds pruning and is a third,
+independent oracle.  The tests check each against the others.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import chain, compress, count, islice, repeat, tee
-from typing import Iterator, Optional
+from itertools import chain, compress, count, repeat, tee
+from typing import Iterator
 
 SUPERNODE = "supernode"
 REGULAR = "regular"
@@ -67,14 +67,6 @@ class TreeSpec:
         return (self.per_cell,) * (self.leaf_cells - 1) + (self.last_cell,)
 
 
-@dataclass(frozen=True)
-class NodeDescriptor:
-    ordinal: int
-    kind: str
-    index: int  # supernode number, leaf number, or regular-node level
-    parent_ordinal: Optional[int]
-
-
 def node_stream(k: int) -> Iterator[tuple[str, int]]:
     """Yield (kind, index) for every node in insertion order.
 
@@ -104,57 +96,6 @@ def node_stream(k: int) -> Iterator[tuple[str, int]]:
                     yield (REGULAR, level)
                     stack.extend((level - 1,) * k)
         i += 1
-
-
-def _descriptors(k: int) -> Iterator[NodeDescriptor]:
-    # Independent of node_stream on purpose; the two walks are tested
-    # against each other.
-    ordinal = 0
-
-    def make(kind, index, parent):
-        nonlocal ordinal
-        ordinal += 1
-        return NodeDescriptor(ordinal, kind, index, parent)
-
-    yield make(LEAF, 1, 2)  # leaf 1 precedes its parent, the first supernode
-    first_super = make(SUPERNODE, 1, None)
-    yield first_super
-    leaf = 1
-    for _ in range(k - 1):
-        leaf += 1
-        yield make(LEAF, leaf, first_super.ordinal)
-    i = 2
-    while True:
-        super_i = make(SUPERNODE, i, None)
-        yield super_i
-        for _ in range(k - 1):
-            stack = [(i - 1, super_i.ordinal)]
-            while stack:
-                level, parent = stack.pop()
-                if level == 0:
-                    leaf += 1
-                    yield make(LEAF, leaf, parent)
-                else:
-                    node = make(REGULAR, level, parent)
-                    yield node
-                    stack.extend(((level - 1, node.ordinal),) * k)
-        i += 1
-
-
-def enumerate_nodes(k: int, count: int) -> list[NodeDescriptor]:
-    """First `count` nodes of the arity-k skeleton, in insertion order."""
-    if count < 0:
-        raise ValueError("count cannot be negative")
-    return list(islice(_descriptors(k), count))
-
-
-def labels_in(spec: TreeSpec, node: NodeDescriptor) -> int:
-    """Labels a full copy of `node` holds under `spec`."""
-    if node.kind == SUPERNODE:
-        return spec.supernode_labels
-    if node.kind == REGULAR:
-        return spec.regular_labels
-    return spec.leaf_labels()
 
 
 def _start_chunks(spec: TreeSpec) -> Iterator[bytes]:

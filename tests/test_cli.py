@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import contextlib
+import csv
 import inspect
+import io
 import json
 
 import pytest
@@ -246,6 +249,18 @@ def test_explore_hostile_points_give_rows(name, grid, reason, capsys):
     assert row["dead_reason"].startswith(reason)
 
 
+def test_explore_without_grid_runs_one_point(capsys):
+    """A name with no parameters explores the point {}; a name that needs some gets a row saying so."""
+    code, out, _ = run(["explore", "conolly", "--n", "500"], capsys)
+    assert code == 0
+    assert out.splitlines() == ["family,valid,survived_to,dead_reason,slow,freq_match", "conolly,yes,500,,yes,yes"]
+    code, out, _ = run(["explore", "order_one"], capsys)
+    assert code == 0
+    [row] = csv.DictReader(io.StringIO(out))
+    assert row["valid"] == "no"
+    assert row["dead_reason"].startswith("parameters do not fit")
+
+
 CATALOG_KEYS = sorted({key for build in fam.NAMED_FAMILIES.values()
                        for key in inspect.signature(build).parameters})
 
@@ -272,3 +287,81 @@ def test_explore_rows_never_raise(case, prune_check):
     if row["valid"] == "yes":
         assert (row["survived_to"], row["dead_reason"], row["slow"], row["freq_match"]) == (120, "", "yes", "yes")
         assert not prune_check or row["prune_identity"].startswith("yes(")
+
+
+FORMATS = ["table", "csv", "json", "bfile", "xml"]
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("argv")
+
+
+@st.composite
+def random_argv(draw, out_dir):
+    """A subcommand, a catalog name or an unknown one, key=value tokens and options.
+
+    Each subcommand's own options appear three times in four, required ones
+    included; an option of another subcommand, rarely.
+    """
+    keys = st.sampled_from(CATALOG_KEYS + ["x"])
+    values = {
+        "--n": st.integers(-3, 200).map(str),
+        "--format": st.sampled_from(FORMATS),
+        "--out": st.just(str(out_dir / "out.txt")),
+        "--vmax": st.integers(-3, 60).map(str),
+        "--empirical": st.integers(-3, 300).map(str),
+        "--sparse": st.integers(-2, 5).map(str),
+        "--check": st.integers(-2, 5).map(str),
+        "--seed": st.integers(0, 99).map(str),
+        "--grid": st.lists(st.builds("{}={}".format, keys, st.sampled_from(["0", "-1..2", "1,3", "a", ""])),
+                           max_size=3).map(";".join),
+        "--stripped": st.just(str(out_dir / "missing-snapshot")),
+        "--trace": st.none(),
+        "--prune-check": st.none(),
+    }
+    own = {
+        "eval": ["--n", "--format", "--out"],
+        "tree": ["--n", "--format", "--out"],
+        "ic": ["--n", "--format", "--out"],
+        "freq": ["--vmax", "--empirical", "--format", "--out"],
+        "verify": ["--n", "--sparse", "--seed"],
+        "prune": ["--n", "--check", "--seed", "--trace"],
+        "explore": ["--grid", "--n", "--prune-check", "--out"],
+        "export": ["--n", "--format", "--out"],
+        "oeis-match": ["--n", "--stripped"],
+    }
+    usually = st.sampled_from([True] * 3 + [False])
+    rarely = st.sampled_from([False] * 9 + [True])
+    command = draw(st.sampled_from(sorted(own)))
+    argv = [command]
+    if draw(usually):
+        name = draw(st.sampled_from(sorted(fam.NAMED_FAMILIES)))
+        own_keys = list(inspect.signature(fam.NAMED_FAMILIES[name]).parameters)
+        point_keys = own_keys if draw(usually) else draw(st.lists(keys, unique=True, max_size=4))
+        small = st.integers(0, 4) if draw(usually) else st.integers(-4, 7)
+        argv.append("no_such_family" if draw(rarely) else name)
+        argv += [f"{key}={draw(small)}" for key in point_keys]
+    if draw(rarely):
+        argv.append(draw(st.builds("{}={}".format, keys, st.sampled_from(["1", "", "a", "1.5"])) | st.just("junk")))
+    options = [option for option in own[command] if draw(usually)]
+    if draw(rarely):
+        options.append(draw(st.sampled_from(sorted(values))))
+    for option in options:
+        value = draw(values[option])
+        argv += [option] if value is None else [option, value]
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_main_never_raises_on_random_argv(argv_dir, data):
+    """Any argv gives exit code 0, 1 or 2, or argparse's own exit 2; never a traceback."""
+    argv = data.draw(random_argv(argv_dir))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exit_:
+            assert exit_.code == 2, argv
+            return
+    assert code in (0, 1, 2), argv

@@ -136,8 +136,19 @@ def test_standard_ics_follow_tree():
 
 def test_prune_thresholds():
     assert fam.prune_threshold(fam.OrderOne(1, 3, 1)) == 16
-    assert fam.prune_threshold(fam.Superposed(0, 3, 3, 2)) > 0
-    assert fam.prune_threshold(fam.kary_conolly(3)) > 0
+    # worked by hand from the bounds, so a bound moved by one either way fails here
+    # higher order: 3(j + m) + x + 2s + 1 with x = (2p - 1)j - m
+    assert fam.prune_threshold(fam.HigherOrder(0, 3, 2, 2)) == 15 + 7 + 0 + 1
+    assert fam.prune_threshold(fam.HigherOrder(1, 2, 3, 2)) == 15 + 3 + 2 + 1
+    # superposed, m >= 0: 5pj + 3m + 2s + 1
+    assert fam.prune_threshold(fam.Superposed(0, 3, 3, 2)) == 30 + 9 + 0 + 1
+    assert fam.prune_threshold(fam.Superposed(1, 2, 2, 2)) == 20 + 6 + 2 + 1
+    # superposed, m < 0 (exploratory): 3pj + m + 2s + 1
+    assert fam.prune_threshold(fam.Superposed(0, 4, -2, 9)) == 108 - 2 + 0 + 1
+    assert fam.prune_threshold(fam.Superposed(1, 2, -1, 2)) == 12 - 1 + 2 + 1
+    # k-ary: k(p + m) + p - (k - 1)m + 1
+    assert fam.prune_threshold(fam.kary_conolly(3)) == 3 + 1 - 0 + 1
+    assert fam.prune_threshold(fam.KaryOrderP(4, 2, 3)) == 20 + 3 - 6 + 1
 
 
 def test_build_family_and_documents():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +30,31 @@ def test_build_prefix_keeps_empty_interior_nodes():
     kinds = [node.kind for node in t.nodes]
     assert tree.SUPERNODE in kinds
     assert kinds[-1] == tree.LEAF
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_leaf_parents_follow_node_stream(k):
+    """Pruning's (ordinal, leaf, parent ordinal, parent) list, rebuilt from node_stream.
+
+    A leaf's parent is supernode 1 (node 2) for leaves 1..k and otherwise
+    the latest level-1 regular node before it; equivalently, leaf L hangs
+    off the ((L - 1) // k + 1)-th of supernode 1 and the level-1 regulars.
+    """
+    t = pruning.build_prefix(TreeSpec(k, 1, 2, 1, 1, 1), 2000)
+    nodes = list(enumerate(islice(tree.node_stream(k), len(t.nodes)), 1))
+    want = []
+    latest = None
+    for ordinal, (kind, index) in nodes:
+        if kind == tree.LEAF:
+            want.append((ordinal, index, 2 if index <= k else latest))
+        elif kind == tree.REGULAR and index == 1:
+            latest = ordinal
+    leaves = pruning._leaves(t)
+    assert [(ordinal, leaf.index, parent_ordinal) for ordinal, leaf, parent_ordinal, _ in leaves] == want
+    penultimates = [ordinal for ordinal, (kind, index) in nodes if kind != tree.LEAF and index == 1]
+    for ordinal, leaf, parent_ordinal, parent in leaves:
+        assert leaf is t.nodes[ordinal - 1] and parent is t.nodes[parent_ordinal - 1]
+        assert parent_ordinal == penultimates[(leaf.index - 1) // k]
 
 
 def test_trees_equal_and_first_difference():
@@ -160,6 +187,36 @@ def test_left_leaf_correspondence_examples():
         pruning.left_leaf_correspondence(fam.tree_of(f), 31, g)
 
 
+def assert_log_replays(before: pruning.LabelledTree, report: pruning.PruneReport) -> None:
+    """Replay the movement log on `before`, the tree that was pruned.
+
+    Every label taken "from" a node ordinal must sit there at that moment;
+    at the end every label is gone, and the survivors were renumbered
+    1..result.n in order.
+    """
+    held = {ordinal: {label for cell in node.cells for label in cell} for ordinal, node in enumerate(before.nodes, 1)}
+    placeholders = Counter()
+    fresh = []
+    for step in report.steps:
+        label, source, target = step["label"], step["from"], step["to"]
+        if source is not None:
+            if isinstance(label, str):
+                assert placeholders[source] > 0, step
+                placeholders[source] -= 1
+            else:
+                assert label in held[source], step
+                held[source].remove(label)
+        if step["step"] == "relabelling":
+            fresh.append(target)
+        elif target is not None:
+            if isinstance(label, str):
+                placeholders[target] += 1
+            else:
+                held[target].add(label)
+    assert not any(held.values()) and not any(placeholders.values())
+    assert fresh == list(range(1, report.result.n + 1))
+
+
 def test_no_anomalies_in_range():
     rng = random.Random(11)
     kinds = [
@@ -176,6 +233,7 @@ def test_no_anomalies_in_range():
             report = pruning.prune_family(f, pruning.build_prefix(spec, n))
             assert report.anomalies == [], (f, n)
             assert pruning.trees_equal(report.result, pruning.build_prefix(spec, n - report.removed))
+            assert_log_replays(pruning.build_prefix(spec, n), report)
 
 
 @settings(max_examples=100, deadline=None)

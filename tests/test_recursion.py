@@ -115,17 +115,6 @@ def test_frequency_requires_slow_from_one():
         recursion.frequency_of([1, 3])
 
 
-def test_death_probe():
-    spec = RecursionSpec(2, 1, (0, 5), ((2,), (4,)))
-    report = recursion.death_probe(spec, [1, 1, 2, 2, 3, 3], 2000)
-    result = recursion.evaluate(spec, [1, 1, 2, 2, 3, 3], 2000)
-    if result.alive:
-        assert report.dead_at is None and report.survived_to == 2000
-    else:
-        assert report.dead_at == result.dead_at
-        assert report.survived_to == result.dead_at - 1
-
-
 def test_prefix_stability():
     """Longer runs only append; earlier values never change."""
     ic = [1, 2, 2, 3, 4]

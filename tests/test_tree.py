@@ -100,25 +100,6 @@ def test_regulars_in_stream_match(k):
             assert run == 0, "supernode interrupts a regular run"
 
 
-def test_descriptors_agree_with_stream():
-    for desc, (kind, idx) in zip(tree.enumerate_nodes(2, 500), tree.node_stream(2)):
-        assert (desc.kind, desc.index) == (kind, idx)
-
-
-def test_descriptor_parents():
-    nodes = tree.enumerate_nodes(2, 16)
-    by_ordinal = {d.ordinal: d for d in nodes}
-    for d in nodes:
-        if d.kind == SUPERNODE:
-            assert d.parent_ordinal is None
-        else:
-            parent = by_ordinal.get(d.parent_ordinal)
-            if parent is not None:
-                assert parent.kind in (SUPERNODE, REGULAR)
-    # leaf 1 hangs off the first supernode
-    assert nodes[0].kind == LEAF and nodes[0].parent_ordinal == 2
-
-
 def test_running_example_counts():
     assert tree.cell_count(RUNNING, 16) == 9
     assert tree.cell_count(RUNNING, 31) == 17
