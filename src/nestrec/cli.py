@@ -383,6 +383,8 @@ def _survival(row: dict, result: recursion.EvalResult, n_max: int) -> tuple[tupl
 
 def _freq_match(spec: tree.TreeSpec, values: Sequence[int]) -> str:
     """Observed frequencies of `values` against the tree's closed form; "" if none complete."""
+    if not values:
+        return ""
     empirical = recursion.frequency_of(values)
     if empirical.vmax < 1:
         return ""
@@ -424,7 +426,12 @@ def cmd_explore(args) -> int:
     name = args.family_name
     if name is None:
         raise UsageError("explore needs a family name")
-    points = grid_points(parse_grid(args.grid)) if args.grid else [{}]
+    fixed = parse_params(args.params)
+    grid = parse_grid(args.grid) if args.grid else {}
+    both = sorted(fixed.keys() & grid.keys())
+    if both:
+        raise UsageError(f"parameter {both[0]!r} is given both positionally and in --grid")
+    points = [dict(fixed, **point) for point in grid_points(grid)]
     rows = explore_rows(name, points, args.n, prune_check=args.prune_check)
     columns: list[str] = []
     for row in rows:
@@ -505,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subparsers.add_parser("explore", help="sweep a parameter grid, including broken points")
     add_source_args(sub, with_spec=False)
-    sub.add_argument("--grid", help="e.g. \"s=0,1;j=1..3;m=-2..5\"; without it, one point with no parameters")
+    sub.add_argument("--grid", help="e.g. \"s=0,1;j=1..3;m=-2..5\"; every point also takes the positional key=value parameters")
     sub.add_argument("--n", type=int, default=1000)
     sub.add_argument("--prune-check", action="store_true", dest="prune_check")
     sub.add_argument("--out")

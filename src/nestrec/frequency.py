@@ -5,13 +5,25 @@ occurs.  For cell counting sequences there is a closed form driven by the
 k-adic valuation: values off the leaf-cell grid occur per_cell times, and
 the v-th cell completion at v = j*q occurs last_cell + regular*nu_k(q)
 times, plus supernode_labels more when q is a power of k.
+
+The closed form is periodic away from its block ends.  Take P = j*k^h.
+For t >= 1 and 0 < r < P, phi(t*P + r) = phi(P + r): off the grid both
+are per_cell, and on it r = j*r' with 0 < r' < k^h, so
+nu_k(t*k^h + r') = nu_k(r') and t*k^h + r' is no power of k (a power
+above k^h would be a multiple of k^h).  So _phi_stream gives phi(1..P)
+lazily, then repeats one list of phi(P + 1..2P - 1) between single calls
+for the block ends (t + 1)*P, and the checks below compare it with the
+observed gaps through itertools alone, with no Python step per value.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from functools import partial
+from itertools import chain, compress, count, islice, tee
+from operator import itemgetter, ne, sub
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .tree import TreeSpec, cell_positions
 
@@ -72,11 +84,44 @@ class FrequencySequence:
         return self.entries[v]
 
 
+# The smallest period block the phi stream uses: long enough that its two
+# generator steps per block cost little, short enough that the interior list
+# stays small.
+_MIN_PERIOD = 1024
+
+
+def _phi_blocks(spec: TreeSpec) -> Iterator[Iterable[int]]:
+    phi = partial(closed_form, spec)
+    period = spec.leaf_cells
+    while period < _MIN_PERIOD:
+        period *= spec.arity
+    yield map(phi, range(1, period + 1))
+    interior = list(map(phi, range(period + 1, 2 * period)))
+    for end in count(2 * period, period):
+        yield interior
+        yield (phi(end),)
+
+
+def _phi_stream(spec: TreeSpec) -> Iterator[int]:
+    """phi(1), phi(2), ... from the closed form, in period blocks (see the module docstring)."""
+    return chain.from_iterable(_phi_blocks(spec))
+
+
+def _observed_gaps(spec: TreeSpec, n_max: int) -> tuple[Optional[int], Iterator[int], Iterator[int]]:
+    """phi as the tree shows it, from one cell_positions walk up to n_max.
+
+    Gap v runs from the first label of cell v to that of cell v + 1.
+    Returns the first label of cell 1 (None if no cell opens), the gaps,
+    and the first labels they trail: once gap v is out, the next of these
+    is the first label of cell v + 1.
+    """
+    firsts, nexts = tee(map(itemgetter(0), cell_positions(spec, n_max)))
+    start = next(nexts, None)
+    return start, map(sub, nexts, firsts), firsts
+
+
 def closed_form_sequence(spec: TreeSpec, vmax: int) -> FrequencySequence:
-    return FrequencySequence(
-        entries={v: closed_form(spec, v) for v in range(1, vmax + 1)},
-        source=spec,
-    )
+    return FrequencySequence(entries=dict(zip(range(1, vmax + 1), _phi_stream(spec))), source=spec)
 
 
 def empirical_frequency(spec: TreeSpec, n_max: int) -> FrequencySequence:
@@ -85,9 +130,8 @@ def empirical_frequency(spec: TreeSpec, n_max: int) -> FrequencySequence:
     Covers every v whose run of occurrences completes within the first
     n_max labels.
     """
-    positions = [first for first, _, _ in cell_positions(spec, n_max)]
-    entries = {v: positions[v] - positions[v - 1] for v in range(1, len(positions))}
-    return FrequencySequence(entries=entries, source="empirical")
+    _, gaps, _ = _observed_gaps(spec, n_max)
+    return FrequencySequence(entries=dict(enumerate(gaps, 1)), source="empirical")
 
 
 @dataclass(frozen=True)
@@ -114,17 +158,13 @@ def empirical_matches_closed_form(spec: TreeSpec, n_max: int) -> CompareReport:
     Walks the tree once and checks each completed v against the closed form
     without materializing either sequence.
     """
-    prev = None
-    v = 0
-    for first, _, _ in cell_positions(spec, n_max):
-        if prev is not None:
-            v += 1
-            expected = closed_form(spec, v)
-            actual = first - prev
-            if actual != expected:
-                return CompareReport(False, v, actual, expected)
-        prev = first
-    return CompareReport(True)
+    start, gaps, firsts = _observed_gaps(spec, n_max)
+    v = next(compress(count(1), map(ne, gaps, _phi_stream(spec))), None)
+    if v is None:
+        return CompareReport(True)
+    # gaps 1..v-1 matched phi, so cell v opened at start + phi(1..v-1)
+    expected = list(islice(_phi_stream(spec), v))
+    return CompareReport(False, v, next(firsts) - start - sum(expected[:-1]), expected[-1])
 
 
 def superpose(components: Sequence[tuple[int, TreeSpec]]) -> TreeSpec:

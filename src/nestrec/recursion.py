@@ -11,9 +11,11 @@ the evaluator reports where and why instead of guessing.
 The bottom-up loop is generated and compiled once per shape (k, p), with the
 offsets passed in as arguments, so each term costs a few bytecodes and no
 inner Python loop.  Past n = max b every inner index n - b lies in 1..n-1,
-so the loop only has to watch the outer indices; a run that starts at or
-below max b dies at its first open n.  _death_reason then names why, walking
-the summands in order.
+so the loop only has to watch the outer indices, and only from below: the
+values are positive (the initial conditions are at least 1) and every
+summand subtracts at least one of them, so no outer index reaches n.  A
+run that starts at or below max b dies at its first open n.  _death_reason
+then names why, walking the summands in order.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ class RecursionSpec:
 class DeadReason(enum.Enum):
     INNER_INDEX_NONPOSITIVE = "inner_index_nonpositive"
     OUTER_INDEX_NONPOSITIVE = "outer_index_nonpositive"
-    OUTER_INDEX_NOT_YET_DEFINED = "outer_index_not_yet_defined"
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,7 @@ def _shape_loop(arity: int, order: int) -> Callable[..., int]:
     """The evaluation loop for one (arity, order), compiled on first use.
 
     loop(v, start, stop, a0, b0_0, ..., a1, b1_0, ...) fills v[start:stop]
-    and returns 0, or returns the first n whose outer index leaves 1..n-1.
+    and returns 0, or returns the first n whose outer index falls below 1.
     It assumes start > max b, so no inner index needs a check.  Only
     summand and term numbers go into the source; the offsets are arguments.
     """
@@ -106,7 +107,7 @@ def _shape_loop(arity: int, order: int) -> Callable[..., int]:
     lines = [f"def loop(v, start, stop, {params}, cap=MAX_VALUE):", "    for n in range(start, stop):"]
     for i in range(arity):
         inner = "".join(f" - v[n - b{i}_{t}]" for t in range(order))
-        lines += [f"        i{i} = n - a{i}{inner}", f"        if not 0 < i{i} < n:", "            return n"]
+        lines += [f"        i{i} = n - a{i}{inner}", f"        if i{i} < 1:", "            return n"]
     lines += [
         "        total = " + " + ".join(f"v[i{i}]" for i in range(arity)),
         "        if total > cap:",
@@ -129,8 +130,6 @@ def _death_reason(spec: RecursionSpec, values: Sequence[int], n: int) -> DeadRea
             idx -= values[n - b]
         if idx <= 0:
             return DeadReason.OUTER_INDEX_NONPOSITIVE
-        if idx >= n:
-            return DeadReason.OUTER_INDEX_NOT_YET_DEFINED
     raise AssertionError(f"R({n}) is defined; the evaluator stopped there in error")
 
 

@@ -13,7 +13,9 @@ and everything built on it) writes the labels as bytes, 1 where a cell
 opens and 0 elsewhere.  A full regular subtree of height h is the bytes of
 its root followed by k copies of the subtree of height h - 1, so each
 subtree is built once from the one below it and the labels 1..n come out
-of C-level bytes and itertools calls, in O(n) transient bytes.  The closed
+of C-level bytes and itertools calls, in O(n) transient bytes.
+cell_positions zips those first labels with leaf indices from repeat and
+cell indices from cycle, so it too takes no Python step per cell.  The closed
 form (first_label, and cell_count on top of it) sums the frequency formula
 to get the first label of any cell in O(log n) and finds C_T(n) by binary
 search in O(log^2 n), so single-point counts stay cheap at n = 10^18.  The
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import chain, compress, count, repeat, tee
+from itertools import chain, compress, count, cycle, repeat, tee
 from typing import Iterator
 
 SUPERNODE = "supernode"
@@ -133,16 +135,19 @@ def _first_label_runs(spec: TreeSpec, n_max: int) -> Iterator[Iterator[int]]:
 
 
 def cell_positions(spec: TreeSpec, n_max: int) -> Iterator[tuple[int, int, int]]:
-    """Yield (first_label, leaf_index, cell_index) for cells starting by n_max.
+    """(first_label, leaf_index, cell_index) for each cell starting by n_max.
 
     First labels come from the byte templates of _start_chunks; every leaf
-    has j cells, so the c-th cell (from 0) is cell c % j + 1 of leaf
-    c // j + 1.
+    has j cells, so leaf indices run 1 j times, 2 j times, ... and cell
+    indices cycle through 1..j.  The three are zipped at C level, with no
+    Python step per cell.
     """
     j = spec.leaf_cells
-    for c, first in enumerate(chain.from_iterable(_first_label_runs(spec, n_max))):
-        leaf, cell = divmod(c, j)
-        yield (first, leaf + 1, cell + 1)
+    return zip(
+        chain.from_iterable(_first_label_runs(spec, n_max)),
+        chain.from_iterable(map(repeat, count(1), repeat(j))),
+        cycle(range(1, j + 1)),
+    )
 
 
 def first_label(spec: TreeSpec, v: int) -> int:

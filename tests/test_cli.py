@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from nestrec import cli
 from nestrec import families as fam
+from nestrec import tree
 
 
 def run(argv, capsys):
@@ -261,6 +262,29 @@ def test_explore_without_grid_runs_one_point(capsys):
     assert row["dead_reason"].startswith("parameters do not fit")
 
 
+def test_explore_n_zero_gives_rows(capsys):
+    """No values means no frequency evidence: an empty freq_match, not an error."""
+    code, out, _ = run(["explore", "order_one", "--grid", "s=0;j=2;m=1", "--n", "0"], capsys)
+    assert code == 0
+    [row] = csv.DictReader(io.StringIO(out))
+    assert (row["valid"], row["dead_reason"], row["slow"], row["freq_match"]) == ("yes", "", "yes", "")
+
+
+def test_explore_positional_params(capsys):
+    """Positional key=value parameters are fixed in every point; a key given twice is a usage error."""
+    code, out, _ = run(["explore", "order_one", "s=1", "j=3", "m=1", "--n", "50"], capsys)
+    assert code == 0
+    assert out.splitlines() == ["family,s,j,m,valid,survived_to,dead_reason,slow,freq_match",
+                                "order_one,1,3,1,yes,50,,yes,yes"]
+    code, out, _ = run(["explore", "order_one", "s=1", "j=3", "--grid", "m=0..1", "--n", "50"], capsys)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(row["s"], row["j"], row["m"], row["valid"]) for row in rows] == [("1", "3", "0", "yes"), ("1", "3", "1", "yes")]
+    code, out, err = run(["explore", "order_one", "s=1", "j=3", "m=1", "--grid", "m=0..1", "--n", "50"], capsys)
+    assert code == 2
+    assert out == "" and "'m'" in err
+
+
 CATALOG_KEYS = sorted({key for build in fam.NAMED_FAMILIES.values()
                        for key in inspect.signature(build).parameters})
 
@@ -275,17 +299,21 @@ def explore_points(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(explore_points(), st.booleans())
-def test_explore_rows_never_raise(case, prune_check):
-    """Every catalog name and every point, in range or not, gives exactly one row."""
+@given(explore_points(), st.integers(-3, 120), st.booleans())
+def test_explore_rows_never_raise(case, n_max, prune_check):
+    """Every catalog name and every point, in range or not, at any n, gives exactly one row."""
     name, point = case
-    rows = cli.explore_rows(name, [point], 120, prune_check=prune_check)
+    rows = cli.explore_rows(name, [point], n_max, prune_check=prune_check)
     assert len(rows) == 1
     row = rows[0]
     assert row["family"] == name and all(row[key] == v for key, v in point.items())
     assert row["valid"] in ("yes", "exploratory", "candidate", "no")
     if row["valid"] == "yes":
-        assert (row["survived_to"], row["dead_reason"], row["slow"], row["freq_match"]) == (120, "", "yes", "yes")
+        # a frequency is observed once some value is followed by a larger one
+        spec = fam.tree_of(fam.NAMED_FAMILIES[name](**point))
+        freq_match = "yes" if n_max > 0 and tree.cell_count(spec, n_max) > 1 else ""
+        assert (row["dead_reason"], row["slow"], row["freq_match"]) == ("", "yes", freq_match)
+        assert n_max < 0 or row["survived_to"] == n_max
         assert not prune_check or row["prune_identity"].startswith("yes(")
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -49,6 +51,50 @@ def test_closed_form_sequence_matches_pointwise():
 def test_empirical_matches_closed_form_running_example():
     report = freq.empirical_matches_closed_form(RUNNING, 30000)
     assert report.agree, report
+
+
+def period(spec):
+    """P = j * k^h, the smallest such block length of at least 1024."""
+    p = spec.leaf_cells
+    while p < 1024:
+        p *= spec.arity
+    return p
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 3), st.integers(1, 6), st.integers(1, 4),
+       st.integers(1, 4), st.integers(0, 3))
+def test_phi_stream_matches_closed_form(k, s, j, c, last, x):
+    """Three period blocks and a bit: every block end, and for k <= 3 the power of k past k^h."""
+    spec = TreeSpec(k, s, j, c, last, x)
+    vmax = 3 * period(spec) + 5
+    want = [freq.closed_form(spec, v) for v in range(1, vmax + 1)]
+    assert list(islice(freq._phi_stream(spec), vmax)) == want
+    assert freq.closed_form_sequence(spec, vmax).entries == dict(enumerate(want, 1))
+
+
+@pytest.mark.parametrize("where", ["first block", "interior", "block end"])
+def test_stream_check_reports_first_difference(where, monkeypatch):
+    """A closed form off by one at v gives the report the per-cell loop gave: v, observed, expected."""
+    p = period(RUNNING)  # 1536
+    bad = {"first block": 600, "interior": p + 9, "block end": 2 * p}[where]
+    true_phi = freq.closed_form
+    monkeypatch.setattr(freq, "closed_form", lambda spec, v: true_phi(spec, v) + (v == bad))
+    report = freq.empirical_matches_closed_form(RUNNING, 20000)
+    phi = true_phi(RUNNING, bad)
+    assert (report.agree, report.first_diff, report.left, report.right) == (False, bad, phi, phi + 1)
+
+
+def per_cell_frequency(spec, n_max):
+    """The per-cell loop empirical_frequency used to run: gaps between successive first labels."""
+    firsts = [first for first, _, _ in tree.cell_positions(spec, n_max)]
+    return {v: firsts[v] - firsts[v - 1] for v in range(1, len(firsts))}
+
+
+@pytest.mark.parametrize("spec", [RUNNING, fam.tree_of(fam.KaryOrderP(4, 2, 3)), TreeSpec(4, 2, 2, 1, 3, 1)])
+def test_empirical_frequency_matches_per_cell_gaps(spec):
+    for n_max in (0, 1, 2, 20000):
+        assert freq.empirical_frequency(spec, n_max).entries == per_cell_frequency(spec, n_max)
 
 
 def test_empirical_equals_count_sequence_diffs():

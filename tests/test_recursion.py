@@ -167,8 +167,8 @@ def reference_evaluate(spec, initial, n_max):
                 idx -= values[n - b]
             if idx <= 0:
                 return tuple(values[1:]), n, DeadReason.OUTER_INDEX_NONPOSITIVE
-            if idx >= n:
-                return tuple(values[1:]), n, DeadReason.OUTER_INDEX_NOT_YET_DEFINED
+            # positive values and at least one inner term keep idx below n
+            assert idx < n
             total += values[idx]
         values.append(total)
     return tuple(values[1:]), None, None
