@@ -4,9 +4,9 @@ Subcommands cover both computation mechanisms and their cross-checks:
 eval/tree/ic produce sequences, verify plays the two mechanisms against
 each other, prune runs and audits the pruning operations, freq handles
 frequency sequences, explore sweeps parameter grids including deliberately
-broken ones, export writes b-files or CSV, and oeis-match greps a local
-OEIS snapshot.  Exit codes: 0 success or agreement, 1 divergence, 2 usage
-or validation trouble.
+broken ones, and oeis-match greps a local OEIS snapshot; eval --format
+bfile --out F writes a b-file.  Exit codes: 0 success or agreement, 1
+divergence, 2 usage or validation trouble.
 """
 
 from __future__ import annotations
@@ -86,11 +86,7 @@ def resolve_tree(args) -> tree.TreeSpec:
     if args.spec:
         with open(args.spec) as handle:
             return tree.from_document(json.load(handle))
-    family = resolve_family(args)
-    try:
-        return fam.tree_of(family)
-    except fam.NoTreeKnown as err:
-        raise UsageError(str(err)) from None
+    return fam.tree_of(resolve_family(args))
 
 
 # -- output formatting --------------------------------------------------------
@@ -154,7 +150,7 @@ def cmd_freq(args) -> int:
             )
     else:
         seq = freq.closed_form_sequence(spec, args.vmax)
-    rows = [(v, seq.entries[v]) for v in range(1, args.vmax + 1)]
+    rows = [(v, seq[v]) for v in range(1, args.vmax + 1)]
     if args.format == "json":
         text = json.dumps({str(v): phi for v, phi in rows}) + "\n"
     elif args.format == "table":
@@ -170,11 +166,8 @@ def cmd_verify(args) -> int:
     if args.spec:
         raise UsageError("verify needs a named family: both mechanisms must know it")
     family = resolve_family(args)
-    try:
-        tspec = fam.tree_of(family)
-        ic = fam.standard_ics(family)
-    except fam.NoTreeKnown as err:
-        raise UsageError(str(err)) from None
+    tspec = fam.tree_of(family)
+    ic = fam.standard_ics(family)
     if args.sparse:
         return verify_sparse(family, tspec, args)
     if args.n < 1:
@@ -220,11 +213,10 @@ def verify_sparse(family: fam.Family, tspec: tree.TreeSpec, args) -> int:
 
 def cmd_prune(args) -> int:
     family = resolve_family(args)
-    try:
-        tspec = fam.tree_of(family)
-    except fam.NoTreeKnown as err:
-        raise UsageError(str(err)) from None
+    tspec = fam.tree_of(family)
 
+    if args.check < 0:
+        raise UsageError("--check needs a positive sample count")
     if args.check:
         seed = args.seed if args.seed is not None else random.randrange(10**9)
         print(f"seed = {seed}", file=sys.stderr)
@@ -364,7 +356,7 @@ def _probe_row(row: dict, family: fam.Family, n_max: int, prune_check: bool) -> 
         rspec = family.offsets()
     except ValueError as err:
         return f"malformed recursion: {err}"
-    values, violation = _survival(row, recursion.evaluate(rspec, ic, n_max), n_max)
+    values, violation = _survival(row, recursion.evaluate(rspec, ic, n_max))
     in_range = verdict.ok and not verdict.exploratory and violation is None
     row["freq_match"] = _freq_match(spec, values) if in_range else ""
     if prune_check:
@@ -372,9 +364,9 @@ def _probe_row(row: dict, family: fam.Family, n_max: int, prune_check: bool) -> 
     return None
 
 
-def _survival(row: dict, result: recursion.EvalResult, n_max: int) -> tuple[tuple[int, ...], Optional[int]]:
+def _survival(row: dict, result: recursion.EvalResult) -> tuple[tuple[int, ...], Optional[int]]:
     """Fill survived_to, dead_reason and slow from one evaluation; return its values and slowness violation."""
-    row["survived_to"] = n_max if result.alive else result.dead_at - 1
+    row["survived_to"] = len(result.values)
     row["dead_reason"] = result.reason.value if result.reason else ""
     violation = recursion.slowness_violation(result.values)
     row["slow"] = "yes" if violation is None else f"no(at {violation})"
@@ -412,7 +404,7 @@ def _neg_gamma_row(row: dict, family: fam.NegGammaCandidate, n_max: int, prune_c
     conjectured = family.conjectured()
     spec = conjectured.tree()
     ic = tree.initial_conditions(spec, conjectured.ic_length())
-    values, violation = _survival(row, recursion.evaluate(family.offsets(), ic, n_max), n_max)
+    values, violation = _survival(row, recursion.evaluate(family.offsets(), ic, n_max))
     # compare what frequency evidence there is, even from a prefix that
     # later stops being slow
     prefix = values if violation is None else values[: violation - 1]
@@ -517,13 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--prune-check", action="store_true", dest="prune_check")
     sub.add_argument("--out")
     sub.set_defaults(func=cmd_explore)
-
-    sub = subparsers.add_parser("export", help="write a sequence to a file")
-    add_source_args(sub)
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--format", default="bfile", choices=["bfile", "csv", "json", "table"])
-    sub.add_argument("--out", required=True)
-    sub.set_defaults(func=cmd_eval)
 
     sub = subparsers.add_parser("oeis-match", help="search a local OEIS stripped snapshot")
     add_source_args(sub)

@@ -41,15 +41,6 @@ def nu(k: int, v: int) -> int:
     return e
 
 
-def is_power_of(k: int, v: int) -> bool:
-    """True when v is k^e for some e >= 0 (so 1 counts)."""
-    if k < 2 or v < 1:
-        raise ValueError("need k >= 2 and v >= 1")
-    while v % k == 0:
-        v //= k
-    return v == 1
-
-
 def closed_form(spec: TreeSpec, v: int) -> int:
     """phi(v) for the cell counting sequence of `spec`."""
     if v < 1:
@@ -71,17 +62,19 @@ def closed_form(spec: TreeSpec, v: int) -> int:
 
 @dataclass(frozen=True)
 class FrequencySequence:
-    """phi(v) over a contiguous range 1..vmax, tagged with its provenance."""
+    """phi(1), ..., phi(vmax) as a tuple; seq[v] is phi(v), 1-based."""
 
-    entries: dict[int, int]
-    source: object = "empirical"
+    entries: tuple[int, ...]
 
     @property
     def vmax(self) -> int:
-        return max(self.entries) if self.entries else 0
+        return len(self.entries)
 
     def __getitem__(self, v: int) -> int:
-        return self.entries[v]
+        # a tuple index would wrap at v <= 0
+        if not 1 <= v <= len(self.entries):
+            raise KeyError(v)
+        return self.entries[v - 1]
 
 
 # The smallest period block the phi stream uses: long enough that its two
@@ -121,7 +114,7 @@ def _observed_gaps(spec: TreeSpec, n_max: int) -> tuple[Optional[int], Iterator[
 
 
 def closed_form_sequence(spec: TreeSpec, vmax: int) -> FrequencySequence:
-    return FrequencySequence(entries=dict(zip(range(1, vmax + 1), _phi_stream(spec))), source=spec)
+    return FrequencySequence(tuple(islice(_phi_stream(spec), max(vmax, 0))))
 
 
 def empirical_frequency(spec: TreeSpec, n_max: int) -> FrequencySequence:
@@ -131,7 +124,7 @@ def empirical_frequency(spec: TreeSpec, n_max: int) -> FrequencySequence:
     n_max labels.
     """
     _, gaps, _ = _observed_gaps(spec, n_max)
-    return FrequencySequence(entries=dict(enumerate(gaps, 1)), source="empirical")
+    return FrequencySequence(tuple(gaps))
 
 
 @dataclass(frozen=True)
@@ -142,14 +135,19 @@ class CompareReport:
     right: Optional[int] = None
 
 
+def _first_mismatch(left: Iterable[int], right: Iterable[int]) -> Optional[int]:
+    """1-based position of the first pair that differs, over the shorter of the two."""
+    return next(compress(count(1), map(ne, left, right)), None)
+
+
 def compare(a: FrequencySequence, b: FrequencySequence, vmax: int) -> CompareReport:
     """First v <= vmax where the two sequences disagree, if any."""
     if a.vmax < vmax or b.vmax < vmax:
         raise ValueError(f"both sequences must cover 1..{vmax}")
-    for v in range(1, vmax + 1):
-        if a.entries[v] != b.entries[v]:
-            return CompareReport(False, v, a.entries[v], b.entries[v])
-    return CompareReport(True)
+    v = _first_mismatch(a.entries, b.entries)
+    if v is None or v > vmax:
+        return CompareReport(True)
+    return CompareReport(False, v, a[v], b[v])
 
 
 def empirical_matches_closed_form(spec: TreeSpec, n_max: int) -> CompareReport:
@@ -159,7 +157,7 @@ def empirical_matches_closed_form(spec: TreeSpec, n_max: int) -> CompareReport:
     without materializing either sequence.
     """
     start, gaps, firsts = _observed_gaps(spec, n_max)
-    v = next(compress(count(1), map(ne, gaps, _phi_stream(spec))), None)
+    v = _first_mismatch(gaps, _phi_stream(spec))
     if v is None:
         return CompareReport(True)
     # gaps 1..v-1 matched phi, so cell v opened at start + phi(1..v-1)
@@ -203,13 +201,8 @@ def linear_combination(terms: Sequence[tuple[int, FrequencySequence]]) -> Freque
     vmax = min(seq.vmax for _, seq in terms)
     if vmax < 1:
         raise ValueError("terms have no common range")
-    entries = {v: sum(c * seq.entries[v] for c, seq in terms) for v in range(1, vmax + 1)}
-    bad = [v for v, count in entries.items() if count < 1]
+    entries = tuple(sum(c * seq.entries[i] for c, seq in terms) for i in range(vmax))
+    bad = [v for v, count in enumerate(entries, 1) if count < 1]
     if bad:
-        log.warning("combination is not a slow-sequence frequency: phi(%d) = %d", bad[0], entries[bad[0]])
-    return FrequencySequence(entries=entries, source=tuple(terms))
-
-
-def nonslow_values(seq: FrequencySequence) -> list[int]:
-    """Values whose count rules out an underlying slow sequence."""
-    return [v for v, count in sorted(seq.entries.items()) if count < 1]
+        log.warning("combination is not a slow-sequence frequency: phi(%d) = %d", bad[0], entries[bad[0] - 1])
+    return FrequencySequence(entries)

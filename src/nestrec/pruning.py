@@ -38,16 +38,6 @@ class TreeNode:
     def __repr__(self):
         return f"TreeNode({self.kind}, {self.index}, {self.cells})"
 
-    def __eq__(self, other):
-        if not isinstance(other, TreeNode):
-            return NotImplemented
-        return (self.kind, self.index, self.cells, self.placeholders) == (
-            other.kind,
-            other.index,
-            other.cells,
-            other.placeholders,
-        )
-
 
 @dataclass
 class LabelledTree:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -169,10 +170,6 @@ def slowness_violation(values: Sequence[int]) -> Optional[int]:
     return None
 
 
-def is_slow(values: Sequence[int]) -> bool:
-    return slowness_violation(values) is None
-
-
 def frequency_of(values: Sequence[int]) -> FrequencySequence:
     """Occurrence counts of each value, dropping the possibly unfinished last run.
 
@@ -183,12 +180,9 @@ def frequency_of(values: Sequence[int]) -> FrequencySequence:
         raise ValueError("frequency counting needs a slow sequence")
     if not values or values[0] != 1:
         raise ValueError("frequency counting needs a slow sequence starting at 1")
-    entries: dict[int, int] = {}
-    last = values[-1]
-    for v in values:
-        if v < last:
-            entries[v] = entries.get(v, 0) + 1
-    return FrequencySequence(entries=entries, source="empirical")
+    # a slow sequence from 1 meets its values in order, so the counts come
+    # out as phi(1), phi(2), ...; the last is the unfinished run
+    return FrequencySequence(tuple(Counter(values).values())[:-1])
 
 
 def to_document(spec: RecursionSpec, initial: Sequence[int]) -> dict:

@@ -61,10 +61,6 @@ class TreeSpec:
         if self.supernode_labels < 0 or self.regular_labels < 0:
             raise ValueError("internal label counts cannot be negative")
 
-    def leaf_labels(self) -> int:
-        """Labels held by one full leaf."""
-        return self.per_cell * (self.leaf_cells - 1) + self.last_cell
-
     def cell_sizes(self) -> tuple[int, ...]:
         return (self.per_cell,) * (self.leaf_cells - 1) + (self.last_cell,)
 

@@ -7,7 +7,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nestrec import cli
 from nestrec import families as fam
@@ -141,6 +141,12 @@ def test_prune_check_prints_seed(capsys):
     assert out.count("identity ok") == 5
 
 
+def test_prune_check_negative_is_usage_error(capsys):
+    code, out, err = run(["prune", "kary", "k=3", "m=0", "p=1", "--n", "400", "--check", "-3", "--seed", "7"], capsys)
+    assert code == 2
+    assert out == "" and "--check" in err
+
+
 def test_exit_code_2_on_bad_params(capsys):
     code, _, err = run(["eval", "order_one", "s=1", "--n", "10"], capsys)
     assert code == 2
@@ -168,7 +174,7 @@ def test_export_is_byte_deterministic(tmp_path, capsys):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"
     for target in (a, b):
-        code = cli.main(["export", "conolly", "--n", "64", "--out", str(target)])
+        code = cli.main(["eval", "conolly", "--n", "64", "--format", "bfile", "--out", str(target)])
         capsys.readouterr()
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
@@ -270,6 +276,14 @@ def test_explore_n_zero_gives_rows(capsys):
     assert (row["valid"], row["dead_reason"], row["slow"], row["freq_match"]) == ("yes", "", "yes", "")
 
 
+def test_explore_negative_n_survives_to_zero(capsys):
+    """A negative --n evaluates nothing, so the point survives to 0, not to --n."""
+    code, out, _ = run(["explore", "order_one", "--grid", "s=0;j=2;m=1", "--n", "-2"], capsys)
+    assert code == 0
+    [row] = csv.DictReader(io.StringIO(out))
+    assert (row["valid"], row["survived_to"], row["dead_reason"], row["slow"]) == ("yes", "0", "", "yes")
+
+
 def test_explore_positional_params(capsys):
     """Positional key=value parameters are fixed in every point; a key given twice is a usage error."""
     code, out, _ = run(["explore", "order_one", "s=1", "j=3", "m=1", "--n", "50"], capsys)
@@ -300,6 +314,7 @@ def explore_points(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(explore_points(), st.integers(-3, 120), st.booleans())
+@example(("order_one", {"s": 0, "j": 2, "m": 1}), -2, False)
 def test_explore_rows_never_raise(case, n_max, prune_check):
     """Every catalog name and every point, in range or not, at any n, gives exactly one row."""
     name, point = case
@@ -313,7 +328,7 @@ def test_explore_rows_never_raise(case, n_max, prune_check):
         spec = fam.tree_of(fam.NAMED_FAMILIES[name](**point))
         freq_match = "yes" if n_max > 0 and tree.cell_count(spec, n_max) > 1 else ""
         assert (row["dead_reason"], row["slow"], row["freq_match"]) == ("", "yes", freq_match)
-        assert n_max < 0 or row["survived_to"] == n_max
+        assert row["survived_to"] == max(n_max, 0)
         assert not prune_check or row["prune_identity"].startswith("yes(")
 
 
@@ -356,7 +371,6 @@ def random_argv(draw, out_dir):
         "verify": ["--n", "--sparse", "--seed"],
         "prune": ["--n", "--check", "--seed", "--trace"],
         "explore": ["--grid", "--n", "--prune-check", "--out"],
-        "export": ["--n", "--format", "--out"],
         "oeis-match": ["--n", "--stripped"],
     }
     usually = st.sampled_from([True] * 3 + [False])

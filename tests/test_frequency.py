@@ -24,13 +24,6 @@ def test_nu():
         freq.nu(2, 0)
 
 
-def test_is_power_of():
-    assert freq.is_power_of(2, 1)
-    assert freq.is_power_of(2, 64)
-    assert not freq.is_power_of(2, 48)
-    assert freq.is_power_of(3, 27)
-
-
 def test_closed_form_running_example():
     values = [freq.closed_form(RUNNING, v) for v in range(1, 7)]
     assert values == [1, 1, 3, 1, 1, 5]
@@ -46,6 +39,18 @@ def test_closed_form_sequence_matches_pointwise():
     assert seq.vmax == 50
     for v in range(1, 51):
         assert seq[v] == freq.closed_form(RUNNING, v)
+
+
+def test_sequence_index_is_one_based_and_bounded():
+    """seq[v] is phi(v) for 1 <= v <= vmax; outside that it raises, rather than wrapping at v <= 0."""
+    seq = freq.closed_form_sequence(RUNNING, 6)
+    assert seq.entries == (1, 1, 3, 1, 1, 5)
+    assert (seq[1], seq[6]) == (1, 5)
+    for v in (0, -1, 7):
+        with pytest.raises(KeyError):
+            seq[v]
+    assert freq.closed_form_sequence(RUNNING, 0).entries == ()
+    assert freq.closed_form_sequence(RUNNING, -2).entries == ()
 
 
 def test_empirical_matches_closed_form_running_example():
@@ -70,7 +75,7 @@ def test_phi_stream_matches_closed_form(k, s, j, c, last, x):
     vmax = 3 * period(spec) + 5
     want = [freq.closed_form(spec, v) for v in range(1, vmax + 1)]
     assert list(islice(freq._phi_stream(spec), vmax)) == want
-    assert freq.closed_form_sequence(spec, vmax).entries == dict(enumerate(want, 1))
+    assert freq.closed_form_sequence(spec, vmax).entries == tuple(want)
 
 
 @pytest.mark.parametrize("where", ["first block", "interior", "block end"])
@@ -88,7 +93,7 @@ def test_stream_check_reports_first_difference(where, monkeypatch):
 def per_cell_frequency(spec, n_max):
     """The per-cell loop empirical_frequency used to run: gaps between successive first labels."""
     firsts = [first for first, _, _ in tree.cell_positions(spec, n_max)]
-    return {v: firsts[v] - firsts[v - 1] for v in range(1, len(firsts))}
+    return tuple(firsts[v] - firsts[v - 1] for v in range(1, len(firsts)))
 
 
 @pytest.mark.parametrize("spec", [RUNNING, fam.tree_of(fam.KaryOrderP(4, 2, 3)), TreeSpec(4, 2, 2, 1, 3, 1)])
@@ -117,11 +122,13 @@ def test_last_occurrence_identity():
 
 
 def test_compare_reports_first_difference():
-    a = freq.FrequencySequence({1: 1, 2: 2, 3: 1})
-    b = freq.FrequencySequence({1: 1, 2: 3, 3: 1})
+    a = freq.FrequencySequence((1, 2, 1))
+    b = freq.FrequencySequence((1, 3, 1))
     report = freq.compare(a, b, 3)
     assert not report.agree
     assert report.first_diff == 2 and (report.left, report.right) == (2, 3)
+    assert freq.compare(a, b, 1).agree
+    assert freq.compare(a, b, 2).first_diff == 2
     with pytest.raises(ValueError):
         freq.compare(a, b, 5)
 
@@ -201,11 +208,9 @@ def test_linear_combination_warns_on_nonpositive(caplog):
         combo = freq.linear_combination([(-1, a), (1, a)])
     assert any(combo[v] < 1 for v in range(1, 11))
     assert caplog.records
-
-
-def test_nonslow_values():
-    seq = freq.FrequencySequence({1: 1, 2: 0, 3: 2, 4: -1})
-    assert freq.nonslow_values(seq) == [2, 4]
+    with caplog.at_level("WARNING"):
+        freq.linear_combination([(1, freq.FrequencySequence((1, 0, 2)))])
+    assert caplog.records[-1].getMessage().endswith("phi(2) = 0")
 
 
 def test_kary_conolly_frequency_is_valuation_plus_one():

@@ -3,8 +3,8 @@
 Every `$ nestrec ...` line in a README code block is run through cli.main
 and its output compared with the lines shown under it.  `seed = ` lines are
 what the command prints on stderr; a `...` line means the lines above it
-are a prefix of the output.  `export` and `oeis-match` write files or need
-an OEIS snapshot, so they are skipped.
+are a prefix of the output.  Examples that write a file (`--out`) or need
+an OEIS snapshot (`oeis-match`) are skipped.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import pytest
 from nestrec import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-SKIPPED = ("export", "oeis-match")
 
 
 def transcript() -> list[tuple[str, list[str]]]:
@@ -34,7 +33,8 @@ def transcript() -> list[tuple[str, list[str]]]:
             examples.append(current)
         elif in_block and current is not None:
             current[1].append(line)
-    return [(command, shown) for command, shown in examples if shlex.split(command)[1] not in SKIPPED]
+    return [(command, shown) for command, shown in examples
+            if "--out" not in shlex.split(command) and shlex.split(command)[1] != "oeis-match"]
 
 
 EXAMPLES = transcript()

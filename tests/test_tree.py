@@ -35,7 +35,6 @@ def test_spec_validation():
 
 def test_cell_sizes():
     assert RUNNING.cell_sizes() == (1, 1, 2)
-    assert RUNNING.leaf_labels() == 4
     assert TreeSpec(2, 0, 1, 1, 3, 0).cell_sizes() == (3,)
 
 
