@@ -5,6 +5,7 @@ import csv
 import inspect
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -131,6 +132,14 @@ def test_prune_identity_and_trace(capsys):
     payload = json.loads(out[out.index("{"):])
     assert payload["removed"] == 16
     assert any(step["step"] == "relabelling" for step in payload["steps"])
+
+
+def test_prune_trace_golden(capsys):
+    """The whole --trace stdout of the running example, byte for byte."""
+    golden = Path(__file__).resolve().parent / "golden" / "prune_order_one_s1_j3_m1_n31_trace.txt"
+    code, out, _ = run(["prune", "order_one", "s=1", "j=3", "m=1", "--n", "31", "--trace"], capsys)
+    assert code == 0
+    assert out == golden.read_text()
 
 
 def test_prune_check_prints_seed(capsys):

@@ -66,6 +66,19 @@ def test_trees_equal_and_first_difference():
     assert pruning.first_difference(a, c) is not None
 
 
+def test_first_difference_and_repr_print_label_lists():
+    a = pruning.build_prefix(RUNNING, 15)
+    b = pruning.build_prefix(RUNNING, 14)
+    assert pruning.first_difference(a, b) == "label totals differ: 15 vs 14"
+    same_total = pruning.LabelledTree(RUNNING, 15, b.nodes)
+    assert pruning.first_difference(a, same_total) == "node 6 (leaf 3): cells [[13], [14], [15]] vs [[13], [14], []]"
+    assert repr(a.nodes) == (
+        "[TreeNode(leaf, 1, [[1], [2], [3, 4]]), TreeNode(supernode, 1, [[5]]), "
+        "TreeNode(leaf, 2, [[6], [7], [8, 9]]), TreeNode(supernode, 2, [[10]]), "
+        "TreeNode(regular, 1, [[11, 12]]), TreeNode(leaf, 3, [[13], [14], [15]])]"
+    )
+
+
 def test_running_example_prune():
     """Pruning the 31-label tree gives exactly the 15-label tree."""
     t = pruning.build_prefix(RUNNING, 31)
