@@ -4,13 +4,27 @@ A prune is a five-step rewrite of T(n): fix up the first supernode, delete
 labels against smaller copies of the tree, lift what is left out of the
 leaves, trim the largest stragglers, and renumber.  Done right, the result
 is T(n - removed) again, which is what ties the trees to the recursions.
-Every label movement is logged so a prune can be audited step by step.
+
+Labels are held as runs, not one by one.  A cell is a `range` of
+consecutive labels: every operation takes labels off one end of a cell, so
+a cell stays a run, and after lifting an interior node's cells are the
+sorted runs it gathered from its leaves.  A node's cells are a tuple, so a
+log record can hold them without a copy, and the cyclic garbage collector
+stops tracking them once it has seen them.
+
+Every label movement is logged, one record per moved block.
+PruneReport.steps expands the records into one dict per label on first
+read, so a prune can be audited step by step, and a caller that only wants
+the result never pays for the expansion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate, chain, repeat
+from operator import attrgetter, itemgetter
+from typing import Optional, Sequence, Union
 
 from . import families as fam
 from .tree import LEAF, REGULAR, SUPERNODE, TreeSpec, cell_count, node_stream
@@ -21,7 +35,11 @@ class PruneRefused(ValueError):
 
 
 class TreeNode:
-    """One materialized node: cells of sorted labels plus placeholder slots."""
+    """One materialized node: a tuple of cells, each a range of labels, plus placeholder slots.
+
+    A leaf has one cell per leaf cell of the spec and an interior node one
+    cell, until lifting hands a parent its leaves' runs as further cells.
+    """
 
     __slots__ = ("kind", "index", "cells", "first_labels", "placeholders")
 
@@ -33,10 +51,14 @@ class TreeNode:
         self.placeholders = placeholders
 
     def label_count(self) -> int:
-        return self.placeholders + sum(len(cell) for cell in self.cells)
+        return self.placeholders + sum(map(len, self.cells))
 
     def __repr__(self):
-        return f"TreeNode({self.kind}, {self.index}, {self.cells})"
+        return f"TreeNode({self.kind}, {self.index}, {_label_lists(self.cells)})"
+
+
+def _label_lists(cells: tuple[range, ...]) -> list[list[int]]:
+    return [list(cell) for cell in cells]
 
 
 @dataclass
@@ -46,42 +68,61 @@ class LabelledTree:
     nodes: list[TreeNode]
 
 
+# One record per moved block: (step, runs, from, to).  `runs` holds the
+# moved labels as runs, in the order they moved; `to` is a node ordinal or
+# None, or for relabelling the range of fresh labels they become.
+Move = tuple[str, Sequence[Sequence[Union[int, str]]], Optional[int], Union[int, range, None]]
+
+
 @dataclass
 class PruneReport:
     removed: int
     result: LabelledTree
-    steps: list[dict] = field(default_factory=list)
-    anomalies: list[str] = field(default_factory=list)
+    moves: list[Move]
+    anomalies: list[str]
+
+    @cached_property
+    def steps(self) -> list[dict]:
+        """The move log with one dict per label, expanded from `moves` on first read."""
+        return [
+            {"step": step, "label": label, "from": source, "to": to}
+            for step, runs, source, target in self.moves
+            for label, to in zip(chain.from_iterable(runs), target if isinstance(target, range) else repeat(target))
+        ]
 
 
 def build_prefix(spec: TreeSpec, n: int) -> LabelledTree:
     """Materialize the nodes of T(n), up to and including the one holding label n."""
     if n < 1:
         raise ValueError("n must be positive")
-    sizes = spec.cell_sizes()
+    offsets = tuple(accumulate(spec.cell_sizes(), initial=0))
+    spans, leaf_labels = tuple(zip(offsets, offsets[1:])), offsets[-1]
+    capacity = {SUPERNODE: spec.supernode_labels, REGULAR: spec.regular_labels}
     nodes: list[TreeNode] = []
+    append = nodes.append
     next_label = 1
-    remaining = n
+    stop = n + 1
     for kind, index in node_stream(spec.arity):
-        if remaining == 0:
+        if next_label == stop:
             break
         if kind == LEAF:
-            cells = []
-            firsts = []
-            for size in sizes:
-                take = min(size, remaining)
-                cells.append(list(range(next_label, next_label + take)))
-                firsts.append(next_label if take else None)
-                next_label += take
-                remaining -= take
+            if next_label + leaf_labels <= stop:
+                cells = tuple([range(next_label + lo, next_label + hi) for lo, hi in spans])
+                firsts = tuple([cell.start for cell in cells])
+                next_label += leaf_labels
+            else:
+                bounds = [min(next_label + offset, stop) for offset in offsets]
+                cells = tuple(map(range, bounds, bounds[1:]))
+                firsts = tuple([bound if bound < stop else None for bound in bounds[:-1]])
+                next_label = stop
         else:
-            capacity = spec.supernode_labels if kind == SUPERNODE else spec.regular_labels
-            take = min(capacity, remaining)
-            cells = [list(range(next_label, next_label + take))]
-            firsts = [next_label if take else None]
-            next_label += take
-            remaining -= take
-        nodes.append(TreeNode(kind, index, cells, tuple(firsts)))
+            end = next_label + capacity[kind]
+            if end > stop:
+                end = stop
+            cells = (range(next_label, end),)
+            firsts = (next_label,) if end > next_label else (None,)
+            next_label = end
+        append(TreeNode(kind, index, cells, firsts))
     return LabelledTree(spec, n, nodes)
 
 
@@ -98,8 +139,8 @@ def first_difference(a: LabelledTree, b: LabelledTree) -> Optional[str]:
     for pos, (na, nb) in enumerate(zip(a.nodes, b.nodes), 1):
         if na.kind != nb.kind or na.index != nb.index:
             return f"node {pos}: {na.kind}({na.index}) vs {nb.kind}({nb.index})"
-        if na.cells != nb.cells:
-            return f"node {pos} ({na.kind} {na.index}): cells {na.cells} vs {nb.cells}"
+        if na.cells != nb.cells:  # ranges compare as the label sequences they hold
+            return f"node {pos} ({na.kind} {na.index}): cells {_label_lists(na.cells)} vs {_label_lists(nb.cells)}"
     if len(a.nodes) != len(b.nodes):
         return f"node counts differ: {len(a.nodes)} vs {len(b.nodes)}"
     return None
@@ -124,20 +165,40 @@ def _first_supernode(t: LabelledTree) -> TreeNode:
     return t.nodes[1]
 
 
-def _drop_supernode_labels(t: LabelledTree, steps: list[dict]) -> int:
+def _placeholders(count: int) -> tuple[str, ...]:
+    return tuple(f"placeholder-{i}" for i in range(1, count + 1))
+
+
+def _drop_supernode_labels(t: LabelledTree, moves: list[Move]) -> None:
     node = _first_supernode(t)
-    dropped = len(node.cells[0])
-    for label in node.cells[0]:
-        steps.append({"step": "initial correction", "label": label, "from": 2, "to": None})
-    node.cells[0].clear()
-    return dropped
+    moves.append(("initial correction", node.cells, 2, None))
+    node.cells = (range(0),)
 
 
-def _insert_placeholders(t: LabelledTree, count: int, steps: list[dict]) -> None:
+def _insert_placeholders(t: LabelledTree, count: int, moves: list[Move]) -> None:
     node = _first_supernode(t)
     node.placeholders += count
-    for i in range(1, count + 1):
-        steps.append({"step": "initial correction", "label": f"placeholder-{i}", "from": None, "to": 2})
+    moves.append(("initial correction", (_placeholders(count),), None, 2))
+
+
+# a cell's first label and the rest of it, and its last label and the rest, all as runs
+_FIRST, _AFTER_FIRST = itemgetter(slice(None, 1)), itemgetter(slice(1, None))
+_LAST, _BEFORE_LAST = itemgetter(slice(-1, None)), itemgetter(slice(None, -1))
+
+
+def _opened_by(first_labels: tuple[Optional[int], ...], reach: int) -> int:
+    """How many of a leaf's cells open at or below `reach`: first labels ascend, and None marks empty last cells."""
+    last = first_labels[-1]
+    if last is not None and last <= reach:
+        return len(first_labels)
+    return sum(1 for first in first_labels if first is not None and first <= reach)
+
+
+def _delete_ends(leaf: TreeNode, ordinal: int, opened: int, end, rest, moves: list[Move]) -> None:
+    """Each of the leaf's first `opened` cells loses the label `end` picks, logged as one block."""
+    cells = leaf.cells[:opened]
+    moves.append(("deletion", tuple(map(end, cells)), ordinal, None))
+    leaf.cells = tuple(map(rest, cells)) + leaf.cells[opened:]
 
 
 Leaf = tuple[int, TreeNode, int, TreeNode]  # (ordinal, leaf, parent ordinal, parent)
@@ -151,46 +212,56 @@ def _leaves(t: LabelledTree) -> list[Leaf]:
     first supernode is known to exist.
     """
     out = []
-    parent_ordinal = 2
+    parent_ordinal, parent = 2, t.nodes[1]
     for ordinal, node in enumerate(t.nodes, 1):
         if node.kind == LEAF:
-            out.append((ordinal, node, parent_ordinal, t.nodes[parent_ordinal - 1]))
+            out.append((ordinal, node, parent_ordinal, parent))
         elif node.kind == REGULAR and node.index == 1:
-            parent_ordinal = ordinal
+            parent_ordinal, parent = ordinal, node
     return out
 
 
-def _lift(leaves: list[Leaf], steps: list[dict]) -> None:
-    for ordinal, leaf, parent_ordinal, parent in leaves:
-        for cell in leaf.cells:
-            for label in cell:
-                steps.append({"step": "lifting", "label": label, "from": ordinal, "to": parent_ordinal})
-            parent.cells[0].extend(cell)
-            cell.clear()
-    for _, _, _, parent in leaves:
-        parent.cells[0].sort()
+def _lift(leaves: list[Leaf], moves: list[Move]) -> None:
+    """Hand every leaf's runs to its parent, which keeps them as further cells, sorted."""
+    moves += [("lifting", leaf.cells, ordinal, parent_ordinal) for ordinal, leaf, parent_ordinal, _ in leaves]
+    emptied = (range(0),) * len(leaves[0][1].cells)
+    for _, leaf, _, parent in leaves:
+        parent.cells += leaf.cells
+        leaf.cells = emptied
+    # a level-1 regular node comes before its leaves; only the first
+    # supernode has one, leaf 1, before it
+    first_supernode = leaves[0][3]
+    first_supernode.cells = tuple(sorted(first_supernode.cells, key=attrgetter("start")))
 
 
-def _end_correction(t: LabelledTree, quota: int, steps: list[dict], anomalies: list[str]) -> None:
-    """Remove the `quota` largest labels left anywhere in the tree."""
+def _end_correction(t: LabelledTree, quota: int, moves: list[Move], anomalies: list[str]) -> None:
+    """Remove the `quota` largest labels left anywhere in the tree, trimming each node's last runs."""
     left = quota
+    if not left:
+        return
     for ordinal, node in zip(range(len(t.nodes), 0, -1), reversed(t.nodes)):
         if node.kind == LEAF:
             continue  # leaves are empty after lifting
-        cell = node.cells[0]
-        while left and cell:
-            label = cell.pop()
-            steps.append({"step": "end correction", "label": label, "from": ordinal, "to": None})
-            left -= 1
+        cells = list(node.cells)
+        for slot in range(len(cells) - 1, -1, -1):
+            run = cells[slot]
+            keep = max(len(run) - left, 0)
+            if keep < len(run):
+                moves.append(("end correction", (run[keep:][::-1],), ordinal, None))
+                left -= len(run) - keep
+                cells[slot] = run[:keep]
+            if not left:
+                break
+        node.cells = tuple(cells)
         if not left:
             return
-    if left:
-        anomalies.append(f"end correction ran out of labels with {left} of {quota} still to remove")
+    anomalies.append(f"end correction ran out of labels with {left} of {quota} still to remove")
 
 
-def _relabel(t: LabelledTree, steps: list[dict], anomalies: list[str]) -> LabelledTree:
+def _relabel(t: LabelledTree, moves: list[Move], anomalies: list[str]) -> LabelledTree:
     """Drop the old leaves, shift every survivor down a level, renumber in order."""
     sizes = t.spec.cell_sizes()
+    starts = tuple(accumulate(sizes[:-1], initial=0))
     new_nodes: list[TreeNode] = []
     leaf_index = 0
     next_label = 1
@@ -199,47 +270,33 @@ def _relabel(t: LabelledTree, steps: list[dict], anomalies: list[str]) -> Labell
             if any(node.cells):
                 anomalies.append(f"leaf {node.index} still held labels at relabelling")
             continue
-        total = node.label_count()
-        old_labels = [f"placeholder-{i}" for i in range(1, node.placeholders + 1)]
-        old_labels += node.cells[0]
-        becomes_leaf = node.index == 1  # first supernode or level-1 regular
-        if becomes_leaf:
+        first = next_label
+        next_label += node.placeholders + sum(map(len, node.cells))
+        fresh = range(first, next_label)
+        runs = (_placeholders(node.placeholders), *node.cells) if node.placeholders else node.cells
+        moves.append(("relabelling", runs, old_ordinal, fresh))
+        if node.index == 1:  # first supernode or level-1 regular: it becomes a leaf
             leaf_index += 1
-            cells = []
-            firsts = []
-            rest = total
-            for slot, size in enumerate(sizes):
-                take = rest if slot == len(sizes) - 1 else min(size, rest)
-                cells.append(list(range(next_label, next_label + take)))
-                firsts.append(next_label if take else None)
-                next_label += take
-                rest -= take
+            # cells fill in order, and the last cell takes whatever is left
+            bounds = [min(first + start, next_label) for start in starts]
+            cells = tuple(map(range, bounds, bounds[1:] + [next_label]))
+            firsts = tuple([bound if bound < next_label else None for bound in bounds])
             if len(cells[-1]) > sizes[-1]:
-                anomalies.append(f"new leaf {leaf_index} holds {total} labels, over its capacity")
-            new = TreeNode(LEAF, leaf_index, cells, tuple(firsts))
+                anomalies.append(f"new leaf {leaf_index} holds {next_label - first} labels, over its capacity")
+            new_nodes.append(TreeNode(LEAF, leaf_index, cells, firsts))
         else:
-            labels = list(range(next_label, next_label + total))
-            new = TreeNode(
-                node.kind,
-                node.index - 1,
-                [labels],
-                (next_label if total else None,),
-            )
-            next_label += total
-        for old, fresh in zip(old_labels, range(next_label - total, next_label)):
-            steps.append({"step": "relabelling", "label": old, "from": old_ordinal, "to": fresh})
-        new_nodes.append(new)
+            new_nodes.append(TreeNode(node.kind, node.index - 1, (fresh,), (first if fresh else None,)))
     while new_nodes and new_nodes[-1].label_count() == 0:
         new_nodes.pop()
     return LabelledTree(t.spec, next_label - 1, new_nodes)
 
 
-def _finish(t: LabelledTree, leaves: list[Leaf], quota: int, steps: list[dict], anomalies: list[str]) -> PruneReport:
+def _finish(t: LabelledTree, leaves: list[Leaf], quota: int, moves: list[Move], anomalies: list[str]) -> PruneReport:
     """The tail every prune shares: lift the leaves, remove the `quota` largest labels, renumber."""
-    _lift(leaves, steps)
-    _end_correction(t, quota, steps, anomalies)
-    result = _relabel(t, steps, anomalies)
-    return PruneReport(t.n - result.n, result, steps, anomalies)
+    _lift(leaves, moves)
+    _end_correction(t, quota, moves, anomalies)
+    result = _relabel(t, moves, anomalies)
+    return PruneReport(t.n - result.n, result, moves, anomalies)
 
 
 # -- the four pruning operations ----------------------------------------------
@@ -249,56 +306,60 @@ def prune_order2(t: LabelledTree, s: int, j: int, m: int) -> PruneReport:
     """Prune for the order-one binary family: move-in correction, no end correction."""
     _fits(t, fam.OrderOne(s, j, m))
     n = t.n
-    steps: list[dict] = []
+    moves: list[Move] = []
     anomalies: list[str] = []
 
     # initial correction: empty the first supernode, refill it with the
-    # j - m largest labels of the tree
-    _drop_supernode_labels(t, steps)
+    # j - m largest labels of the tree, a suffix of the last cells
+    _drop_supernode_labels(t, moves)
     target = _first_supernode(t)
-    moving = set(range(n - (j - m) + 1, n + 1))
+    lowest = n - (j - m) + 1
+    wanted = j - m
     for ordinal, node in zip(range(len(t.nodes), 0, -1), reversed(t.nodes)):
-        if not moving:
+        if not wanted:
             break
+        kept = []
         for cell in node.cells:
-            for label in [lab for lab in cell if lab in moving]:
-                cell.remove(label)
-                target.cells[0].append(label)
-                steps.append({"step": "initial correction", "label": label, "from": ordinal, "to": 2})
-                moving.discard(label)
-    target.cells[0].sort()
+            cut = max(lowest - cell.start, 0)
+            if cut < len(cell):
+                moves.append(("initial correction", (cell[cut:],), ordinal, 2))
+                wanted -= len(cell) - cut
+            kept.append(cell[:cut])
+        node.cells = tuple(kept)
+    # n is past the threshold, so all of them lie beyond the first supernode
+    target.cells = (range(lowest, n + 1),)
 
-    # deletion: every cell reaching back to T(n - j) loses its first label
+    # deletion: every cell reaching back to T(n - j) loses its first label,
+    # which the move-in left in place
     leaves = _leaves(t)
     threshold = n - j
     for ordinal, leaf, _, _ in leaves:
-        for cell, first in zip(leaf.cells, leaf.first_labels):
-            if first is not None and first <= threshold:
-                label = cell.pop(0)
-                steps.append({"step": "deletion", "label": label, "from": ordinal, "to": None})
+        opened = _opened_by(leaf.first_labels, threshold)
+        if opened:
+            _delete_ends(leaf, ordinal, opened, _FIRST, _AFTER_FIRST, moves)
 
-    return _finish(t, leaves, 0, steps, anomalies)
+    return _finish(t, leaves, 0, moves, anomalies)
 
 
-def _delete_with_fallback(leaf, cell_slot, parent, parent_ordinal, leaf_ordinal, steps, anomalies):
-    """Order-p deletion chain: the cell, then the leaf's last cell, then the parent."""
-    cell = leaf.cells[cell_slot]
+def _delete_with_fallback(cells, cell_slot, leaf, leaf_ordinal, parent, parent_ordinal, moves, anomalies):
+    """Order-p deletion chain: the cell, then the leaf's last cell, then the parent.
+
+    `cells` is the leaf's cells as a list, which the caller writes back.
+    """
+    slot = cell_slot if cells[cell_slot] else -1
+    cell = cells[slot]
     if cell:
-        label = cell.pop(0)
-        steps.append({"step": "deletion", "label": label, "from": leaf_ordinal, "to": None})
+        moves.append(("deletion", (cell[:1],), leaf_ordinal, None))
+        cells[slot] = cell[1:]
         return
-    last = leaf.cells[-1]
-    if last:
-        label = last.pop(0)
-        steps.append({"step": "deletion", "label": label, "from": leaf_ordinal, "to": None})
-        return
-    if parent.cells[0]:
-        label = parent.cells[0].pop(0)
-        steps.append({"step": "deletion", "label": label, "from": parent_ordinal, "to": None})
+    own = parent.cells[0]
+    if own:
+        moves.append(("deletion", (own[:1],), parent_ordinal, None))
+        parent.cells = (own[1:], *parent.cells[1:])
         return
     if parent.placeholders:
         parent.placeholders -= 1
-        steps.append({"step": "deletion", "label": "placeholder", "from": parent_ordinal, "to": None})
+        moves.append(("deletion", (("placeholder",),), parent_ordinal, None))
         return
     anomalies.append(f"nothing left to delete for leaf {leaf.index} cell {cell_slot + 1}")
 
@@ -307,61 +368,68 @@ def prune_orderp(t: LabelledTree, s: int, j: int, m: int, p: int) -> PruneReport
     """Prune for the order-p binary family, deleting against p nested subtrees."""
     _fits(t, fam.HigherOrder(s, j, m, p))
     n, x = t.n, t.spec.regular_labels
-    steps: list[dict] = []
+    moves: list[Move] = []
     anomalies: list[str] = []
 
-    _drop_supernode_labels(t, steps)
-    _insert_placeholders(t, x, steps)
+    _drop_supernode_labels(t, moves)
+    _insert_placeholders(t, x, moves)
 
     leaves = _leaves(t)
     for i in range(1, p + 1):
         reach = n - (2 * i - 1) * j
         for ordinal, leaf, parent_ordinal, parent in leaves:
-            for slot, first in enumerate(leaf.first_labels):
-                if first is not None and first <= reach:
-                    _delete_with_fallback(leaf, slot, parent, parent_ordinal, ordinal, steps, anomalies)
+            opened = _opened_by(leaf.first_labels, reach)
+            if not opened:
+                continue
+            if all(leaf.cells[:opened]):  # no cell in reach needs the fallback
+                _delete_ends(leaf, ordinal, opened, _FIRST, _AFTER_FIRST, moves)
+                continue
+            cells = list(leaf.cells)
+            for slot in range(opened):
+                _delete_with_fallback(cells, slot, leaf, ordinal, parent, parent_ordinal, moves, anomalies)
+            leaf.cells = tuple(cells)
 
-    return _finish(t, leaves, x, steps, anomalies)
+    return _finish(t, leaves, x, moves, anomalies)
 
 
 def prune_superposed(t: LabelledTree, s: int, j: int, m: int, p: int) -> PruneReport:
     """Prune for the superposed family; exploratory m < 0 shapes may come up short."""
     _fits(t, fam.Superposed(s, j, m, p))
     n, x = t.n, t.spec.regular_labels
-    steps: list[dict] = []
+    moves: list[Move] = []
     anomalies: list[str] = []
     # exploratory m < 0 shapes run from a lower threshold, so flag them below the full one
     full_bound = 5 * p * j + 3 * m + 2 * s
     if n <= full_bound:
         anomalies.append(f"n = {n} is below the full-shape bound {full_bound}")
 
-    _drop_supernode_labels(t, steps)
-    _insert_placeholders(t, x, steps)
+    _drop_supernode_labels(t, moves)
+    _insert_placeholders(t, x, moves)
 
     leaves = _leaves(t)
     for i in range(1, p + 1):
         reach = n - (2 * i - 1) - p * (j - 1)
         for ordinal, leaf, _, _ in leaves:
-            for slot, first in enumerate(leaf.first_labels):
-                if first is not None and first <= reach:
-                    cell = leaf.cells[slot]
-                    if cell:
-                        label = cell.pop()  # the largest label in the cell
-                        steps.append({"step": "deletion", "label": label, "from": ordinal, "to": None})
-                    else:
-                        anomalies.append(f"cell {slot + 1} of leaf {leaf.index} was already empty in pass {i}")
+            opened = _opened_by(leaf.first_labels, reach)
+            if not opened:
+                continue
+            if not all(leaf.cells[:opened]):
+                anomalies.extend(f"cell {slot} of leaf {leaf.index} was already empty in pass {i}"
+                                 for slot, cell in enumerate(leaf.cells[:opened], 1) if not cell)
+            # each cell in reach gives up its largest label
+            _delete_ends(leaf, ordinal, opened, _LAST, _BEFORE_LAST, moves)
 
-    return _finish(t, leaves, x, steps, anomalies)
+    return _finish(t, leaves, x, moves, anomalies)
 
 
 def prune_kary(t: LabelledTree, m: int, p: int, k: int) -> PruneReport:
     """Prune for the k-ary family: single-cell leaves, placeholder-only correction."""
     _fits(t, fam.KaryOrderP(k, m, p))
     n, x = t.n, t.spec.regular_labels
-    steps: list[dict] = []
+    moves: list[Move] = []
     anomalies: list[str] = []
 
-    _insert_placeholders(t, x, steps)
+    _insert_placeholders(t, x, moves)
 
     leaves = _leaves(t)
     for ordinal, leaf, _, _ in leaves:
@@ -369,15 +437,14 @@ def prune_kary(t: LabelledTree, m: int, p: int, k: int) -> PruneReport:
         if first is None:
             continue
         demand = min(p, n - first)
-        for _ in range(demand):
-            cell = leaf.cells[0]
-            if cell:
-                label = cell.pop(0)
-                steps.append({"step": "deletion", "label": label, "from": ordinal, "to": None})
-            else:
-                anomalies.append(f"leaf {leaf.index} ran out of labels during deletion")
+        cell = leaf.cells[0]
+        taken = min(demand, len(cell))
+        moves.append(("deletion", (cell[:taken],), ordinal, None))
+        leaf.cells = (cell[taken:],)
+        if taken < demand:
+            anomalies.extend([f"leaf {leaf.index} ran out of labels during deletion"] * (demand - taken))
 
-    return _finish(t, leaves, x, steps, anomalies)
+    return _finish(t, leaves, x, moves, anomalies)
 
 
 # -- family-facing wrappers ---------------------------------------------------

@@ -24,6 +24,8 @@ import enum
 import functools
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress, count, islice, repeat
+from operator import rshift, sub
 from typing import Callable, Optional, Sequence
 
 from .frequency import FrequencySequence
@@ -154,6 +156,9 @@ def right_side(spec: RecursionSpec, value: Callable[[int], int], n: int) -> int:
     return total
 
 
+_SLOW_STEPS = frozenset((0, 1))
+
+
 def slowness_violation(values: Sequence[int]) -> Optional[int]:
     """1-based index of the first term breaking slowness, or None if slow.
 
@@ -164,19 +169,23 @@ def slowness_violation(values: Sequence[int]) -> Optional[int]:
         return None
     if values[0] < 1:
         return 1
-    for i in range(1, len(values)):
-        if values[i] - values[i - 1] not in (0, 1):
-            return i + 1
-    return None
+    # one C-level pass, which stops at the first step that is not 0 or 1 ...
+    if _SLOW_STEPS.issuperset(map(sub, islice(values, 1, None), values)):
+        return None
+    # ... and one that finds its index: a step is 0 or 1 exactly when
+    # shifting it right by one bit leaves 0
+    steps = map(sub, islice(values, 1, None), values)
+    return next(compress(count(2), map(rshift, steps, repeat(1))))
 
 
-def frequency_of(values: Sequence[int]) -> FrequencySequence:
+def frequency_of(values: Sequence[int], check: bool = True) -> FrequencySequence:
     """Occurrence counts of each value, dropping the possibly unfinished last run.
 
     The input must be slow and start at 1 so that every value up to the
-    final one occurs at least once.
+    final one occurs at least once.  A caller that has already found the
+    values slow with slowness_violation passes check=False to skip the scan.
     """
-    if slowness_violation(values) is not None:
+    if check and slowness_violation(values) is not None:
         raise ValueError("frequency counting needs a slow sequence")
     if not values or values[0] != 1:
         raise ValueError("frequency counting needs a slow sequence starting at 1")
