@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, repeat
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Optional, Sequence, Union
 
 from . import families as fam
@@ -107,8 +107,14 @@ def build_prefix(spec: TreeSpec, n: int) -> LabelledTree:
             break
         if kind == LEAF:
             if next_label + leaf_labels <= stop:
-                cells = tuple([range(next_label + lo, next_label + hi) for lo, hi in spans])
-                firsts = tuple([cell.start for cell in cells])
+                cells = []
+                firsts = []
+                for lo, hi in spans:
+                    start = next_label + lo
+                    firsts.append(start)
+                    cells.append(range(start, next_label + hi))
+                cells = tuple(cells)
+                firsts = tuple(firsts)
                 next_label += leaf_labels
             else:
                 bounds = [min(next_label + offset, stop) for offset in offsets]
@@ -181,11 +187,6 @@ def _insert_placeholders(t: LabelledTree, count: int, moves: list[Move]) -> None
     moves.append(("initial correction", (_placeholders(count),), None, 2))
 
 
-# a cell's first label and the rest of it, and its last label and the rest, all as runs
-_FIRST, _AFTER_FIRST = itemgetter(slice(None, 1)), itemgetter(slice(1, None))
-_LAST, _BEFORE_LAST = itemgetter(slice(-1, None)), itemgetter(slice(None, -1))
-
-
 def _opened_by(first_labels: tuple[Optional[int], ...], reach: int) -> int:
     """How many of a leaf's cells open at or below `reach`: first labels ascend, and None marks empty last cells."""
     last = first_labels[-1]
@@ -194,11 +195,25 @@ def _opened_by(first_labels: tuple[Optional[int], ...], reach: int) -> int:
     return sum(1 for first in first_labels if first is not None and first <= reach)
 
 
-def _delete_ends(leaf: TreeNode, ordinal: int, opened: int, end, rest, moves: list[Move]) -> None:
-    """Each of the leaf's first `opened` cells loses the label `end` picks, logged as one block."""
-    cells = leaf.cells[:opened]
-    moves.append(("deletion", tuple(map(end, cells)), ordinal, None))
-    leaf.cells = tuple(map(rest, cells)) + leaf.cells[opened:]
+def _delete_ends(leaf: TreeNode, ordinal: int, opened: int, moves: list[Move], *, front: bool) -> None:
+    """Each nonempty cell among the leaf's first `opened` loses its first label (front) or its last.
+
+    The labels are logged as one block.
+    """
+    labels = []
+    cells = list(leaf.cells)
+    for slot in range(opened):
+        cell = cells[slot]
+        if not cell:
+            continue
+        if front:
+            labels.append(cell.start)
+            cells[slot] = range(cell.start + 1, cell.stop)
+        else:
+            labels.append(cell.stop - 1)
+            cells[slot] = range(cell.start, cell.stop - 1)
+    moves.append(("deletion", (tuple(labels),), ordinal, None))
+    leaf.cells = tuple(cells)
 
 
 Leaf = tuple[int, TreeNode, int, TreeNode]  # (ordinal, leaf, parent ordinal, parent)
@@ -261,7 +276,6 @@ def _end_correction(t: LabelledTree, quota: int, moves: list[Move], anomalies: l
 def _relabel(t: LabelledTree, moves: list[Move], anomalies: list[str]) -> LabelledTree:
     """Drop the old leaves, shift every survivor down a level, renumber in order."""
     sizes = t.spec.cell_sizes()
-    starts = tuple(accumulate(sizes[:-1], initial=0))
     new_nodes: list[TreeNode] = []
     leaf_index = 0
     next_label = 1
@@ -277,13 +291,19 @@ def _relabel(t: LabelledTree, moves: list[Move], anomalies: list[str]) -> Labell
         moves.append(("relabelling", runs, old_ordinal, fresh))
         if node.index == 1:  # first supernode or level-1 regular: it becomes a leaf
             leaf_index += 1
-            # cells fill in order, and the last cell takes whatever is left
-            bounds = [min(first + start, next_label) for start in starts]
-            cells = tuple(map(range, bounds, bounds[1:] + [next_label]))
-            firsts = tuple([bound if bound < next_label else None for bound in bounds])
-            if len(cells[-1]) > sizes[-1]:
+            cells = []
+            firsts = []
+            start = first
+            for size in sizes[:-1]:  # cells fill in order ...
+                end = min(start + size, next_label)
+                cells.append(range(start, end))
+                firsts.append(start if end > start else None)
+                start = end
+            cells.append(range(start, next_label))  # ... and the last takes whatever is left
+            firsts.append(start if next_label > start else None)
+            if next_label - start > sizes[-1]:
                 anomalies.append(f"new leaf {leaf_index} holds {next_label - first} labels, over its capacity")
-            new_nodes.append(TreeNode(LEAF, leaf_index, cells, firsts))
+            new_nodes.append(TreeNode(LEAF, leaf_index, tuple(cells), tuple(firsts)))
         else:
             new_nodes.append(TreeNode(node.kind, node.index - 1, (fresh,), (first if fresh else None,)))
     while new_nodes and new_nodes[-1].label_count() == 0:
@@ -336,7 +356,7 @@ def prune_order2(t: LabelledTree, s: int, j: int, m: int) -> PruneReport:
     for ordinal, leaf, _, _ in leaves:
         opened = _opened_by(leaf.first_labels, threshold)
         if opened:
-            _delete_ends(leaf, ordinal, opened, _FIRST, _AFTER_FIRST, moves)
+            _delete_ends(leaf, ordinal, opened, moves, front=True)
 
     return _finish(t, leaves, 0, moves, anomalies)
 
@@ -382,7 +402,7 @@ def prune_orderp(t: LabelledTree, s: int, j: int, m: int, p: int) -> PruneReport
             if not opened:
                 continue
             if all(leaf.cells[:opened]):  # no cell in reach needs the fallback
-                _delete_ends(leaf, ordinal, opened, _FIRST, _AFTER_FIRST, moves)
+                _delete_ends(leaf, ordinal, opened, moves, front=True)
                 continue
             cells = list(leaf.cells)
             for slot in range(opened):
@@ -417,7 +437,7 @@ def prune_superposed(t: LabelledTree, s: int, j: int, m: int, p: int) -> PruneRe
                 anomalies.extend(f"cell {slot} of leaf {leaf.index} was already empty in pass {i}"
                                  for slot, cell in enumerate(leaf.cells[:opened], 1) if not cell)
             # each cell in reach gives up its largest label
-            _delete_ends(leaf, ordinal, opened, _LAST, _BEFORE_LAST, moves)
+            _delete_ends(leaf, ordinal, opened, moves, front=False)
 
     return _finish(t, leaves, x, moves, anomalies)
 
@@ -439,8 +459,8 @@ def prune_kary(t: LabelledTree, m: int, p: int, k: int) -> PruneReport:
         demand = min(p, n - first)
         cell = leaf.cells[0]
         taken = min(demand, len(cell))
-        moves.append(("deletion", (cell[:taken],), ordinal, None))
-        leaf.cells = (cell[taken:],)
+        moves.append(("deletion", (range(first, first + taken),), ordinal, None))
+        leaf.cells = (range(first + taken, cell.stop),)
         if taken < demand:
             anomalies.extend([f"leaf {leaf.index} ran out of labels during deletion"] * (demand - taken))
 
