@@ -285,7 +285,7 @@ def _relabel(t: LabelledTree, moves: list[Move], anomalies: list[str]) -> Labell
                 anomalies.append(f"leaf {node.index} still held labels at relabelling")
             continue
         first = next_label
-        next_label += node.placeholders + sum(map(len, node.cells))
+        next_label += node.label_count()
         fresh = range(first, next_label)
         runs = (_placeholders(node.placeholders), *node.cells) if node.placeholders else node.cells
         moves.append(("relabelling", runs, old_ordinal, fresh))
@@ -459,8 +459,8 @@ def prune_kary(t: LabelledTree, m: int, p: int, k: int) -> PruneReport:
         demand = min(p, n - first)
         cell = leaf.cells[0]
         taken = min(demand, len(cell))
-        moves.append(("deletion", (range(first, first + taken),), ordinal, None))
-        leaf.cells = (range(first + taken, cell.stop),)
+        moves.append(("deletion", (range(cell.start, cell.start + taken),), ordinal, None))
+        leaf.cells = (range(cell.start + taken, cell.stop),)
         if taken < demand:
             anomalies.extend([f"leaf {leaf.index} ran out of labels during deletion"] * (demand - taken))
 
