@@ -374,13 +374,10 @@ def _survival(row: dict, result: recursion.EvalResult) -> tuple[tuple[int, ...],
 
 
 def _freq_match(spec: tree.TreeSpec, values: Sequence[int]) -> str:
-    """Observed frequencies of `values` against the tree's closed form; "" if none complete.
-
-    `values` is slow: every caller has found it so with slowness_violation.
-    """
+    """Observed frequencies of `values` against the tree's closed form; "" if none complete."""
     if not values:
         return ""
-    empirical = recursion.frequency_of(values, check=False)
+    empirical = recursion.frequency_of(values)
     if empirical.vmax < 1:
         return ""
     closed = freq.closed_form_sequence(spec, empirical.vmax)

@@ -101,34 +101,30 @@ def build_prefix(spec: TreeSpec, n: int) -> LabelledTree:
     nodes: list[TreeNode] = []
     append = nodes.append
     next_label = 1
-    stop = n + 1
     for kind, index in node_stream(spec.arity):
-        if next_label == stop:
+        if next_label > n:
             break
         if kind == LEAF:
-            if next_label + leaf_labels <= stop:
-                cells = []
-                firsts = []
-                for lo, hi in spans:
-                    start = next_label + lo
-                    firsts.append(start)
-                    cells.append(range(start, next_label + hi))
-                cells = tuple(cells)
-                firsts = tuple(firsts)
-                next_label += leaf_labels
-            else:
-                bounds = [min(next_label + offset, stop) for offset in offsets]
-                cells = tuple(map(range, bounds, bounds[1:]))
-                firsts = tuple([bound if bound < stop else None for bound in bounds[:-1]])
-                next_label = stop
+            cells = []
+            firsts = []
+            for lo, hi in spans:
+                start = next_label + lo
+                firsts.append(start)
+                cells.append(range(start, next_label + hi))
+            cells = tuple(cells)
+            firsts = tuple(firsts)
+            next_label += leaf_labels
         else:
             end = next_label + capacity[kind]
-            if end > stop:
-                end = stop
             cells = (range(next_label, end),)
             firsts = (next_label,) if end > next_label else (None,)
             next_label = end
         append(TreeNode(kind, index, cells, firsts))
+    # every node was filled to capacity, so the last may run past n: cut it back
+    last = nodes[-1]
+    stop = n + 1
+    last.cells = tuple([range(min(cell.start, stop), min(cell.stop, stop)) for cell in last.cells])
+    last.first_labels = tuple([cell.start if cell else None for cell in last.cells])
     return LabelledTree(spec, n, nodes)
 
 
@@ -189,9 +185,6 @@ def _insert_placeholders(t: LabelledTree, count: int, moves: list[Move]) -> None
 
 def _opened_by(first_labels: tuple[Optional[int], ...], reach: int) -> int:
     """How many of a leaf's cells open at or below `reach`: first labels ascend, and None marks empty last cells."""
-    last = first_labels[-1]
-    if last is not None and last <= reach:
-        return len(first_labels)
     return sum(1 for first in first_labels if first is not None and first <= reach)
 
 
@@ -362,15 +355,14 @@ def prune_order2(t: LabelledTree, s: int, j: int, m: int) -> PruneReport:
 
 
 def _delete_with_fallback(cells, cell_slot, leaf, leaf_ordinal, parent, parent_ordinal, moves, anomalies):
-    """Order-p deletion chain: the cell, then the leaf's last cell, then the parent.
+    """Order-p deletion for an empty cell: the leaf's last cell, then the parent, then a placeholder.
 
     `cells` is the leaf's cells as a list, which the caller writes back.
     """
-    slot = cell_slot if cells[cell_slot] else -1
-    cell = cells[slot]
+    cell = cells[-1]
     if cell:
         moves.append(("deletion", (cell[:1],), leaf_ordinal, None))
-        cells[slot] = cell[1:]
+        cells[-1] = cell[1:]
         return
     own = parent.cells[0]
     if own:
@@ -401,12 +393,22 @@ def prune_orderp(t: LabelledTree, s: int, j: int, m: int, p: int) -> PruneReport
             opened = _opened_by(leaf.first_labels, reach)
             if not opened:
                 continue
-            if all(leaf.cells[:opened]):  # no cell in reach needs the fallback
-                _delete_ends(leaf, ordinal, opened, moves, front=True)
-                continue
+            # each cell in reach gives up its first label, logged as one
+            # block up to the next empty cell, which falls back
             cells = list(leaf.cells)
+            labels = []
             for slot in range(opened):
+                cell = cells[slot]
+                if cell:
+                    labels.append(cell.start)
+                    cells[slot] = range(cell.start + 1, cell.stop)
+                    continue
+                if labels:
+                    moves.append(("deletion", (tuple(labels),), ordinal, None))
+                    labels = []
                 _delete_with_fallback(cells, slot, leaf, ordinal, parent, parent_ordinal, moves, anomalies)
+            if labels:
+                moves.append(("deletion", (tuple(labels),), ordinal, None))
             leaf.cells = tuple(cells)
 
     return _finish(t, leaves, x, moves, anomalies)

@@ -178,14 +178,13 @@ def slowness_violation(values: Sequence[int]) -> Optional[int]:
     return next(compress(count(2), map(rshift, steps, repeat(1))))
 
 
-def frequency_of(values: Sequence[int], check: bool = True) -> FrequencySequence:
+def frequency_of(values: Sequence[int]) -> FrequencySequence:
     """Occurrence counts of each value, dropping the possibly unfinished last run.
 
     The input must be slow and start at 1 so that every value up to the
-    final one occurs at least once.  A caller that has already found the
-    values slow with slowness_violation passes check=False to skip the scan.
+    final one occurs at least once.
     """
-    if check and slowness_violation(values) is not None:
+    if slowness_violation(values) is not None:
         raise ValueError("frequency counting needs a slow sequence")
     if not values or values[0] != 1:
         raise ValueError("frequency counting needs a slow sequence starting at 1")
