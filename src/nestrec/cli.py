@@ -19,6 +19,7 @@ import operator
 import os
 import random
 import sys
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from . import families as fam
@@ -167,18 +168,18 @@ def cmd_verify(args) -> int:
         raise UsageError("verify needs a named family: both mechanisms must know it")
     family = resolve_family(args)
     tspec = fam.tree_of(family)
-    ic = fam.standard_ics(family)
     if args.sparse:
         return verify_sparse(family, tspec, args)
     if args.n < 1:
         raise UsageError("--n must be at least 1")
-    result = recursion.evaluate(fam.recursion_of(family), ic, args.n)
-    counts = tree.cell_count_sequence(tspec, args.n)
+    result = recursion.evaluate(fam.recursion_of(family), fam.standard_ics(family), args.n)
     if not result.alive:
         print(f"DIVERGE: recursion dies at n = {result.dead_at} ({result.reason.value})")
         return 1
-    if not all(map(operator.eq, result.values, counts)):
-        n, a, b = next((n, a, b) for n, (a, b) in enumerate(zip(result.values, counts), 1) if a != b)
+    # C_T is the running sum of the cell-start bytes; no count list is built
+    starts = tree.cell_starts(tspec, args.n)
+    if not all(map(operator.eq, result.values, accumulate(starts))):
+        n, a, b = next((n, a, b) for n, (a, b) in enumerate(zip(result.values, accumulate(starts)), 1) if a != b)
         print(f"DIVERGE at n = {n}: recursion {a}, tree {b}")
         return 1
     print(f"AGREE for n <= {args.n}: recursion matches cell counts")

@@ -8,26 +8,27 @@ regular node x labels, and each leaf is split into j cells taking c labels
 apiece except the last cell, which takes l.  The cell counting function
 C_T(n) is the number of cells whose first label is among 1..n.
 
-C_T is computed two independent ways.  The template walk (cell_positions
-and everything built on it) writes the labels as bytes, 1 where a cell
-opens and 0 elsewhere.  A full regular subtree of height h is the bytes of
-its root followed by k copies of the subtree of height h - 1, so each
-subtree is built once from the one below it and the labels 1..n come out
-of C-level bytes and itertools calls, in O(n) transient bytes.
-cell_positions zips those first labels with leaf indices from repeat and
-cell indices from cycle, so it too takes no Python step per cell.  The closed
-form (first_label, and cell_count on top of it) sums the frequency formula
-to get the first label of any cell in O(log n) and finds C_T(n) by binary
-search in O(log^2 n), so single-point counts stay cheap at n = 10^18.  The
-one node-by-node walk, node_stream, feeds pruning and is a third,
-independent oracle.  The tests check each against the others.
+C_T is computed two independent ways.  The template walk writes the labels
+as bytes, 1 where a cell opens and 0 elsewhere.  A full regular subtree of
+height h is the bytes of its root followed by k copies of the subtree of
+height h - 1, so each subtree is built once from the one below it and the
+labels 1..n come out of C-level bytes calls.  cell_starts joins those bytes
+up to n, and C_T(1..n) is their running sum, so the sequence is
+accumulate(cell_starts(spec, n)) with no Python step per label.
+cell_positions reads the same bytes chunk by chunk and zips the first
+labels with leaf indices from repeat and cell indices from cycle, so it too
+takes no Python step per cell.  The closed form (first_label, and
+cell_count on top of it) sums the frequency formula to get the first label
+of any cell in O(log n) and finds C_T(n) by binary search in O(log^2 n), so
+single-point counts stay cheap at n = 10^18.  The one node-by-node walk,
+node_stream, feeds pruning and is a third, independent oracle.  The tests
+check each against the others.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from itertools import chain, compress, count, cycle, repeat, tee
+from itertools import accumulate, chain, compress, count, cycle, repeat
 from typing import Iterator
 
 SUPERNODE = "supernode"
@@ -120,13 +121,26 @@ def _start_chunks(spec: TreeSpec) -> Iterator[bytes]:
             yield subtree
 
 
-def _first_label_runs(spec: TreeSpec, n_max: int) -> Iterator[Iterator[int]]:
-    """One iterator per template chunk over the first labels of its cells, up to n_max."""
+def _cut_chunks(spec: TreeSpec, n_max: int) -> Iterator[bytes]:
+    """The template chunks of _start_chunks, the last one cut so they hold n_max labels."""
     pos = 0
     chunks = _start_chunks(spec)
     while pos < n_max:
         chunk = next(chunks)
-        yield compress(count(pos + 1), chunk[: n_max - pos])
+        yield chunk[: n_max - pos]
+        pos += len(chunk)
+
+
+def cell_starts(spec: TreeSpec, n_max: int) -> bytes:
+    """One byte per label 1..n_max, 1 where a cell opens: C_T is their running sum."""
+    return b"".join(_cut_chunks(spec, n_max))
+
+
+def _first_label_runs(spec: TreeSpec, n_max: int) -> Iterator[Iterator[int]]:
+    """One iterator per template chunk over the first labels of its cells, up to n_max."""
+    pos = 0
+    for chunk in _cut_chunks(spec, n_max):
+        yield compress(count(pos + 1), chunk)
         pos += len(chunk)
 
 
@@ -199,16 +213,8 @@ def cell_count(spec: TreeSpec, n: int) -> int:
 
 
 def cell_count_sequence(spec: TreeSpec, n_max: int) -> list[int]:
-    """C_T(1), ..., C_T(n_max) in one pass.
-
-    C_T is v from the first label of cell v up to the label before cell
-    v + 1, and cell 1 opens at label 1; every repeat of v is the same int
-    object.
-    """
-    firsts, nexts = tee(chain.from_iterable(_first_label_runs(spec, n_max)))
-    next(nexts, None)
-    gaps = map(operator.sub, chain(nexts, (n_max + 1,)), firsts)
-    return list(chain.from_iterable(map(repeat, count(1), gaps)))
+    """C_T(1), ..., C_T(n_max) in one pass: the running sum of cell_starts."""
+    return list(accumulate(cell_starts(spec, n_max)))
 
 
 def initial_conditions(spec: TreeSpec, count: int) -> list[int]:

@@ -53,16 +53,28 @@ def test_verify_agreement(capsys):
 
 
 def test_verify_dense_reports_first_divergence(capsys, monkeypatch):
-    from nestrec import families as fam
-    from nestrec import tree
+    real = tree.cell_starts
 
-    real = tree.cell_count_sequence
-    monkeypatch.setattr(tree, "cell_count_sequence",
-                        lambda spec, n: [c + (i > 700) for i, c in enumerate(real(spec, n), 1)])
-    r = real(fam.tree_of(fam.conolly()), 701)[-1]
+    def lifted(spec, n):
+        # label 701's byte one higher lifts every count from n = 701 on by one;
+        # the short calls that build the ICs stay as they were
+        starts = bytearray(real(spec, n))
+        if n > 700:
+            starts[700] += 1
+        return bytes(starts)
+
+    monkeypatch.setattr(tree, "cell_starts", lifted)
+    r = sum(real(fam.tree_of(fam.conolly()), 701))
     code, out, _ = run(["verify", "conolly", "--n", "800"], capsys)
     assert code == 1
     assert out == f"DIVERGE at n = 701: recursion {r}, tree {r + 1}\n"
+
+
+def test_verify_dense_reports_death(capsys, monkeypatch):
+    monkeypatch.setattr(fam, "standard_ics", lambda family: [1])
+    code, out, _ = run(["verify", "conolly", "--n", "50"], capsys)
+    assert code == 1
+    assert out == "DIVERGE: recursion dies at n = 2 (inner_index_nonpositive)\n"
 
 
 @pytest.mark.parametrize("n", ["0", "-5"])

@@ -54,6 +54,23 @@ def test_higher_order_p1_reduces_to_order_one():
                 assert fam.tree_of(fam.HigherOrder(s, j, m, 1)) == fam.tree_of(fam.OrderOne(s, j, m))
 
 
+def test_equal_offsets_mean_equal_trees():
+    """Records with the same recursion must agree on its tree and IC length.
+
+    prune_threshold is left out: it is a sufficient bound, not a tight one,
+    and the records may differ there.
+    """
+    pairs = [(fam.OrderOne(s, j, m), other(s, j, m, 1))
+             for s in range(4) for j in range(1, 6) for m in range(j + 1)
+             for other in (fam.HigherOrder, fam.Superposed)]
+    pairs += [(fam.OrderOne(0, 1, m), fam.KaryOrderP(2, m, 1)) for m in range(2)]
+    assert len(pairs) == 162
+    for a, b in pairs:
+        assert a.offsets() == b.offsets(), (a, b)
+        assert a.tree() == b.tree(), (a, b)
+        assert a.ic_length() == b.ic_length(), (a, b)
+
+
 def test_alpha_beta_is_superposed():
     f = fam.alpha_beta_conolly(4, 1)
     assert isinstance(f, fam.Superposed)

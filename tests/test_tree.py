@@ -1,10 +1,10 @@
 from __future__ import annotations
 
 import random
-from itertools import islice
+from itertools import accumulate, islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nestrec import families as fam
 from nestrec import frequency, recursion, tree
@@ -113,6 +113,27 @@ def test_count_sequence_matches_pointwise():
     seq = tree.cell_count_sequence(RUNNING, 600)
     for n in (1, 5, 16, 31, 100, 355, 600):
         assert seq[n - 1] == tree.cell_count(RUNNING, n)
+
+
+@settings(max_examples=40)
+@given(
+    st.integers(2, 5),
+    st.integers(0, 3),
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.integers(0, 3),
+    st.integers(-3, 3000),
+)
+@example(2, 1, 3, 1, 2, 2, -3)
+@example(3, 0, 1, 1, 1, 0, -1)
+@example(2, 1, 3, 1, 2, 2, 0)
+def test_cell_starts_sum_to_closed_form(k, s, j, c, last, x, n):
+    """One byte per label, whose running sum is the closed-form count; nothing for n <= 0."""
+    spec = TreeSpec(k, s, j, c, last, x)
+    starts = tree.cell_starts(spec, n)
+    assert len(starts) == max(n, 0)
+    assert list(accumulate(starts)) == [tree.cell_count(spec, i) for i in range(1, n + 1)]
 
 
 def test_cell_positions_are_label_sorted():
