@@ -87,33 +87,81 @@ def evaluate(spec: RecursionSpec, initial: Sequence[int], n_max: int) -> EvalRes
         return EvalResult(tuple(initial[: max(0, n_max)]), None, None)
     values = [0] * (n_max + 1)  # 1-indexed
     values[1 : len(initial) + 1] = list(initial)
-    if len(initial) < max(max(row) for row in spec.inner_offsets):
-        dead_at = len(initial) + 1  # some inner index n - b is still below 1
+    start, stop = len(initial) + 1, n_max + 1
+    if start <= max(max(row) for row in spec.inner_offsets):
+        dead_at = start  # some inner index n - b is still below 1
     else:
-        offsets = [x for a, row in zip(spec.outer_offsets, spec.inner_offsets) for x in (a, *row)]
-        dead_at = _shape_loop(spec.arity, spec.order)(values, len(initial) + 1, n_max + 1, *offsets)
+        # grouped first; if the read-ahead window holds an index below 1,
+        # one group per summand, which checks each index where it is used
+        for groups in (_groups(spec), [[i] for i in range(spec.arity)]):
+            loop = _group_loop(tuple(map(len, groups)), spec.order)
+            dead_at = loop(values, start, stop, *_arguments(spec, groups))
+            if dead_at >= 0:
+                break
     if dead_at:
         return EvalResult(tuple(values[1:dead_at]), dead_at, _death_reason(spec, values, dead_at))
     del values[0]  # in place: a values[1:] copy would cost 8 bytes a term
     return EvalResult(tuple(values))
 
 
-@functools.cache
-def _shape_loop(arity: int, order: int) -> Callable[..., int]:
-    """The evaluation loop for one (arity, order), compiled on first use.
+def _groups(spec: RecursionSpec) -> list[list[int]]:
+    """The summands grouped by their sorted inner offsets b - a, each group by ascending a.
 
-    loop(v, start, stop, a0, b0_0, ..., a1, b1_0, ...) fills v[start:stop]
-    and returns 0, or returns the first n whose outer index falls below 1.
-    It assumes start > max b, so no inner index needs a check.  Only
-    summand and term numbers go into the source; the offsets are arguments.
+    Summands x in one group share u(m) = R(m - sum over t of R(m - c_t)), as
+    b_xt = a_x + c_t, and their terms are u(n - a_x).
     """
-    params = ", ".join(f"a{i}, " + ", ".join(f"b{i}_{t}" for t in range(order)) for i in range(arity))
-    lines = [f"def loop(v, start, stop, {params}, cap=MAX_VALUE):", "    for n in range(start, stop):"]
-    for i in range(arity):
-        inner = "".join(f" - v[n - b{i}_{t}]" for t in range(order))
-        lines += [f"        i{i} = n - a{i}{inner}", f"        if i{i} < 1:", "            return n"]
-    lines += [
-        "        total = " + " + ".join(f"v[i{i}]" for i in range(arity)),
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, (a, row) in enumerate(zip(spec.outer_offsets, spec.inner_offsets)):
+        groups.setdefault(tuple(sorted(b - a for b in row)), []).append(i)
+    return [sorted(members, key=spec.outer_offsets.__getitem__) for members in groups.values()]
+
+
+def _arguments(spec: RecursionSpec, groups: list[list[int]]) -> list[int]:
+    """Per group: its first summand's a and b row, then how far past that a each other a lies."""
+    a, b = spec.outer_offsets, spec.inner_offsets
+    return [x for first, *rest in groups for x in (a[first], *b[first], *(a[i] - a[first] for i in rest))]
+
+
+@functools.cache
+def _group_loop(sizes: tuple[int, ...], order: int) -> Callable[..., int]:
+    """The evaluation loop for groups of these sizes and this order, compiled on first use.
+
+    loop(v, start, stop, *arguments) fills v[start:stop] and returns 0, or
+    returns the first n whose outer index falls below 1.  It assumes
+    start > max b, so no inner index needs a check.  Group g with first
+    summand (a, b row) and others d past it keeps U[n] = u(n - a) =
+    v[n - a - sum over t of v[n - b_t]] in a list and sums U[n] and each
+    U[n - d]: one inner sum per group and term.  Before its loop it fills
+    U[start - max d:start], which the loop reads but does not write; if an
+    index there is below 1 it returns -1 having written nothing to v.  A
+    group of one is the plain summand, read from v with no list.  Only
+    group, term and member numbers go into the source; the offsets are
+    arguments.
+    """
+    params, fill, body, terms = [], [], [], []
+    for g, size in enumerate(sizes):
+        inner = "".join(f" - v[n - b{g}_{t}]" for t in range(order))
+        params += [f"a{g}", *(f"b{g}_{t}" for t in range(order)), *(f"d{g}_{x}" for x in range(1, size))]
+        body += [f"        i{g} = n - a{g}{inner}", f"        if i{g} < 1:", "            return n"]
+        if size == 1:
+            terms.append(f"v[i{g}]")
+            continue
+        fill += [
+            f"    u{g} = [0] * stop",
+            f"    for n in range(start - d{g}_{size - 1}, start):",
+            f"        i{g} = n - a{g}{inner}",
+            f"        if i{g} < 1:",
+            "            return -1",
+            f"        u{g}[n] = v[i{g}]",
+        ]
+        body.append(f"        w{g} = u{g}[n] = v[i{g}]")
+        terms += [f"w{g}", *(f"u{g}[n - d{g}_{x}]" for x in range(1, size))]
+    lines = [
+        f"def loop(v, start, stop, {', '.join(params)}, cap=MAX_VALUE):",
+        *fill,
+        "    for n in range(start, stop):",
+        *body,
+        "        total = " + " + ".join(terms),
         "        if total > cap:",
         '            raise OverflowError(f"R({n}) exceeds 2^63 - 1")',
         "        v[n] = total",

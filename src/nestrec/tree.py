@@ -13,8 +13,9 @@ as bytes, 1 where a cell opens and 0 elsewhere.  A full regular subtree of
 height h is the bytes of its root followed by k copies of the subtree of
 height h - 1, so each subtree is built once from the one below it and the
 labels 1..n come out of C-level bytes calls.  cell_starts joins those bytes
-up to n, and C_T(1..n) is their running sum, so the sequence is
-accumulate(cell_starts(spec, n)) with no Python step per label.
+up to n, and C_T(1..n) is their running sum; cell_count_sequence writes
+it as each cell's number repeated over its labels, with no Python step per
+label.
 cell_positions reads the same bytes chunk by chunk and zips the first
 labels with leaf indices from repeat and cell indices from cycle, so it too
 takes no Python step per cell.  The closed form (first_label, and
@@ -28,7 +29,8 @@ check each against the others.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, count, cycle, repeat
+from itertools import chain, compress, count, cycle, islice, repeat, tee
+from operator import sub
 from typing import Iterator
 
 SUPERNODE = "supernode"
@@ -213,8 +215,16 @@ def cell_count(spec: TreeSpec, n: int) -> int:
 
 
 def cell_count_sequence(spec: TreeSpec, n_max: int) -> list[int]:
-    """C_T(1), ..., C_T(n_max) in one pass: the running sum of cell_starts."""
-    return list(accumulate(cell_starts(spec, n_max)))
+    """C_T(1), ..., C_T(n_max) in one pass: the running sum of cell_starts.
+
+    Label 1 opens cell 1, and C_T stays at c from the first label of cell c
+    to the label before the next cell's, so the list repeats one int object
+    per cell over that run rather than making one per label.
+    """
+    starts = cell_starts(spec, n_max)
+    firsts, nexts = tee(compress(count(1), starts))
+    runs = map(sub, chain(islice(nexts, 1, None), (len(starts) + 1,)), firsts)
+    return list(chain.from_iterable(map(repeat, count(1), runs)))
 
 
 def initial_conditions(spec: TreeSpec, count: int) -> list[int]:

@@ -71,6 +71,21 @@ def test_equal_offsets_mean_equal_trees():
         assert a.ic_length() == b.ic_length(), (a, b)
 
 
+def test_solved_families_share_one_inner_sum():
+    """Every summand of these families is one nested term shifted by its a,
+    b_it = a_i + c_t, so evaluate puts all k summands in one group and
+    computes each inner sum once per term."""
+    records = [fam.OrderOne(s, j, m) for s in range(4) for j in range(1, 6) for m in range(j + 1)]
+    records += [other(s, j, m, p) for s in range(4) for j in range(1, 6) for m in range(j + 1)
+                for p in range(1, 4) for other in (fam.HigherOrder, fam.Superposed)]
+    records += [fam.KaryOrderP(k, m, p) for k in range(2, 5) for p in range(1, 4) for m in range(6)
+                if fam.KaryOrderP(k, m, p).check().ok]
+    records += [fam.CSJK(s, j, k) for s in range(4) for j in range(1, 6) for k in range(2, 5)]
+    for record in records:
+        assert record.check().ok, record
+        assert recursion._groups(record.offsets()) == [list(range(record.offsets().arity))], record
+
+
 def test_alpha_beta_is_superposed():
     f = fam.alpha_beta_conolly(4, 1)
     assert isinstance(f, fam.Superposed)

@@ -178,18 +178,55 @@ def reference_evaluate(spec, initial, n_max):
 @st.composite
 def recursions(draw):
     arity, order = draw(st.integers(1, 4)), draw(st.integers(1, 3))
-    outer = tuple(draw(st.lists(st.integers(0, 8), min_size=arity, max_size=arity)))
-    inner = tuple(tuple(draw(st.lists(st.integers(1, 8), min_size=order, max_size=order)))
-                  for _ in range(arity))
-    initial = draw(st.lists(st.integers(1, 6), min_size=1, max_size=12))
-    n_max = draw(st.one_of(st.just(len(initial)), st.integers(0, 400)))
+    if draw(st.booleans()):
+        # shifted rows b_it = a_i + c_t for one c, the shape of every solved
+        # family: the summands share their inner sums
+        shift = draw(st.lists(st.integers(-3, 6), min_size=order, max_size=order))
+        lowest = max(0, 1 - min(shift))
+        outer = tuple(draw(st.lists(st.integers(lowest, lowest + 8), min_size=arity, max_size=arity)))
+        rows = [[a + c for c in draw(st.permutations(shift))] for a in outer]
+        if draw(st.booleans()):
+            row, t = draw(st.integers(0, arity - 1)), draw(st.integers(0, order - 1))
+            rows[row][t] = max(1, rows[row][t] + draw(st.sampled_from((-1, 1))))
+        inner = tuple(map(tuple, rows))
+    else:
+        outer = tuple(draw(st.lists(st.integers(0, 8), min_size=arity, max_size=arity)))
+        inner = tuple(tuple(draw(st.lists(st.integers(1, 8), min_size=order, max_size=order)))
+                      for _ in range(arity))
+    if draw(st.booleans()):
+        initial = draw(st.lists(st.integers(1, 6), min_size=1, max_size=12))
+    else:
+        # just long enough to start the loop, whose read-ahead windows then
+        # reach back into the ICs, and large enough for an index there to
+        # fall below 1
+        deepest = max(map(max, inner))
+        initial = draw(st.lists(st.integers(1, 2 * deepest), min_size=deepest, max_size=deepest))
+    n_max = draw(st.one_of(st.just(len(initial)), st.integers(0, 400), st.integers(len(initial) + 1, 400)))
     return RecursionSpec(arity, order, outer, inner), initial, n_max
 
 
 @settings(max_examples=400)
 @given(recursions())
 def test_evaluate_matches_reference_stepper(case):
-    """The compiled per-shape loop gives the plain stepper's values, death index and reason."""
+    """The compiled grouped loop, and its one-group-per-summand fallback, give the
+    plain stepper's values, death index and reason."""
     spec, initial, n_max = case
     result = recursion.evaluate(spec, initial, n_max)
     assert (result.values, result.dead_at, result.reason) == reference_evaluate(spec, initial, n_max)
+
+
+def test_death_inside_read_ahead_window():
+    """u(5 - 1) reads an outer index of 0 before the loop, so the loop runs a
+    summand at a time and the run dies at 8, when the second summand needs it."""
+    spec = RecursionSpec(2, 1, (1, 4), ((3,), (6,)))
+    result = recursion.evaluate(spec, [1, 4, 6, 5, 4, 1], 30)
+    assert result.values == (1, 4, 6, 5, 4, 1, 5)
+    assert result.dead_at == 8
+    assert result.reason is DeadReason.OUTER_INDEX_NONPOSITIVE
+
+
+def test_overflow_inside_a_group():
+    """Three summands sharing one inner sum each land on 2^62."""
+    spec = RecursionSpec(3, 1, (0, 1, 2), ((1,), (2,), (3,)))
+    with pytest.raises(OverflowError, match=r"^R\(5\) exceeds 2\^63 - 1$"):
+        recursion.evaluate(spec, [2**62, 2, 3, 4], 10)
