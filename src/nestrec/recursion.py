@@ -8,14 +8,26 @@ and is evaluated bottom-up from explicit initial conditions.  Whenever an
 index escapes the range of already-defined values the sequence "dies" and
 the evaluator reports where and why instead of guessing.
 
-The bottom-up loop is generated and compiled once per shape (k, p), with the
-offsets passed in as arguments, so each term costs a few bytecodes and no
-inner Python loop.  Past n = max b every inner index n - b lies in 1..n-1,
-so the loop only has to watch the outer indices, and only from below: the
-values are positive (the initial conditions are at least 1) and every
-summand subtracts at least one of them, so no outer index reaches n.  A
-run that starts at or below max b dies at its first open n.  _death_reason
-then names why, walking the summands in order.
+Summands whose rows are one tuple c shifted by their outer offset,
+b_it = a_i + c_t, share one nested term u(m) = R(m - sum over t of
+R(m - c_t)) and add u(n - a_i).  Every solved family has this shape, so
+_groups collects such summands and the loop computes each group's u once
+per term rather than once per summand.
+
+The bottom-up loop is generated and compiled once per (group sizes, p),
+with the offsets passed in as arguments, so each term costs a few
+bytecodes and no inner Python loop.  Past n = max b every inner index
+n - b lies in 1..n-1, so the loop only has to watch the outer indices, and
+only from below: the values are positive (the initial conditions are at
+least 1) and every summand subtracts at least one of them, so no outer
+index reaches n.  A group checks u(n - a) for its smallest a at n, where
+that summand alone would; its other summands read values checked at an
+earlier n, so a run dies where it did summand by summand.  The exception
+is the read-ahead window, u(m) for m in [start - max a, start - min a),
+filled before the loop: if an index there is below 1, the loop runs again
+with one group per summand.  A run that starts at or below max b dies at
+its first open n.  _death_reason then names why, walking the summands in
+order.
 """
 
 from __future__ import annotations

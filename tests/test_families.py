@@ -83,7 +83,8 @@ def test_solved_families_share_one_inner_sum():
     records += [fam.CSJK(s, j, k) for s in range(4) for j in range(1, 6) for k in range(2, 5)]
     for record in records:
         assert record.check().ok, record
-        assert recursion._groups(record.offsets()) == [list(range(record.offsets().arity))], record
+        spec = record.offsets()
+        assert recursion._groups(spec) == [list(range(spec.arity))], record
 
 
 def test_alpha_beta_is_superposed():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -191,17 +193,26 @@ def recursions(draw):
         inner = tuple(map(tuple, rows))
     else:
         outer = tuple(draw(st.lists(st.integers(0, 8), min_size=arity, max_size=arity)))
-        inner = tuple(tuple(draw(st.lists(st.integers(1, 8), min_size=order, max_size=order)))
-                      for _ in range(arity))
+        row = st.lists(st.integers(1, 8), min_size=order, max_size=order).map(tuple)
+        if draw(st.booleans()):
+            # one row for every summand, as the neg_gamma candidates have
+            inner = (draw(row),) * arity
+        else:
+            inner = tuple(draw(row) for _ in range(arity))
+    deepest = max(map(max, inner))
     if draw(st.booleans()):
         initial = draw(st.lists(st.integers(1, 6), min_size=1, max_size=12))
+    elif draw(st.booleans()):
+        # long enough to start the loop, and slow, as a tree's cell counts
+        # are, so that more runs go on for a while
+        steps = draw(st.lists(st.integers(0, 1), min_size=deepest - 1, max_size=deepest + 7))
+        initial = list(accumulate(steps, initial=1))
     else:
         # just long enough to start the loop, whose read-ahead windows then
         # reach back into the ICs, and large enough for an index there to
         # fall below 1
-        deepest = max(map(max, inner))
         initial = draw(st.lists(st.integers(1, 2 * deepest), min_size=deepest, max_size=deepest))
-    n_max = draw(st.one_of(st.just(len(initial)), st.integers(0, 400), st.integers(len(initial) + 1, 400)))
+    n_max = draw(st.one_of(st.just(len(initial)), st.integers(0, 400), st.just(400)))
     return RecursionSpec(arity, order, outer, inner), initial, n_max
 
 
