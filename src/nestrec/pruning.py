@@ -12,6 +12,14 @@ sorted runs it gathered from its leaves.  A node's cells are a tuple, so a
 log record can hold them without a copy, and the cyclic garbage collector
 stops tracking them once it has seen them.
 
+Deletion reads only the tree and the recursion.  A cell's `start` is its
+first label, kept when a slice empties it; cells past n start at n + 1.
+Each deletion pass is a nested term R(n - b) of the first summand: for b in
+the family's first inner offset row, every leaf cell opening at or below
+n - b gives up a label.  Order one and order p take it off the front, with
+a fallback for an empty cell; superposed takes it off the back, and the
+k-ary op logs one record per leaf.
+
 Every label movement is logged, one record per moved block.
 PruneReport.steps expands the records into one dict per label on first
 read, so a prune can be audited step by step, and a caller that only wants
@@ -20,6 +28,7 @@ the result never pays for the expansion.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, repeat
@@ -39,15 +48,15 @@ class TreeNode:
 
     A leaf has one cell per leaf cell of the spec and an interior node one
     cell, until lifting hands a parent its leaves' runs as further cells.
+    A cell's first label is its `start`, which an empty cell keeps too.
     """
 
-    __slots__ = ("kind", "index", "cells", "first_labels", "placeholders")
+    __slots__ = ("kind", "index", "cells", "placeholders")
 
-    def __init__(self, kind, index, cells, first_labels, placeholders=0):
+    def __init__(self, kind, index, cells, placeholders=0):
         self.kind = kind
         self.index = index
         self.cells = cells
-        self.first_labels = first_labels
         self.placeholders = placeholders
 
     def label_count(self) -> int:
@@ -105,26 +114,18 @@ def build_prefix(spec: TreeSpec, n: int) -> LabelledTree:
         if next_label > n:
             break
         if kind == LEAF:
-            cells = []
-            firsts = []
-            for lo, hi in spans:
-                start = next_label + lo
-                firsts.append(start)
-                cells.append(range(start, next_label + hi))
-            cells = tuple(cells)
-            firsts = tuple(firsts)
+            cells = tuple([range(next_label + lo, next_label + hi) for lo, hi in spans])
             next_label += leaf_labels
         else:
             end = next_label + capacity[kind]
             cells = (range(next_label, end),)
-            firsts = (next_label,) if end > next_label else (None,)
             next_label = end
-        append(TreeNode(kind, index, cells, firsts))
-    # every node was filled to capacity, so the last may run past n: cut it back
+        append(TreeNode(kind, index, cells))
+    # every node was filled to capacity, so the last may run past n: cut it
+    # back, and a cell that lies wholly past n starts at n + 1
     last = nodes[-1]
     stop = n + 1
     last.cells = tuple([range(min(cell.start, stop), min(cell.stop, stop)) for cell in last.cells])
-    last.first_labels = tuple([cell.start if cell else None for cell in last.cells])
     return LabelledTree(spec, n, nodes)
 
 
@@ -151,14 +152,18 @@ def first_difference(a: LabelledTree, b: LabelledTree) -> Optional[str]:
 # -- shared steps -------------------------------------------------------------
 
 
-def _fits(t: LabelledTree, family) -> None:
-    """Refuse a tree built for another shape, or one too small for the family's operation."""
+def _fits(t: LabelledTree, family) -> tuple[int, ...]:
+    """Refuse a tree built for another shape, or one too small for the family's operation.
+
+    Give the first summand's inner offsets b: one deletion pass each, reaching n - b.
+    """
     expected = fam.tree_of(family)
     if t.spec != expected:
         raise ValueError(f"tree was built for {t.spec}, not {expected}")
     threshold = fam.prune_threshold(family)
     if t.n < threshold:
         raise PruneRefused(f"need n >= {threshold}, got {t.n}")
+    return family.offsets().inner_offsets[0]
 
 
 def _first_supernode(t: LabelledTree) -> TreeNode:
@@ -183,31 +188,7 @@ def _insert_placeholders(t: LabelledTree, count: int, moves: list[Move]) -> None
     moves.append(("initial correction", (_placeholders(count),), None, 2))
 
 
-def _opened_by(first_labels: tuple[Optional[int], ...], reach: int) -> int:
-    """How many of a leaf's cells open at or below `reach`: first labels ascend, and None marks empty last cells."""
-    return sum(1 for first in first_labels if first is not None and first <= reach)
-
-
-def _delete_ends(leaf: TreeNode, ordinal: int, opened: int, moves: list[Move], *, front: bool) -> None:
-    """Each nonempty cell among the leaf's first `opened` loses its first label (front) or its last.
-
-    The labels are logged as one block.
-    """
-    labels = []
-    cells = list(leaf.cells)
-    for slot in range(opened):
-        cell = cells[slot]
-        if not cell:
-            continue
-        if front:
-            labels.append(cell.start)
-            cells[slot] = range(cell.start + 1, cell.stop)
-        else:
-            labels.append(cell.stop - 1)
-            cells[slot] = range(cell.start, cell.stop - 1)
-    moves.append(("deletion", (tuple(labels),), ordinal, None))
-    leaf.cells = tuple(cells)
-
+_start = attrgetter("start")
 
 Leaf = tuple[int, TreeNode, int, TreeNode]  # (ordinal, leaf, parent ordinal, parent)
 
@@ -239,7 +220,7 @@ def _lift(leaves: list[Leaf], moves: list[Move]) -> None:
     # a level-1 regular node comes before its leaves; only the first
     # supernode has one, leaf 1, before it
     first_supernode = leaves[0][3]
-    first_supernode.cells = tuple(sorted(first_supernode.cells, key=attrgetter("start")))
+    first_supernode.cells = tuple(sorted(first_supernode.cells, key=_start))
 
 
 def _end_correction(t: LabelledTree, quota: int, moves: list[Move], anomalies: list[str]) -> None:
@@ -273,9 +254,7 @@ def _relabel(t: LabelledTree, moves: list[Move], anomalies: list[str]) -> Labell
     leaf_index = 0
     next_label = 1
     for old_ordinal, node in enumerate(t.nodes, 1):
-        if node.kind == LEAF:
-            if any(node.cells):
-                anomalies.append(f"leaf {node.index} still held labels at relabelling")
+        if node.kind == LEAF:  # emptied by lifting
             continue
         first = next_label
         next_label += node.label_count()
@@ -285,20 +264,17 @@ def _relabel(t: LabelledTree, moves: list[Move], anomalies: list[str]) -> Labell
         if node.index == 1:  # first supernode or level-1 regular: it becomes a leaf
             leaf_index += 1
             cells = []
-            firsts = []
             start = first
             for size in sizes[:-1]:  # cells fill in order ...
                 end = min(start + size, next_label)
                 cells.append(range(start, end))
-                firsts.append(start if end > start else None)
                 start = end
             cells.append(range(start, next_label))  # ... and the last takes whatever is left
-            firsts.append(start if next_label > start else None)
             if next_label - start > sizes[-1]:
                 anomalies.append(f"new leaf {leaf_index} holds {next_label - first} labels, over its capacity")
-            new_nodes.append(TreeNode(LEAF, leaf_index, tuple(cells), tuple(firsts)))
+            new_nodes.append(TreeNode(LEAF, leaf_index, tuple(cells)))
         else:
-            new_nodes.append(TreeNode(node.kind, node.index - 1, (fresh,), (first if fresh else None,)))
+            new_nodes.append(TreeNode(node.kind, node.index - 1, (fresh,)))
     while new_nodes and new_nodes[-1].label_count() == 0:
         new_nodes.pop()
     return LabelledTree(t.spec, next_label - 1, new_nodes)
@@ -312,12 +288,55 @@ def _finish(t: LabelledTree, leaves: list[Leaf], quota: int, moves: list[Move], 
     return PruneReport(t.n - result.n, result, moves, anomalies)
 
 
+def _delete_fronts(leaves: list[Leaf], row: tuple[int, ...], n: int, moves: list[Move], anomalies: list[str]) -> None:
+    """One pass per b in `row`: each leaf cell opening at or below n - b gives up its first label.
+
+    A leaf's labels in one pass are logged as one block, up to an empty cell,
+    which falls back to the leaf's last cell, then the parent, then a
+    placeholder.  The opening labels are read before the first pass moves
+    any cell's start.
+    """
+    openings = [tuple([cell.start for cell in leaf.cells]) for _, leaf, _, _ in leaves]
+    for b in row:
+        reach = n - b
+        for (ordinal, leaf, parent_ordinal, parent), starts in zip(leaves, openings):
+            opened = bisect_right(starts, reach)
+            if not opened:
+                continue
+            cells = list(leaf.cells)
+            labels = []
+            for slot in range(opened):
+                cell = cells[slot]
+                if cell:
+                    labels.append(cell.start)
+                    cells[slot] = range(cell.start + 1, cell.stop)
+                    continue
+                if labels:
+                    moves.append(("deletion", (tuple(labels),), ordinal, None))
+                    labels = []
+                last, own = cells[-1], parent.cells[0]
+                if last:
+                    moves.append(("deletion", (last[:1],), ordinal, None))
+                    cells[-1] = last[1:]
+                elif own:
+                    moves.append(("deletion", (own[:1],), parent_ordinal, None))
+                    parent.cells = (own[1:], *parent.cells[1:])
+                elif parent.placeholders:
+                    parent.placeholders -= 1
+                    moves.append(("deletion", (("placeholder",),), parent_ordinal, None))
+                else:
+                    anomalies.append(f"nothing left to delete for leaf {leaf.index} cell {slot + 1}")
+            if labels:
+                moves.append(("deletion", (tuple(labels),), ordinal, None))
+            leaf.cells = tuple(cells)
+
+
 # -- the four pruning operations ----------------------------------------------
 
 
 def prune_order2(t: LabelledTree, s: int, j: int, m: int) -> PruneReport:
     """Prune for the order-one binary family: move-in correction, no end correction."""
-    _fits(t, fam.OrderOne(s, j, m))
+    row = _fits(t, fam.OrderOne(s, j, m))
     n = t.n
     moves: list[Move] = []
     anomalies: list[str] = []
@@ -342,43 +361,16 @@ def prune_order2(t: LabelledTree, s: int, j: int, m: int) -> PruneReport:
     # n is past the threshold, so all of them lie beyond the first supernode
     target.cells = (range(lowest, n + 1),)
 
-    # deletion: every cell reaching back to T(n - j) loses its first label,
-    # which the move-in left in place
+    # deletion: the move-in took only labels past n - j, so every cell in
+    # reach still holds its first label and none falls back
     leaves = _leaves(t)
-    threshold = n - j
-    for ordinal, leaf, _, _ in leaves:
-        opened = _opened_by(leaf.first_labels, threshold)
-        if opened:
-            _delete_ends(leaf, ordinal, opened, moves, front=True)
-
+    _delete_fronts(leaves, row, n, moves, anomalies)
     return _finish(t, leaves, 0, moves, anomalies)
-
-
-def _delete_with_fallback(cells, cell_slot, leaf, leaf_ordinal, parent, parent_ordinal, moves, anomalies):
-    """Order-p deletion for an empty cell: the leaf's last cell, then the parent, then a placeholder.
-
-    `cells` is the leaf's cells as a list, which the caller writes back.
-    """
-    cell = cells[-1]
-    if cell:
-        moves.append(("deletion", (cell[:1],), leaf_ordinal, None))
-        cells[-1] = cell[1:]
-        return
-    own = parent.cells[0]
-    if own:
-        moves.append(("deletion", (own[:1],), parent_ordinal, None))
-        parent.cells = (own[1:], *parent.cells[1:])
-        return
-    if parent.placeholders:
-        parent.placeholders -= 1
-        moves.append(("deletion", (("placeholder",),), parent_ordinal, None))
-        return
-    anomalies.append(f"nothing left to delete for leaf {leaf.index} cell {cell_slot + 1}")
 
 
 def prune_orderp(t: LabelledTree, s: int, j: int, m: int, p: int) -> PruneReport:
     """Prune for the order-p binary family, deleting against p nested subtrees."""
-    _fits(t, fam.HigherOrder(s, j, m, p))
+    row = _fits(t, fam.HigherOrder(s, j, m, p))
     n, x = t.n, t.spec.regular_labels
     moves: list[Move] = []
     anomalies: list[str] = []
@@ -387,66 +379,58 @@ def prune_orderp(t: LabelledTree, s: int, j: int, m: int, p: int) -> PruneReport
     _insert_placeholders(t, x, moves)
 
     leaves = _leaves(t)
-    for i in range(1, p + 1):
-        reach = n - (2 * i - 1) * j
-        for ordinal, leaf, parent_ordinal, parent in leaves:
-            opened = _opened_by(leaf.first_labels, reach)
+    _delete_fronts(leaves, row, n, moves, anomalies)
+    return _finish(t, leaves, x, moves, anomalies)
+
+
+def prune_superposed(t: LabelledTree, s: int, j: int, m: int, p: int) -> PruneReport:
+    """Prune for the superposed family; exploratory m < 0 shapes may come up short.
+
+    Each cell in reach gives up its last label, not its first, so the cells
+    keep their starts and no fallback is needed.
+    """
+    family = fam.Superposed(s, j, m, p)
+    row = _fits(t, family)
+    n, x = t.n, t.spec.regular_labels
+    moves: list[Move] = []
+    anomalies: list[str] = []
+    # exploratory m < 0 shapes run from a lower threshold, so flag them at or below the IC length
+    bound = family.ic_length()
+    if n <= bound:
+        anomalies.append(f"n = {n} is below the full-shape bound {bound}")
+
+    _drop_supernode_labels(t, moves)
+    _insert_placeholders(t, x, moves)
+
+    leaves = _leaves(t)
+    for i, b in enumerate(row, 1):
+        reach = n - b
+        for ordinal, leaf, _, _ in leaves:
+            opened = bisect_right(leaf.cells, reach, key=_start)
             if not opened:
                 continue
-            # each cell in reach gives up its first label, logged as one
-            # block up to the next empty cell, which falls back
             cells = list(leaf.cells)
             labels = []
             for slot in range(opened):
                 cell = cells[slot]
                 if cell:
-                    labels.append(cell.start)
-                    cells[slot] = range(cell.start + 1, cell.stop)
-                    continue
-                if labels:
-                    moves.append(("deletion", (tuple(labels),), ordinal, None))
-                    labels = []
-                _delete_with_fallback(cells, slot, leaf, ordinal, parent, parent_ordinal, moves, anomalies)
-            if labels:
-                moves.append(("deletion", (tuple(labels),), ordinal, None))
+                    labels.append(cell.stop - 1)
+                    cells[slot] = range(cell.start, cell.stop - 1)
+                else:
+                    anomalies.append(f"cell {slot + 1} of leaf {leaf.index} was already empty in pass {i}")
+            moves.append(("deletion", (tuple(labels),), ordinal, None))
             leaf.cells = tuple(cells)
 
     return _finish(t, leaves, x, moves, anomalies)
 
 
-def prune_superposed(t: LabelledTree, s: int, j: int, m: int, p: int) -> PruneReport:
-    """Prune for the superposed family; exploratory m < 0 shapes may come up short."""
-    _fits(t, fam.Superposed(s, j, m, p))
-    n, x = t.n, t.spec.regular_labels
-    moves: list[Move] = []
-    anomalies: list[str] = []
-    # exploratory m < 0 shapes run from a lower threshold, so flag them below the full one
-    full_bound = 5 * p * j + 3 * m + 2 * s
-    if n <= full_bound:
-        anomalies.append(f"n = {n} is below the full-shape bound {full_bound}")
-
-    _drop_supernode_labels(t, moves)
-    _insert_placeholders(t, x, moves)
-
-    leaves = _leaves(t)
-    for i in range(1, p + 1):
-        reach = n - (2 * i - 1) - p * (j - 1)
-        for ordinal, leaf, _, _ in leaves:
-            opened = _opened_by(leaf.first_labels, reach)
-            if not opened:
-                continue
-            if not all(leaf.cells[:opened]):
-                anomalies.extend(f"cell {slot} of leaf {leaf.index} was already empty in pass {i}"
-                                 for slot, cell in enumerate(leaf.cells[:opened], 1) if not cell)
-            # each cell in reach gives up its largest label
-            _delete_ends(leaf, ordinal, opened, moves, front=False)
-
-    return _finish(t, leaves, x, moves, anomalies)
-
-
 def prune_kary(t: LabelledTree, m: int, p: int, k: int) -> PruneReport:
-    """Prune for the k-ary family: single-cell leaves, placeholder-only correction."""
-    _fits(t, fam.KaryOrderP(k, m, p))
+    """Prune for the k-ary family: single-cell leaves, placeholder-only correction.
+
+    A leaf opening at `first` is in reach of every pass with b <= n - first,
+    and gives up that many labels off its front in one record.
+    """
+    row = _fits(t, fam.KaryOrderP(k, m, p))
     n, x = t.n, t.spec.regular_labels
     moves: list[Move] = []
     anomalies: list[str] = []
@@ -455,11 +439,10 @@ def prune_kary(t: LabelledTree, m: int, p: int, k: int) -> PruneReport:
 
     leaves = _leaves(t)
     for ordinal, leaf, _, _ in leaves:
-        first = leaf.first_labels[0]
-        if first is None:
-            continue
-        demand = min(p, n - first)
         cell = leaf.cells[0]
+        if not cell:  # it lies past n
+            continue
+        demand = bisect_right(row, n - cell.start)
         taken = min(demand, len(cell))
         moves.append(("deletion", (range(cell.start, cell.start + taken),), ordinal, None))
         leaf.cells = (range(cell.start + taken, cell.stop),)

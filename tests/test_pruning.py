@@ -271,6 +271,8 @@ def prunable_families(draw):
 def test_prune_identity_everywhere(f, data):
     """Pruned tree equals the rebuilt smaller prefix, node for node, and the log replays.
 
+    In range, the prune removes s labels and one nested term C_T(n - b) for
+    each inner offset b of the first summand, counted in closed form.
     Exploratory shapes (superposed with m < 0) may break the identity, so
     for them only the log and the label total are checked.
     """
@@ -282,6 +284,8 @@ def test_prune_identity_everywhere(f, data):
     assert report.result.n == n - report.removed
     if not verdict.exploratory:
         assert pruning.trees_equal(report.result, pruning.build_prefix(spec, n - report.removed))
+        row = fam.recursion_of(f).inner_offsets[0]
+        assert report.removed == spec.supernode_labels + sum(tree.cell_count(spec, n - b) for b in row)
     steps = report.steps
     assert_log_replays(pruning.build_prefix(spec, n), report)
     assert report.steps == steps
@@ -297,7 +301,8 @@ def test_leaf_runs_match_cell_positions(k, s, j, c, last, x):
 
     tree.cell_positions gives each cell's first label, leaf and cell index;
     its size is the spec's, cut at n.  Every nonempty leaf cell must be that
-    run, with that first label recorded, and every empty one must have none.
+    run, starting at that first label, and every empty one, lying past n,
+    must start at n + 1: pruning reads the opening labels off the starts.
     """
     spec = TreeSpec(k, s, j, c, last, x)
     sizes = spec.cell_sizes()
@@ -307,11 +312,11 @@ def test_leaf_runs_match_cell_positions(k, s, j, c, last, x):
         for node in t.nodes:
             if node.kind != tree.LEAF:
                 continue
-            for slot, (cell, first) in enumerate(zip(node.cells, node.first_labels, strict=True), 1):
+            for slot, cell in enumerate(node.cells, 1):
                 if cell:
-                    built.append((first, node.index, slot, cell))
+                    built.append((cell.start, node.index, slot, cell))
                 else:
-                    assert first is None, (node, slot)
+                    assert cell.start == n + 1, (node, slot)
         expected = [
             (first, leaf, slot, range(first, first + min(sizes[slot - 1], n + 1 - first)))
             for first, leaf, slot in tree.cell_positions(spec, n)

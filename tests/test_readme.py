@@ -1,10 +1,11 @@
-"""The README's command-line examples, run as a golden transcript.
+"""The README's examples: the library quick start, and the command lines as a golden transcript.
 
-Every `$ nestrec ...` line in a README code block is run through cli.main
-and its output compared with the lines shown under it.  `seed = ` lines are
-what the command prints on stderr; a `...` line means the lines above it
-are a prefix of the output.  Examples that write a file (`--out`) or need
-an OEIS snapshot (`oeis-match`) are skipped.
+The Python block under "Library quick start" is run as it stands; its
+asserts are the check.  Every `$ nestrec ...` line in a README code block
+is run through cli.main and its output compared with the lines shown under
+it.  `seed = ` lines are what the command prints on stderr; a `...` line
+means the lines above it are a prefix of the output.  Examples that write
+a file (`--out`) or need an OEIS snapshot (`oeis-match`) are skipped.
 """
 
 from __future__ import annotations
@@ -38,6 +39,18 @@ def transcript() -> list[tuple[str, list[str]]]:
 
 
 EXAMPLES = transcript()
+
+
+def quick_start() -> str:
+    """The Python block under the README's "Library quick start" heading."""
+    section = README.read_text().split("\n## Library quick start\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("\n```", 1)[0]
+
+
+def test_readme_library_quick_start():
+    code = quick_start()
+    assert "prune_family" in code
+    exec(compile(code, str(README), "exec"), {})
 
 
 def test_readme_has_examples():
