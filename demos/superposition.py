@@ -13,19 +13,16 @@ def main() -> None:
     r = fam.tree_of(fam.OrderOne(0, 2, 0))
     combined = freq.superpose([(1, h), (2, r)])
     print(f"overlay of one slower copy and two conolly-style copies: {combined}")
-    lhs = [freq.closed_form(combined, v) for v in range(1, 13)]
-    rhs = [freq.closed_form(h, v) + 2 * freq.closed_form(r, v) for v in range(1, 13)]
-    print(f"  combined frequencies {lhs}")
-    print(f"  sum of parts         {rhs}")
+    slower, conolly = freq.closed_form_sequence(h, 199), freq.closed_form_sequence(r, 199)
+    summed = freq.linear_combination([(1, slower), (2, conolly)])
+    print(f"  combined frequencies {list(freq.closed_form_sequence(combined, 12).entries)}")
+    print(f"  sum of parts         {list(summed.entries[:12])}")
 
     print("\nmixture identity for the multi-term family (s=0, j=2, p=3):")
     for b in range(4):
         spec = fam.tree_of(fam.Superposed(0, 2, 2 * b, 3))
-        ok = all(
-            freq.closed_form(spec, v)
-            == b * freq.closed_form(h, v) + (3 - b) * freq.closed_form(r, v)
-            for v in range(1, 200)
-        )
+        mixture = freq.linear_combination([(b, slower), (3 - b, conolly)])
+        ok = freq.compare(freq.closed_form_sequence(spec, 199), mixture, 199).agree
         print(f"  m = {2 * b}: matches {b} slower + {3 - b} conolly parts: {ok}")
 
     print("\ndeeper nesting is not an overlay:")

@@ -5,134 +5,7 @@ counts cells on labelled infinite trees; slow solutions are exactly where the
 two mechanisms agree.  On top of that sit frequency sequences with closed forms,
 pruning operations with their counting identities, superpositions, and an
 exploration harness for parameter ranges where no tree is known.
+
+Each name lives in one module (tree, recursion, families, frequency, pruning,
+cli) and is imported from there, e.g. `from nestrec import tree`.
 """
-
-from __future__ import annotations
-
-from .families import (
-    CSJK,
-    Family,
-    HigherOrder,
-    KaryOrderP,
-    NegGammaCandidate,
-    NoTreeKnown,
-    OrderOne,
-    QFamily,
-    Superposed,
-    alpha_beta_conolly,
-    build_family,
-    conolly,
-    h_classic,
-    h_sj,
-    ic_length,
-    kary_ceiling,
-    kary_conolly,
-    kary_h,
-    prune_threshold,
-    r_sj,
-    recursion_of,
-    standard_ics,
-    tree_of,
-    validate,
-)
-from .frequency import (
-    FrequencySequence,
-    closed_form,
-    closed_form_sequence,
-    compare,
-    empirical_frequency,
-    empirical_matches_closed_form,
-    linear_combination,
-    nu,
-    superpose,
-)
-from .pruning import (
-    LabelledTree,
-    PruneReport,
-    PruneRefused,
-    build_prefix,
-    left_leaf_correspondence,
-    prune_family,
-    prune_kary,
-    prune_order2,
-    prune_orderp,
-    prune_superposed,
-    trees_equal,
-)
-from .recursion import (
-    DeadReason,
-    EvalResult,
-    RecursionSpec,
-    evaluate,
-    frequency_of,
-    slowness_violation,
-)
-from .tree import (
-    TreeSpec,
-    cell_count,
-    cell_count_sequence,
-    cell_count_split,
-    cell_starts,
-    first_label,
-    initial_conditions,
-)
-
-__all__ = [
-    "CSJK",
-    "DeadReason",
-    "EvalResult",
-    "Family",
-    "FrequencySequence",
-    "HigherOrder",
-    "KaryOrderP",
-    "LabelledTree",
-    "NegGammaCandidate",
-    "NoTreeKnown",
-    "OrderOne",
-    "PruneRefused",
-    "PruneReport",
-    "QFamily",
-    "RecursionSpec",
-    "Superposed",
-    "TreeSpec",
-    "alpha_beta_conolly",
-    "build_family",
-    "build_prefix",
-    "cell_count",
-    "cell_count_sequence",
-    "cell_count_split",
-    "cell_starts",
-    "closed_form",
-    "closed_form_sequence",
-    "compare",
-    "conolly",
-    "empirical_frequency",
-    "empirical_matches_closed_form",
-    "evaluate",
-    "first_label",
-    "frequency_of",
-    "h_classic",
-    "h_sj",
-    "ic_length",
-    "initial_conditions",
-    "kary_ceiling",
-    "kary_conolly",
-    "kary_h",
-    "left_leaf_correspondence",
-    "linear_combination",
-    "nu",
-    "prune_family",
-    "prune_kary",
-    "prune_order2",
-    "prune_orderp",
-    "prune_superposed",
-    "prune_threshold",
-    "r_sj",
-    "recursion_of",
-    "slowness_violation",
-    "standard_ics",
-    "superpose",
-    "tree_of",
-    "trees_equal",
-    "validate",
-]

@@ -48,11 +48,10 @@ def parse_params(tokens: Sequence[str]) -> dict[str, int]:
 
 
 def resolve_family(args) -> fam.Family:
-    name = args.family_name or getattr(args, "family", None)
-    if name is None:
+    if args.family_name is None:
         raise UsageError("name a family (e.g. order_one s=1 j=3 m=1) or pass --spec")
     try:
-        family = fam.build_family(name, **parse_params(args.params))
+        family = fam.build_family(args.family_name, **parse_params(args.params))
     except (TypeError, ValueError) as err:
         raise UsageError(str(err)) from None
     verdict = fam.validate(family)
@@ -63,14 +62,13 @@ def resolve_family(args) -> fam.Family:
     return family
 
 
-def resolve_recursion(args) -> tuple[recursion.RecursionSpec, list[int], Optional[fam.Family]]:
+def resolve_recursion(args) -> tuple[recursion.RecursionSpec, list[int]]:
     """A recursion plus initial conditions, from a named family or a spec file."""
     if args.spec and args.family_name:
         raise UsageError("pass either a family name or --spec, not both")
     if args.spec:
         with open(args.spec) as handle:
-            spec, ic = recursion.from_document(json.load(handle))
-        return spec, ic, None
+            return recursion.from_document(json.load(handle))
     family = resolve_family(args)
     try:
         ic = fam.standard_ics(family)
@@ -78,7 +76,7 @@ def resolve_recursion(args) -> tuple[recursion.RecursionSpec, list[int], Optiona
         raise UsageError(
             f"{family} has no tree to take initial conditions from; use --spec with explicit ic"
         ) from None
-    return fam.recursion_of(family), ic, family
+    return fam.recursion_of(family), ic
 
 
 def resolve_tree(args) -> tree.TreeSpec:
@@ -120,7 +118,7 @@ def write_output(text: str, out: Optional[str]) -> None:
 
 
 def cmd_eval(args) -> int:
-    spec, ic, _ = resolve_recursion(args)
+    spec, ic = resolve_recursion(args)
     result = recursion.evaluate(spec, ic, args.n)
     if not result.alive:
         print(f"sequence dies at n = {result.dead_at} ({result.reason.value})", file=sys.stderr)
@@ -250,7 +248,7 @@ def _prune_round_trip(family: fam.Family, tspec: tree.TreeSpec, n: int) -> tuple
 
 
 def cmd_oeis_match(args) -> int:
-    spec, ic, _ = resolve_recursion(args)
+    spec, ic = resolve_recursion(args)
     values = recursion.evaluate(spec, ic, args.n).values
     path = args.stripped or os.environ.get("NESTREC_OEIS_STRIPPED")
     if not path:
@@ -447,8 +445,6 @@ def add_source_args(sub, with_spec=True):
     sub.add_argument("params", nargs="*", help="family parameters as key=value")
     if with_spec:
         sub.add_argument("--spec", help="JSON spec file instead of a named family")
-    else:
-        sub.set_defaults(spec=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -524,7 +520,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValueError, fam.NoTreeKnown, OSError) as err:
+    except (UsageError, ValueError, OverflowError, fam.NoTreeKnown, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -423,9 +423,11 @@ def to_document(family: Family) -> dict:
 
 
 def from_document(doc: dict) -> Family:
-    params = {key: int(v) for key, v in doc.items() if key != "family"}
     try:
         name = doc["family"]
+        params = {key: int(v) for key, v in doc.items() if key != "family"}
+        return build_family(name, **params)
     except KeyError:
         raise ValueError("family document is missing the 'family' field") from None
-    return build_family(name, **params)
+    except TypeError as err:  # not an object, a field of the wrong type, or a foreign field
+        raise ValueError(f"malformed family document: {err}") from None

@@ -53,11 +53,11 @@ class TreeNode:
 
     __slots__ = ("kind", "index", "cells", "placeholders")
 
-    def __init__(self, kind, index, cells, placeholders=0):
+    def __init__(self, kind, index, cells):
         self.kind = kind
         self.index = index
         self.cells = cells
-        self.placeholders = placeholders
+        self.placeholders = 0
 
     def label_count(self) -> int:
         return self.placeholders + sum(map(len, self.cells))
@@ -397,7 +397,7 @@ def prune_superposed(t: LabelledTree, s: int, j: int, m: int, p: int) -> PruneRe
     # exploratory m < 0 shapes run from a lower threshold, so flag them at or below the IC length
     bound = family.ic_length()
     if n <= bound:
-        anomalies.append(f"n = {n} is below the full-shape bound {bound}")
+        anomalies.append(f"n = {n} is at or below the full-shape bound {bound}")
 
     _drop_supernode_labels(t, moves)
     _insert_placeholders(t, x, moves)

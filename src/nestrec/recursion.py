@@ -275,3 +275,5 @@ def from_document(doc: dict) -> tuple[RecursionSpec, list[int]]:
         return spec, [int(v) for v in doc["ic"]]
     except KeyError as missing:
         raise ValueError(f"recursion document is missing field {missing}") from None
+    except TypeError as err:  # not an object, or a field of the wrong type
+        raise ValueError(f"malformed recursion document: {err}") from None

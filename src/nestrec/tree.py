@@ -263,3 +263,5 @@ def from_document(doc: dict) -> TreeSpec:
         )
     except KeyError as missing:
         raise ValueError(f"tree document is missing field {missing}") from None
+    except TypeError as err:  # not an object, or a field of the wrong type
+        raise ValueError(f"malformed tree document: {err}") from None

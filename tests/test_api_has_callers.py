@@ -1,10 +1,10 @@
 """Every public function, class and method has a caller outside the tests.
 
 A public name in the six program modules must be used, as a name, an
-attribute or a `from` import, somewhere in the package (its `__init__`
-re-exports do not count), the demos or the benchmark.  A name only the
-tests reach is either dead or belongs in the tests, so it fails here unless
-the allowlist below says why it stays.
+attribute or a `from` import, somewhere in those modules, the demos or the
+benchmark.  A name only the tests reach is either dead or belongs in the
+tests, so it fails here unless the allowlist below says why it stays.
+Every name has one home, its module: the package `__init__` binds none.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ MODULES = ("tree", "recursion", "families", "frequency", "pruning", "cli")
 ALLOWED = {
     "cell_count_split": "the tree lemma C(n) = sum of the per-child counts; test_split_shift_identity is its only check",
     "left_leaf_correspondence": "the leaf-cell bijection a prune must keep: the acceptance suite's second check of each prune",
-    "linear_combination": "kept for the superposition item on the roadmap: combinations of frequency sequences",
 }
 
 
@@ -54,3 +53,10 @@ def test_public_api_has_callers_outside_tests():
     uncalled = public_definitions() - used_names()
     assert sorted(uncalled - ALLOWED.keys()) == [], "public names only the tests use"
     assert sorted(ALLOWED.keys() - uncalled) == [], "allowlisted names that now have a caller, or are gone"
+
+
+def test_package_init_binds_no_name():
+    """Only the docstring: a name imported into `__init__` would be a second home."""
+    module = ast.parse((PACKAGE / "__init__.py").read_text())
+    assert ast.get_docstring(module)
+    assert len(module.body) == 1

@@ -8,7 +8,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, note, settings, strategies as st
 
 from nestrec import cli
 from nestrec import families as fam
@@ -19,6 +19,16 @@ def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_spec(directory, doc) -> str:
+    path = directory / "spec.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+CONOLLY_DOC = {"arity": 2, "order": 1, "a": [0, 1], "b": [[1], [2]], "ic": [1, 2]}
+RUNNING_DOC = tree.to_document(fam.tree_of(fam.OrderOne(1, 3, 1)))
 
 
 def test_eval_bfile(capsys):
@@ -44,6 +54,48 @@ def test_tree_matches_eval(capsys):
     _, eval_out, _ = run(["eval", "order_one", "s=1", "j=3", "m=1", "--n", "50", "--format", "csv"], capsys)
     assert tree_out == eval_out
     assert tree_out.startswith("n,value\n1,1\n")
+
+
+def test_tree_spec_file(tmp_path, capsys):
+    """`tree --spec` reads a tree document; a name and --spec together is a usage error."""
+    path = write_spec(tmp_path, RUNNING_DOC)
+    code, out, _ = run(["tree", "--spec", path, "--n", "9", "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out) == [1, 2, 3, 3, 3, 4, 5, 6, 6]
+    code, out, err = run(["tree", "conolly", "--spec", path, "--n", "9"], capsys)
+    assert code == 2
+    assert out == "" and err == "error: pass either a family name or --spec, not both\n"
+
+
+def test_eval_reports_death_and_prints_the_prefix(tmp_path, capsys):
+    """R(n) = 2 R(n - R(n - 1)) from 1, 2 dies at n = 7; the values before it are the output."""
+    path = write_spec(tmp_path, {"arity": 2, "order": 1, "a": [0, 0], "b": [[1], [1]], "ic": [1, 2]})
+    code, out, err = run(["eval", "--spec", path, "--n", "20", "--format", "json"], capsys)
+    assert code == 0
+    assert out == "[1, 2, 2, 4, 2, 8]\n"
+    assert err == "sequence dies at n = 7 (outer_index_nonpositive)\n"
+
+
+def test_eval_past_the_value_cap_is_an_input_error(tmp_path, capsys):
+    path = write_spec(tmp_path, {"arity": 2, "order": 1, "a": [0, 0], "b": [[1], [1]],
+                                 "ic": [1, 4611686018427387905, 1, 3]})
+    code, out, err = run(["eval", "--spec", path, "--n", "5"], capsys)
+    assert code == 2
+    assert out == "" and err == "error: R(5) exceeds 2^63 - 1\n"
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("eval", [1, 2]), ("eval", "x"), ("eval", 5), ("eval", dict(CONOLLY_DOC, a=5)),
+    ("eval", dict(CONOLLY_DOC, b=[1, 2])), ("eval", dict(CONOLLY_DOC, ic=7)), ("eval", dict(CONOLLY_DOC, arity=None)),
+    ("tree", [1, 2]), ("tree", "x"), ("tree", dict(RUNNING_DOC, k=None)), ("tree", dict(RUNNING_DOC, j=[3])),
+])
+def test_malformed_spec_is_an_input_error(command, doc, tmp_path, capsys):
+    """A document that is not an object, or a field of the wrong type: exit 2 with one error line."""
+    path = write_spec(tmp_path, doc)
+    code, out, err = run([command, "--spec", path, "--n", "5"], capsys)
+    assert code == 2
+    kind = "recursion" if command == "eval" else "tree"
+    assert out == "" and err.startswith(f"error: malformed {kind} document: ") and err.count("\n") == 1
 
 
 def test_verify_agreement(capsys):
@@ -122,6 +174,27 @@ def test_freq_csv_header(capsys):
     assert "6,5" in out
 
 
+def test_freq_json_and_table(capsys):
+    code, out, _ = run(["freq", "conolly", "--vmax", "4", "--format", "json"], capsys)
+    assert code == 0
+    assert out == '{"1": 1, "2": 2, "3": 1, "4": 3}\n'
+    code, out, _ = run(["freq", "conolly", "--vmax", "10", "--format", "table"], capsys)
+    assert code == 0
+    assert out == "".join(f"{v:>2}  {phi}\n" for v, phi in enumerate([1, 2, 1, 3, 1, 2, 1, 4, 1, 2], 1))
+
+
+def test_freq_empirical_too_short_is_usage_error(capsys):
+    code, out, err = run(["freq", "conolly", "--vmax", "30", "--empirical", "10"], capsys)
+    assert code == 2
+    assert out == "" and err == "error: only 5 values complete within 10 labels; raise --empirical\n"
+
+
+def test_verify_refuses_spec(tmp_path, capsys):
+    code, out, err = run(["verify", "--spec", write_spec(tmp_path, CONOLLY_DOC), "--n", "50"], capsys)
+    assert code == 2
+    assert out == "" and err == "error: verify needs a named family: both mechanisms must know it\n"
+
+
 def test_freq_empirical_agrees(capsys):
     _, closed, _ = run(["freq", "conolly", "--vmax", "30"], capsys)
     _, emp, _ = run(["freq", "conolly", "--vmax", "30", "--empirical", "5000"], capsys)
@@ -152,6 +225,27 @@ def test_prune_trace_golden(capsys):
     code, out, _ = run(["prune", "order_one", "s=1", "j=3", "m=1", "--n", "31", "--trace"], capsys)
     assert code == 0
     assert out == golden.read_text()
+
+
+def test_prune_superposed_trace_golden(capsys):
+    """The whole --trace stdout of a small in-range superposed point; it fixes the order of the passes."""
+    golden = Path(__file__).resolve().parent / "golden" / "prune_superposed_s0_j1_m0_p2_n11_trace.txt"
+    code, out, _ = run(["prune", "superposed", "s=0", "j=1", "m=0", "p=2", "--n", "11", "--trace"], capsys)
+    assert code == 0
+    assert out == golden.read_text()
+
+
+def test_prune_prints_anomalies(capsys):
+    """An exploratory superposed point at its IC length: the identity fails and each anomaly gets a line."""
+    code, out, err = run(["prune", "superposed", "s=0", "j=2", "m=-1", "p=2", "--n", "17"], capsys)
+    assert code == 1
+    assert out == ("removed 9 labels; result has 8\n"
+                   "identity FAILS: pruned tree vs rebuilt prefix\n"
+                   "anomaly: n = 17 is at or below the full-shape bound 17\n"
+                   "anomaly: cell 2 of leaf 1 was already empty in pass 2\n"
+                   "anomaly: cell 2 of leaf 2 was already empty in pass 2\n"
+                   "anomaly: new leaf 1 holds 5 labels, over its capacity\n")
+    assert err == "note: negative m: tree is defined but no recursion is proven\n"
 
 
 def test_prune_check_prints_seed(capsys):
@@ -361,12 +455,46 @@ def argv_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("argv")
 
 
+JSON_VALUES = st.recursive(st.none() | st.booleans() | st.integers(-2, 6) | st.sampled_from(["", "x", "1"]),
+                           lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+
+
+@st.composite
+def spec_document(draw):
+    """Random JSON for --spec: a list, string or number one time in four, else a recursion
+    or tree document in range, whose fields are each of the wrong type one time in four
+    and missing one in ten, and which rarely has an extra field.
+
+    Integers stay small: a tree with huge label counts builds byte templates that size.
+    """
+    sometimes = st.sampled_from([False] * 3 + [True])
+    rarely = st.sampled_from([False] * 9 + [True])
+    if draw(sometimes):
+        return draw(JSON_VALUES)
+    if draw(st.booleans()):
+        arity, order = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        fields = {"arity": st.just(arity), "order": st.just(order),
+                  "a": st.lists(st.integers(0, 4), min_size=arity, max_size=arity),
+                  "b": st.lists(st.lists(st.integers(1, 5), min_size=order, max_size=order),
+                                min_size=arity, max_size=arity),
+                  "ic": st.lists(st.integers(1, 5), min_size=1, max_size=6)}
+    else:
+        fields = {"k": st.integers(2, 4), "s": st.integers(0, 3), "j": st.integers(1, 3),
+                  "per_cell": st.integers(1, 3), "last_cell": st.integers(1, 3), "regular": st.integers(0, 3)}
+    doc = {key: draw(JSON_VALUES if draw(sometimes) else values) for key, values in fields.items() if not draw(rarely)}
+    if draw(rarely):
+        doc["extra"] = draw(JSON_VALUES)
+    return doc
+
+
 @st.composite
 def random_argv(draw, out_dir):
     """A subcommand, a catalog name or an unknown one, key=value tokens and options.
 
     Each subcommand's own options appear three times in four, required ones
-    included; an option of another subcommand, rarely.
+    included; an option of another subcommand, rarely.  The four subcommands
+    that read --spec get one three times in four, a file of random JSON, and
+    then a family name only rarely.
     """
     keys = st.sampled_from(CATALOG_KEYS + ["x"])
     values = {
@@ -398,7 +526,8 @@ def random_argv(draw, out_dir):
     rarely = st.sampled_from([False] * 9 + [True])
     command = draw(st.sampled_from(sorted(own)))
     argv = [command]
-    if draw(usually):
+    spec = command in ("eval", "tree", "freq", "oeis-match") and draw(usually)
+    if draw(rarely if spec else usually):
         name = draw(st.sampled_from(sorted(fam.NAMED_FAMILIES)))
         own_keys = list(inspect.signature(fam.NAMED_FAMILIES[name]).parameters)
         point_keys = own_keys if draw(usually) else draw(st.lists(keys, unique=True, max_size=4))
@@ -413,6 +542,10 @@ def random_argv(draw, out_dir):
     for option in options:
         value = draw(values[option])
         argv += [option] if value is None else [option, value]
+    if spec:
+        doc = draw(spec_document())
+        note(f"--spec document: {json.dumps(doc)}")
+        argv += ["--spec", write_spec(out_dir, doc)]
     return argv
 
 

@@ -195,6 +195,15 @@ def test_build_family_and_documents():
         fam.build_family("no_such_family")
 
 
+@pytest.mark.parametrize("doc", [
+    [1, 2], "x", 5, {"s": 1}, {"family": [1]}, {"family": "conolly", "x": 1},
+    {"family": "order_one", "s": [1], "j": 3, "m": 1}, {"family": "order_one", "s": None, "j": 3, "m": 1},
+])
+def test_malformed_family_document_is_a_value_error(doc):
+    with pytest.raises(ValueError):
+        fam.from_document(doc)
+
+
 def test_named_catalog_covers_classics():
     for name in ("conolly", "h", "r_sj", "h_sj", "alpha_beta", "kary_conolly", "kary_h", "kary_ceiling"):
         assert name in fam.NAMED_FAMILIES

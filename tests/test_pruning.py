@@ -171,6 +171,21 @@ def test_superposed_exploratory_negative_m():
     assert not pruning.trees_equal(report.result, rebuilt)
 
 
+def test_superposed_full_shape_anomaly_fires_up_to_the_ic_length():
+    """At an exploratory m < 0 point the anomaly fires at n = ic_length() and not one past it."""
+    f = fam.Superposed(0, 2, -1, 2)
+    bound = f.ic_length()
+    assert fam.prune_threshold(f) < bound
+    spec = fam.tree_of(f)
+
+    def flagged(n):
+        report = pruning.prune_superposed(pruning.build_prefix(spec, n), 0, 2, -1, 2)
+        return [note for note in report.anomalies if "full-shape bound" in note]
+
+    assert flagged(bound) == [f"n = {bound} is at or below the full-shape bound {bound}"]
+    assert flagged(bound + 1) == []
+
+
 def test_kary_removed_formula():
     for k, m, p in [(3, 0, 1), (3, 1, 2), (4, 3, 3), (5, 3, 4)]:
         f = fam.KaryOrderP(k, m, p)
