@@ -423,11 +423,16 @@ def to_document(family: Family) -> dict:
 
 
 def from_document(doc: dict) -> Family:
+    """The family named by a document that to_document wrote; every field but `family` is a JSON integer."""
     try:
         name = doc["family"]
-        params = {key: int(v) for key, v in doc.items() if key != "family"}
-        return build_family(name, **params)
     except KeyError:
         raise ValueError("family document is missing the 'family' field") from None
-    except TypeError as err:  # not an object, a field of the wrong type, or a foreign field
+    except TypeError:
+        raise ValueError("malformed family document: not an object") from None
+    params = {key: value for key, value in doc.items() if key != "family"}
+    tree_model.document_fields(params, "family", dict.fromkeys(params, 0))
+    try:
+        return build_family(name, **params)
+    except TypeError as err:  # an unhashable name or a foreign field
         raise ValueError(f"malformed family document: {err}") from None

@@ -12,22 +12,29 @@ Summands whose rows are one tuple c shifted by their outer offset,
 b_it = a_i + c_t, share one nested term u(m) = R(m - sum over t of
 R(m - c_t)) and add u(n - a_i).  Every solved family has this shape, so
 _groups collects such summands and the loop computes each group's u once
-per term rather than once per summand.
+per term rather than once per summand.  A summand whose (c, a) is already
+in a group starts a further group for c, so the members of a group lie
+d >= 1 apart.
 
 The bottom-up loop is generated and compiled once per (group sizes, p),
 with the offsets passed in as arguments, so each term costs a few
-bytecodes and no inner Python loop.  Past n = max b every inner index
-n - b lies in 1..n-1, so the loop only has to watch the outer indices, and
-only from below: the values are positive (the initial conditions are at
-least 1) and every summand subtracts at least one of them, so no outer
-index reaches n.  A group checks u(n - a) for its smallest a at n, where
-that summand alone would; its other summands read values checked at an
-earlier n, so a run dies where it did summand by summand.  The exception
-is the read-ahead window, u(m) for m in [start - max a, start - min a),
-filled before the loop: if an index there is below 1, the loop runs again
-with one group per summand.  A run that starts at or below max b dies at
-its first open n.  _death_reason then names why, walking the summands in
-order.
+bytecodes and no inner Python loop.  Every read at a fixed lag, R(n - b)
+and u(n - a) for a member d past its group's first, comes from a list
+iterator that zip advances once per term.  A list iterator reads its list
+when it is advanced, before the term is written, and b >= 1 and d >= 1,
+so each read sees a value an earlier term wrote; only the outer read
+R(n - a - sum of R(n - b)) is a subscript.  Past n = max b every inner
+index n - b lies in 1..n-1, so the loop only has to watch the outer
+indices, and only from below: the values are positive (the initial
+conditions are at least 1) and every summand subtracts at least one of
+them, so no outer index reaches n.  A group checks u(n - a) for its
+smallest a at n, where that summand alone would; its other summands read
+values checked at an earlier n, so a run dies where it did summand by
+summand.  The exception is the read-ahead window, u(m) for m in
+[start - max a, start - min a), filled before the loop: if an index there
+is below 1, the loop runs again with one group per summand.  A run that
+starts at or below max b dies at its first open n.  _death_reason then
+names why, walking the summands in order.
 """
 
 from __future__ import annotations
@@ -38,9 +45,10 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, count, islice, repeat
 from operator import rshift, sub
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .frequency import FrequencySequence
+from .tree import document_fields
 
 MAX_VALUE = 2**63 - 1
 
@@ -120,11 +128,16 @@ def _groups(spec: RecursionSpec) -> list[list[int]]:
     """The summands grouped by their sorted inner offsets b - a, each group by ascending a.
 
     Summands x in one group share u(m) = R(m - sum over t of R(m - c_t)), as
-    b_xt = a_x + c_t, and their terms are u(n - a_x).
+    b_xt = a_x + c_t, and their terms are u(n - a_x).  The k-th summand with
+    a given (c, a) goes to the k-th group for c, so no group holds one a
+    twice and each other member lies d >= 1 past its first.
     """
-    groups: dict[tuple[int, ...], list[int]] = {}
+    repeats: Counter[tuple[tuple[int, ...], int]] = Counter()
+    groups: dict[tuple[tuple[int, ...], int], list[int]] = {}
     for i, (a, row) in enumerate(zip(spec.outer_offsets, spec.inner_offsets)):
-        groups.setdefault(tuple(sorted(b - a for b in row)), []).append(i)
+        shifts = tuple(sorted(b - a for b in row))
+        repeats[shifts, a] += 1
+        groups.setdefault((shifts, repeats[shifts, a]), []).append(i)
     return [sorted(members, key=spec.outer_offsets.__getitem__) for members in groups.values()]
 
 
@@ -146,18 +159,29 @@ def _group_loop(sizes: tuple[int, ...], order: int) -> Callable[..., int]:
     U[n - d]: one inner sum per group and term.  Before its loop it fills
     U[start - max d:start], which the loop reads but does not write; if an
     index there is below 1 it returns -1 having written nothing to v.  A
-    group of one is the plain summand, read from v with no list.  Only
-    group, term and member numbers go into the source; the offsets are
-    arguments.
+    group of one is the plain summand, read from v with no list.
+
+    Every read at a fixed lag, v[n - b_t] and U[n - d], is a value that zip
+    hands in from a list iterator set at start - b_t or start - d.  A list
+    iterator reads its list when it is advanced, and zip advances it before
+    the body writes v[n] and U[n]; as b_t >= 1 and d >= 1 (_groups keeps a
+    repeated a out of a group), it reads what earlier terms wrote.  Only
+    the outer read v[i] is a subscript.  The source holds only group, term
+    and member numbers; the offsets are arguments.
     """
-    params, fill, body, terms = [], [], [], []
+    params, fill, lagged, body, terms = [], [], [], [], []
     for g, size in enumerate(sizes):
-        inner = "".join(f" - v[n - b{g}_{t}]" for t in range(order))
         params += [f"a{g}", *(f"b{g}_{t}" for t in range(order)), *(f"d{g}_{x}" for x in range(1, size))]
-        body += [f"        i{g} = n - a{g}{inner}", f"        if i{g} < 1:", "            return n"]
+        lagged += [(f"x{g}_{t}", f"at(v, start - b{g}_{t})") for t in range(order)]
+        body += [
+            f"        i{g} = n - a{g}" + "".join(f" - x{g}_{t}" for t in range(order)),
+            f"        if i{g} < 1:",
+            "            return n",
+        ]
         if size == 1:
             terms.append(f"v[i{g}]")
             continue
+        inner = "".join(f" - v[n - b{g}_{t}]" for t in range(order))
         fill += [
             f"    u{g} = [0] * stop",
             f"    for n in range(start - d{g}_{size - 1}, start):",
@@ -166,12 +190,14 @@ def _group_loop(sizes: tuple[int, ...], order: int) -> Callable[..., int]:
             "            return -1",
             f"        u{g}[n] = v[i{g}]",
         ]
+        lagged += [(f"y{g}_{x}", f"at(u{g}, start - d{g}_{x})") for x in range(1, size)]
         body.append(f"        w{g} = u{g}[n] = v[i{g}]")
-        terms += [f"w{g}", *(f"u{g}[n - d{g}_{x}]" for x in range(1, size))]
+        terms += [f"w{g}", *(f"y{g}_{x}" for x in range(1, size))]
+    names, iterators = zip(*lagged)
     lines = [
         f"def loop(v, start, stop, {', '.join(params)}, cap=MAX_VALUE):",
         *fill,
-        "    for n in range(start, stop):",
+        f"    for n, {', '.join(names)} in zip(range(start, stop), {', '.join(iterators)}):",
         *body,
         "        total = " + " + ".join(terms),
         "        if total > cap:",
@@ -179,9 +205,16 @@ def _group_loop(sizes: tuple[int, ...], order: int) -> Callable[..., int]:
         "        v[n] = total",
         "    return 0",
     ]
-    namespace = {"MAX_VALUE": MAX_VALUE}
+    namespace = {"MAX_VALUE": MAX_VALUE, "at": _list_iterator_at}
     exec("\n".join(lines), namespace)
     return namespace["loop"]
+
+
+def _list_iterator_at(values: list[int], index: int) -> Iterator[int]:
+    """An iterator over values that reads values[index] first, each item when it is advanced."""
+    it = iter(values)
+    it.__setstate__(index)
+    return it
 
 
 def _death_reason(spec: RecursionSpec, values: Sequence[int], n: int) -> DeadReason:
@@ -254,26 +287,6 @@ def frequency_of(values: Sequence[int]) -> FrequencySequence:
     return FrequencySequence(tuple(Counter(values).values())[:-1])
 
 
-def to_document(spec: RecursionSpec, initial: Sequence[int]) -> dict:
-    return {
-        "arity": spec.arity,
-        "order": spec.order,
-        "a": list(spec.outer_offsets),
-        "b": [list(row) for row in spec.inner_offsets],
-        "ic": list(initial),
-    }
-
-
 def from_document(doc: dict) -> tuple[RecursionSpec, list[int]]:
-    try:
-        spec = RecursionSpec(
-            arity=int(doc["arity"]),
-            order=int(doc["order"]),
-            outer_offsets=tuple(int(a) for a in doc["a"]),
-            inner_offsets=tuple(tuple(int(b) for b in row) for row in doc["b"]),
-        )
-        return spec, [int(v) for v in doc["ic"]]
-    except KeyError as missing:
-        raise ValueError(f"recursion document is missing field {missing}") from None
-    except TypeError as err:  # not an object, or a field of the wrong type
-        raise ValueError(f"malformed recursion document: {err}") from None
+    arity, order, a, b, ic = document_fields(doc, "recursion", {"arity": 0, "order": 0, "a": 1, "b": 2, "ic": 1})
+    return RecursionSpec(arity, order, tuple(a), tuple(map(tuple, b))), ic

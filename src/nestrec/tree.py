@@ -240,28 +240,36 @@ def cell_count_split(spec: TreeSpec, n: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def to_document(spec: TreeSpec) -> dict:
-    return {
-        "k": spec.arity,
-        "s": spec.supernode_labels,
-        "j": spec.leaf_cells,
-        "per_cell": spec.per_cell,
-        "last_cell": spec.last_cell,
-        "regular": spec.regular_labels,
-    }
+_SHAPES = ("an integer", "an array of integers", "an array of arrays of integers")
+
+
+def document_fields(doc: object, kind: str, depths: dict[str, int]) -> list:
+    """The fields of a `kind` spec document, in the order of `depths`.
+
+    A field of depth 0 must be a JSON integer, not a bool, float or string;
+    of depth 1 an array of them, and of depth 2 an array of such arrays.
+    Anything else, a missing field, or a document that is not an object is
+    a ValueError.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"malformed {kind} document: not an object")
+    fields = []
+    for field, depth in depths.items():
+        if field not in doc:
+            raise ValueError(f"{kind} document is missing field '{field}'")
+        if not _nested_integers(doc[field], depth):
+            raise ValueError(f"malformed {kind} document: field '{field}' is not {_SHAPES[depth]}")
+        fields.append(doc[field])
+    return fields
+
+
+def _nested_integers(value: object, depth: int) -> bool:
+    if depth == 0:
+        return type(value) is int  # bool is a subclass of int
+    return type(value) is list and all(_nested_integers(item, depth - 1) for item in value)
 
 
 def from_document(doc: dict) -> TreeSpec:
-    try:
-        return TreeSpec(
-            arity=int(doc["k"]),
-            supernode_labels=int(doc["s"]),
-            leaf_cells=int(doc["j"]),
-            per_cell=int(doc["per_cell"]),
-            last_cell=int(doc["last_cell"]),
-            regular_labels=int(doc["regular"]),
-        )
-    except KeyError as missing:
-        raise ValueError(f"tree document is missing field {missing}") from None
-    except TypeError as err:  # not an object, or a field of the wrong type
-        raise ValueError(f"malformed tree document: {err}") from None
+    k, s, j, per_cell, last_cell, regular = document_fields(
+        doc, "tree", dict.fromkeys(("k", "s", "j", "per_cell", "last_cell", "regular"), 0))
+    return TreeSpec(k, s, j, per_cell, last_cell, regular)

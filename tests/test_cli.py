@@ -28,7 +28,7 @@ def write_spec(directory, doc) -> str:
 
 
 CONOLLY_DOC = {"arity": 2, "order": 1, "a": [0, 1], "b": [[1], [2]], "ic": [1, 2]}
-RUNNING_DOC = tree.to_document(fam.tree_of(fam.OrderOne(1, 3, 1)))
+RUNNING_DOC = {"k": 2, "s": 1, "j": 3, "per_cell": 1, "last_cell": 2, "regular": 2}  # order_one s=1 j=3 m=1
 
 
 def test_eval_bfile(capsys):
@@ -88,6 +88,10 @@ def test_eval_past_the_value_cap_is_an_input_error(tmp_path, capsys):
     ("eval", [1, 2]), ("eval", "x"), ("eval", 5), ("eval", dict(CONOLLY_DOC, a=5)),
     ("eval", dict(CONOLLY_DOC, b=[1, 2])), ("eval", dict(CONOLLY_DOC, ic=7)), ("eval", dict(CONOLLY_DOC, arity=None)),
     ("tree", [1, 2]), ("tree", "x"), ("tree", dict(RUNNING_DOC, k=None)), ("tree", dict(RUNNING_DOC, j=[3])),
+    # digit strings, floats and booleans, which int() would have read
+    ("eval", {"arity": "2", "order": 2.9, "a": "01", "b": ["12", "23"], "ic": "1223"}),
+    ("eval", dict(CONOLLY_DOC, order=1.0)), ("eval", dict(CONOLLY_DOC, ic=[1, True])),
+    ("eval", dict(CONOLLY_DOC, b=[[1], ["2"]])), ("tree", dict(RUNNING_DOC, k="2")), ("tree", dict(RUNNING_DOC, s=False)),
 ])
 def test_malformed_spec_is_an_input_error(command, doc, tmp_path, capsys):
     """A document that is not an object, or a field of the wrong type: exit 2 with one error line."""
@@ -273,11 +277,10 @@ def test_exit_code_2_on_bad_params(capsys):
 
 
 def test_spec_file_round_trip(tmp_path, capsys):
-    from nestrec import families as fam
-    from nestrec import recursion
-
     f = fam.conolly()
-    doc = recursion.to_document(fam.recursion_of(f), fam.standard_ics(f))
+    spec = fam.recursion_of(f)
+    doc = {"arity": spec.arity, "order": spec.order, "a": list(spec.outer_offsets),
+           "b": [list(row) for row in spec.inner_offsets], "ic": fam.standard_ics(f)}
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))
     code, out, _ = run(["eval", "--spec", str(path), "--n", "8", "--format", "json"], capsys)
@@ -459,6 +462,16 @@ JSON_VALUES = st.recursive(st.none() | st.booleans() | st.integers(-2, 6) | st.s
                            lambda inner: st.lists(inner, max_size=3), max_leaves=6)
 
 
+def disguised(value, scalar):
+    """value with each integer in it passed through scalar."""
+    return [disguised(item, scalar) for item in value] if isinstance(value, list) else scalar(value)
+
+
+def wrong_type(values):
+    """Any JSON value, or a draw of values with its integers turned into digit strings, floats or booleans."""
+    return JSON_VALUES | st.builds(disguised, values, st.sampled_from((str, float, bool)))
+
+
 @st.composite
 def spec_document(draw):
     """Random JSON for --spec: a list, string or number one time in four, else a recursion
@@ -481,7 +494,7 @@ def spec_document(draw):
     else:
         fields = {"k": st.integers(2, 4), "s": st.integers(0, 3), "j": st.integers(1, 3),
                   "per_cell": st.integers(1, 3), "last_cell": st.integers(1, 3), "regular": st.integers(0, 3)}
-    doc = {key: draw(JSON_VALUES if draw(sometimes) else values) for key, values in fields.items() if not draw(rarely)}
+    doc = {key: draw(wrong_type(values) if draw(sometimes) else values) for key, values in fields.items() if not draw(rarely)}
     if draw(rarely):
         doc["extra"] = draw(JSON_VALUES)
     return doc

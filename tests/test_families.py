@@ -198,6 +198,8 @@ def test_build_family_and_documents():
 @pytest.mark.parametrize("doc", [
     [1, 2], "x", 5, {"s": 1}, {"family": [1]}, {"family": "conolly", "x": 1},
     {"family": "order_one", "s": [1], "j": 3, "m": 1}, {"family": "order_one", "s": None, "j": 3, "m": 1},
+    {"family": "order_one", "s": "1", "j": 3, "m": 1}, {"family": "order_one", "s": 1, "j": 3.0, "m": 1},
+    {"family": "order_one", "s": 1, "j": 3, "m": True},
 ])
 def test_malformed_family_document_is_a_value_error(doc):
     with pytest.raises(ValueError):

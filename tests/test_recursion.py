@@ -127,7 +127,7 @@ def test_prefix_stability():
 
 
 def test_document_round_trip():
-    doc = recursion.to_document(CONOLLY, [1, 2, 2, 3, 4])
+    doc = {"arity": 2, "order": 1, "a": [0, 1], "b": [[1], [2]], "ic": [1, 2, 2, 3, 4]}
     spec, ic = recursion.from_document(doc)
     assert spec == CONOLLY and ic == [1, 2, 2, 3, 4]
 
@@ -241,3 +241,18 @@ def test_overflow_inside_a_group():
     spec = RecursionSpec(3, 1, (0, 1, 2), ((1,), (2,), (3,)))
     with pytest.raises(OverflowError, match=r"^R\(5\) exceeds 2\^63 - 1$"):
         recursion.evaluate(spec, [2**62, 2, 3, 4], 10)
+
+
+@pytest.mark.parametrize("spec,initial,groups", [
+    # the first member, a = 1, twice
+    (RecursionSpec(3, 1, (1, 3, 1), ((2,), (4,), (2,))), [1, 2, 2, 3, 3], [[0, 1], [2]]),
+    # a later member, a = 2, twice, its second row permuted
+    (RecursionSpec(4, 2, (0, 2, 1, 2), ((1, 4), (3, 6), (2, 5), (6, 3))), [1, 1, 2, 2, 3, 4, 4, 4, 4], [[0, 2, 1], [3]]),
+])
+def test_repeated_summand_in_a_long_grouped_run(spec, initial, groups):
+    """A summand whose (c, a) repeats goes to a second group for c, as a group reads
+    each other member at a lag d >= 1; these runs live to 3000, past the ICs."""
+    assert recursion._groups(spec) == groups
+    result = recursion.evaluate(spec, initial, 3000)
+    assert result.alive
+    assert (result.values, result.dead_at, result.reason) == reference_evaluate(spec, initial, 3000)

