@@ -239,6 +239,20 @@ def test_prune_superposed_trace_golden(capsys):
     assert out == golden.read_text()
 
 
+@pytest.mark.parametrize("argv,name", [
+    # deletion falls back to the parent (label 3 from node 5) and to a placeholder
+    (["higher_order", "s=0", "j=1", "m=0", "p=2", "--n", "9"], "prune_higher_order_s0_j1_m0_p2_n9_trace.txt"),
+    # leaves in reach of both passes give up two labels in one record
+    (["kary", "k=3", "m=1", "p=2", "--n", "10"], "prune_kary_k3_m1_p2_n10_trace.txt"),
+])
+def test_prune_orderp_and_kary_trace_golden(argv, name, capsys):
+    """The whole --trace stdout of small higher-order and k-ary points."""
+    golden = Path(__file__).resolve().parent / "golden" / name
+    code, out, _ = run(["prune", *argv, "--trace"], capsys)
+    assert code == 0
+    assert out == golden.read_text()
+
+
 def test_prune_prints_anomalies(capsys):
     """An exploratory superposed point at its IC length: the identity fails and each anomaly gets a line."""
     code, out, err = run(["prune", "superposed", "s=0", "j=2", "m=-1", "p=2", "--n", "17"], capsys)
