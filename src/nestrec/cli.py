@@ -141,6 +141,10 @@ def cmd_ic(args) -> int:
 
 def cmd_freq(args) -> int:
     spec = resolve_tree(args)
+    if args.vmax < 1:
+        raise UsageError("--vmax needs a positive value")
+    if args.empirical < 0:
+        raise UsageError("--empirical needs a positive label count")
     if args.empirical:
         seq = freq.empirical_frequency(spec, args.empirical)
         if seq.vmax < args.vmax:
@@ -165,9 +169,9 @@ def cmd_verify(args) -> int:
     if args.spec:
         raise UsageError("verify needs a named family: both mechanisms must know it")
     family = resolve_family(args)
-    tspec = fam.tree_of(family)
     if args.sparse:
-        return verify_sparse(family, tspec, args)
+        return verify_sparse(family, args)
+    tspec = fam.tree_of(family)
     if args.n < 1:
         raise UsageError("--n must be at least 1")
     result = recursion.evaluate(fam.recursion_of(family), fam.standard_ics(family), args.n)
@@ -184,8 +188,9 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def verify_sparse(family: fam.Family, tspec: tree.TreeSpec, args) -> int:
+def verify_sparse(family: fam.Family, args) -> int:
     """The recursion identity on closed-form counts at seeded n past the ICs, up to --n."""
+    tspec = fam.tree_of(family)
     ic_length = fam.ic_length(family)
     if args.sparse < 0:
         raise UsageError("--sparse needs a positive sample count")
@@ -212,26 +217,24 @@ def verify_sparse(family: fam.Family, tspec: tree.TreeSpec, args) -> int:
 
 def cmd_prune(args) -> int:
     family = resolve_family(args)
-    tspec = fam.tree_of(family)
-
+    lo = fam.prune_threshold(family)
     if args.check < 0:
         raise UsageError("--check needs a positive sample count")
     if args.check:
         seed = args.seed if args.seed is not None else random.randrange(10**9)
         print(f"seed = {seed}", file=sys.stderr)
         rng = random.Random(seed)
-        lo = fam.prune_threshold(family)
         hi = max(args.n, lo + 1)
         failures = 0
         for _ in range(args.check):
             n = rng.randint(lo, hi)
-            ok, report = _prune_round_trip(family, tspec, n)
+            ok, report = _prune_round_trip(family, n)
             status = "ok" if ok else "MISMATCH"
             print(f"n = {n}: removed {report.removed}, identity {status}")
             failures += 0 if ok else 1
         return 1 if failures else 0
 
-    ok, report = _prune_round_trip(family, tspec, args.n)
+    ok, report = _prune_round_trip(family, args.n)
     print(f"removed {report.removed} labels; result has {report.result.n}")
     print(f"identity {'holds' if ok else 'FAILS'}: pruned tree vs rebuilt prefix")
     for note in report.anomalies:
@@ -241,8 +244,9 @@ def cmd_prune(args) -> int:
     return 0 if ok else 1
 
 
-def _prune_round_trip(family: fam.Family, tspec: tree.TreeSpec, n: int) -> tuple[bool, pruning.PruneReport]:
-    """Prune T(n) and compare the result with T(n - removed) built afresh."""
+def _prune_round_trip(family: fam.Family, n: int) -> tuple[bool, pruning.PruneReport]:
+    """Prune the family's T(n) and compare the result with T(n - removed) built afresh."""
+    tspec = fam.tree_of(family)
     report = pruning.prune_family(family, pruning.build_prefix(tspec, n))
     return pruning.trees_equal(report.result, pruning.build_prefix(tspec, n - report.removed)), report
 
@@ -290,17 +294,19 @@ def parse_grid(text: str) -> dict[str, list[int]]:
         key = key.strip()
         if not eq or not key:
             raise UsageError(f"expected key=values in grid clause {clause!r}")
+        if key in grid:
+            raise UsageError(f"grid key {key!r} is given twice")
         values: list[int] = []
         for part in body.split(","):
             part = part.strip()
             lo, dots, hi = part.partition("..")
             try:
-                if dots:
-                    values.extend(range(int(lo), int(hi) + 1))
-                else:
-                    values.append(int(part))
+                span = range(int(lo), int(hi) + 1) if dots else range(int(part), int(part) + 1)
             except ValueError:
                 raise UsageError(f"bad grid value {part!r}") from None
+            if not span:
+                raise UsageError(f"grid range {part!r} is empty")
+            values.extend(span)
         grid[key] = values
     return grid
 
@@ -386,9 +392,8 @@ def _freq_match(spec: tree.TreeSpec, values: Sequence[int]) -> str:
 
 def _prune_identity(family: fam.Family, n_max: int) -> str:
     try:
-        tspec = fam.tree_of(family)
         n = max(n_max, fam.prune_threshold(family))
-        ok, _ = _prune_round_trip(family, tspec, n)
+        ok, _ = _prune_round_trip(family, n)
         return f"yes(n={n})" if ok else f"no(n={n})"
     except (fam.NoTreeKnown, ValueError) as err:
         return f"skipped({err})"

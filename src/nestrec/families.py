@@ -60,7 +60,7 @@ class _Record:
         raise NoTreeKnown(f"no tree construction for {self}")
 
     def prune_threshold(self) -> int:
-        raise NoTreeKnown(f"no pruning operation for {self}")
+        raise NoTreeKnown(f"no tree construction for {self}")
 
 
 @dataclass(frozen=True)
@@ -421,18 +421,3 @@ def build_family(name: str, **params: int) -> Family:
 def to_document(family: Family) -> dict:
     return {"family": family.name, **asdict(family)}
 
-
-def from_document(doc: dict) -> Family:
-    """The family named by a document that to_document wrote; every field but `family` is a JSON integer."""
-    try:
-        name = doc["family"]
-    except KeyError:
-        raise ValueError("family document is missing the 'family' field") from None
-    except TypeError:
-        raise ValueError("malformed family document: not an object") from None
-    params = {key: value for key, value in doc.items() if key != "family"}
-    tree_model.document_fields(params, "family", dict.fromkeys(params, 0))
-    try:
-        return build_family(name, **params)
-    except TypeError as err:  # an unhashable name or a foreign field
-        raise ValueError(f"malformed family document: {err}") from None

@@ -12,13 +12,15 @@ sorted runs it gathered from its leaves.  A node's cells are a tuple, so a
 log record can hold them without a copy, and the cyclic garbage collector
 stops tracking them once it has seen them.
 
-Deletion reads only the tree and the recursion.  A cell's `start` is its
-first label, kept when a slice empties it; cells past n start at n + 1.
-Each deletion pass is a nested term R(n - b) of the first summand: for b in
-the family's first inner offset row, every leaf cell opening at or below
-n - b gives up a label.  Order one and order p take it off the front, with
-a fallback for an empty cell; superposed takes it off the back, and the
-k-ary op logs one record per leaf.
+Each operation takes T(n) and the family record whose tree it is, and
+refuses a tree of another shape or one below the record's threshold.
+Deletion reads only the tree and the record's recursion.  A cell's `start`
+is its first label, kept when a slice empties it; cells past n start at
+n + 1.  Each deletion pass is a nested term R(n - b) of the first summand:
+for b in the record's first inner offset row, every leaf cell opening at
+or below n - b gives up a label.  Order one and order p take it off the
+front, with a fallback for an empty cell; superposed takes it off the
+back, and the k-ary op logs one record per leaf.
 
 Every label movement is logged, one record per moved block.
 PruneReport.steps expands the records into one dict per label on first
@@ -334,19 +336,19 @@ def _delete_fronts(leaves: list[Leaf], row: tuple[int, ...], n: int, moves: list
 # -- the four pruning operations ----------------------------------------------
 
 
-def prune_order2(t: LabelledTree, s: int, j: int, m: int) -> PruneReport:
-    """Prune for the order-one binary family: move-in correction, no end correction."""
-    row = _fits(t, fam.OrderOne(s, j, m))
-    n = t.n
+def prune_order2(t: LabelledTree, family: fam.OrderOne) -> PruneReport:
+    """Prune T(n) of an order-one binary family: move-in correction, no end correction."""
+    row = _fits(t, family)
+    n, wanted = t.n, t.spec.regular_labels
     moves: list[Move] = []
     anomalies: list[str] = []
 
     # initial correction: empty the first supernode, refill it with the
-    # j - m largest labels of the tree, a suffix of the last cells
+    # j - m largest labels of the tree (as many as a regular node holds),
+    # a suffix of the last cells
     _drop_supernode_labels(t, moves)
     target = _first_supernode(t)
-    lowest = n - (j - m) + 1
-    wanted = j - m
+    lowest = n - wanted + 1
     for ordinal, node in zip(range(len(t.nodes), 0, -1), reversed(t.nodes)):
         if not wanted:
             break
@@ -368,9 +370,9 @@ def prune_order2(t: LabelledTree, s: int, j: int, m: int) -> PruneReport:
     return _finish(t, leaves, 0, moves, anomalies)
 
 
-def prune_orderp(t: LabelledTree, s: int, j: int, m: int, p: int) -> PruneReport:
-    """Prune for the order-p binary family, deleting against p nested subtrees."""
-    row = _fits(t, fam.HigherOrder(s, j, m, p))
+def prune_orderp(t: LabelledTree, family: fam.HigherOrder) -> PruneReport:
+    """Prune T(n) of an order-p binary family, deleting against p nested subtrees."""
+    row = _fits(t, family)
     n, x = t.n, t.spec.regular_labels
     moves: list[Move] = []
     anomalies: list[str] = []
@@ -383,13 +385,12 @@ def prune_orderp(t: LabelledTree, s: int, j: int, m: int, p: int) -> PruneReport
     return _finish(t, leaves, x, moves, anomalies)
 
 
-def prune_superposed(t: LabelledTree, s: int, j: int, m: int, p: int) -> PruneReport:
-    """Prune for the superposed family; exploratory m < 0 shapes may come up short.
+def prune_superposed(t: LabelledTree, family: fam.Superposed) -> PruneReport:
+    """Prune T(n) of a superposed family; exploratory m < 0 shapes may come up short.
 
     Each cell in reach gives up its last label, not its first, so the cells
     keep their starts and no fallback is needed.
     """
-    family = fam.Superposed(s, j, m, p)
     row = _fits(t, family)
     n, x = t.n, t.spec.regular_labels
     moves: list[Move] = []
@@ -424,13 +425,13 @@ def prune_superposed(t: LabelledTree, s: int, j: int, m: int, p: int) -> PruneRe
     return _finish(t, leaves, x, moves, anomalies)
 
 
-def prune_kary(t: LabelledTree, m: int, p: int, k: int) -> PruneReport:
-    """Prune for the k-ary family: single-cell leaves, placeholder-only correction.
+def prune_kary(t: LabelledTree, family: fam.KaryOrderP) -> PruneReport:
+    """Prune T(n) of a k-ary family: single-cell leaves, placeholder-only correction.
 
     A leaf opening at `first` is in reach of every pass with b <= n - first,
     and gives up that many labels off its front in one record.
     """
-    row = _fits(t, fam.KaryOrderP(k, m, p))
+    row = _fits(t, family)
     n, x = t.n, t.spec.regular_labels
     moves: list[Move] = []
     anomalies: list[str] = []
@@ -456,10 +457,10 @@ def prune_kary(t: LabelledTree, m: int, p: int, k: int) -> PruneReport:
 
 
 _OPS = {  # names resolve at call time, so a prune_* replaced on the module is the one run
-    "order_one": lambda f, t: prune_order2(t, f.s, f.j, f.m),
-    "higher_order": lambda f, t: prune_orderp(t, f.s, f.j, f.m, f.p),
-    "superposed": lambda f, t: prune_superposed(t, f.s, f.j, f.m, f.p),
-    "kary": lambda f, t: prune_kary(t, f.m, f.p, f.k),
+    "order_one": lambda t, f: prune_order2(t, f),
+    "higher_order": lambda t, f: prune_orderp(t, f),
+    "superposed": lambda t, f: prune_superposed(t, f),
+    "kary": lambda t, f: prune_kary(t, f),
 }
 
 
@@ -469,18 +470,17 @@ def prune_family(family, t: LabelledTree) -> PruneReport:
         op = _OPS[family.name]
     except KeyError:
         raise fam.NoTreeKnown(f"no pruning operation for {family}") from None
-    return op(family, t)
+    return op(t, family)
 
 
-def left_leaf_correspondence(spec: TreeSpec, n: int, family) -> bool:
-    """Check the cell bijection between the pruned tree and the left leaves of T(n).
+def left_leaf_correspondence(family, n: int) -> bool:
+    """Check the cell bijection between the family's pruned T(n) and the left leaves of T(n).
 
     True iff every leaf of the pruned tree has as many nonempty cells as the
     first child of the matching penultimate node of T(n), and the total
     first-child cell count equals cell_count(spec, n - removed).
     """
-    if spec != fam.tree_of(family):
-        raise ValueError(f"{family} does not build trees of shape {spec}")
+    spec = fam.tree_of(family)
     t = build_prefix(spec, n)
     k = spec.arity
     original = {

@@ -29,12 +29,13 @@ indices, and only from below: the values are positive (the initial
 conditions are at least 1) and every summand subtracts at least one of
 them, so no outer index reaches n.  A group checks u(n - a) for its
 smallest a at n, where that summand alone would; its other summands read
-values checked at an earlier n, so a run dies where it did summand by
-summand.  The exception is the read-ahead window, u(m) for m in
-[start - max a, start - min a), filled before the loop: if an index there
-is below 1, the loop runs again with one group per summand.  A run that
-starts at or below max b dies at its first open n.  _death_reason then
-names why, walking the summands in order.
+values checked at an earlier n or, for u(m) with m below the first open n,
+in the read-ahead window filled before the loop.  A window index below 1
+ends the run at the first open n that reads it, the least m + a at or
+past the first open n.  Either way one run of the loop dies where the
+summands one by one would.  A run that starts at or below max b dies at
+its first open n.  _death_reason then names why, walking the summands in
+order.
 """
 
 from __future__ import annotations
@@ -96,8 +97,10 @@ def evaluate(spec: RecursionSpec, initial: Sequence[int], n_max: int) -> EvalRes
     """Evaluate R(1..n_max) from the given initial conditions.
 
     Returns all n_max values when the recursion stays defined, or the values
-    up to the death index otherwise.  Values are capped at 2^63 - 1; going
-    past that is a hard error rather than silent wraparound.
+    up to the death index otherwise: the first n with an index below 1,
+    counting an index the loop read ahead at the n that first uses it.
+    Values are capped at 2^63 - 1; going past that is a hard error rather
+    than silent wraparound.
     """
     if not initial:
         raise ValueError("at least one initial condition is required")
@@ -111,13 +114,9 @@ def evaluate(spec: RecursionSpec, initial: Sequence[int], n_max: int) -> EvalRes
     if start <= max(max(row) for row in spec.inner_offsets):
         dead_at = start  # some inner index n - b is still below 1
     else:
-        # grouped first; if the read-ahead window holds an index below 1,
-        # one group per summand, which checks each index where it is used
-        for groups in (_groups(spec), [[i] for i in range(spec.arity)]):
-            loop = _group_loop(tuple(map(len, groups)), spec.order)
-            dead_at = loop(values, start, stop, *_arguments(spec, groups))
-            if dead_at >= 0:
-                break
+        groups = _groups(spec)
+        loop = _group_loop(tuple(map(len, groups)), spec.order)
+        dead_at = loop(values, start, stop, *_arguments(spec, groups))
     if dead_at:
         return EvalResult(tuple(values[1:dead_at]), dead_at, _death_reason(spec, values, dead_at))
     del values[0]  # in place: a values[1:] copy would cost 8 bytes a term
@@ -152,14 +151,16 @@ def _group_loop(sizes: tuple[int, ...], order: int) -> Callable[..., int]:
     """The evaluation loop for groups of these sizes and this order, compiled on first use.
 
     loop(v, start, stop, *arguments) fills v[start:stop] and returns 0, or
-    returns the first n whose outer index falls below 1.  It assumes
-    start > max b, so no inner index needs a check.  Group g with first
-    summand (a, b row) and others d past it keeps U[n] = u(n - a) =
+    fills v[start:n] and returns the first n whose outer index is below 1.
+    It assumes start > max b, so no inner index needs a check.  Group g with
+    first summand (a, b row) and others d past it keeps U[n] = u(n - a) =
     v[n - a - sum over t of v[n - b_t]] in a list and sums U[n] and each
     U[n - d]: one inner sum per group and term.  Before its loop it fills
-    U[start - max d:start], which the loop reads but does not write; if an
-    index there is below 1 it returns -1 having written nothing to v.  A
-    group of one is the plain summand, read from v with no list.
+    the read-ahead window U[start - max d:start], which the loop reads but
+    does not write.  An index below 1 at U[m] there is an outer index below
+    1 at the first n >= start that reads U[m], m + d for the least such d,
+    so the loop ends before that n and returns it.  A group of one is the
+    plain summand, read from v with no list.
 
     Every read at a fixed lag, v[n - b_t] and U[n - d], is a value that zip
     hands in from a list iterator set at start - b_t or start - d.  A list
@@ -182,13 +183,15 @@ def _group_loop(sizes: tuple[int, ...], order: int) -> Callable[..., int]:
             terms.append(f"v[i{g}]")
             continue
         inner = "".join(f" - v[n - b{g}_{t}]" for t in range(order))
+        lags = "".join(f"d{g}_{x}, " for x in range(1, size))
         fill += [
             f"    u{g} = [0] * stop",
             f"    for n in range(start - d{g}_{size - 1}, start):",
             f"        i{g} = n - a{g}{inner}",
             f"        if i{g} < 1:",
-            "            return -1",
-            f"        u{g}[n] = v[i{g}]",
+            f"            end = min(end, n + min(d for d in ({lags}) if n + d >= start))",
+            "        else:",
+            f"            u{g}[n] = v[i{g}]",
         ]
         lagged += [(f"y{g}_{x}", f"at(u{g}, start - d{g}_{x})") for x in range(1, size)]
         body.append(f"        w{g} = u{g}[n] = v[i{g}]")
@@ -196,14 +199,15 @@ def _group_loop(sizes: tuple[int, ...], order: int) -> Callable[..., int]:
     names, iterators = zip(*lagged)
     lines = [
         f"def loop(v, start, stop, {', '.join(params)}, cap=MAX_VALUE):",
+        "    end = stop",
         *fill,
-        f"    for n, {', '.join(names)} in zip(range(start, stop), {', '.join(iterators)}):",
+        f"    for n, {', '.join(names)} in zip(range(start, end), {', '.join(iterators)}):",
         *body,
         "        total = " + " + ".join(terms),
         "        if total > cap:",
         '            raise OverflowError(f"R({n}) exceeds 2^63 - 1")',
         "        v[n] = total",
-        "    return 0",
+        "    return end if end < stop else 0",
     ]
     namespace = {"MAX_VALUE": MAX_VALUE, "at": _list_iterator_at}
     exec("\n".join(lines), namespace)

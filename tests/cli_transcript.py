@@ -109,6 +109,14 @@ COMMANDS = [
     "freq conolly --vmax 20 --empirical 10",
     "explore order_one s=0 --grid 's=1;j=1;m=0'",
     "oeis-match conolly --n 5 --stripped missing.txt",
+    # refused since the transcript was first written: before, a key given twice
+    # kept its last values, an empty range printed a bare CRLF, and an empty
+    # freq table printed its header alone, each with exit 0
+    "explore order_one --grid 's=0;s=1;j=1;m=0'",
+    "explore order_one --grid 'm=3..1'",
+    "freq conolly --vmax 0",
+    "freq conolly --vmax -2 --format json",
+    "freq conolly --vmax 5 --empirical -5",
 ]
 
 

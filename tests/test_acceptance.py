@@ -145,7 +145,7 @@ def test_criterion_6_prune_identities():
             report = pruning.prune_family(f, pruning.build_prefix(spec, n))
             if not pruning.trees_equal(report.result, pruning.build_prefix(spec, n - report.removed)):
                 bad.append((kind, f, n, "identity"))
-            if not pruning.left_leaf_correspondence(spec, n, f):
+            if not pruning.left_leaf_correspondence(f, n):
                 bad.append((kind, f, n, "left-leaf"))
     running = fam.OrderOne(1, 3, 1)
     fig5 = pruning.prune_family(running, pruning.build_prefix(fam.tree_of(running), 31))

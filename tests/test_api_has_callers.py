@@ -25,8 +25,6 @@ MODULES = ("tree", "recursion", "families", "frequency", "pruning", "cli")
 ALLOWED = {
     "tree.cell_count_split": "the tree lemma C(n) = sum of the per-child counts; test_split_shift_identity is its only check",
     "pruning.left_leaf_correspondence": "the leaf-cell bijection a prune must keep: the acceptance suite's second check of each prune",
-    "families.from_document": "reads back what families.to_document writes, as the benchmark does to name its verify "
-                              "families; its refusal of malformed documents is tested",
 }
 
 

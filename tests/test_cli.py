@@ -193,6 +193,18 @@ def test_freq_empirical_too_short_is_usage_error(capsys):
     assert out == "" and err == "error: only 5 values complete within 10 labels; raise --empirical\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--vmax", "0"], "--vmax needs a positive value"),
+    (["--vmax", "-2", "--format", "json"], "--vmax needs a positive value"),
+    (["--vmax", "5", "--empirical", "-5"], "--empirical needs a positive label count"),
+])
+def test_freq_nonpositive_bounds_are_usage_errors(argv, message, capsys):
+    """An empty frequency table is refused, as eval, tree and ic refuse an empty sequence."""
+    code, out, err = run(["freq", "conolly", *argv], capsys)
+    assert code == 2
+    assert out == "" and err == f"error: {message}\n"
+
+
 def test_verify_refuses_spec(tmp_path, capsys):
     code, out, err = run(["verify", "--spec", write_spec(tmp_path, CONOLLY_DOC), "--n", "50"], capsys)
     assert code == 2
@@ -372,6 +384,18 @@ def test_grid_parser():
         cli.parse_grid("j=a..b")
     with pytest.raises(cli.UsageError):
         cli.parse_grid("nonsense")
+
+
+@pytest.mark.parametrize("grid,message", [
+    ("s=0;s=1;j=1;m=0", "grid key 's' is given twice"),
+    ("m=3..1", "grid range '3..1' is empty"),
+    ("s=0;j=1;m=0,3..1", "grid range '3..1' is empty"),
+])
+def test_explore_grid_key_twice_or_empty_range_is_usage_error(grid, message, capsys):
+    """A key given twice would silently drop its first values, and an empty range gives no points."""
+    code, out, err = run(["explore", "order_one", "--grid", grid], capsys)
+    assert code == 2
+    assert out == "" and err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("name,grid,reason", [

@@ -187,23 +187,12 @@ def test_prune_thresholds():
 def test_build_family_and_documents():
     f = fam.build_family("order_one", s=1, j=3, m=1)
     assert f == fam.OrderOne(1, 3, 1)
-    doc = fam.to_document(f)
-    assert fam.from_document(doc) == f
-    g = fam.build_family("kary", k=3, m=0, p=1)
-    assert fam.from_document(fam.to_document(g)) == g
+    assert fam.to_document(f) == {"family": "order_one", "s": 1, "j": 3, "m": 1}
+    g = fam.KaryOrderP(3, 0, 1)
+    doc = fam.to_document(g)
+    assert fam.build_family(doc.pop("family"), **doc) == g
     with pytest.raises(ValueError):
         fam.build_family("no_such_family")
-
-
-@pytest.mark.parametrize("doc", [
-    [1, 2], "x", 5, {"s": 1}, {"family": [1]}, {"family": "conolly", "x": 1},
-    {"family": "order_one", "s": [1], "j": 3, "m": 1}, {"family": "order_one", "s": None, "j": 3, "m": 1},
-    {"family": "order_one", "s": "1", "j": 3, "m": 1}, {"family": "order_one", "s": 1, "j": 3.0, "m": 1},
-    {"family": "order_one", "s": 1, "j": 3, "m": True},
-])
-def test_malformed_family_document_is_a_value_error(doc):
-    with pytest.raises(ValueError):
-        fam.from_document(doc)
 
 
 def test_named_catalog_covers_classics():

@@ -82,7 +82,7 @@ def test_first_difference_and_repr_print_label_lists():
 def test_running_example_prune():
     """Pruning the 31-label tree gives exactly the 15-label tree."""
     t = pruning.build_prefix(RUNNING, 31)
-    report = pruning.prune_order2(t, 1, 3, 1)
+    report = pruning.prune_order2(t, fam.OrderOne(1, 3, 1))
     assert report.removed == 16
     assert report.removed == 1 + tree.cell_count(RUNNING, 28)
     assert pruning.trees_equal(report.result, pruning.build_prefix(RUNNING, 15))
@@ -91,7 +91,7 @@ def test_running_example_prune():
 
 def test_running_example_moved_labels():
     t = pruning.build_prefix(RUNNING, 31)
-    report = pruning.prune_order2(t, 1, 3, 1)
+    report = pruning.prune_order2(t, fam.OrderOne(1, 3, 1))
     moved = sorted(s["label"] for s in report.steps
                    if s["step"] == "initial correction" and s["to"] == 2
                    and isinstance(s["label"], int))
@@ -104,16 +104,16 @@ def test_order2_removed_formula():
         spec = fam.tree_of(f)
         for n in range(fam.prune_threshold(f), fam.prune_threshold(f) + 60):
             t = pruning.build_prefix(spec, n)
-            report = pruning.prune_order2(t, s, j, m)
+            report = pruning.prune_order2(t, f)
             assert report.removed == s + tree.cell_count(spec, n - j), (s, j, m, n)
 
 
 def test_order2_refuses_small_trees():
     with pytest.raises(pruning.PruneRefused):
-        pruning.prune_order2(pruning.build_prefix(RUNNING, 15), 1, 3, 1)
+        pruning.prune_order2(pruning.build_prefix(RUNNING, 15), fam.OrderOne(1, 3, 1))
     with pytest.raises(ValueError):
         # parameters disagree with the spec the tree was built for
-        pruning.prune_order2(pruning.build_prefix(RUNNING, 31), 0, 3, 1)
+        pruning.prune_order2(pruning.build_prefix(RUNNING, 31), fam.OrderOne(0, 3, 1))
 
 
 def test_orderp_removed_formula():
@@ -121,7 +121,7 @@ def test_orderp_removed_formula():
     spec = fam.tree_of(f)
     for n in range(fam.prune_threshold(f), fam.prune_threshold(f) + 40):
         t = pruning.build_prefix(spec, n)
-        report = pruning.prune_orderp(t, 0, 3, 2, 2)
+        report = pruning.prune_orderp(t, f)
         want = 0 + tree.cell_count(spec, n - 3) + tree.cell_count(spec, n - 9)
         assert report.removed == want, n
         assert pruning.trees_equal(report.result, pruning.build_prefix(spec, n - want))
@@ -134,8 +134,8 @@ def test_orderp_p1_equals_order2():
         spec = fam.tree_of(f)
         # the order-p precondition is strict, so it kicks in one label later
         for n in range(fam.prune_threshold(f) + 1, fam.prune_threshold(f) + 30):
-            a = pruning.prune_order2(pruning.build_prefix(spec, n), s, j, m)
-            b = pruning.prune_orderp(pruning.build_prefix(spec, n), s, j, m, 1)
+            a = pruning.prune_order2(pruning.build_prefix(spec, n), f)
+            b = pruning.prune_orderp(pruning.build_prefix(spec, n), fam.HigherOrder(s, j, m, 1))
             assert a.removed == b.removed, (s, j, m, n)
             assert pruning.trees_equal(a.result, b.result), (s, j, m, n)
 
@@ -144,7 +144,7 @@ def test_superposed_removed_formula():
     f = fam.Superposed(0, 3, 3, 2)
     spec = fam.tree_of(f)
     t = pruning.build_prefix(spec, 82)
-    report = pruning.prune_superposed(t, 0, 3, 3, 2)
+    report = pruning.prune_superposed(t, f)
     assert report.removed == tree.cell_count(spec, 77) + tree.cell_count(spec, 75)
     assert pruning.trees_equal(report.result, pruning.build_prefix(spec, 82 - report.removed))
 
@@ -154,7 +154,7 @@ def test_superposed_j1_collapses_offsets():
     spec = fam.tree_of(f)
     for n in range(fam.prune_threshold(f), fam.prune_threshold(f) + 25):
         t = pruning.build_prefix(spec, n)
-        report = pruning.prune_superposed(t, 1, 1, 2, 3)
+        report = pruning.prune_superposed(t, f)
         want = 1 + sum(tree.cell_count(spec, n - (2 * i - 1)) for i in (1, 2, 3))
         assert report.removed == want, n
         assert pruning.trees_equal(report.result, pruning.build_prefix(spec, n - want))
@@ -165,7 +165,7 @@ def test_superposed_exploratory_negative_m():
     f = fam.Superposed(0, 4, -2, 9)
     spec = fam.tree_of(f)
     t = pruning.build_prefix(spec, 168)
-    report = pruning.prune_superposed(t, 0, 4, -2, 9)
+    report = pruning.prune_superposed(t, f)
     assert any("full-shape bound" in note for note in report.anomalies)
     rebuilt = pruning.build_prefix(spec, 168 - report.removed)
     assert not pruning.trees_equal(report.result, rebuilt)
@@ -179,7 +179,7 @@ def test_superposed_full_shape_anomaly_fires_up_to_the_ic_length():
     spec = fam.tree_of(f)
 
     def flagged(n):
-        report = pruning.prune_superposed(pruning.build_prefix(spec, n), 0, 2, -1, 2)
+        report = pruning.prune_superposed(pruning.build_prefix(spec, n), f)
         return [note for note in report.anomalies if "full-shape bound" in note]
 
     assert flagged(bound) == [f"n = {bound} is at or below the full-shape bound {bound}"]
@@ -192,7 +192,7 @@ def test_kary_removed_formula():
         spec = fam.tree_of(f)
         for n in range(fam.prune_threshold(f), fam.prune_threshold(f) + 30):
             t = pruning.build_prefix(spec, n)
-            report = pruning.prune_kary(t, m, p, k)
+            report = pruning.prune_kary(t, f)
             want = sum(tree.cell_count(spec, n - tt) for tt in range(1, p + 1))
             assert report.removed == want, (k, m, p, n)
             assert pruning.trees_equal(report.result, pruning.build_prefix(spec, n - want))
@@ -208,11 +208,8 @@ def test_prune_family_dispatch():
 
 def test_left_leaf_correspondence_examples():
     f = fam.OrderOne(1, 3, 1)
-    assert pruning.left_leaf_correspondence(fam.tree_of(f), 31, f)
-    g = fam.Superposed(0, 3, 3, 2)
-    assert pruning.left_leaf_correspondence(fam.tree_of(g), 82, g)
-    with pytest.raises(ValueError):
-        pruning.left_leaf_correspondence(fam.tree_of(f), 31, g)
+    assert pruning.left_leaf_correspondence(f, 31)
+    assert pruning.left_leaf_correspondence(fam.Superposed(0, 3, 3, 2), 82)
 
 
 def assert_log_replays(before: pruning.LabelledTree, report: pruning.PruneReport) -> None:
@@ -343,6 +340,6 @@ def test_movement_log_is_json_clean():
     import json
 
     t = pruning.build_prefix(RUNNING, 31)
-    report = pruning.prune_order2(t, 1, 3, 1)
+    report = pruning.prune_order2(t, fam.OrderOne(1, 3, 1))
     text = json.dumps(report.steps)
     assert "initial correction" in text and "relabelling" in text

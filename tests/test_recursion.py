@@ -219,21 +219,36 @@ def recursions(draw):
 @settings(max_examples=400)
 @given(recursions())
 def test_evaluate_matches_reference_stepper(case):
-    """The compiled grouped loop, and its one-group-per-summand fallback, give the
-    plain stepper's values, death index and reason."""
+    """The compiled grouped loop gives the plain stepper's values, death index and
+    reason, also when its read-ahead window holds an index below 1."""
     spec, initial, n_max = case
     result = recursion.evaluate(spec, initial, n_max)
     assert (result.values, result.dead_at, result.reason) == reference_evaluate(spec, initial, n_max)
 
 
 def test_death_inside_read_ahead_window():
-    """u(5 - 1) reads an outer index of 0 before the loop, so the loop runs a
-    summand at a time and the run dies at 8, when the second summand needs it."""
+    """u(5 - 1) reads an outer index of 0 before the loop, and the run dies at 8,
+    when the second summand needs it."""
     spec = RecursionSpec(2, 1, (1, 4), ((3,), (6,)))
     result = recursion.evaluate(spec, [1, 4, 6, 5, 4, 1], 30)
     assert result.values == (1, 4, 6, 5, 4, 1, 5)
     assert result.dead_at == 8
     assert result.reason is DeadReason.OUTER_INDEX_NONPOSITIVE
+
+
+def test_window_death_is_one_grouped_run():
+    """A run that dies in its read-ahead window compiles only its grouped loop, not
+    a loop with one group per summand as well.  u(5) = R(5 - R(3)) has outer
+    index 0; the summand with a = 2 would read it at 7, before the first open n,
+    so the run dies at 10, where the summand with a = 5 reads it."""
+    recursion._group_loop.cache_clear()
+    spec = RecursionSpec(3, 1, (0, 2, 5), ((2,), (4,), (7,)))
+    initial = [2, 1, 5, 3, 5, 4, 3]
+    result = recursion.evaluate(spec, initial, 30)
+    assert (result.values, result.dead_at, result.reason) == reference_evaluate(spec, initial, 30)
+    assert result.dead_at == 10
+    info = recursion._group_loop.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
 
 
 def test_overflow_inside_a_group():
