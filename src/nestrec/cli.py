@@ -54,7 +54,7 @@ def resolve_family(args) -> fam.Family:
         family = fam.build_family(args.family_name, **parse_params(args.params))
     except (TypeError, ValueError) as err:
         raise UsageError(str(err)) from None
-    verdict = fam.validate(family)
+    verdict = family.check()
     if not verdict.ok:
         raise UsageError(f"invalid parameters: {verdict.message}")
     if verdict.message:
@@ -134,7 +134,7 @@ def cmd_tree(args) -> int:
 
 def cmd_ic(args) -> int:
     family = resolve_family(args)
-    count = args.n if args.n else fam.ic_length(family)
+    count = args.n if args.n else family.ic_length()
     write_output(render_sequence(tree.initial_conditions(fam.tree_of(family), count), args.format), args.out)
     return 0
 
@@ -191,7 +191,7 @@ def cmd_verify(args) -> int:
 def verify_sparse(family: fam.Family, args) -> int:
     """The recursion identity on closed-form counts at seeded n past the ICs, up to --n."""
     tspec = fam.tree_of(family)
-    ic_length = fam.ic_length(family)
+    ic_length = family.ic_length()
     if args.sparse < 0:
         raise UsageError("--sparse needs a positive sample count")
     if args.n <= ic_length:
@@ -345,7 +345,7 @@ def _probe_row(row: dict, family: fam.Family, n_max: int, prune_check: bool) -> 
     counts of the closest valid shape (family.neighbour()), truncated or
     extended to the point's own IC length.
     """
-    verdict = fam.validate(family)
+    verdict = family.check()
     row["valid"] = "yes" if verdict.ok and not verdict.exploratory else (
         "exploratory" if verdict.ok else "no"
     )
@@ -401,7 +401,7 @@ def _prune_identity(family: fam.Family, n_max: int) -> str:
 
 def _neg_gamma_row(row: dict, family: fam.NegGammaCandidate, n_max: int, prune_check: bool) -> Optional[str]:
     """Run a candidate point from the ICs of its conjectured tree; it has no pruning operation."""
-    verdict = fam.validate(family)
+    verdict = family.check()
     row["valid"] = "candidate" if verdict.ok else "no"
     if not verdict.ok:
         return verdict.message

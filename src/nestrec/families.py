@@ -13,9 +13,10 @@ a frozen dataclass that is the single record of its facts:
     name               its catalog name
 
 The methods do no range checking, so the exploration harness can run them
-on out-of-range points.  The module functions (validate, recursion_of,
-tree_of, ic_length, prune_threshold, standard_ics) range-check first and
-then call the method.  The exploratory families carry a recursion but no
+on out-of-range points.  The module functions (recursion_of, tree_of,
+prune_threshold, standard_ics) range-check first and then call the
+methods; a caller holding a checked record calls check() and ic_length()
+on it directly.  The exploratory families carry a recursion but no
 known tree; they keep the NoTreeKnown defaults of the base record for the
 facts they lack.  q_family and c_sjk name as neighbour the core family
 they coincide with at one corner of their range, and neg_gamma names the
@@ -79,7 +80,7 @@ class OrderOne(_Record):
 
     def offsets(self) -> RecursionSpec:
         s, j, m = self.s, self.j, self.m
-        return RecursionSpec(2, 1, (s, s + j + m), ((j,), (2 * j + m,)))
+        return RecursionSpec.shifted((s, s + j + m), (j - s,))
 
     def tree(self) -> TreeSpec:
         return TreeSpec(2, self.s, self.j, 1, 1 + self.m, self.j - self.m)
@@ -112,9 +113,7 @@ class HigherOrder(_Record):
 
     def offsets(self) -> RecursionSpec:
         s, j, m, p = self.s, self.j, self.m, self.p
-        first = tuple((2 * t - 1) * j for t in range(1, p + 1))
-        second = tuple(j + m + (2 * t - 1) * j for t in range(1, p + 1))
-        return RecursionSpec(2, p, (s, s + j + m), (first, second))
+        return RecursionSpec.shifted((s, s + j + m), [(2 * t - 1) * j - s for t in range(1, p + 1)])
 
     def _x(self) -> int:
         return (2 * self.p - 1) * self.j - self.m
@@ -151,9 +150,7 @@ class Superposed(_Record):
 
     def offsets(self) -> RecursionSpec:
         s, j, m, p = self.s, self.j, self.m, self.p
-        first = tuple(2 * t - 1 + p * (j - 1) for t in range(1, p + 1))
-        second = tuple(2 * t - 1 + m + p * (2 * j - 1) for t in range(1, p + 1))
-        return RecursionSpec(2, p, (s, s + p * j + m), (first, second))
+        return RecursionSpec.shifted((s, s + p * j + m), [2 * t - 1 + p * (j - 1) - s for t in range(1, p + 1)])
 
     def tree(self) -> TreeSpec:
         s, j, m, p = self.s, self.j, self.m, self.p
@@ -191,10 +188,7 @@ class KaryOrderP(_Record):
         return Validation(True)
 
     def offsets(self) -> RecursionSpec:
-        k, m, p = self.k, self.m, self.p
-        outer = tuple((i - 1) * (1 + m) for i in range(1, k + 1))
-        inner = tuple(tuple((i - 1) * (1 + m) + t for t in range(1, p + 1)) for i in range(1, k + 1))
-        return RecursionSpec(k, p, outer, inner)
+        return RecursionSpec.shifted([i * (1 + self.m) for i in range(self.k)], range(1, self.p + 1))
 
     def tree(self) -> TreeSpec:
         k, m, p = self.k, self.m, self.p
@@ -254,9 +248,7 @@ class CSJK(_Record):
 
     def offsets(self) -> RecursionSpec:
         s, j, k = self.s, self.j, self.k
-        outer = tuple(s + (i - 1) * j for i in range(1, k + 1))
-        inner = tuple((i * j,) for i in range(1, k + 1))
-        return RecursionSpec(k, 1, outer, inner)
+        return RecursionSpec.shifted([s + (i - 1) * j for i in range(1, k + 1)], (j - s,))
 
     def ic_length(self) -> int:
         # scaled so the ICs cover the deepest inner offset k*j
@@ -351,15 +343,8 @@ def kary_ceiling(k: int, q: int) -> KaryOrderP:
 
 # -- range-checked access to the records ----------------------------------------
 
-def validate(family: Family) -> Validation:
-    """Range-check the parameters, flagging exploratory but runnable points."""
-    if not isinstance(family, _Record):
-        raise TypeError(f"not a family: {family!r}")
-    return family.check()
-
-
 def _checked(family: Family) -> Family:
-    verdict = validate(family)
+    verdict = family.check()
     if not verdict.ok:
         raise ValueError(f"invalid parameters for {family}: {verdict.message}")
     return family
@@ -375,14 +360,10 @@ def tree_of(family: Family) -> TreeSpec:
     return _checked(family).tree()
 
 
-def ic_length(family: Family) -> int:
-    """How many initial conditions the family's recursion starts from."""
-    return _checked(family).ic_length()
-
-
 def standard_ics(family: Family) -> list[int]:
     """Initial conditions that follow the family's tree."""
-    return tree_model.initial_conditions(tree_of(family), ic_length(family))
+    family = _checked(family)
+    return tree_model.initial_conditions(family.tree(), family.ic_length())
 
 
 def prune_threshold(family: Family) -> int:

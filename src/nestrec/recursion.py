@@ -34,8 +34,8 @@ in the read-ahead window filled before the loop.  A window index below 1
 ends the run at the first open n that reads it, the least m + a at or
 past the first open n.  Either way one run of the loop dies where the
 summands one by one would.  A run that starts at or below max b dies at
-its first open n.  _death_reason then names why, walking the summands in
-order.
+its first open n.  right_side at the death index then names why: it walks
+the summands in order and raises DeadIndex with the first one's reason.
 """
 
 from __future__ import annotations
@@ -76,10 +76,23 @@ class RecursionSpec:
         if any(a < 0 for a in self.outer_offsets):
             raise ValueError("outer offsets cannot be negative")
 
+    @classmethod
+    def shifted(cls, outer: Sequence[int], shifts: Sequence[int]) -> RecursionSpec:
+        """The spec whose rows are one shift row moved by each outer offset, b_it = a_i + c_t."""
+        return cls(len(outer), len(shifts), tuple(outer), tuple(tuple(a + c for c in shifts) for a in outer))
+
 
 class DeadReason(enum.Enum):
     INNER_INDEX_NONPOSITIVE = "inner_index_nonpositive"
     OUTER_INDEX_NONPOSITIVE = "outer_index_nonpositive"
+
+
+class DeadIndex(ValueError):
+    """An index below 1 in the recursion at one n, and which kind it was."""
+
+    def __init__(self, message: str, reason: DeadReason):
+        super().__init__(message)
+        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -118,7 +131,11 @@ def evaluate(spec: RecursionSpec, initial: Sequence[int], n_max: int) -> EvalRes
         loop = _group_loop(tuple(map(len, groups)), spec.order)
         dead_at = loop(values, start, stop, *_arguments(spec, groups))
     if dead_at:
-        return EvalResult(tuple(values[1:dead_at]), dead_at, _death_reason(spec, values, dead_at))
+        try:
+            right_side(spec, values.__getitem__, dead_at)
+        except DeadIndex as death:
+            return EvalResult(tuple(values[1:dead_at]), dead_at, death.reason)
+        raise AssertionError(f"R({dead_at}) is defined; the evaluator stopped there in error")
     del values[0]  # in place: a values[1:] copy would cost 8 bytes a term
     return EvalResult(tuple(values))
 
@@ -221,35 +238,24 @@ def _list_iterator_at(values: list[int], index: int) -> Iterator[int]:
     return it
 
 
-def _death_reason(spec: RecursionSpec, values: Sequence[int], n: int) -> DeadReason:
-    """Why R(n) is undefined, given R(1..n-1): the first summand to fail decides."""
-    for a, row in zip(spec.outer_offsets, spec.inner_offsets):
-        idx = n - a
-        for b in row:
-            if n - b <= 0:
-                return DeadReason.INNER_INDEX_NONPOSITIVE
-            idx -= values[n - b]
-        if idx <= 0:
-            return DeadReason.OUTER_INDEX_NONPOSITIVE
-    raise AssertionError(f"R({n}) is defined; the evaluator stopped there in error")
-
-
 def right_side(spec: RecursionSpec, value: Callable[[int], int], n: int) -> int:
     """sum over i of value(n - a_i - sum over t of value(n - b_it)) at one n.
 
     `value` gives any term on its own, such as a closed-form cell count, so
     the recursion can be checked at a single huge n without the sequence up
-    to it.  A nonpositive index is an error, as it kills the evaluator.
+    to it.  A nonpositive index raises DeadIndex, as it kills the evaluator;
+    the first summand to fail, in order, names the reason.
     """
     total = 0
     for a, row in zip(spec.outer_offsets, spec.inner_offsets):
         idx = n - a
         for b in row:
             if n - b <= 0:
-                raise ValueError(f"inner index {n - b} at n = {n} is not positive")
+                raise DeadIndex(f"inner index {n - b} at n = {n} is not positive",
+                                DeadReason.INNER_INDEX_NONPOSITIVE)
             idx -= value(n - b)
         if idx <= 0:
-            raise ValueError(f"outer index {idx} at n = {n} is not positive")
+            raise DeadIndex(f"outer index {idx} at n = {n} is not positive", DeadReason.OUTER_INDEX_NONPOSITIVE)
         total += value(idx)
     return total
 

@@ -1,0 +1,165 @@
+"""Print a differential digest: one line per checked point, to diff two versions of the package.
+
+Run it from the repository root of each version and compare the outputs:
+
+    PYTHONPATH=src python tests/differential.py > digest.txt
+    diff old-digest.txt digest.txt
+
+It is not named test_*, so pytest does not collect it.  Four sections, each
+line led by its section name:
+
+    eval     recursion.evaluate on seeded random specs, shifted-row and free
+    record   every record method, and the range-checked module functions,
+             on grids that run past each family's range on every side
+    prune    the four prune operations on the in-range grid, from one below
+             each point's threshold, superposed m < 0 included
+    explore  cli.explore_rows --prune-check rows on the record grids, plus
+             points whose keys do not fit their catalog entry
+
+A value is printed as its repr, an exception as `!Type: message`, and a
+long sequence or move log as its length and a short hash.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+import sys
+
+from nestrec import cli
+from nestrec import families as fam
+from nestrec import pruning, recursion
+
+SEED = 15
+EVAL_SPECS = 20_000
+PRUNE_WIDTH = 66  # n from threshold - 1 through threshold + PRUNE_WIDTH - 2
+EXPLORE_N = 300
+
+
+def digest(value: object) -> str:
+    return hashlib.blake2b(repr(value).encode(), digest_size=8).hexdigest()
+
+
+def outcome(call) -> str:
+    try:
+        return repr(call())
+    except Exception as err:  # an error is a result to compare, like a value
+        return f"!{type(err).__name__}: {err}"
+
+
+def random_spec(rng: random.Random) -> recursion.RecursionSpec:
+    """A spec with 1-4 summands and order 1-3; half of them shifted-row, some sharing a shift row."""
+    arity, order = rng.randint(1, 4), rng.randint(1, 3)
+    outer = tuple(rng.randint(0, 6) for _ in range(arity))
+    if rng.random() < 0.5:
+        shifts = tuple(rng.randint(1, 8) for _ in range(order))
+        inner = tuple(tuple(a + c for c in shifts) for a in outer)
+    else:
+        inner = tuple(tuple(rng.randint(1, 10) for _ in range(order)) for _ in range(arity))
+    return recursion.RecursionSpec(arity, order, outer, inner)
+
+
+def eval_lines(rng: random.Random):
+    for index in range(EVAL_SPECS):
+        spec = random_spec(rng)
+        ic = [rng.randint(1, 4) for _ in range(rng.randint(1, 14))]
+        n_max = rng.randint(1, 400)
+        try:
+            result = recursion.evaluate(spec, ic, n_max)
+        except Exception as err:
+            yield f"eval {index} {spec} ic={ic} n={n_max} !{type(err).__name__}: {err}"
+            continue
+        reason = result.reason.value if result.reason else "-"
+        yield (f"eval {index} {spec.outer_offsets} {spec.inner_offsets} ic={ic} n={n_max} "
+               f"dead={result.dead_at} reason={reason} len={len(result.values)} h={digest(result.values)}")
+
+
+def record_grids() -> dict[str, list[dict[str, int]]]:
+    """Points of every record, running past each range on every side."""
+    return {
+        "order_one": cli.grid_points({"s": [-1, 0, 1, 2, 3], "j": [0, 1, 2, 3, 4], "m": list(range(-3, 7))}),
+        "higher_order": cli.grid_points({"s": [-1, 0, 2], "j": [0, 1, 2, 3], "m": list(range(-3, 9)),
+                                         "p": [0, 1, 2, 3]}),
+        "superposed": cli.grid_points({"s": [-1, 0, 2], "j": [0, 1, 2, 3], "m": list(range(-4, 8)),
+                                       "p": [0, 1, 2, 3]}),
+        "kary": cli.grid_points({"k": [0, 1, 2, 3, 4, 5], "m": list(range(-3, 9)), "p": [0, 1, 2, 3]}),
+        "q_family": cli.grid_points({"s": [-1, 0, 1, 3], "j": [0, 1, 2, 3, 4], "q": list(range(-2, 7))}),
+        "c_sjk": cli.grid_points({"s": [-1, 0, 1, 2, 4], "j": [0, 1, 2, 3, 4], "k": [0, 1, 2, 3, 4, 5]}),
+        "neg_gamma": cli.grid_points({"k": [0, 1, 2, 3, 4], "gamma": [-3, -2, -1, 0, 1],
+                                      "delta": list(range(-1, 9))}),
+    }
+
+
+METHODS = ("check", "offsets", "tree", "ic_length", "prune_threshold", "neighbour", "conjectured")
+MODULE_FUNCTIONS = ("recursion_of", "tree_of", "standard_ics", "prune_threshold")
+
+
+def record_lines():
+    for name, points in record_grids().items():
+        for point in points:
+            family = fam.constructor(name)(**point)
+            methods = [outcome(getattr(family, method)) for method in METHODS if hasattr(family, method)]
+            functions = [outcome(lambda f=getattr(fam, function): f(family)) for function in MODULE_FUNCTIONS]
+            yield f"record {name} {point} " + " | ".join(methods + functions)
+
+
+def prune_points() -> list[fam.Family]:
+    """The in-range points of the four families that have a pruning operation."""
+    points = [fam.OrderOne(s, j, m) for s in range(4) for j in range(1, 5) for m in range(j + 1)]
+    points += [fam.HigherOrder(s, j, m, p) for s in range(3) for j in range(1, 4) for p in range(1, 4)
+               for m in range((2 * p - 1) * j + 1)]
+    points += [fam.Superposed(s, j, m, p) for s in range(3) for j in range(1, 4) for p in range(1, 4)
+               for m in range(-p + 1, p * j + 1)]
+    points += [fam.KaryOrderP(k, m, p) for k in range(2, 6) for p in range(1, 4) for m in range(p - 1, 3 * p + 1)
+               if fam.KaryOrderP(k, m, p).check().ok]
+    return points
+
+
+def prune_lines():
+    for family in prune_points():
+        spec, threshold = fam.tree_of(family), fam.prune_threshold(family)
+        for n in range(threshold - 1, threshold + PRUNE_WIDTH - 1):
+            try:
+                report = pruning.prune_family(family, pruning.build_prefix(spec, n))
+            except Exception as err:
+                yield f"prune {family} n={n} !{type(err).__name__}: {err}"
+                continue
+            same = pruning.trees_equal(report.result, pruning.build_prefix(spec, n - report.removed))
+            yield (f"prune {family} n={n} removed={report.removed} equal={same} "
+                   f"anomalies={report.anomalies} moves={len(report.moves)} h={digest(report.moves)}")
+
+
+MISFITS = [  # points whose keys do not fit their catalog entry, and the constructors' own refusals
+    ("order_one", {"s": 1, "j": 3}),
+    ("order_one", {"s": 1, "j": 3, "m": 1, "q": 2}),
+    ("kary_h", {"k": 3, "q": 1}),
+    ("kary_h", {}),
+    ("conolly", {"x": 1}),
+    ("h", {}),
+    ("c_sjk", {"s": 0, "j": 1}),
+    ("neg_gamma", {"k": 3, "gamma": -1, "d": 2}),
+    ("alpha_beta", {"alpha": 3, "beta": 1}),
+    ("kary_ceiling", {"k": 3, "q": 0}),
+    ("r_sj", {"s": 1, "j": 2}),
+]
+
+
+def explore_lines():
+    for name, points in record_grids().items():
+        for row in cli.explore_rows(name, points, EXPLORE_N, prune_check=True):
+            yield f"explore {row}"
+    for name, point in MISFITS:
+        for row in cli.explore_rows(name, [point], EXPLORE_N, prune_check=True):
+            yield f"explore {row}"
+
+
+def main() -> None:
+    rng = random.Random(SEED)
+    out = sys.stdout
+    for section in (eval_lines(rng), record_lines(), prune_lines(), explore_lines()):
+        for line in section:
+            out.write(line + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -111,36 +111,36 @@ def test_kary_classics():
 
 
 def test_validate_ranges():
-    assert fam.validate(fam.OrderOne(0, 2, 2)).ok
-    assert not fam.validate(fam.OrderOne(0, 2, 3)).ok
-    assert not fam.validate(fam.OrderOne(0, 2, -1)).ok
-    assert fam.validate(fam.HigherOrder(0, 2, 6, 2)).ok
-    assert not fam.validate(fam.HigherOrder(0, 2, 7, 2)).ok
-    assert fam.validate(fam.Superposed(0, 2, 4, 2)).ok
-    assert not fam.validate(fam.Superposed(0, 2, 5, 2)).ok
+    assert fam.OrderOne(0, 2, 2).check().ok
+    assert not fam.OrderOne(0, 2, 3).check().ok
+    assert not fam.OrderOne(0, 2, -1).check().ok
+    assert fam.HigherOrder(0, 2, 6, 2).check().ok
+    assert not fam.HigherOrder(0, 2, 7, 2).check().ok
+    assert fam.Superposed(0, 2, 4, 2).check().ok
+    assert not fam.Superposed(0, 2, 5, 2).check().ok
 
 
 def test_validate_superposed_negative_is_exploratory():
-    v = fam.validate(fam.Superposed(0, 4, -2, 9))
+    v = fam.Superposed(0, 4, -2, 9).check()
     assert v.ok and v.exploratory
-    assert not fam.validate(fam.Superposed(0, 4, -9, 9)).ok
+    assert not fam.Superposed(0, 4, -9, 9).check().ok
 
 
 def test_validate_kary_integrality():
     """(3,1,1) fails the integer bound (m+1)(k-1) <= kp."""
-    assert not fam.validate(fam.KaryOrderP(3, 1, 1)).ok
-    assert fam.validate(fam.KaryOrderP(3, 0, 1)).ok
-    assert not fam.validate(fam.KaryOrderP(3, 0, 2)).ok  # m < p-1
+    assert not fam.KaryOrderP(3, 1, 1).check().ok
+    assert fam.KaryOrderP(3, 0, 1).check().ok
+    assert not fam.KaryOrderP(3, 0, 2).check().ok  # m < p-1
 
 
 def test_validate_k2_with_remark():
-    v = fam.validate(fam.KaryOrderP(2, 1, 1))
+    v = fam.KaryOrderP(2, 1, 1).check()
     assert v.ok and v.message
 
 
 def test_exploratory_families_have_no_tree():
     for f in (fam.QFamily(0, 2, 1), fam.CSJK(1, 2, 3), fam.NegGammaCandidate(3, -1, 4)):
-        assert fam.validate(f).exploratory
+        assert f.check().exploratory
         with pytest.raises(fam.NoTreeKnown):
             fam.tree_of(f)
 
@@ -154,10 +154,10 @@ def test_neg_gamma_recursion_shape():
 
 
 def test_ic_lengths():
-    assert fam.ic_length(fam.OrderOne(1, 3, 1)) == 20
-    assert fam.ic_length(fam.HigherOrder(0, 3, 2, 2)) == 27
-    assert fam.ic_length(fam.Superposed(0, 3, 3, 2)) == 39
-    assert fam.ic_length(fam.kary_h(3)) == 22
+    assert fam.OrderOne(1, 3, 1).ic_length() == 20
+    assert fam.HigherOrder(0, 3, 2, 2).ic_length() == 27
+    assert fam.Superposed(0, 3, 3, 2).ic_length() == 39
+    assert fam.kary_h(3).ic_length() == 22
 
 
 def test_standard_ics_follow_tree():
@@ -219,10 +219,10 @@ def test_record_facts_agree():
     points = core_points(0)
     assert len(points) > 100
     for f in points:
-        assert fam.validate(f).ok, f
+        assert f.check().ok, f
         spec, threshold = fam.tree_of(f), fam.prune_threshold(f)
         report = pruning.prune_family(f, pruning.build_prefix(spec, threshold))
-        if not fam.validate(f).exploratory:
+        if not f.check().exploratory:
             rebuilt = pruning.build_prefix(spec, threshold - report.removed)
             assert pruning.trees_equal(report.result, rebuilt), f
         assert threshold > 1, f
@@ -230,7 +230,7 @@ def test_record_facts_agree():
             pruning.prune_family(f, pruning.build_prefix(spec, threshold - 1))
         assert f.neighbour() == f
         # standard ICs reach every inner offset, so they never die at the first open n
-        assert fam.ic_length(f) >= max(max(row) for row in fam.recursion_of(f).inner_offsets), f
+        assert f.ic_length() >= max(max(row) for row in fam.recursion_of(f).inner_offsets), f
         doc = fam.to_document(f)
         params = {key: v for key, v in doc.items() if key != "family"}
         assert fam.build_family(doc["family"], **params) == f
@@ -238,11 +238,11 @@ def test_record_facts_agree():
 
 def test_neighbours_are_in_range():
     """Out-of-range points clamp to a valid point that has a tree."""
-    outside = [f for f in core_points(3) if not fam.validate(f).ok]
+    outside = [f for f in core_points(3) if not f.check().ok]
     assert len(outside) > 100
     exploratory = [fam.QFamily(s, j, q) for s in (0, 1) for j in (1, 2, 3) for q in range(j + 1)] \
         + [fam.CSJK(s, j, k) for s in (0, 1) for j in (1, 2) for k in (2, 3, 4)]
     for f in outside + exploratory:
         near = f.neighbour()
-        assert fam.validate(near).ok, (f, near)
+        assert near.check().ok, (f, near)
         fam.tree_of(near)

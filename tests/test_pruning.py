@@ -288,7 +288,7 @@ def test_prune_identity_everywhere(f, data):
     Exploratory shapes (superposed with m < 0) may break the identity, so
     for them only the log and the label total are checked.
     """
-    verdict = fam.validate(f)
+    verdict = f.check()
     assert verdict.ok, f
     spec = fam.tree_of(f)
     n = data.draw(st.integers(fam.prune_threshold(f), fam.prune_threshold(f) + 400))

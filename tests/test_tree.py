@@ -219,7 +219,7 @@ def test_closed_form_count_at_huge_n():
             return tree.cell_count(spec, n)
 
         for _ in range(50):
-            n = rng.randint(fam.ic_length(family) + 1, HUGE)
+            n = rng.randint(family.ic_length() + 1, HUGE)
             assert count(n) == recursion.right_side(rspec, count, n), (HUGE_SEED, family, n)
 
 
