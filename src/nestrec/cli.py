@@ -50,10 +50,7 @@ def parse_params(tokens: Sequence[str]) -> dict[str, int]:
 def resolve_family(args) -> fam.Family:
     if args.family_name is None:
         raise UsageError("name a family (e.g. order_one s=1 j=3 m=1) or pass --spec")
-    try:
-        family = fam.build_family(args.family_name, **parse_params(args.params))
-    except (TypeError, ValueError) as err:
-        raise UsageError(str(err)) from None
+    family = fam.build_family(args.family_name, **parse_params(args.params))
     verdict = family.check()
     if not verdict.ok:
         raise UsageError(f"invalid parameters: {verdict.message}")
@@ -320,13 +317,13 @@ def grid_points(grid: dict[str, list[int]]) -> list[dict[str, int]]:
 
 def explore_rows(name: str, points: list[dict[str, int]], n_max: int, prune_check: bool = False) -> list[dict]:
     """One results row per grid point; all outcomes are data, never errors."""
-    build = fam.constructor(name)  # an unknown family name is a usage error, not a row
+    fam.constructor(name)  # an unknown family name is a usage error, not a row
     rows = []
     for point in points:
         row = {"family": name, **point}
         try:
-            family = build(**point)
-        except (TypeError, ValueError) as err:  # a grid key missing or foreign, or the constructor's own check
+            family = fam.build_family(name, **point)
+        except ValueError as err:  # a grid key missing or foreign, or the constructor's own check
             row["valid"] = "no"
             reason = f"parameters do not fit: {err}"
         else:
@@ -346,9 +343,7 @@ def _probe_row(row: dict, family: fam.Family, n_max: int, prune_check: bool) -> 
     extended to the point's own IC length.
     """
     verdict = family.check()
-    row["valid"] = "yes" if verdict.ok and not verdict.exploratory else (
-        "exploratory" if verdict.ok else "no"
-    )
+    row["valid"] = ("exploratory" if verdict.exploratory else "yes") if verdict.ok else "no"
     length = family.ic_length()
     if length < 1:
         return "ic length not positive"

@@ -14,18 +14,19 @@ a frozen dataclass that is the single record of its facts:
 
 The methods do no range checking, so the exploration harness can run them
 on out-of-range points.  The module functions (recursion_of, tree_of,
-prune_threshold, standard_ics) range-check first and then call the
-methods; a caller holding a checked record calls check() and ic_length()
-on it directly.  The exploratory families carry a recursion but no
-known tree; they keep the NoTreeKnown defaults of the base record for the
-facts they lack.  q_family and c_sjk name as neighbour the core family
-they coincide with at one corner of their range, and neg_gamma names the
-k-ary record its tree is conjectured to be (conjectured()).  Classic
-sequences are thin constructors onto the core families.
+prune_threshold, standard_ics) range-check first; a caller holding a
+checked record calls its methods.  A family lacking a fact keeps the
+NoTreeKnown default of the base record.  c_sjk's tree was found and
+checked, not proven, and it has no pruning operation.  q_family has no
+known tree, and its neighbour is the order-one family it meets at q = 0;
+neg_gamma names the k-ary record its tree is conjectured to be
+(conjectured()).  Classic sequences are thin constructors onto the core
+families, and build_family makes any catalog entry from its parameters.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, ClassVar, Union
 
@@ -79,8 +80,7 @@ class OrderOne(_Record):
         return Validation(True)
 
     def offsets(self) -> RecursionSpec:
-        s, j, m = self.s, self.j, self.m
-        return RecursionSpec.shifted((s, s + j + m), (j - s,))
+        return RecursionSpec.shifted((self.s, self.s + self.j + self.m), (self.j - self.s,))
 
     def tree(self) -> TreeSpec:
         return TreeSpec(2, self.s, self.j, 1, 1 + self.m, self.j - self.m)
@@ -244,19 +244,24 @@ class CSJK(_Record):
     def check(self) -> Validation:
         if self.s < 0 or self.j < 1 or self.k < 2:
             return Validation(False, "need s >= 0, j >= 1 and k >= 2")
-        return Validation(True, "no tree construction is known", exploratory=True)
+        return Validation(True, "tree found and checked, not proven", exploratory=True)
 
     def offsets(self) -> RecursionSpec:
-        s, j, k = self.s, self.j, self.k
-        return RecursionSpec.shifted([s + (i - 1) * j for i in range(1, k + 1)], (j - s,))
+        return RecursionSpec.shifted([self.s + i * self.j for i in range(self.k)], (self.j - self.s,))
+
+    def tree(self) -> TreeSpec:
+        return TreeSpec(self.k, self.s, self.j, 1, 1, self.j)
 
     def ic_length(self) -> int:
-        # scaled so the ICs cover the deepest inner offset k*j
-        return 2 * self.k * self.j + 1 + 2 * self.s
+        # the IC length of OrderOne(s, j, 0) at k = 2 and of kary_conolly(k) at
+        # s = 0, j = 1, the records whose offsets it shares there
+        return (2 * self.k + 1) * self.j + 2 * self.s
 
-    def neighbour(self) -> KaryOrderP:
-        """The k-ary Conolly family it coincides with at s = 0, j = 1."""
-        return kary_conolly(self.k)
+    def prune_threshold(self) -> int:
+        raise NoTreeKnown(f"no pruning operation for {self}")
+
+    def neighbour(self) -> CSJK:
+        return replace(self, s=max(self.s, 0), j=max(self.j, 1), k=max(self.k, 2))
 
 
 @dataclass(frozen=True)
@@ -362,8 +367,7 @@ def tree_of(family: Family) -> TreeSpec:
 
 def standard_ics(family: Family) -> list[int]:
     """Initial conditions that follow the family's tree."""
-    family = _checked(family)
-    return tree_model.initial_conditions(family.tree(), family.ic_length())
+    return tree_model.initial_conditions(tree_of(family), family.ic_length())
 
 
 def prune_threshold(family: Family) -> int:
@@ -395,8 +399,21 @@ def constructor(name: str) -> Callable[..., Family]:
 
 
 def build_family(name: str, **params: int) -> Family:
-    """Construct a family from its catalog name, e.g. build_family("order_one", s=1, j=3, m=1)."""
-    return constructor(name)(**params)
+    """Construct a family from its catalog name, e.g. build_family("order_one", s=1, j=3, m=1).
+
+    Keys that do not fit the catalog entry raise ValueError naming its parameters.
+    """
+    build = constructor(name)
+    try:
+        return build(**params)
+    except TypeError:
+        wanted = list(inspect.signature(build).parameters)
+        missing = " ".join(key for key in wanted if key not in params)
+        foreign = " ".join(key for key in params if key not in wanted)
+        if not missing and not foreign:
+            raise
+    raise ValueError(f"{name} takes {' '.join(wanted) or 'no parameters'}"
+                     + (missing and f"; missing {missing}") + (foreign and f"; unknown {foreign}"))
 
 
 def to_document(family: Family) -> dict:

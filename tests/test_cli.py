@@ -152,6 +152,23 @@ def test_verify_sparse_at_huge_n(capsys):
     assert err.startswith("seed = ")
 
 
+def test_verify_c_sjk_grid(capsys):
+    """c_sjk's tree TreeSpec(k, s, j, 1, 1, j) gives its recursion's values to n = 2000
+    from its own ICs, and its closed-form counts satisfy the recursion at seeded n
+    up to 10^18, over k 2..5, s 0..4 and j 1..4."""
+    for k in range(2, 6):
+        for s in range(5):
+            for j in range(1, 5):
+                params = [f"s={s}", f"j={j}", f"k={k}"]
+                code, out, err = run(["verify", "c_sjk", *params, "--n", "2000"], capsys)
+                assert (code, out) == (0, "AGREE for n <= 2000: recursion matches cell counts\n"), params
+                assert err == "note: tree found and checked, not proven\n"
+                code, out, err = run(["verify", "c_sjk", *params, "--n", str(10**18),
+                                      "--sparse", "5", "--seed", str(k * 100 + s * 10 + j)], capsys)
+                assert code == 0 and out.startswith("AGREE at 5 sampled n"), params
+                assert f"seed = {k * 100 + s * 10 + j}" in err
+
+
 def test_verify_sparse_reports_divergence(capsys, monkeypatch):
     from nestrec import tree
 

@@ -64,7 +64,9 @@ def test_equal_offsets_mean_equal_trees():
              for s in range(4) for j in range(1, 6) for m in range(j + 1)
              for other in (fam.HigherOrder, fam.Superposed)]
     pairs += [(fam.OrderOne(0, 1, m), fam.KaryOrderP(2, m, 1)) for m in range(2)]
-    assert len(pairs) == 162
+    pairs += [(fam.CSJK(s, j, 2), fam.OrderOne(s, j, 0)) for s in range(4) for j in range(1, 6)]
+    pairs += [(fam.CSJK(0, 1, k), fam.KaryOrderP(k, 0, 1)) for k in range(2, 6)]
+    assert len(pairs) == 186
     for a, b in pairs:
         assert a.offsets() == b.offsets(), (a, b)
         assert a.tree() == b.tree(), (a, b)
@@ -139,7 +141,7 @@ def test_validate_k2_with_remark():
 
 
 def test_exploratory_families_have_no_tree():
-    for f in (fam.QFamily(0, 2, 1), fam.CSJK(1, 2, 3), fam.NegGammaCandidate(3, -1, 4)):
+    for f in (fam.QFamily(0, 2, 1), fam.NegGammaCandidate(3, -1, 4)):
         assert f.check().exploratory
         with pytest.raises(fam.NoTreeKnown):
             fam.tree_of(f)
@@ -193,6 +195,18 @@ def test_build_family_and_documents():
     assert fam.build_family(doc.pop("family"), **doc) == g
     with pytest.raises(ValueError):
         fam.build_family("no_such_family")
+
+
+@pytest.mark.parametrize("name,params,message", [
+    ("order_one", {"s": 1, "j": 3}, "order_one takes s j m; missing m"),
+    ("kary_h", {"k": 3, "q": 1}, "kary_h takes k; unknown q"),
+    ("neg_gamma", {"k": 3, "gamma": -1, "d": 2}, "neg_gamma takes k gamma delta; missing delta; unknown d"),
+    ("conolly", {"x": 1}, "conolly takes no parameters; unknown x"),
+])
+def test_parameter_mismatch_names_the_catalog_parameters(name, params, message):
+    with pytest.raises(ValueError) as refusal:
+        fam.build_family(name, **params)
+    assert str(refusal.value) == message
 
 
 def test_named_catalog_covers_classics():

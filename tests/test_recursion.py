@@ -3,7 +3,7 @@ from __future__ import annotations
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nestrec import recursion, tree
 from nestrec.recursion import DeadReason, RecursionSpec
@@ -224,6 +224,36 @@ def test_evaluate_matches_reference_stepper(case):
     spec, initial, n_max = case
     result = recursion.evaluate(spec, initial, n_max)
     assert (result.values, result.dead_at, result.reason) == reference_evaluate(spec, initial, n_max)
+
+
+@settings(max_examples=300)
+@given(recursions())
+def test_death_reason_is_the_dead_index_of_right_side(case):
+    """A dying run's reason is the one right_side raises at the death index, on the values before it."""
+    spec, initial, n_max = case
+    result = recursion.evaluate(spec, initial, n_max)
+    assume(not result.alive)
+    values = (0, *result.values)
+    with pytest.raises(recursion.DeadIndex) as death:
+        recursion.right_side(spec, values.__getitem__, result.dead_at)
+    assert death.value.reason is result.reason
+
+
+@given(st.lists(st.integers(-3, 6), max_size=4), st.lists(st.integers(-4, 6), max_size=3))
+def test_shifted_rejects_what_the_spec_rejects(outer, shifts):
+    """RecursionSpec.shifted refuses (a, c) exactly when the spec of rows a_i + c_t is refused, with its message."""
+    rows = tuple(tuple(a + c for c in shifts) for a in outer)
+    refused = not outer or not shifts or any(a < 0 for a in outer) or any(min(row) < 1 for row in rows)
+    try:
+        spec = RecursionSpec(len(outer), len(shifts), tuple(outer), rows)
+    except ValueError as err:
+        assert refused
+        with pytest.raises(ValueError) as refusal:
+            RecursionSpec.shifted(outer, shifts)
+        assert str(refusal.value) == str(err)
+    else:
+        assert not refused
+        assert RecursionSpec.shifted(outer, shifts) == spec
 
 
 def test_death_inside_read_ahead_window():
