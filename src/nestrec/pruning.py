@@ -5,12 +5,16 @@ labels against smaller copies of the tree, lift what is left out of the
 leaves, trim the largest stragglers, and renumber.  Done right, the result
 is T(n - removed) again, which is what ties the trees to the recursions.
 
+A tree is held as columns, not as one object per node: parallel lists of
+kinds, indices and cells, where node ordinal o (1-based, as the move log
+counts nodes) is entry o - 1 of each.  Building, comparing and renumbering
+run as C-level calls over whole columns, with no Python step per node.
+
 Labels are held as runs, not one by one.  A cell is a `range` of
 consecutive labels: every operation takes labels off one end of a cell, so
 a cell stays a run, and after lifting an interior node's cells are the
 sorted runs it gathered from its leaves.  A node's cells are a tuple, so a
-log record can hold them without a copy, and the cyclic garbage collector
-stops tracking them once it has seen them.
+log record can hold them without a copy.
 
 Each operation takes T(n) and the family record whose tree it is, and
 refuses a tree of another shape or one below the record's threshold.
@@ -33,8 +37,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, repeat
-from operator import attrgetter
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import add, attrgetter, getitem, not_
 from typing import Optional, Sequence, Union
 
 from . import families as fam
@@ -45,38 +49,24 @@ class PruneRefused(ValueError):
     """The tree is too small for the requested pruning operation."""
 
 
-class TreeNode:
-    """One materialized node: a tuple of cells, each a range of labels, plus placeholder slots.
-
-    A leaf has one cell per leaf cell of the spec and an interior node one
-    cell, until lifting hands a parent its leaves' runs as further cells.
-    A cell's first label is its `start`, which an empty cell keeps too.
-    """
-
-    __slots__ = ("kind", "index", "cells", "placeholders")
-
-    def __init__(self, kind, index, cells):
-        self.kind = kind
-        self.index = index
-        self.cells = cells
-        self.placeholders = 0
-
-    def label_count(self) -> int:
-        return self.placeholders + sum(map(len, self.cells))
-
-    def __repr__(self):
-        return f"TreeNode({self.kind}, {self.index}, {_label_lists(self.cells)})"
-
-
-def _label_lists(cells: tuple[range, ...]) -> list[list[int]]:
-    return [list(cell) for cell in cells]
-
-
 @dataclass
 class LabelledTree:
+    """T(n) as parallel columns, one entry per node in insertion order.
+
+    `kinds` and `indices` are node_stream's (kind, index) pairs.  `cells`
+    holds each node's tuple of cells, each a range of labels: a leaf has one
+    per leaf cell of the spec and an interior node one, until lifting hands
+    a parent its leaves' runs as further cells.  A cell's first label is its
+    `start`, which an empty cell keeps too.  `placeholders` counts the slots
+    of the first supernode, node 2, the only node that ever holds any.
+    """
+
     spec: TreeSpec
     n: int
-    nodes: list[TreeNode]
+    kinds: list[str]
+    indices: list[int]
+    cells: list[tuple[range, ...]]
+    placeholders: int = 0
 
 
 # One record per moved block: (step, runs, from, to).  `runs` holds the
@@ -103,32 +93,42 @@ class PruneReport:
 
 
 def build_prefix(spec: TreeSpec, n: int) -> LabelledTree:
-    """Materialize the nodes of T(n), up to and including the one holding label n."""
+    """Materialize the nodes of T(n), up to and including the one holding label n.
+
+    The nodes come from one node_stream walk, in blocks no larger than the
+    labels still wanted could fill.  Every node is filled to capacity, and
+    the last one cut back at n.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     offsets = tuple(accumulate(spec.cell_sizes(), initial=0))
-    spans, leaf_labels = tuple(zip(offsets, offsets[1:])), offsets[-1]
-    capacity = {SUPERNODE: spec.supernode_labels, REGULAR: spec.regular_labels}
-    nodes: list[TreeNode] = []
-    append = nodes.append
-    next_label = 1
-    for kind, index in node_stream(spec.arity):
-        if next_label > n:
-            break
-        if kind == LEAF:
-            cells = tuple([range(next_label + lo, next_label + hi) for lo, hi in spans])
-            next_label += leaf_labels
-        else:
-            end = next_label + capacity[kind]
-            cells = (range(next_label, end),)
-            next_label = end
-        append(TreeNode(kind, index, cells))
-    # every node was filled to capacity, so the last may run past n: cut it
-    # back, and a cell that lies wholly past n starts at n + 1
-    last = nodes[-1]
+    capacity = {LEAF: offsets[-1], SUPERNODE: spec.supernode_labels, REGULAR: spec.regular_labels}
+    widest = max(capacity.values())
+    stream = node_stream(spec.arity)
+    pairs: list = []  # kind, index, kind, index, ...
+    starts: list[int] = []  # each node's first label, then the label after the last
+    end = 1
+    while end <= n:
+        taken = len(pairs)
+        pairs += chain.from_iterable(islice(stream, (n - end) // widest + 1))
+        starts += accumulate(map(capacity.__getitem__, pairs[taken::2]), initial=end)
+        end = starts.pop()
+    starts.append(end)
+    size = bisect_right(starts, n)  # the nodes that open at or below n
+    del starts[size + 1 :]
+    kinds, indices = pairs[: 2 * size : 2], pairs[1 : 2 * size : 2]
+    # a leaf's cells sit at fixed offsets from its first label and an interior
+    # node's one cell spans it; each node draws its cells from its kind's stream
+    leaf = [kind == LEAF for kind in kinds]
+    firsts = list(compress(starts, leaf))
+    leaf_cells = zip(*[map(range, map(add, firsts, repeat(lo)), map(add, firsts, repeat(hi)))
+                       for lo, hi in zip(offsets, offsets[1:])])
+    inner_cells = zip(map(range, compress(starts, map(not_, leaf)), compress(islice(starts, 1, None), map(not_, leaf))))
+    cells = list(map(next, map((inner_cells, leaf_cells).__getitem__, leaf)))
+    # the last node may run past n: cut it back; a cell wholly past n starts at n + 1
     stop = n + 1
-    last.cells = tuple([range(min(cell.start, stop), min(cell.stop, stop)) for cell in last.cells])
-    return LabelledTree(spec, n, nodes)
+    cells[-1] = tuple([range(min(cell.start, stop), min(cell.stop, stop)) for cell in cells[-1]])
+    return LabelledTree(spec, n, kinds, indices, cells)
 
 
 def trees_equal(a: LabelledTree, b: LabelledTree) -> bool:
@@ -141,14 +141,15 @@ def first_difference(a: LabelledTree, b: LabelledTree) -> Optional[str]:
         return f"specs differ: {a.spec} vs {b.spec}"
     if a.n != b.n:
         return f"label totals differ: {a.n} vs {b.n}"
-    for pos, (na, nb) in enumerate(zip(a.nodes, b.nodes), 1):
-        if na.kind != nb.kind or na.index != nb.index:
-            return f"node {pos}: {na.kind}({na.index}) vs {nb.kind}({nb.index})"
-        if na.cells != nb.cells:  # ranges compare as the label sequences they hold
-            return f"node {pos} ({na.kind} {na.index}): cells {_label_lists(na.cells)} vs {_label_lists(nb.cells)}"
-    if len(a.nodes) != len(b.nodes):
-        return f"node counts differ: {len(a.nodes)} vs {len(b.nodes)}"
-    return None
+    if a.kinds == b.kinds and a.indices == b.indices and a.cells == b.cells:
+        return None  # C-level list equality; ranges compare as the label sequences they hold
+    for pos, (kind, index, cells, other_kind, other_index, other_cells) in enumerate(
+            zip(a.kinds, a.indices, a.cells, b.kinds, b.indices, b.cells), 1):
+        if kind != other_kind or index != other_index:
+            return f"node {pos}: {kind}({index}) vs {other_kind}({other_index})"
+        if cells != other_cells:
+            return f"node {pos} ({kind} {index}): cells {list(map(list, cells))} vs {list(map(list, other_cells))}"
+    return f"node counts differ: {len(a.kinds)} vs {len(b.kinds)}"
 
 
 # -- shared steps -------------------------------------------------------------
@@ -165,13 +166,9 @@ def _fits(t: LabelledTree, family) -> tuple[int, ...]:
     threshold = fam.prune_threshold(family)
     if t.n < threshold:
         raise PruneRefused(f"need n >= {threshold}, got {t.n}")
-    return family.offsets().inner_offsets[0]
-
-
-def _first_supernode(t: LabelledTree) -> TreeNode:
-    if len(t.nodes) < 2 or t.nodes[1].kind != SUPERNODE:
+    if len(t.kinds) < 2 or t.kinds[1] != SUPERNODE:
         raise PruneRefused("tree is too small to hold its first supernode")
-    return t.nodes[1]
+    return family.offsets().inner_offsets[0]
 
 
 def _placeholders(count: int) -> tuple[str, ...]:
@@ -179,50 +176,51 @@ def _placeholders(count: int) -> tuple[str, ...]:
 
 
 def _drop_supernode_labels(t: LabelledTree, moves: list[Move]) -> None:
-    node = _first_supernode(t)
-    moves.append(("initial correction", node.cells, 2, None))
-    node.cells = (range(0),)
+    moves.append(("initial correction", t.cells[1], 2, None))
+    t.cells[1] = (range(0),)
 
 
 def _insert_placeholders(t: LabelledTree, count: int, moves: list[Move]) -> None:
-    node = _first_supernode(t)
-    node.placeholders += count
+    t.placeholders += count
     moves.append(("initial correction", (_placeholders(count),), None, 2))
 
 
-_start = attrgetter("start")
+def _cell_offsets(spec: TreeSpec) -> tuple[int, ...]:
+    """Where each cell of a full leaf opens, counted from the leaf's first label."""
+    return tuple(accumulate(spec.cell_sizes()[:-1], initial=0))
 
-Leaf = tuple[int, TreeNode, int, TreeNode]  # (ordinal, leaf, parent ordinal, parent)
+
+Leaf = tuple[int, int]  # (leaf ordinal, parent ordinal)
 
 
 def _leaves(t: LabelledTree) -> list[Leaf]:
-    """Every leaf of t with its parent, in node order; ordinals are 1-based positions in t.nodes.
+    """Every leaf of t with its parent, in node order, as 1-based node ordinals.
 
-    Leaves 1..k hang off the first supernode, node 2; every later leaf hangs
-    off the level-1 regular node last seen before it.  Call it once the
-    first supernode is known to exist.
+    Leaves 1..k hang off node 2, the first supernode, and every later leaf off the last level-1 regular node before it.
     """
     out = []
-    parent_ordinal, parent = 2, t.nodes[1]
-    for ordinal, node in enumerate(t.nodes, 1):
-        if node.kind == LEAF:
-            out.append((ordinal, node, parent_ordinal, parent))
-        elif node.kind == REGULAR and node.index == 1:
-            parent_ordinal, parent = ordinal, node
+    parent = 2
+    for ordinal, kind, index in zip(count(1), t.kinds, t.indices):
+        if kind == LEAF:
+            out.append((ordinal, parent))
+        elif index == 1 and kind == REGULAR:
+            parent = ordinal
     return out
 
 
-def _lift(leaves: list[Leaf], moves: list[Move]) -> None:
+def _lift(t: LabelledTree, leaves: list[Leaf], moves: list[Move]) -> None:
     """Hand every leaf's runs to its parent, which keeps them as further cells, sorted."""
-    moves += [("lifting", leaf.cells, ordinal, parent_ordinal) for ordinal, leaf, parent_ordinal, _ in leaves]
-    emptied = (range(0),) * len(leaves[0][1].cells)
-    for _, leaf, _, parent in leaves:
-        parent.cells += leaf.cells
-        leaf.cells = emptied
+    cells = t.cells
+    emptied = (range(0),) * len(cells[0])
+    append = moves.append
+    for ordinal, parent in leaves:
+        runs = cells[ordinal - 1]
+        append(("lifting", runs, ordinal, parent))
+        cells[parent - 1] += runs
+        cells[ordinal - 1] = emptied
     # a level-1 regular node comes before its leaves; only the first
     # supernode has one, leaf 1, before it
-    first_supernode = leaves[0][3]
-    first_supernode.cells = tuple(sorted(first_supernode.cells, key=_start))
+    cells[1] = tuple(sorted(cells[1], key=attrgetter("start")))
 
 
 def _end_correction(t: LabelledTree, quota: int, moves: list[Move], anomalies: list[str]) -> None:
@@ -230,107 +228,115 @@ def _end_correction(t: LabelledTree, quota: int, moves: list[Move], anomalies: l
     left = quota
     if not left:
         return
-    for ordinal, node in zip(range(len(t.nodes), 0, -1), reversed(t.nodes)):
-        if node.kind == LEAF:
+    for pos in range(len(t.cells) - 1, -1, -1):
+        if t.kinds[pos] == LEAF:
             continue  # leaves are empty after lifting
-        cells = list(node.cells)
+        cells = list(t.cells[pos])
         for slot in range(len(cells) - 1, -1, -1):
             run = cells[slot]
             keep = max(len(run) - left, 0)
             if keep < len(run):
-                moves.append(("end correction", (run[keep:][::-1],), ordinal, None))
+                moves.append(("end correction", (run[keep:][::-1],), pos + 1, None))
                 left -= len(run) - keep
                 cells[slot] = run[:keep]
             if not left:
                 break
-        node.cells = tuple(cells)
+        t.cells[pos] = tuple(cells)
         if not left:
             return
     anomalies.append(f"end correction ran out of labels with {left} of {quota} still to remove")
 
 
 def _relabel(t: LabelledTree, moves: list[Move], anomalies: list[str]) -> LabelledTree:
-    """Drop the old leaves, shift every survivor down a level, renumber in order."""
-    sizes = t.spec.cell_sizes()
-    new_nodes: list[TreeNode] = []
-    leaf_index = 0
-    next_label = 1
-    for old_ordinal, node in enumerate(t.nodes, 1):
-        if node.kind == LEAF:  # emptied by lifting
-            continue
-        first = next_label
-        next_label += node.label_count()
-        fresh = range(first, next_label)
-        runs = (_placeholders(node.placeholders), *node.cells) if node.placeholders else node.cells
-        moves.append(("relabelling", runs, old_ordinal, fresh))
-        if node.index == 1:  # first supernode or level-1 regular: it becomes a leaf
-            leaf_index += 1
-            cells = []
-            start = first
-            for size in sizes[:-1]:  # cells fill in order ...
-                end = min(start + size, next_label)
-                cells.append(range(start, end))
-                start = end
-            cells.append(range(start, next_label))  # ... and the last takes whatever is left
-            if next_label - start > sizes[-1]:
-                anomalies.append(f"new leaf {leaf_index} holds {next_label - first} labels, over its capacity")
-            new_nodes.append(TreeNode(LEAF, leaf_index, tuple(cells)))
-        else:
-            new_nodes.append(TreeNode(node.kind, node.index - 1, (fresh,)))
-    while new_nodes and new_nodes[-1].label_count() == 0:
-        new_nodes.pop()
-    return LabelledTree(t.spec, next_label - 1, new_nodes)
+    """Drop the old leaves, shift every survivor down a level, renumber in order.
+
+    The fresh ranges are a running sum of the survivors' label counts, and
+    a level-1 node, which becomes a leaf, takes its cells as slices of its
+    fresh range: the cells fill in order, and the last takes what is left.
+    """
+    offsets = _cell_offsets(t.spec)
+    cuts = [*map(slice, offsets, offsets[1:]), slice(offsets[-1], None)]
+    capacity = sum(t.spec.cell_sizes())
+    inner = [kind != LEAF for kind in t.kinds]
+    runs = list(compress(t.cells, inner))
+    counts = [sum(map(len, cells)) for cells in runs]
+    if t.placeholders:  # node 2, the first survivor, holds them
+        counts[0] += t.placeholders
+        runs[0] = (_placeholders(t.placeholders), *runs[0])
+    bounds = list(accumulate(counts, initial=1))
+    fresh = list(map(range, bounds, islice(bounds, 1, None)))
+    moves += zip(repeat("relabelling"), runs, compress(count(1), inner), fresh)
+
+    kinds = list(compress(t.kinds, inner))
+    indices = [index - 1 for index in compress(t.indices, inner)]
+    cells = list(zip(fresh))
+    level_one = [pos for pos, index in enumerate(indices) if not index]  # the first supernode and level-1 regulars
+    new_leaves = [fresh[pos] for pos in level_one]
+    leaf_cells = zip(*[map(getitem, new_leaves, repeat(cut)) for cut in cuts])
+    for leaf_index, pos, leaf in zip(count(1), level_one, leaf_cells):
+        kinds[pos], indices[pos], cells[pos] = LEAF, leaf_index, leaf
+    anomalies += [f"new leaf {leaf_index} holds {labels} labels, over its capacity"
+                  for leaf_index, labels in enumerate(map(len, new_leaves), 1) if labels > capacity]
+    size = len(counts)
+    while size and not counts[size - 1]:
+        size -= 1
+    del kinds[size:], indices[size:], cells[size:]
+    return LabelledTree(t.spec, bounds[-1] - 1, kinds, indices, cells)
 
 
 def _finish(t: LabelledTree, leaves: list[Leaf], quota: int, moves: list[Move], anomalies: list[str]) -> PruneReport:
     """The tail every prune shares: lift the leaves, remove the `quota` largest labels, renumber."""
-    _lift(leaves, moves)
+    _lift(t, leaves, moves)
     _end_correction(t, quota, moves, anomalies)
     result = _relabel(t, moves, anomalies)
     return PruneReport(t.n - result.n, result, moves, anomalies)
 
 
-def _delete_fronts(leaves: list[Leaf], row: tuple[int, ...], n: int, moves: list[Move], anomalies: list[str]) -> None:
+def _delete_fronts(t: LabelledTree, leaves: list[Leaf], row: tuple[int, ...], moves: list[Move],
+                   anomalies: list[str]) -> None:
     """One pass per b in `row`: each leaf cell opening at or below n - b gives up its first label.
 
     A leaf's labels in one pass are logged as one block, up to an empty cell,
     which falls back to the leaf's last cell, then the parent, then a
-    placeholder.  The opening labels are read before the first pass moves
-    any cell's start.
+    placeholder.  A cell opens where the tree was built to open it, at a
+    fixed offset from its leaf's first label, however many labels earlier
+    passes took off its front.
     """
-    openings = [tuple([cell.start for cell in leaf.cells]) for _, leaf, _, _ in leaves]
+    n, all_cells = t.n, t.cells
+    offsets = _cell_offsets(t.spec)
+    firsts = [all_cells[ordinal - 1][0].start for ordinal, _ in leaves]
     for b in row:
         reach = n - b
-        for (ordinal, leaf, parent_ordinal, parent), starts in zip(leaves, openings):
-            opened = bisect_right(starts, reach)
+        for (ordinal, parent), first in zip(leaves, firsts):
+            opened = bisect_right(offsets, reach - first)
             if not opened:
                 continue
-            cells = list(leaf.cells)
+            cells = list(all_cells[ordinal - 1])
             labels = []
             for slot in range(opened):
                 cell = cells[slot]
                 if cell:
                     labels.append(cell.start)
-                    cells[slot] = range(cell.start + 1, cell.stop)
+                    cells[slot] = cell[1:]
                     continue
                 if labels:
                     moves.append(("deletion", (tuple(labels),), ordinal, None))
                     labels = []
-                last, own = cells[-1], parent.cells[0]
+                last, own = cells[-1], all_cells[parent - 1][0]
                 if last:
                     moves.append(("deletion", (last[:1],), ordinal, None))
                     cells[-1] = last[1:]
                 elif own:
-                    moves.append(("deletion", (own[:1],), parent_ordinal, None))
-                    parent.cells = (own[1:], *parent.cells[1:])
-                elif parent.placeholders:
-                    parent.placeholders -= 1
-                    moves.append(("deletion", (("placeholder",),), parent_ordinal, None))
+                    moves.append(("deletion", (own[:1],), parent, None))
+                    all_cells[parent - 1] = (own[1:], *all_cells[parent - 1][1:])
+                elif parent == 2 and t.placeholders:
+                    t.placeholders -= 1
+                    moves.append(("deletion", (("placeholder",),), parent, None))
                 else:
-                    anomalies.append(f"nothing left to delete for leaf {leaf.index} cell {slot + 1}")
+                    anomalies.append(f"nothing left to delete for leaf {t.indices[ordinal - 1]} cell {slot + 1}")
             if labels:
                 moves.append(("deletion", (tuple(labels),), ordinal, None))
-            leaf.cells = tuple(cells)
+            all_cells[ordinal - 1] = tuple(cells)
 
 
 # -- the four pruning operations ----------------------------------------------
@@ -347,33 +353,32 @@ def prune_order2(t: LabelledTree, family: fam.OrderOne) -> PruneReport:
     # j - m largest labels of the tree (as many as a regular node holds),
     # a suffix of the last cells
     _drop_supernode_labels(t, moves)
-    target = _first_supernode(t)
     lowest = n - wanted + 1
-    for ordinal, node in zip(range(len(t.nodes), 0, -1), reversed(t.nodes)):
+    for pos in range(len(t.cells) - 1, -1, -1):
         if not wanted:
             break
         kept = []
-        for cell in node.cells:
+        for cell in t.cells[pos]:
             cut = max(lowest - cell.start, 0)
             if cut < len(cell):
-                moves.append(("initial correction", (cell[cut:],), ordinal, 2))
+                moves.append(("initial correction", (cell[cut:],), pos + 1, 2))
                 wanted -= len(cell) - cut
             kept.append(cell[:cut])
-        node.cells = tuple(kept)
+        t.cells[pos] = tuple(kept)
     # n is past the threshold, so all of them lie beyond the first supernode
-    target.cells = (range(lowest, n + 1),)
+    t.cells[1] = (range(lowest, n + 1),)
 
     # deletion: the move-in took only labels past n - j, so every cell in
     # reach still holds its first label and none falls back
     leaves = _leaves(t)
-    _delete_fronts(leaves, row, n, moves, anomalies)
+    _delete_fronts(t, leaves, row, moves, anomalies)
     return _finish(t, leaves, 0, moves, anomalies)
 
 
 def prune_orderp(t: LabelledTree, family: fam.HigherOrder) -> PruneReport:
     """Prune T(n) of an order-p binary family, deleting against p nested subtrees."""
     row = _fits(t, family)
-    n, x = t.n, t.spec.regular_labels
+    x = t.spec.regular_labels
     moves: list[Move] = []
     anomalies: list[str] = []
 
@@ -381,7 +386,7 @@ def prune_orderp(t: LabelledTree, family: fam.HigherOrder) -> PruneReport:
     _insert_placeholders(t, x, moves)
 
     leaves = _leaves(t)
-    _delete_fronts(leaves, row, n, moves, anomalies)
+    _delete_fronts(t, leaves, row, moves, anomalies)
     return _finish(t, leaves, x, moves, anomalies)
 
 
@@ -392,7 +397,7 @@ def prune_superposed(t: LabelledTree, family: fam.Superposed) -> PruneReport:
     keep their starts and no fallback is needed.
     """
     row = _fits(t, family)
-    n, x = t.n, t.spec.regular_labels
+    n, x, all_cells = t.n, t.spec.regular_labels, t.cells
     moves: list[Move] = []
     anomalies: list[str] = []
     # exploratory m < 0 shapes run from a lower threshold, so flag them at or below the IC length
@@ -404,23 +409,25 @@ def prune_superposed(t: LabelledTree, family: fam.Superposed) -> PruneReport:
     _insert_placeholders(t, x, moves)
 
     leaves = _leaves(t)
+    offsets = _cell_offsets(t.spec)
+    firsts = [all_cells[ordinal - 1][0].start for ordinal, _ in leaves]
     for i, b in enumerate(row, 1):
         reach = n - b
-        for ordinal, leaf, _, _ in leaves:
-            opened = bisect_right(leaf.cells, reach, key=_start)
+        for (ordinal, _), first in zip(leaves, firsts):
+            opened = bisect_right(offsets, reach - first)
             if not opened:
                 continue
-            cells = list(leaf.cells)
+            cells = list(all_cells[ordinal - 1])
             labels = []
             for slot in range(opened):
                 cell = cells[slot]
                 if cell:
-                    labels.append(cell.stop - 1)
-                    cells[slot] = range(cell.start, cell.stop - 1)
+                    labels.append(cell[-1])
+                    cells[slot] = cell[:-1]
                 else:
-                    anomalies.append(f"cell {slot + 1} of leaf {leaf.index} was already empty in pass {i}")
+                    anomalies.append(f"cell {slot + 1} of leaf {t.indices[ordinal - 1]} was already empty in pass {i}")
             moves.append(("deletion", (tuple(labels),), ordinal, None))
-            leaf.cells = tuple(cells)
+            all_cells[ordinal - 1] = tuple(cells)
 
     return _finish(t, leaves, x, moves, anomalies)
 
@@ -432,23 +439,22 @@ def prune_kary(t: LabelledTree, family: fam.KaryOrderP) -> PruneReport:
     and gives up that many labels off its front in one record.
     """
     row = _fits(t, family)
-    n, x = t.n, t.spec.regular_labels
+    n, x, all_cells = t.n, t.spec.regular_labels, t.cells
     moves: list[Move] = []
     anomalies: list[str] = []
 
     _insert_placeholders(t, x, moves)
 
     leaves = _leaves(t)
-    for ordinal, leaf, _, _ in leaves:
-        cell = leaf.cells[0]
+    for ordinal, _ in leaves:
+        cell = all_cells[ordinal - 1][0]
         if not cell:  # it lies past n
             continue
         demand = bisect_right(row, n - cell.start)
-        taken = min(demand, len(cell))
-        moves.append(("deletion", (range(cell.start, cell.start + taken),), ordinal, None))
-        leaf.cells = (range(cell.start + taken, cell.stop),)
-        if taken < demand:
-            anomalies.extend([f"leaf {leaf.index} ran out of labels during deletion"] * (demand - taken))
+        moves.append(("deletion", (cell[:demand],), ordinal, None))
+        all_cells[ordinal - 1] = (cell[demand:],)
+        if demand > len(cell):
+            anomalies += [f"leaf {t.indices[ordinal - 1]} ran out of labels during deletion"] * (demand - len(cell))
 
     return _finish(t, leaves, x, moves, anomalies)
 
@@ -483,18 +489,11 @@ def left_leaf_correspondence(family, n: int) -> bool:
     spec = fam.tree_of(family)
     t = build_prefix(spec, n)
     k = spec.arity
-    original = {
-        node.index: sum(1 for cell in node.cells if cell)
-        for node in t.nodes
-        if node.kind == LEAF
-    }
-    left_total = sum(count for index, count in original.items() if (index - 1) % k == 0)
+    original = {index: sum(map(bool, cells)) for kind, index, cells in zip(t.kinds, t.indices, t.cells) if kind == LEAF}
+    left_total = sum(cells for index, cells in original.items() if (index - 1) % k == 0)
     report = prune_family(family, t)
-    for node in report.result.nodes:
-        if node.kind != LEAF:
-            continue
-        want = original.get((node.index - 1) * k + 1, 0)
-        have = sum(1 for cell in node.cells if cell)
-        if want != have:
+    result = report.result
+    for kind, index, cells in zip(result.kinds, result.indices, result.cells):
+        if kind == LEAF and original.get((index - 1) * k + 1, 0) != sum(map(bool, cells)):
             return False
     return left_total == cell_count(spec, n - report.removed)

@@ -12,7 +12,8 @@ line led by its section name:
     record   every record method, and the range-checked module functions,
              on grids that run past each family's range on every side
     prune    the four prune operations on the in-range grid, from one below
-             each point's threshold, superposed m < 0 included
+             each point's threshold, superposed m < 0 included, then on
+             seeded large trees: 2 n in [10^4, 6*10^4] for 3 points per op
     explore  cli.explore_rows --prune-check rows on the record grids, plus
              points whose keys do not fit their catalog entry
 
@@ -33,6 +34,8 @@ from nestrec import pruning, recursion
 SEED = 15
 EVAL_SPECS = 20_000
 PRUNE_WIDTH = 66  # n from threshold - 1 through threshold + PRUNE_WIDTH - 2
+LARGE_N = (10_000, 60_000)
+LARGE_POINTS, LARGE_SIZES = 3, 2  # points per op, n per point
 EXPLORE_N = 300
 
 
@@ -115,18 +118,28 @@ def prune_points() -> list[fam.Family]:
     return points
 
 
+def prune_line(family: fam.Family, n: int) -> str:
+    spec = fam.tree_of(family)
+    try:
+        report = pruning.prune_family(family, pruning.build_prefix(spec, n))
+    except Exception as err:
+        return f"prune {family} n={n} !{type(err).__name__}: {err}"
+    same = pruning.trees_equal(report.result, pruning.build_prefix(spec, n - report.removed))
+    return (f"prune {family} n={n} removed={report.removed} equal={same} "
+            f"anomalies={report.anomalies} moves={len(report.moves)} h={digest(report.moves)}")
+
+
 def prune_lines():
-    for family in prune_points():
-        spec, threshold = fam.tree_of(family), fam.prune_threshold(family)
+    points = prune_points()
+    for family in points:
+        threshold = fam.prune_threshold(family)
         for n in range(threshold - 1, threshold + PRUNE_WIDTH - 1):
-            try:
-                report = pruning.prune_family(family, pruning.build_prefix(spec, n))
-            except Exception as err:
-                yield f"prune {family} n={n} !{type(err).__name__}: {err}"
-                continue
-            same = pruning.trees_equal(report.result, pruning.build_prefix(spec, n - report.removed))
-            yield (f"prune {family} n={n} removed={report.removed} equal={same} "
-                   f"anomalies={report.anomalies} moves={len(report.moves)} h={digest(report.moves)}")
+            yield prune_line(family, n)
+    rng = random.Random(f"prune:{SEED}")
+    for name in ("order_one", "higher_order", "superposed", "kary"):
+        for family in rng.sample([f for f in points if f.name == name], LARGE_POINTS):
+            for _ in range(LARGE_SIZES):
+                yield prune_line(family, rng.randint(*LARGE_N))
 
 
 MISFITS = [  # points whose keys do not fit their catalog entry, and the constructors' own refusals

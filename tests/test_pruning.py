@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import islice
+from dataclasses import replace
+from itertools import accumulate, chain, islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,30 +19,29 @@ RUNNING = TreeSpec(2, 1, 3, 1, 2, 2)
 def test_build_prefix_materializes_through_last_label():
     t = pruning.build_prefix(RUNNING, 13)
     # label 13 opens leaf 3; the regular node before it holds labels 11 and 12
-    kinds = [(node.kind, node.index) for node in t.nodes]
+    kinds = list(zip(t.kinds, t.indices))
     assert kinds[-1] == (tree.LEAF, 3)
     assert (tree.REGULAR, 1) in kinds
-    assert sum(node.label_count() for node in t.nodes) == 13
+    assert t.placeholders + sum(len(cell) for cells in t.cells for cell in cells) == 13
 
 
 def test_build_prefix_keeps_empty_interior_nodes():
     spec = TreeSpec(2, 0, 1, 1, 1, 0)  # supernodes and regulars hold nothing
     t = pruning.build_prefix(spec, 3)
-    kinds = [node.kind for node in t.nodes]
-    assert tree.SUPERNODE in kinds
-    assert kinds[-1] == tree.LEAF
+    assert tree.SUPERNODE in t.kinds
+    assert t.kinds[-1] == tree.LEAF
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_leaf_parents_follow_node_stream(k):
-    """Pruning's (ordinal, leaf, parent ordinal, parent) list, rebuilt from node_stream.
+    """Pruning's (leaf ordinal, parent ordinal) pairs, rebuilt from node_stream.
 
     A leaf's parent is supernode 1 (node 2) for leaves 1..k and otherwise
     the latest level-1 regular node before it; equivalently, leaf L hangs
     off the ((L - 1) // k + 1)-th of supernode 1 and the level-1 regulars.
     """
     t = pruning.build_prefix(TreeSpec(k, 1, 2, 1, 1, 1), 2000)
-    nodes = list(enumerate(islice(tree.node_stream(k), len(t.nodes)), 1))
+    nodes = list(enumerate(islice(tree.node_stream(k), len(t.kinds)), 1))
     want = []
     latest = None
     for ordinal, (kind, index) in nodes:
@@ -49,12 +49,12 @@ def test_leaf_parents_follow_node_stream(k):
             want.append((ordinal, index, 2 if index <= k else latest))
         elif kind == tree.REGULAR and index == 1:
             latest = ordinal
-    leaves = pruning._leaves(t)
-    assert [(ordinal, leaf.index, parent_ordinal) for ordinal, leaf, parent_ordinal, _ in leaves] == want
+    leaves = list(pruning._leaves(t))
+    assert [(ordinal, t.indices[ordinal - 1], parent_ordinal) for ordinal, parent_ordinal in leaves] == want
     penultimates = [ordinal for ordinal, (kind, index) in nodes if kind != tree.LEAF and index == 1]
-    for ordinal, leaf, parent_ordinal, parent in leaves:
-        assert leaf is t.nodes[ordinal - 1] and parent is t.nodes[parent_ordinal - 1]
-        assert parent_ordinal == penultimates[(leaf.index - 1) // k]
+    for ordinal, parent_ordinal in leaves:
+        assert t.kinds[ordinal - 1] == tree.LEAF and t.kinds[parent_ordinal - 1] != tree.LEAF
+        assert parent_ordinal == penultimates[(t.indices[ordinal - 1] - 1) // k]
 
 
 def test_trees_equal_and_first_difference():
@@ -66,17 +66,35 @@ def test_trees_equal_and_first_difference():
     assert pruning.first_difference(a, c) is not None
 
 
-def test_first_difference_and_repr_print_label_lists():
+def test_first_difference_names_each_kind_of_mismatch():
+    """One message per check, in the order they run: spec, label total, node, cells, node count."""
     a = pruning.build_prefix(RUNNING, 15)
-    b = pruning.build_prefix(RUNNING, 14)
-    assert pruning.first_difference(a, b) == "label totals differ: 15 vs 14"
-    same_total = pruning.LabelledTree(RUNNING, 15, b.nodes)
-    assert pruning.first_difference(a, same_total) == "node 6 (leaf 3): cells [[13], [14], [15]] vs [[13], [14], []]"
-    assert repr(a.nodes) == (
-        "[TreeNode(leaf, 1, [[1], [2], [3, 4]]), TreeNode(supernode, 1, [[5]]), "
-        "TreeNode(leaf, 2, [[6], [7], [8, 9]]), TreeNode(supernode, 2, [[10]]), "
-        "TreeNode(regular, 1, [[11, 12]]), TreeNode(leaf, 3, [[13], [14], [15]])]"
-    )
+    ternary = TreeSpec(3, 1, 3, 1, 2, 2)
+    sparse = TreeSpec(2, 0, 1, 1, 1, 0)  # interior nodes hold nothing
+    pairs = [
+        (a, pruning.build_prefix(ternary, 15), f"specs differ: {RUNNING} vs {ternary}"),
+        (a, pruning.build_prefix(RUNNING, 14), "label totals differ: 15 vs 14"),
+        # nodes 1-3 agree; the binary tree's node 4 is supernode 2, the ternary's leaf 3
+        (a, replace(pruning.build_prefix(ternary, 15), spec=RUNNING), "node 4: supernode(2) vs leaf(3)"),
+        (a, replace(pruning.build_prefix(RUNNING, 14), n=15),
+         "node 6 (leaf 3): cells [[13], [14], [15]] vs [[13], [14], []]"),
+        # T(2) is the first three nodes of T(3), which ends with two empty interior nodes and leaf 3
+        (pruning.build_prefix(sparse, 3), replace(pruning.build_prefix(sparse, 2), n=3), "node counts differ: 6 vs 3"),
+    ]
+    for first, second, message in pairs:
+        assert pruning.first_difference(first, second) == message
+        assert not pruning.trees_equal(first, second)
+        assert pruning.first_difference(first, first) is None and pruning.trees_equal(first, first)
+
+
+def test_build_prefix_columns_of_the_running_example():
+    t = pruning.build_prefix(RUNNING, 15)
+    assert t.kinds == [tree.LEAF, tree.SUPERNODE, tree.LEAF, tree.SUPERNODE, tree.REGULAR, tree.LEAF]
+    assert t.indices == [1, 1, 2, 2, 1, 3]
+    assert [[list(cell) for cell in cells] for cells in t.cells] == [
+        [[1], [2], [3, 4]], [[5]], [[6], [7], [8, 9]], [[10]], [[11, 12]], [[13], [14], [15]]
+    ]
+    assert t.placeholders == 0
 
 
 def test_running_example_prune():
@@ -219,7 +237,7 @@ def assert_log_replays(before: pruning.LabelledTree, report: pruning.PruneReport
     at the end every label is gone, and the survivors were renumbered
     1..result.n in order.
     """
-    held = {ordinal: {label for cell in node.cells for label in cell} for ordinal, node in enumerate(before.nodes, 1)}
+    held = {ordinal: {label for cell in cells for label in cell} for ordinal, cells in enumerate(before.cells, 1)}
     placeholders = Counter()
     fresh = []
     for step in report.steps:
@@ -306,8 +324,11 @@ def test_prune_identity_everywhere(f, data):
     assert again.steps == steps
 
 
+SPEC_GRID = [(1, 3, 1, 2, 2), (0, 1, 1, 3, 0), (2, 2, 2, 1, 1), (0, 4, 1, 1, 3)]  # (s, j, c, last, x)
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
-@pytest.mark.parametrize("s, j, c, last, x", [(1, 3, 1, 2, 2), (0, 1, 1, 3, 0), (2, 2, 2, 1, 1), (0, 4, 1, 1, 3)])
+@pytest.mark.parametrize("s, j, c, last, x", SPEC_GRID)
 def test_leaf_runs_match_cell_positions(k, s, j, c, last, x):
     """build_prefix's leaf cells against the byte-template walk, which uses no node_stream.
 
@@ -321,19 +342,47 @@ def test_leaf_runs_match_cell_positions(k, s, j, c, last, x):
     for n in (1, 2, 7, 64, 999, 5000):
         t = pruning.build_prefix(spec, n)
         built = []
-        for node in t.nodes:
-            if node.kind != tree.LEAF:
+        for kind, index, cells in zip(t.kinds, t.indices, t.cells):
+            if kind != tree.LEAF:
                 continue
-            for slot, cell in enumerate(node.cells, 1):
+            for slot, cell in enumerate(cells, 1):
                 if cell:
-                    built.append((cell.start, node.index, slot, cell))
+                    built.append((cell.start, index, slot, cell))
                 else:
-                    assert cell.start == n + 1, (node, slot)
+                    assert cell.start == n + 1, (index, slot)
         expected = [
             (first, leaf, slot, range(first, first + min(sizes[slot - 1], n + 1 - first)))
             for first, leaf, slot in tree.cell_positions(spec, n)
         ]
         assert built == expected, (spec, n)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("s, j, c, last, x", SPEC_GRID)
+def test_build_prefix_fills_every_node_to_capacity(k, s, j, c, last, x):
+    """Every cell of build_prefix, interior nodes included, against the spec alone.
+
+    The nodes are node_stream's, and the cells hold labels 1..n once each,
+    in node order.  Every node but the last holds its kind's capacity: a
+    leaf the spec's cell sizes, a supernode s labels and a regular node x,
+    in one cell.  The last node holds label n, cut back from its capacity.
+    Each cell starts where the one before it stopped, so an empty cell
+    starts at the next label, which is n + 1 past n.
+    """
+    spec = TreeSpec(k, s, j, c, last, x)
+    capacity = {tree.LEAF: spec.cell_sizes(), tree.SUPERNODE: (s,), tree.REGULAR: (x,)}
+    for n in (1, 2, 3, 7, 64, 999, 20_000):
+        t = pruning.build_prefix(spec, n)
+        assert list(zip(t.kinds, t.indices)) == list(islice(tree.node_stream(k), len(t.kinds))), (spec, n)
+        assert len(t.indices) == len(t.cells) == len(t.kinds) and t.placeholders == 0
+        sizes = [tuple(map(len, cells)) for cells in t.cells]
+        assert sizes[:-1] == [capacity[kind] for kind in t.kinds[:-1]], (spec, n)
+        full = capacity[t.kinds[-1]]
+        assert len(sizes[-1]) == len(full) and all(map(int.__le__, sizes[-1], full)), (spec, n)
+        assert any(n in cell for cell in t.cells[-1]), (spec, n)
+        cells = list(chain.from_iterable(t.cells))
+        assert list(chain.from_iterable(cells)) == list(range(1, n + 1)), (spec, n)
+        assert [cell.start for cell in cells] == list(accumulate(map(len, cells[:-1]), initial=1)), (spec, n)
 
 
 def test_movement_log_is_json_clean():
