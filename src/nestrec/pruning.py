@@ -8,13 +8,14 @@ is T(n - removed) again, which is what ties the trees to the recursions.
 A tree is held as columns, not as one object per node: parallel lists of
 kinds, indices and cells, where node ordinal o (1-based, as the move log
 counts nodes) is entry o - 1 of each.  Building, comparing and renumbering
-run as C-level calls over whole columns, with no Python step per node.
+work a whole column at a time, through `map`, `zip` and list equality.
 
 Labels are held as runs, not one by one.  A cell is a `range` of
 consecutive labels: every operation takes labels off one end of a cell, so
 a cell stays a run, and after lifting an interior node's cells are the
 sorted runs it gathered from its leaves.  A node's cells are a tuple, so a
-log record can hold them without a copy.
+log record can hold them without a copy, and the cyclic garbage collector
+stops tracking them once it has seen them.
 
 Each operation takes T(n) and the family record whose tree it is, and
 refuses a tree of another shape or one below the record's threshold.
@@ -95,9 +96,10 @@ class PruneReport:
 def build_prefix(spec: TreeSpec, n: int) -> LabelledTree:
     """Materialize the nodes of T(n), up to and including the one holding label n.
 
-    The nodes come from one node_stream walk, in blocks no larger than the
-    labels still wanted could fill.  Every node is filled to capacity, and
-    the last one cut back at n.
+    The nodes come from one node_stream walk, in blocks of at most as many
+    nodes as the labels still wanted could fill, so every node taken opens
+    at or below n.  Every node is filled to capacity, and the last one cut
+    back at n.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -114,9 +116,7 @@ def build_prefix(spec: TreeSpec, n: int) -> LabelledTree:
         starts += accumulate(map(capacity.__getitem__, pairs[taken::2]), initial=end)
         end = starts.pop()
     starts.append(end)
-    size = bisect_right(starts, n)  # the nodes that open at or below n
-    del starts[size + 1 :]
-    kinds, indices = pairs[: 2 * size : 2], pairs[1 : 2 * size : 2]
+    kinds, indices = pairs[::2], pairs[1::2]
     # a leaf's cells sit at fixed offsets from its first label and an interior
     # node's one cell spans it; each node draws its cells from its kind's stream
     leaf = [kind == LEAF for kind in kinds]
@@ -203,7 +203,7 @@ def _leaves(t: LabelledTree) -> list[Leaf]:
     for ordinal, kind, index in zip(count(1), t.kinds, t.indices):
         if kind == LEAF:
             out.append((ordinal, parent))
-        elif index == 1 and kind == REGULAR:
+        elif index == 1:  # node 2 itself, or a level-1 regular node
             parent = ordinal
     return out
 

@@ -49,7 +49,7 @@ def test_leaf_parents_follow_node_stream(k):
             want.append((ordinal, index, 2 if index <= k else latest))
         elif kind == tree.REGULAR and index == 1:
             latest = ordinal
-    leaves = list(pruning._leaves(t))
+    leaves = pruning._leaves(t)
     assert [(ordinal, t.indices[ordinal - 1], parent_ordinal) for ordinal, parent_ordinal in leaves] == want
     penultimates = [ordinal for ordinal, (kind, index) in nodes if kind != tree.LEAF and index == 1]
     for ordinal, parent_ordinal in leaves:
@@ -76,6 +76,7 @@ def test_first_difference_names_each_kind_of_mismatch():
         (a, pruning.build_prefix(RUNNING, 14), "label totals differ: 15 vs 14"),
         # nodes 1-3 agree; the binary tree's node 4 is supernode 2, the ternary's leaf 3
         (a, replace(pruning.build_prefix(ternary, 15), spec=RUNNING), "node 4: supernode(2) vs leaf(3)"),
+        (a, replace(a, indices=[*a.indices[:-1], 9]), "node 6: leaf(3) vs leaf(9)"),  # same kinds and cells
         (a, replace(pruning.build_prefix(RUNNING, 14), n=15),
          "node 6 (leaf 3): cells [[13], [14], [15]] vs [[13], [14], []]"),
         # T(2) is the first three nodes of T(3), which ends with two empty interior nodes and leaf 3
