@@ -13,9 +13,7 @@ work a whole column at a time, through `map`, `zip` and list equality.
 Labels are held as runs, not one by one.  A cell is a `range` of
 consecutive labels: every operation takes labels off one end of a cell, so
 a cell stays a run, and after lifting an interior node's cells are the
-sorted runs it gathered from its leaves.  A node's cells are a tuple, so a
-log record can hold them without a copy, and the cyclic garbage collector
-stops tracking them once it has seen them.
+sorted runs it gathered from its leaves.
 
 Each operation takes T(n) and the family record whose tree it is, and
 refuses a tree of another shape or one below the record's threshold.
@@ -25,22 +23,24 @@ n + 1.  Each deletion pass is a nested term R(n - b) of the first summand:
 for b in the record's first inner offset row, every leaf cell opening at
 or below n - b gives up a label.  Order one and order p take it off the
 front, with a fallback for an empty cell; superposed takes it off the
-back, and the k-ary op logs one record per leaf.
+back, and the k-ary op logs one block per leaf.
 
-Every label movement is logged, one record per moved block.
-PruneReport.steps expands the records into one dict per label on first
-read, so a prune can be audited step by step, and a caller that only wants
-the result never pays for the expansion.
+Every label movement is logged, one block per moved run or runs, in
+columns like the tree's: each block's step, source and target, and all
+blocks' runs in one flat list, so the log holds no record tuple for the
+cyclic garbage collector to chase.  PruneReport.moves rebuilds the records
+and PruneReport.steps one dict per label, each on first read, so a caller
+that only wants the result never pays for either.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import add, attrgetter, getitem, not_
-from typing import Optional, Sequence, Union
+from operator import add, attrgetter, getitem, itemgetter, not_
+from typing import Iterable, Optional, Sequence, Union
 
 from . import families as fam
 from .tree import LEAF, REGULAR, SUPERNODE, TreeSpec, cell_count, node_stream
@@ -70,18 +70,46 @@ class LabelledTree:
     placeholders: int = 0
 
 
-# One record per moved block: (step, runs, from, to).  `runs` holds the
-# moved labels as runs, in the order they moved; `to` is a node ordinal or
-# None, or for relabelling the range of fresh labels they become.
+# A block as PruneReport.moves rebuilds it: (step, runs, from, to).  `runs` holds the moved labels as runs,
+# in the order they moved; `to` is a node ordinal or None, or for relabelling the range of fresh labels.
 Move = tuple[str, Sequence[Sequence[Union[int, str]]], Optional[int], Union[int, range, None]]
 
 
 @dataclass
+class _MoveLog:
+    """The move log as columns: block b moved runs[ends[b - 1]:ends[b]] (from 0 for b = 0) in steps[b],
+    from sources[b] to targets[b]."""
+
+    steps: list[str] = field(default_factory=list)
+    sources: list[Optional[int]] = field(default_factory=list)
+    targets: list[Union[int, range, None]] = field(default_factory=list)
+    runs: list[Sequence[Union[int, str]]] = field(default_factory=list)
+    ends: list[int] = field(default_factory=list)
+
+    def add(self, step: str, runs: Iterable, sizes: Iterable[int], sources: Iterable, targets: Iterable) -> None:
+        """Log one block per item of `sizes`, taking that many of `runs` in turn, from its source to its target."""
+        self.ends += islice(accumulate(sizes, initial=len(self.runs)), 1, None)
+        self.runs += runs
+        self.steps += repeat(step, len(self.ends) - len(self.steps))
+        self.sources += sources
+        self.targets += targets
+
+
+@dataclass
 class PruneReport:
+    """How many labels a prune removed, the tree it left, its move log and any anomalies."""
+
     removed: int
     result: LabelledTree
-    moves: list[Move]
+    log: _MoveLog
     anomalies: list[str]
+
+    @cached_property
+    def moves(self) -> list[Move]:
+        """The move log as records, rebuilt from its columns on first read."""
+        log = self.log
+        runs = map(tuple, map(log.runs.__getitem__, map(slice, chain((0,), log.ends), log.ends)))
+        return list(zip(log.steps, runs, log.sources, log.targets))
 
     @cached_property
     def steps(self) -> list[dict]:
@@ -175,14 +203,14 @@ def _placeholders(count: int) -> tuple[str, ...]:
     return tuple(f"placeholder-{i}" for i in range(1, count + 1))
 
 
-def _drop_supernode_labels(t: LabelledTree, moves: list[Move]) -> None:
-    moves.append(("initial correction", t.cells[1], 2, None))
+def _drop_supernode_labels(t: LabelledTree, log: _MoveLog) -> None:
+    log.add("initial correction", t.cells[1], [len(t.cells[1])], [2], [None])
     t.cells[1] = (range(0),)
 
 
-def _insert_placeholders(t: LabelledTree, count: int, moves: list[Move]) -> None:
+def _insert_placeholders(t: LabelledTree, count: int, log: _MoveLog) -> None:
     t.placeholders += count
-    moves.append(("initial correction", (_placeholders(count),), None, 2))
+    log.add("initial correction", [_placeholders(count)], [1], [None], [2])
 
 
 def _cell_offsets(spec: TreeSpec) -> tuple[int, ...]:
@@ -208,14 +236,14 @@ def _leaves(t: LabelledTree) -> list[Leaf]:
     return out
 
 
-def _lift(t: LabelledTree, leaves: list[Leaf], moves: list[Move]) -> None:
+def _lift(t: LabelledTree, leaves: list[Leaf], log: _MoveLog) -> None:
     """Hand every leaf's runs to its parent, which keeps them as further cells, sorted."""
     cells = t.cells
     emptied = (range(0),) * len(cells[0])
-    append = moves.append
-    for ordinal, parent in leaves:
-        runs = cells[ordinal - 1]
-        append(("lifting", runs, ordinal, parent))
+    lifted = [cells[ordinal - 1] for ordinal, _ in leaves]
+    log.add("lifting", chain.from_iterable(lifted), map(len, lifted),
+            map(itemgetter(0), leaves), map(itemgetter(1), leaves))
+    for (ordinal, parent), runs in zip(leaves, lifted):
         cells[parent - 1] += runs
         cells[ordinal - 1] = emptied
     # a level-1 regular node comes before its leaves; only the first
@@ -223,7 +251,7 @@ def _lift(t: LabelledTree, leaves: list[Leaf], moves: list[Move]) -> None:
     cells[1] = tuple(sorted(cells[1], key=attrgetter("start")))
 
 
-def _end_correction(t: LabelledTree, quota: int, moves: list[Move], anomalies: list[str]) -> None:
+def _end_correction(t: LabelledTree, quota: int, log: _MoveLog, anomalies: list[str]) -> None:
     """Remove the `quota` largest labels left anywhere in the tree, trimming each node's last runs."""
     left = quota
     if not left:
@@ -236,7 +264,7 @@ def _end_correction(t: LabelledTree, quota: int, moves: list[Move], anomalies: l
             run = cells[slot]
             keep = max(len(run) - left, 0)
             if keep < len(run):
-                moves.append(("end correction", (run[keep:][::-1],), pos + 1, None))
+                log.add("end correction", [run[keep:][::-1]], [1], [pos + 1], [None])
                 left -= len(run) - keep
                 cells[slot] = run[:keep]
             if not left:
@@ -247,7 +275,7 @@ def _end_correction(t: LabelledTree, quota: int, moves: list[Move], anomalies: l
     anomalies.append(f"end correction ran out of labels with {left} of {quota} still to remove")
 
 
-def _relabel(t: LabelledTree, moves: list[Move], anomalies: list[str]) -> LabelledTree:
+def _relabel(t: LabelledTree, log: _MoveLog, anomalies: list[str]) -> LabelledTree:
     """Drop the old leaves, shift every survivor down a level, renumber in order.
 
     The fresh ranges are a running sum of the survivors' label counts, and
@@ -265,7 +293,7 @@ def _relabel(t: LabelledTree, moves: list[Move], anomalies: list[str]) -> Labell
         runs[0] = (_placeholders(t.placeholders), *runs[0])
     bounds = list(accumulate(counts, initial=1))
     fresh = list(map(range, bounds, islice(bounds, 1, None)))
-    moves += zip(repeat("relabelling"), runs, compress(count(1), inner), fresh)
+    log.add("relabelling", chain.from_iterable(runs), map(len, runs), compress(count(1), inner), fresh)
 
     kinds = list(compress(t.kinds, inner))
     indices = [index - 1 for index in compress(t.indices, inner)]
@@ -284,15 +312,15 @@ def _relabel(t: LabelledTree, moves: list[Move], anomalies: list[str]) -> Labell
     return LabelledTree(t.spec, bounds[-1] - 1, kinds, indices, cells)
 
 
-def _finish(t: LabelledTree, leaves: list[Leaf], quota: int, moves: list[Move], anomalies: list[str]) -> PruneReport:
+def _finish(t: LabelledTree, leaves: list[Leaf], quota: int, log: _MoveLog, anomalies: list[str]) -> PruneReport:
     """The tail every prune shares: lift the leaves, remove the `quota` largest labels, renumber."""
-    _lift(t, leaves, moves)
-    _end_correction(t, quota, moves, anomalies)
-    result = _relabel(t, moves, anomalies)
-    return PruneReport(t.n - result.n, result, moves, anomalies)
+    _lift(t, leaves, log)
+    _end_correction(t, quota, log, anomalies)
+    result = _relabel(t, log, anomalies)
+    return PruneReport(t.n - result.n, result, log, anomalies)
 
 
-def _delete_fronts(t: LabelledTree, leaves: list[Leaf], row: tuple[int, ...], moves: list[Move],
+def _delete_fronts(t: LabelledTree, leaves: list[Leaf], row: tuple[int, ...], log: _MoveLog,
                    anomalies: list[str]) -> None:
     """One pass per b in `row`: each leaf cell opening at or below n - b gives up its first label.
 
@@ -305,6 +333,7 @@ def _delete_fronts(t: LabelledTree, leaves: list[Leaf], row: tuple[int, ...], mo
     n, all_cells = t.n, t.cells
     offsets = _cell_offsets(t.spec)
     firsts = [all_cells[ordinal - 1][0].start for ordinal, _ in leaves]
+    runs, sources = [], []
     for b in row:
         reach = n - b
         for (ordinal, parent), first in zip(leaves, firsts):
@@ -320,23 +349,29 @@ def _delete_fronts(t: LabelledTree, leaves: list[Leaf], row: tuple[int, ...], mo
                     cells[slot] = cell[1:]
                     continue
                 if labels:
-                    moves.append(("deletion", (tuple(labels),), ordinal, None))
+                    runs.append(tuple(labels))
+                    sources.append(ordinal)
                     labels = []
                 last, own = cells[-1], all_cells[parent - 1][0]
                 if last:
-                    moves.append(("deletion", (last[:1],), ordinal, None))
+                    runs.append(last[:1])
+                    sources.append(ordinal)
                     cells[-1] = last[1:]
                 elif own:
-                    moves.append(("deletion", (own[:1],), parent, None))
+                    runs.append(own[:1])
+                    sources.append(parent)
                     all_cells[parent - 1] = (own[1:], *all_cells[parent - 1][1:])
                 elif parent == 2 and t.placeholders:
                     t.placeholders -= 1
-                    moves.append(("deletion", (("placeholder",),), parent, None))
+                    runs.append(("placeholder",))
+                    sources.append(parent)
                 else:
                     anomalies.append(f"nothing left to delete for leaf {t.indices[ordinal - 1]} cell {slot + 1}")
             if labels:
-                moves.append(("deletion", (tuple(labels),), ordinal, None))
+                runs.append(tuple(labels))
+                sources.append(ordinal)
             all_cells[ordinal - 1] = tuple(cells)
+    log.add("deletion", runs, repeat(1, len(runs)), sources, repeat(None, len(runs)))
 
 
 # -- the four pruning operations ----------------------------------------------
@@ -346,13 +381,13 @@ def prune_order2(t: LabelledTree, family: fam.OrderOne) -> PruneReport:
     """Prune T(n) of an order-one binary family: move-in correction, no end correction."""
     row = _fits(t, family)
     n, wanted = t.n, t.spec.regular_labels
-    moves: list[Move] = []
+    log = _MoveLog()
     anomalies: list[str] = []
 
     # initial correction: empty the first supernode, refill it with the
     # j - m largest labels of the tree (as many as a regular node holds),
     # a suffix of the last cells
-    _drop_supernode_labels(t, moves)
+    _drop_supernode_labels(t, log)
     lowest = n - wanted + 1
     for pos in range(len(t.cells) - 1, -1, -1):
         if not wanted:
@@ -361,7 +396,7 @@ def prune_order2(t: LabelledTree, family: fam.OrderOne) -> PruneReport:
         for cell in t.cells[pos]:
             cut = max(lowest - cell.start, 0)
             if cut < len(cell):
-                moves.append(("initial correction", (cell[cut:],), pos + 1, 2))
+                log.add("initial correction", [cell[cut:]], [1], [pos + 1], [2])
                 wanted -= len(cell) - cut
             kept.append(cell[:cut])
         t.cells[pos] = tuple(kept)
@@ -371,23 +406,23 @@ def prune_order2(t: LabelledTree, family: fam.OrderOne) -> PruneReport:
     # deletion: the move-in took only labels past n - j, so every cell in
     # reach still holds its first label and none falls back
     leaves = _leaves(t)
-    _delete_fronts(t, leaves, row, moves, anomalies)
-    return _finish(t, leaves, 0, moves, anomalies)
+    _delete_fronts(t, leaves, row, log, anomalies)
+    return _finish(t, leaves, 0, log, anomalies)
 
 
 def prune_orderp(t: LabelledTree, family: fam.HigherOrder) -> PruneReport:
     """Prune T(n) of an order-p binary family, deleting against p nested subtrees."""
     row = _fits(t, family)
     x = t.spec.regular_labels
-    moves: list[Move] = []
+    log = _MoveLog()
     anomalies: list[str] = []
 
-    _drop_supernode_labels(t, moves)
-    _insert_placeholders(t, x, moves)
+    _drop_supernode_labels(t, log)
+    _insert_placeholders(t, x, log)
 
     leaves = _leaves(t)
-    _delete_fronts(t, leaves, row, moves, anomalies)
-    return _finish(t, leaves, x, moves, anomalies)
+    _delete_fronts(t, leaves, row, log, anomalies)
+    return _finish(t, leaves, x, log, anomalies)
 
 
 def prune_superposed(t: LabelledTree, family: fam.Superposed) -> PruneReport:
@@ -398,19 +433,20 @@ def prune_superposed(t: LabelledTree, family: fam.Superposed) -> PruneReport:
     """
     row = _fits(t, family)
     n, x, all_cells = t.n, t.spec.regular_labels, t.cells
-    moves: list[Move] = []
+    log = _MoveLog()
     anomalies: list[str] = []
     # exploratory m < 0 shapes run from a lower threshold, so flag them at or below the IC length
     bound = family.ic_length()
     if n <= bound:
         anomalies.append(f"n = {n} is at or below the full-shape bound {bound}")
 
-    _drop_supernode_labels(t, moves)
-    _insert_placeholders(t, x, moves)
+    _drop_supernode_labels(t, log)
+    _insert_placeholders(t, x, log)
 
     leaves = _leaves(t)
     offsets = _cell_offsets(t.spec)
     firsts = [all_cells[ordinal - 1][0].start for ordinal, _ in leaves]
+    runs, sources = [], []
     for i, b in enumerate(row, 1):
         reach = n - b
         for (ordinal, _), first in zip(leaves, firsts):
@@ -426,10 +462,12 @@ def prune_superposed(t: LabelledTree, family: fam.Superposed) -> PruneReport:
                     cells[slot] = cell[:-1]
                 else:
                     anomalies.append(f"cell {slot + 1} of leaf {t.indices[ordinal - 1]} was already empty in pass {i}")
-            moves.append(("deletion", (tuple(labels),), ordinal, None))
+            runs.append(tuple(labels))
+            sources.append(ordinal)
             all_cells[ordinal - 1] = tuple(cells)
+    log.add("deletion", runs, repeat(1, len(runs)), sources, repeat(None, len(runs)))
 
-    return _finish(t, leaves, x, moves, anomalies)
+    return _finish(t, leaves, x, log, anomalies)
 
 
 def prune_kary(t: LabelledTree, family: fam.KaryOrderP) -> PruneReport:
@@ -440,23 +478,26 @@ def prune_kary(t: LabelledTree, family: fam.KaryOrderP) -> PruneReport:
     """
     row = _fits(t, family)
     n, x, all_cells = t.n, t.spec.regular_labels, t.cells
-    moves: list[Move] = []
+    log = _MoveLog()
     anomalies: list[str] = []
 
-    _insert_placeholders(t, x, moves)
+    _insert_placeholders(t, x, log)
 
     leaves = _leaves(t)
+    runs, sources = [], []
     for ordinal, _ in leaves:
         cell = all_cells[ordinal - 1][0]
         if not cell:  # it lies past n
             continue
         demand = bisect_right(row, n - cell.start)
-        moves.append(("deletion", (cell[:demand],), ordinal, None))
+        runs.append(cell[:demand])
+        sources.append(ordinal)
         all_cells[ordinal - 1] = (cell[demand:],)
         if demand > len(cell):
             anomalies += [f"leaf {t.indices[ordinal - 1]} ran out of labels during deletion"] * (demand - len(cell))
+    log.add("deletion", runs, repeat(1, len(runs)), sources, repeat(None, len(runs)))
 
-    return _finish(t, leaves, x, moves, anomalies)
+    return _finish(t, leaves, x, log, anomalies)
 
 
 # -- family-facing wrappers ---------------------------------------------------

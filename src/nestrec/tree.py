@@ -17,20 +17,20 @@ up to n, and C_T(1..n) is their running sum; cell_count_sequence writes
 it as each cell's number repeated over its labels, with no Python step per
 label.
 cell_positions reads the same bytes chunk by chunk and zips the first
-labels with leaf indices from repeat and cell indices from cycle, so it too
-takes no Python step per cell.  The closed form (first_label, and
-cell_count on top of it) sums the frequency formula to get the first label
-of any cell in O(log n) and finds C_T(n) by binary search in O(log^2 n), so
-single-point counts stay cheap at n = 10^18.  The one node-by-node walk,
-node_stream, feeds pruning and is a third, independent oracle.  The tests
-check each against the others.
+labels with leaf indices from a floor division of count by j and cell
+indices from cycle, so it too takes no Python step per cell.  The closed
+form (first_label, and cell_count on top of it) sums the frequency formula
+to get the first label of any cell in O(log n) and finds C_T(n) by binary
+search in O(log^2 n), so single-point counts stay cheap at n = 10^18.  The
+one node-by-node walk, node_stream, feeds pruning and is a third,
+independent oracle.  The tests check each against the others.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, compress, count, cycle, islice, repeat, tee
-from operator import sub
+from operator import floordiv, sub
 from typing import Iterator
 
 SUPERNODE = "supernode"
@@ -150,14 +150,15 @@ def cell_positions(spec: TreeSpec, n_max: int) -> Iterator[tuple[int, int, int]]
     """(first_label, leaf_index, cell_index) for each cell starting by n_max.
 
     First labels come from the byte templates of _start_chunks; every leaf
-    has j cells, so leaf indices run 1 j times, 2 j times, ... and cell
-    indices cycle through 1..j.  The three are zipped at C level, with no
-    Python step per cell.
+    has j cells, so leaf indices run 1 j times, 2 j times, ..., which is
+    (j + i) // j for cell i counted from 0, and cell indices cycle through
+    1..j.  The three are zipped at C level, with no Python step per cell and
+    no iterator per leaf.
     """
     j = spec.leaf_cells
     return zip(
         chain.from_iterable(_first_label_runs(spec, n_max)),
-        chain.from_iterable(map(repeat, count(1), repeat(j))),
+        map(floordiv, count(j), repeat(j)),
         cycle(range(1, j + 1)),
     )
 

@@ -5,7 +5,7 @@ Run it from the repository root of each version and compare the outputs:
     PYTHONPATH=src python tests/differential.py > digest.txt
     diff old-digest.txt digest.txt
 
-It is not named test_*, so pytest does not collect it.  Four sections, each
+It is not named test_*, so pytest does not collect it.  Five sections, each
 line led by its section name:
 
     eval     recursion.evaluate on seeded random specs, shifted-row and free
@@ -16,6 +16,9 @@ line led by its section name:
              seeded large trees: 2 n in [10^4, 6*10^4] for 3 points per op
     explore  cli.explore_rows --prune-check rows on the record grids, plus
              points whose keys do not fit their catalog entry
+    walk     tree.cell_positions to 20,000 labels and the streamed check
+             frequency.empirical_matches_closed_form to 100,000, on a grid of
+             trees: k 2..4, s 0..2, j 1..3, two label allocations each
 
 A value is printed as its repr, an exception as `!Type: message`, and a
 long sequence or move log as its length and a short hash.
@@ -29,7 +32,7 @@ import sys
 
 from nestrec import cli
 from nestrec import families as fam
-from nestrec import pruning, recursion
+from nestrec import frequency, pruning, recursion, tree
 
 SEED = 15
 EVAL_SPECS = 20_000
@@ -37,6 +40,7 @@ PRUNE_WIDTH = 66  # n from threshold - 1 through threshold + PRUNE_WIDTH - 2
 LARGE_N = (10_000, 60_000)
 LARGE_POINTS, LARGE_SIZES = 3, 2  # points per op, n per point
 EXPLORE_N = 300
+WALK_N, CHECK_N = 20_000, 100_000
 
 
 def digest(value: object) -> str:
@@ -166,10 +170,23 @@ def explore_lines():
             yield f"explore {row}"
 
 
+def walk_specs() -> list[tree.TreeSpec]:
+    """c_sjk's trees, one label per cell and j per regular node, and a wider last cell with one per regular node."""
+    return [tree.TreeSpec(k, s, j, c, last, x) for k in range(2, 5) for s in range(3) for j in range(1, 4)
+            for c, last, x in ((1, 1, j), (2, 3, 1))]
+
+
+def walk_lines():
+    for spec in walk_specs():
+        cells = list(tree.cell_positions(spec, WALK_N))
+        check = frequency.empirical_matches_closed_form(spec, CHECK_N)
+        yield f"walk {spec} cells={len(cells)} h={digest(cells)} check={check}"
+
+
 def main() -> None:
     rng = random.Random(SEED)
     out = sys.stdout
-    for section in (eval_lines(rng), record_lines(), prune_lines(), explore_lines()):
+    for section in (eval_lines(rng), record_lines(), prune_lines(), explore_lines(), walk_lines()):
         for line in section:
             out.write(line + "\n")
 

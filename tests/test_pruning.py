@@ -117,6 +117,138 @@ def test_running_example_moved_labels():
     assert moved == [30, 31]
 
 
+PINNED_MOVES = [  # the four golden --trace cases, then a leaf's last cell standing in for an emptied one
+    (fam.OrderOne(1, 3, 1), 31, [
+        ('initial correction', (range(5, 6),), 2, None),
+        ('initial correction', (range(30, 31),), 12, 2),
+        ('initial correction', (range(31, 32),), 12, 2),
+        ('deletion', ((1, 2, 3),), 1, None),
+        ('deletion', ((6, 7, 8),), 3, None),
+        ('deletion', ((13, 14, 15),), 6, None),
+        ('deletion', ((17, 18, 19),), 7, None),
+        ('deletion', ((26, 27, 28),), 11, None),
+        ('lifting', (range(2, 2), range(3, 3), range(4, 5)), 1, 2),
+        ('lifting', (range(7, 7), range(8, 8), range(9, 10)), 3, 2),
+        ('lifting', (range(14, 14), range(15, 15), range(16, 17)), 6, 5),
+        ('lifting', (range(18, 18), range(19, 19), range(20, 21)), 7, 5),
+        ('lifting', (range(27, 27), range(28, 28), range(29, 30)), 11, 10),
+        ('lifting', (range(30, 30), range(31, 31), range(32, 32)), 12, 10),
+        ('relabelling', (
+            range(2, 2), range(3, 3), range(4, 5), range(7, 7), range(8, 8), range(9, 10), range(30, 32),
+        ), 2, range(1, 5)),
+        ('relabelling', (range(10, 11),), 4, range(5, 6)),
+        ('relabelling', (
+            range(11, 13), range(14, 14), range(15, 15), range(16, 17), range(18, 18), range(19, 19), range(20, 21),
+        ), 5, range(6, 10)),
+        ('relabelling', (range(21, 22),), 8, range(10, 11)),
+        ('relabelling', (range(22, 24),), 9, range(11, 13)),
+        ('relabelling', (
+            range(24, 26), range(27, 27), range(28, 28), range(29, 30), range(30, 30), range(31, 31), range(32, 32),
+        ), 10, range(13, 16)),
+    ]),
+    (fam.KaryOrderP(3, 1, 2), 10, [
+        ('initial correction', (('placeholder-1', 'placeholder-2'),), None, 2),
+        ('deletion', (range(1, 3),), 1, None),
+        ('deletion', (range(3, 5),), 3, None),
+        ('deletion', (range(5, 7),), 4, None),
+        ('deletion', (range(9, 10),), 7, None),
+        ('lifting', (range(3, 3),), 1, 2),
+        ('lifting', (range(5, 5),), 3, 2),
+        ('lifting', (range(7, 7),), 4, 2),
+        ('lifting', (range(10, 11),), 7, 6),
+        ('end correction', (range(10, 9, -1),), 6, None),
+        ('end correction', (range(8, 7, -1),), 6, None),
+        ('relabelling', (
+            ('placeholder-1', 'placeholder-2'), range(3, 3), range(3, 3), range(5, 5), range(7, 7),
+        ), 2, range(1, 3)),
+        ('relabelling', (range(7, 7),), 5, range(3, 3)),
+        ('relabelling', (range(7, 8), range(10, 10)), 6, range(3, 4)),
+    ]),
+    (fam.Superposed(0, 1, 0, 2), 11, [
+        ('initial correction', (range(3, 3),), 2, None),
+        ('initial correction', (('placeholder-1', 'placeholder-2'),), None, 2),
+        ('deletion', ((2,),), 1, None),
+        ('deletion', ((4,),), 3, None),
+        ('deletion', ((8,),), 6, None),
+        ('deletion', ((10,),), 7, None),
+        ('deletion', ((1,),), 1, None),
+        ('deletion', ((3,),), 3, None),
+        ('deletion', ((7,),), 6, None),
+        ('lifting', (range(1, 1),), 1, 2),
+        ('lifting', (range(3, 3),), 3, 2),
+        ('lifting', (range(7, 7),), 6, 5),
+        ('lifting', (range(9, 10),), 7, 5),
+        ('end correction', (range(11, 10, -1),), 9, None),
+        ('end correction', (range(9, 8, -1),), 5, None),
+        ('relabelling', (('placeholder-1', 'placeholder-2'), range(0, 0), range(1, 1), range(3, 3)), 2, range(1, 3)),
+        ('relabelling', (range(5, 5),), 4, range(3, 3)),
+        ('relabelling', (range(5, 7), range(7, 7), range(9, 9)), 5, range(3, 5)),
+        ('relabelling', (range(11, 11),), 8, range(5, 5)),
+        ('relabelling', (range(11, 11),), 9, range(5, 5)),
+    ]),
+    (fam.HigherOrder(0, 1, 0, 2), 9, [
+        ('initial correction', (range(2, 2),), 2, None),
+        ('initial correction', (('placeholder-1', 'placeholder-2', 'placeholder-3'),), None, 2),
+        ('deletion', ((1,),), 1, None),
+        ('deletion', ((2,),), 3, None),
+        ('deletion', ((6,),), 6, None),
+        ('deletion', ((7,),), 7, None),
+        ('deletion', (('placeholder',),), 2, None),
+        ('deletion', (('placeholder',),), 2, None),
+        ('deletion', (range(3, 4),), 5, None),
+        ('lifting', (range(2, 2),), 1, 2),
+        ('lifting', (range(3, 3),), 3, 2),
+        ('lifting', (range(7, 7),), 6, 5),
+        ('lifting', (range(8, 8),), 7, 5),
+        ('end correction', (range(9, 7, -1),), 9, None),
+        ('end correction', (range(5, 4, -1),), 5, None),
+        ('relabelling', (('placeholder-1',), range(0, 0), range(2, 2), range(3, 3)), 2, range(1, 2)),
+        ('relabelling', (range(3, 3),), 4, range(2, 2)),
+        ('relabelling', (range(4, 5), range(7, 7), range(8, 8)), 5, range(2, 3)),
+        ('relabelling', (range(8, 8),), 8, range(3, 3)),
+        ('relabelling', (range(8, 8),), 9, range(3, 3)),
+    ]),
+    (fam.HigherOrder(0, 2, 1, 2), 15, [
+        ('initial correction', (range(4, 4),), 2, None),
+        ('initial correction', (
+            ('placeholder-1', 'placeholder-2', 'placeholder-3', 'placeholder-4', 'placeholder-5'),
+        ), None, 2),
+        ('deletion', ((1, 2),), 1, None),
+        ('deletion', ((4, 5),), 3, None),
+        ('deletion', ((12, 13),), 6, None),
+        ('deletion', (range(3, 4),), 1, None),
+        ('deletion', (('placeholder',),), 2, None),
+        ('deletion', (range(6, 7),), 3, None),
+        ('deletion', (('placeholder',),), 2, None),
+        ('lifting', (range(2, 2), range(4, 4)), 1, 2),
+        ('lifting', (range(5, 5), range(7, 7)), 3, 2),
+        ('lifting', (range(13, 13), range(14, 15)), 6, 5),
+        ('lifting', (range(15, 16), range(16, 16)), 7, 5),
+        ('end correction', (range(15, 14, -1),), 5, None),
+        ('end correction', (range(14, 13, -1),), 5, None),
+        ('end correction', (range(11, 8, -1),), 5, None),
+        ('relabelling', (
+            ('placeholder-1', 'placeholder-2', 'placeholder-3'), range(0, 0), range(2, 2), range(4, 4), range(5, 5),
+            range(7, 7),
+        ), 2, range(1, 4)),
+        ('relabelling', (range(7, 7),), 4, range(4, 4)),
+        ('relabelling', (range(7, 9), range(13, 13), range(14, 14), range(15, 15), range(16, 16)), 5, range(4, 6)),
+    ]),
+]
+
+
+@pytest.mark.parametrize("family, n, moves", PINNED_MOVES)
+def test_move_log_record_for_record(family, n, moves):
+    """Every record of the move log: its runs, placeholder runs and relabelling ranges.
+
+    Ranges compare as the labels they hold, so the reprs are compared too:
+    they pin the start an emptied cell keeps and an end-correction run's direction.
+    """
+    report = pruning.prune_family(family, pruning.build_prefix(fam.tree_of(family), n))
+    assert report.moves == moves
+    assert list(map(repr, report.moves)) == list(map(repr, moves))
+
+
 def test_order2_removed_formula():
     for s, j, m in [(0, 1, 0), (0, 1, 1), (1, 3, 1), (2, 4, 3), (0, 2, 2)]:
         f = fam.OrderOne(s, j, m)
@@ -320,8 +452,9 @@ def test_prune_identity_everywhere(f, data):
     steps = report.steps
     assert_log_replays(pruning.build_prefix(spec, n), report)
     assert report.steps == steps
-    # expanding the same run records again gives the same per-label log
-    again = pruning.PruneReport(report.removed, report.result, report.moves, report.anomalies)
+    # a report rebuilt from the same log columns gives the same records and per-label log
+    again = pruning.PruneReport(report.removed, report.result, report.log, report.anomalies)
+    assert again.moves == report.moves
     assert again.steps == steps
 
 
