@@ -19,7 +19,7 @@ import operator
 import os
 import random
 import sys
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Optional, Sequence
 
 from . import families as fam
@@ -175,10 +175,15 @@ def cmd_verify(args) -> int:
     if not result.alive:
         print(f"DIVERGE: recursion dies at n = {result.dead_at} ({result.reason.value})")
         return 1
-    # C_T is the running sum of the cell-start bytes; no count list is built
-    starts = tree.cell_starts(tspec, args.n)
-    if not all(map(operator.eq, result.values, accumulate(starts))):
-        n, a, b = next((n, a, b) for n, (a, b) in enumerate(zip(result.values, accumulate(starts)), 1) if a != b)
+    # C_T is the running sum of the cell-start bytes, so the values agree with
+    # it when the first value and the steps between values equal those bytes
+    starts, values = tree.cell_starts(tspec, args.n), result.values
+    try:
+        agree = values[0] == starts[0] and bytes(map(operator.sub, islice(values, 1, None), values)) == starts[1:]
+    except ValueError:  # a step outside 0..255 is no byte, and so not a start
+        agree = False
+    if not agree:
+        n, a, b = next((n, a, b) for n, (a, b) in enumerate(zip(values, accumulate(starts)), 1) if a != b)
         print(f"DIVERGE at n = {n}: recursion {a}, tree {b}")
         return 1
     print(f"AGREE for n <= {args.n}: recursion matches cell counts")

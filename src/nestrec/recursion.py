@@ -36,6 +36,21 @@ past the first open n.  Either way one run of the loop dies where the
 summands one by one would.  A run that starts at or below max b dies at
 its first open n.  right_side at the death index then names why: it walks
 the summands in order and raises DeadIndex with the first one's reason.
+
+A slow sequence repeats each value about twice, so a term whose sum equals
+the value before it stores that value's object again, and a run of equal
+values holds one int.  Values are capped at 2^63 - 1, and the loop checks
+the cap only where a value can reach it: where arity^b * M > 2^63 - 1, with
+b the least inner offset, which lies in some group's first row, and M the
+larger of the largest initial condition and n_max.  Below that bound no
+value can pass the cap, by two steps.  First, the check i >= 1 of the
+group whose first row holds b keeps R(n - b) below n for every n that the
+loop computes, so every value at least b before the last one computed is
+an initial condition or below n_max, at most M.  Second, each of the b
+values after those sums arity earlier values, so it is at most arity
+times the largest before it, and none passes arity^b * M.  The check sits
+where a new value is stored, so a repeated value is not checked again,
+and a loop with it and one without are compiled apart.
 """
 
 from __future__ import annotations
@@ -113,7 +128,10 @@ def evaluate(spec: RecursionSpec, initial: Sequence[int], n_max: int) -> EvalRes
     up to the death index otherwise: the first n with an index below 1,
     counting an index the loop read ahead at the n that first uses it.
     Values are capped at 2^63 - 1; going past that is a hard error rather
-    than silent wraparound.
+    than silent wraparound.  The loop checks the cap only when arity^b times
+    the larger of the largest initial condition and n_max passes it, for b
+    the least inner offset, as below that no value can (module docstring).
+    A run of equal computed values shares one int object.
     """
     if not initial:
         raise ValueError("at least one initial condition is required")
@@ -128,7 +146,11 @@ def evaluate(spec: RecursionSpec, initial: Sequence[int], n_max: int) -> EvalRes
         dead_at = start  # some inner index n - b is still below 1
     else:
         groups = _groups(spec)
-        loop = _group_loop(tuple(map(len, groups)), spec.order)
+        # arity^b passes the cap by b = 63 when arity >= 2, so no power of a
+        # larger b is built
+        least = min(map(min, spec.inner_offsets))
+        checked = spec.arity ** min(least, 63) * max(max(initial), n_max) > MAX_VALUE
+        loop = _group_loop(tuple(map(len, groups)), spec.order, checked)
         dead_at = loop(values, start, stop, *_arguments(spec, groups))
     if dead_at:
         try:
@@ -164,8 +186,9 @@ def _arguments(spec: RecursionSpec, groups: list[list[int]]) -> list[int]:
 
 
 @functools.cache
-def _group_loop(sizes: tuple[int, ...], order: int) -> Callable[..., int]:
-    """The evaluation loop for groups of these sizes and this order, compiled on first use.
+def _group_loop(sizes: tuple[int, ...], order: int, checked: bool) -> Callable[..., int]:
+    """The evaluation loop for groups of these sizes and this order, checking the
+    2^63 - 1 cap if checked, compiled on first use.
 
     loop(v, start, stop, *arguments) fills v[start:stop] and returns 0, or
     fills v[start:n] and returns the first n whose outer index is below 1.
@@ -186,6 +209,11 @@ def _group_loop(sizes: tuple[int, ...], order: int) -> Callable[..., int]:
     repeated a out of a group), it reads what earlier terms wrote.  Only
     the outer read v[i] is a subscript.  The source holds only group, term
     and member numbers; the offsets are arguments.
+
+    Each term stores the object of the last new value when its sum equals
+    it; last starts at 0, below every value, so the first term is always a
+    new value.  When checked, a new value past 2^63 - 1 raises
+    OverflowError; a repeated one was checked when it was new.
     """
     params, fill, lagged, body, terms = [], [], [], [], []
     for g, size in enumerate(sizes):
@@ -216,14 +244,16 @@ def _group_loop(sizes: tuple[int, ...], order: int) -> Callable[..., int]:
     names, iterators = zip(*lagged)
     lines = [
         f"def loop(v, start, stop, {', '.join(params)}, cap=MAX_VALUE):",
-        "    end = stop",
+        "    end, last = stop, 0",
         *fill,
         f"    for n, {', '.join(names)} in zip(range(start, end), {', '.join(iterators)}):",
         *body,
         "        total = " + " + ".join(terms),
-        "        if total > cap:",
-        '            raise OverflowError(f"R({n}) exceeds 2^63 - 1")',
-        "        v[n] = total",
+        "        if total != last:",
+        *(["            if total > cap:",
+           '                raise OverflowError(f"R({n}) exceeds 2^63 - 1")'] if checked else []),
+        "            last = total",
+        "        v[n] = last",
         "    return end if end < stop else 0",
     ]
     namespace = {"MAX_VALUE": MAX_VALUE, "at": _list_iterator_at}

@@ -12,6 +12,7 @@ from hypothesis import example, given, note, settings, strategies as st
 
 from nestrec import cli
 from nestrec import families as fam
+from nestrec import recursion
 from nestrec import tree
 
 
@@ -124,6 +125,27 @@ def test_verify_dense_reports_first_divergence(capsys, monkeypatch):
     code, out, _ = run(["verify", "conolly", "--n", "800"], capsys)
     assert code == 1
     assert out == f"DIVERGE at n = 701: recursion {r}, tree {r + 1}\n"
+
+
+@pytest.mark.parametrize("moved", [lambda values: values[699] - 1, lambda values: values[700] + 256],
+                         ids=["-1", "256"])
+def test_verify_dense_reports_a_step_that_is_no_byte(capsys, monkeypatch, moved):
+    """R(701) moved so that the step into it is -1 or past 255, which no cell-start
+    byte can be, gives the same DIVERGE line as any other mismatch."""
+    real = recursion.evaluate
+
+    def shifted(spec, initial, n_max):
+        values = list(real(spec, initial, n_max).values)
+        if n_max > 700:
+            values[700] = moved(values)
+        return recursion.EvalResult(tuple(values))
+
+    monkeypatch.setattr(recursion, "evaluate", shifted)
+    r = shifted(fam.recursion_of(fam.conolly()), fam.standard_ics(fam.conolly()), 800).values[700]
+    t = sum(tree.cell_starts(fam.tree_of(fam.conolly()), 701))
+    code, out, _ = run(["verify", "conolly", "--n", "800"], capsys)
+    assert code == 1
+    assert out == f"DIVERGE at n = 701: recursion {r}, tree {t}\n"
 
 
 def test_verify_dense_reports_death(capsys, monkeypatch):

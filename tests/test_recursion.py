@@ -5,6 +5,7 @@ from itertools import accumulate
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from nestrec import families as fam
 from nestrec import recursion, tree
 from nestrec.recursion import DeadReason, RecursionSpec
 
@@ -156,7 +157,7 @@ def test_right_side_matches_evaluate():
 
 
 def reference_evaluate(spec, initial, n_max):
-    """The plain stepper: every index checked at every n, summands in order."""
+    """The plain stepper: every index and the 2^63 - 1 cap checked at every n, summands in order."""
     if n_max <= len(initial):
         return tuple(initial[: max(0, n_max)]), None, None
     values = [0, *initial]
@@ -173,6 +174,8 @@ def reference_evaluate(spec, initial, n_max):
             # positive values and at least one inner term keep idx below n
             assert idx < n
             total += values[idx]
+        if total > recursion.MAX_VALUE:
+            raise OverflowError(f"R({n}) exceeds 2^63 - 1")
         values.append(total)
     return tuple(values[1:]), None, None
 
@@ -200,30 +203,51 @@ def recursions(draw):
         else:
             inner = tuple(draw(row) for _ in range(arity))
     deepest = max(map(max, inner))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(("small", "slow", "near cap", "window")))
+    if kind == "small":
         initial = draw(st.lists(st.integers(1, 6), min_size=1, max_size=12))
-    elif draw(st.booleans()):
-        # long enough to start the loop, and slow, as a tree's cell counts
-        # are, so that more runs go on for a while
-        steps = draw(st.lists(st.integers(0, 1), min_size=deepest - 1, max_size=deepest + 7))
-        initial = list(accumulate(steps, initial=1))
-    else:
+    elif kind == "window":
         # just long enough to start the loop, whose read-ahead windows then
         # reach back into the ICs, and large enough for an index there to
         # fall below 1
         initial = draw(st.lists(st.integers(1, 2 * deepest), min_size=deepest, max_size=deepest))
+    else:
+        # long enough to start the loop, and slow, as a tree's cell counts
+        # are, so that more runs go on for a while
+        steps = draw(st.lists(st.integers(0, 1), min_size=deepest - 1, max_size=deepest + 7))
+        initial = list(accumulate(steps, initial=1))
+        if kind == "near cap":
+            # the IC that the first summand's outer index reads at the first
+            # open n, unless it is also one of its inner terms, moved near the
+            # 2^63 - 1 cap, so that the sum can pass it and the loop checks it
+            n = len(initial) + 1
+            i = n - outer[0] - sum(initial[n - b - 1] for b in inner[0])
+            if i >= 1 and n - i not in inner[0]:
+                initial[i - 1] = draw(st.integers(2**62, 2**63))
     n_max = draw(st.one_of(st.just(len(initial)), st.integers(0, 400), st.just(400)))
     return RecursionSpec(arity, order, outer, inner), initial, n_max
+
+
+def evaluated(spec, initial, n_max):
+    result = recursion.evaluate(spec, initial, n_max)
+    return result.values, result.dead_at, result.reason
+
+
+def overflow_or(evaluator, case):
+    """What evaluator gives on the case, or the message of the OverflowError it raises."""
+    try:
+        return evaluator(*case)
+    except OverflowError as err:
+        return str(err)
 
 
 @settings(max_examples=400)
 @given(recursions())
 def test_evaluate_matches_reference_stepper(case):
     """The compiled grouped loop gives the plain stepper's values, death index and
-    reason, also when its read-ahead window holds an index below 1."""
-    spec, initial, n_max = case
-    result = recursion.evaluate(spec, initial, n_max)
-    assert (result.values, result.dead_at, result.reason) == reference_evaluate(spec, initial, n_max)
+    reason, also when its read-ahead window holds an index below 1, and passes
+    the cap at the stepper's n."""
+    assert overflow_or(evaluated, case) == overflow_or(reference_evaluate, case)
 
 
 @settings(max_examples=300)
@@ -231,8 +255,8 @@ def test_evaluate_matches_reference_stepper(case):
 def test_death_reason_is_the_dead_index_of_right_side(case):
     """A dying run's reason is the one right_side raises at the death index, on the values before it."""
     spec, initial, n_max = case
-    result = recursion.evaluate(spec, initial, n_max)
-    assume(not result.alive)
+    result = overflow_or(recursion.evaluate, case)
+    assume(not isinstance(result, str) and not result.alive)
     values = (0, *result.values)
     with pytest.raises(recursion.DeadIndex) as death:
         recursion.right_side(spec, values.__getitem__, result.dead_at)
@@ -286,6 +310,33 @@ def test_overflow_inside_a_group():
     spec = RecursionSpec(3, 1, (0, 1, 2), ((1,), (2,), (3,)))
     with pytest.raises(OverflowError, match=r"^R\(5\) exceeds 2\^63 - 1$"):
         recursion.evaluate(spec, [2**62, 2, 3, 4], 10)
+
+
+def test_overflow_of_a_value_equal_to_the_last_initial_condition():
+    """R(3) = R(2) = 2^63 repeats the last IC; the loop still checks it, as the
+    value it reuses starts at 0 rather than at the last IC."""
+    spec = RecursionSpec(1, 1, (0,), ((2,),))
+    with pytest.raises(OverflowError, match=r"^R\(3\) exceeds 2\^63 - 1$"):
+        recursion.evaluate(spec, [1, 2**63], 4)
+
+
+@pytest.mark.parametrize("top,checked", [(2**62 - 1, False), (2**62, True)])
+def test_cap_checked_only_where_a_value_can_reach_it(monkeypatch, top, checked):
+    """Groups with first rows (1,) and (5,): values stay below arity^b times the
+    largest IC or n for the least b, here 2 * top, so the loop checks the cap
+    from top = 2^62 on."""
+    compiled = []
+    real = recursion._group_loop
+    monkeypatch.setattr(recursion, "_group_loop", lambda *key: compiled.append(key) or real(*key))
+    recursion.evaluate(RecursionSpec(2, 1, (0, 1), ((1,), (5,))), [1, 2, 3, 4, top], 10)
+    assert compiled == [((1, 1), 1, checked)]
+
+
+@pytest.mark.parametrize("family", [fam.OrderOne(1, 3, 1), fam.KaryOrderP(4, 3, 3)], ids=["order_one", "kary"])
+def test_one_int_object_per_value(family):
+    """A slow run repeats each value, and every run of equal values is one object."""
+    values = recursion.evaluate(fam.recursion_of(family), fam.standard_ics(family), 10**5).values
+    assert len(set(map(id, values))) == len(set(values))
 
 
 @pytest.mark.parametrize("spec,initial,groups", [
