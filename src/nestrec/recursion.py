@@ -39,18 +39,8 @@ the summands in order and raises DeadIndex with the first one's reason.
 
 A slow sequence repeats each value about twice, so a term whose sum equals
 the value before it stores that value's object again, and a run of equal
-values holds one int.  Values are capped at 2^63 - 1, and the loop checks
-the cap only where a value can reach it: where arity^b * M > 2^63 - 1, with
-b the least inner offset, which lies in some group's first row, and M the
-larger of the largest initial condition and n_max.  Below that bound no
-value can pass the cap, by two steps.  First, the check i >= 1 of the
-group whose first row holds b keeps R(n - b) below n for every n that the
-loop computes, so every value at least b before the last one computed is
-an initial condition or below n_max, at most M.  Second, each of the b
-values after those sums arity earlier values, so it is at most arity
-times the largest before it, and none passes arity^b * M.  The check sits
-where a new value is stored, so a repeated value is not checked again,
-and a loop with it and one without are compiled apart.
+values holds one int.  Values are capped at 2^63 - 1; the loop checks the
+cap where it stores a new value, so a repeated value is not checked again.
 """
 
 from __future__ import annotations
@@ -128,10 +118,8 @@ def evaluate(spec: RecursionSpec, initial: Sequence[int], n_max: int) -> EvalRes
     up to the death index otherwise: the first n with an index below 1,
     counting an index the loop read ahead at the n that first uses it.
     Values are capped at 2^63 - 1; going past that is a hard error rather
-    than silent wraparound.  The loop checks the cap only when arity^b times
-    the larger of the largest initial condition and n_max passes it, for b
-    the least inner offset, as below that no value can (module docstring).
-    A run of equal computed values shares one int object.
+    than silent wraparound.  A run of equal computed values shares one int
+    object.
     """
     if not initial:
         raise ValueError("at least one initial condition is required")
@@ -146,11 +134,7 @@ def evaluate(spec: RecursionSpec, initial: Sequence[int], n_max: int) -> EvalRes
         dead_at = start  # some inner index n - b is still below 1
     else:
         groups = _groups(spec)
-        # arity^b passes the cap by b = 63 when arity >= 2, so no power of a
-        # larger b is built
-        least = min(map(min, spec.inner_offsets))
-        checked = spec.arity ** min(least, 63) * max(max(initial), n_max) > MAX_VALUE
-        loop = _group_loop(tuple(map(len, groups)), spec.order, checked)
+        loop = _group_loop(tuple(map(len, groups)), spec.order)
         dead_at = loop(values, start, stop, *_arguments(spec, groups))
     if dead_at:
         try:
@@ -186,9 +170,8 @@ def _arguments(spec: RecursionSpec, groups: list[list[int]]) -> list[int]:
 
 
 @functools.cache
-def _group_loop(sizes: tuple[int, ...], order: int, checked: bool) -> Callable[..., int]:
-    """The evaluation loop for groups of these sizes and this order, checking the
-    2^63 - 1 cap if checked, compiled on first use.
+def _group_loop(sizes: tuple[int, ...], order: int) -> Callable[..., int]:
+    """The evaluation loop for groups of these sizes and this order, compiled on first use.
 
     loop(v, start, stop, *arguments) fills v[start:stop] and returns 0, or
     fills v[start:n] and returns the first n whose outer index is below 1.
@@ -212,8 +195,8 @@ def _group_loop(sizes: tuple[int, ...], order: int, checked: bool) -> Callable[.
 
     Each term stores the object of the last new value when its sum equals
     it; last starts at 0, below every value, so the first term is always a
-    new value.  When checked, a new value past 2^63 - 1 raises
-    OverflowError; a repeated one was checked when it was new.
+    new value.  A new value past 2^63 - 1 raises OverflowError; a repeated
+    one was checked when it was new.
     """
     params, fill, lagged, body, terms = [], [], [], [], []
     for g, size in enumerate(sizes):
@@ -250,8 +233,8 @@ def _group_loop(sizes: tuple[int, ...], order: int, checked: bool) -> Callable[.
         *body,
         "        total = " + " + ".join(terms),
         "        if total != last:",
-        *(["            if total > cap:",
-           '                raise OverflowError(f"R({n}) exceeds 2^63 - 1")'] if checked else []),
+        "            if total > cap:",
+        '                raise OverflowError(f"R({n}) exceeds 2^63 - 1")',
         "            last = total",
         "        v[n] = last",
         "    return end if end < stop else 0",

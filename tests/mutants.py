@@ -52,11 +52,8 @@ MUTANTS = (
     Mutant("last starts at the last IC", RECURSION,
            '"    end, last = stop, 0",', '"    end, last = stop, v[start - 1]",',
            "a first term equal to the last initial condition would skip the cap check", (T_RECURSION,)),
-    Mutant("cap bound from the largest b", RECURSION,
-           "least = min(map(min, spec.inner_offsets))", "least = max(map(max, spec.inner_offsets))",
-           "the cap lines would be compiled into runs whose values cannot reach the cap", (T_RECURSION,)),
-    Mutant("no cap lines", RECURSION,
-           "if checked else []),", "if False else []),",
+    Mutant("no cap check", RECURSION,
+           '"            if total > cap:",', '"            if False:",',
            "a value past 2^63 - 1 would be stored without an error", (T_RECURSION, T_CLI)),
     Mutant("a new object per term", RECURSION,
            '"        v[n] = last",', '"        v[n] = total",',

@@ -180,6 +180,26 @@ def reference_evaluate(spec, initial, n_max):
     return tuple(values[1:]), None, None
 
 
+def near_cap(draw, spec):
+    """A case whose first computed term reads an IC within 2 * arity of 2^63.
+
+    The ICs are all 1 and long enough that every outer index at the first
+    open n is at least 1, so the loop runs.  One of those indices that no
+    inner offset reads there holds 2^63 - d, d in 0..2 * arity: the first
+    sum passes the cap when d is at most what the other summands add, and
+    otherwise lands just below it, for later terms to pass.
+    """
+    shortest = max(max(spec.outer_offsets) + spec.order, max(map(max, spec.inner_offsets)))
+    length = draw(st.integers(shortest, shortest + 8))
+    first = length + 1
+    read_inner = {first - b for row in spec.inner_offsets for b in row}
+    outer = sorted({first - a - spec.order for a in spec.outer_offsets} - read_inner)
+    initial = [1] * length
+    if outer:
+        initial[draw(st.sampled_from(outer)) - 1] = 2**63 - draw(st.integers(0, 2 * spec.arity))
+    return spec, initial, draw(st.integers(first, 400))
+
+
 @st.composite
 def recursions(draw):
     arity, order = draw(st.integers(1, 4)), draw(st.integers(1, 3))
@@ -203,27 +223,20 @@ def recursions(draw):
         else:
             inner = tuple(draw(row) for _ in range(arity))
     deepest = max(map(max, inner))
-    kind = draw(st.sampled_from(("small", "slow", "near cap", "window")))
-    if kind == "small":
+    if draw(st.booleans()):
         initial = draw(st.lists(st.integers(1, 6), min_size=1, max_size=12))
-    elif kind == "window":
+    elif draw(st.booleans()):
         # just long enough to start the loop, whose read-ahead windows then
         # reach back into the ICs, and large enough for an index there to
         # fall below 1
         initial = draw(st.lists(st.integers(1, 2 * deepest), min_size=deepest, max_size=deepest))
-    else:
+    elif draw(st.booleans()):
         # long enough to start the loop, and slow, as a tree's cell counts
         # are, so that more runs go on for a while
         steps = draw(st.lists(st.integers(0, 1), min_size=deepest - 1, max_size=deepest + 7))
         initial = list(accumulate(steps, initial=1))
-        if kind == "near cap":
-            # the IC that the first summand's outer index reads at the first
-            # open n, unless it is also one of its inner terms, moved near the
-            # 2^63 - 1 cap, so that the sum can pass it and the loop checks it
-            n = len(initial) + 1
-            i = n - outer[0] - sum(initial[n - b - 1] for b in inner[0])
-            if i >= 1 and n - i not in inner[0]:
-                initial[i - 1] = draw(st.integers(2**62, 2**63))
+    else:
+        return near_cap(draw, RecursionSpec(arity, order, outer, inner))
     n_max = draw(st.one_of(st.just(len(initial)), st.integers(0, 400), st.just(400)))
     return RecursionSpec(arity, order, outer, inner), initial, n_max
 
@@ -318,18 +331,6 @@ def test_overflow_of_a_value_equal_to_the_last_initial_condition():
     spec = RecursionSpec(1, 1, (0,), ((2,),))
     with pytest.raises(OverflowError, match=r"^R\(3\) exceeds 2\^63 - 1$"):
         recursion.evaluate(spec, [1, 2**63], 4)
-
-
-@pytest.mark.parametrize("top,checked", [(2**62 - 1, False), (2**62, True)])
-def test_cap_checked_only_where_a_value_can_reach_it(monkeypatch, top, checked):
-    """Groups with first rows (1,) and (5,): values stay below arity^b times the
-    largest IC or n for the least b, here 2 * top, so the loop checks the cap
-    from top = 2^62 on."""
-    compiled = []
-    real = recursion._group_loop
-    monkeypatch.setattr(recursion, "_group_loop", lambda *key: compiled.append(key) or real(*key))
-    recursion.evaluate(RecursionSpec(2, 1, (0, 1), ((1,), (5,))), [1, 2, 3, 4, top], 10)
-    assert compiled == [((1, 1), 1, checked)]
 
 
 @pytest.mark.parametrize("family", [fam.OrderOne(1, 3, 1), fam.KaryOrderP(4, 3, 3)], ids=["order_one", "kary"])
