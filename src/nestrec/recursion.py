@@ -233,7 +233,9 @@ def _group_loop(sizes: tuple[int, ...], order: int) -> Callable[..., int]:
         *body,
         "        total = " + " + ".join(terms),
         "        if total != last:",
-        "            if total > cap:",
+        # CPython specializes an int compare only when both sides are below
+        # 2^30, which the cap is not, so the compare with 2^30 - 1 goes first
+        "            if total > 0x3FFFFFFF and total > cap:",
         '                raise OverflowError(f"R({n}) exceeds 2^63 - 1")',
         "            last = total",
         "        v[n] = last",

@@ -53,7 +53,7 @@ MUTANTS = (
            '"    end, last = stop, 0",', '"    end, last = stop, v[start - 1]",',
            "a first term equal to the last initial condition would skip the cap check", (T_RECURSION,)),
     Mutant("no cap check", RECURSION,
-           '"            if total > cap:",', '"            if False:",',
+           '"            if total > 0x3FFFFFFF and total > cap:",', '"            if False:",',
            "a value past 2^63 - 1 would be stored without an error", (T_RECURSION, T_CLI)),
     Mutant("a new object per term", RECURSION,
            '"        v[n] = last",', '"        v[n] = total",',

@@ -185,9 +185,10 @@ def near_cap(draw, spec):
 
     The ICs are all 1 and long enough that every outer index at the first
     open n is at least 1, so the loop runs.  One of those indices that no
-    inner offset reads there holds 2^63 - d, d in 0..2 * arity: the first
-    sum passes the cap when d is at most what the other summands add, and
-    otherwise lands just below it, for later terms to pass.
+    inner offset reads there, if there is one, holds 2^63 - d, d in
+    0..2 * arity: the first sum passes the cap when d is at most what the
+    other summands add, and otherwise lands just below it, for later terms
+    to pass.
     """
     shortest = max(max(spec.outer_offsets) + spec.order, max(map(max, spec.inner_offsets)))
     length = draw(st.integers(shortest, shortest + 8))
