@@ -22,7 +22,7 @@ import logging
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, count, islice, tee
-from operator import itemgetter, ne, sub
+from operator import ne, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .tree import TreeSpec, cell_positions
@@ -100,17 +100,14 @@ def _phi_stream(spec: TreeSpec) -> Iterator[int]:
     return chain.from_iterable(_phi_blocks(spec))
 
 
-def _observed_gaps(spec: TreeSpec, n_max: int) -> tuple[Optional[int], Iterator[int], Iterator[int]]:
+def _observed_gaps(spec: TreeSpec, n_max: int) -> Iterator[int]:
     """phi as the tree shows it, from one cell_positions walk up to n_max.
 
     Gap v runs from the first label of cell v to that of cell v + 1.
-    Returns the first label of cell 1 (None if no cell opens), the gaps,
-    and the first labels they trail: once gap v is out, the next of these
-    is the first label of cell v + 1.
     """
-    firsts, nexts = tee(map(itemgetter(0), cell_positions(spec, n_max)))
-    start = next(nexts, None)
-    return start, map(sub, nexts, firsts), firsts
+    firsts, nexts = tee(cell_positions(spec, n_max))
+    next(nexts, None)
+    return map(sub, nexts, firsts)
 
 
 def closed_form_sequence(spec: TreeSpec, vmax: int) -> FrequencySequence:
@@ -123,8 +120,7 @@ def empirical_frequency(spec: TreeSpec, n_max: int) -> FrequencySequence:
     Covers every v whose run of occurrences completes within the first
     n_max labels.
     """
-    _, gaps, _ = _observed_gaps(spec, n_max)
-    return FrequencySequence(tuple(gaps))
+    return FrequencySequence(tuple(_observed_gaps(spec, n_max)))
 
 
 @dataclass(frozen=True)
@@ -156,13 +152,12 @@ def empirical_matches_closed_form(spec: TreeSpec, n_max: int) -> CompareReport:
     Walks the tree once and checks each completed v against the closed form
     without materializing either sequence.
     """
-    start, gaps, firsts = _observed_gaps(spec, n_max)
-    v = _first_mismatch(gaps, _phi_stream(spec))
+    v = _first_mismatch(_observed_gaps(spec, n_max), _phi_stream(spec))
     if v is None:
         return CompareReport(True)
-    # gaps 1..v-1 matched phi, so cell v opened at start + phi(1..v-1)
-    expected = list(islice(_phi_stream(spec), v))
-    return CompareReport(False, v, next(firsts) - start - sum(expected[:-1]), expected[-1])
+    # the first walk is spent; a second one reads gap v
+    observed = next(islice(_observed_gaps(spec, n_max), v - 1, None))
+    return CompareReport(False, v, observed, closed_form(spec, v))
 
 
 def superpose(components: Sequence[tuple[int, TreeSpec]]) -> TreeSpec:

@@ -16,21 +16,20 @@ labels 1..n come out of C-level bytes calls.  cell_starts joins those bytes
 up to n, and C_T(1..n) is their running sum; cell_count_sequence writes
 it as each cell's number repeated over its labels, with no Python step per
 label.
-cell_positions reads the same bytes chunk by chunk and zips the first
-labels with leaf indices from a floor division of count by j and cell
-indices from cycle, so it too takes no Python step per cell.  The closed
-form (first_label, and cell_count on top of it) sums the frequency formula
-to get the first label of any cell in O(log n) and finds C_T(n) by binary
-search in O(log^2 n), so single-point counts stay cheap at n = 10^18.  The
-one node-by-node walk, node_stream, feeds pruning and is a third,
-independent oracle.  The tests check each against the others.
+cell_positions picks the first labels out of the same bytes at C level;
+C_T and the frequency gaps read only those.  The closed form (first_label,
+and cell_count on top of it) sums the frequency formula to get the first
+label of any cell in O(log n) and finds C_T(n) by binary search in
+O(log^2 n), so single-point counts stay cheap at n = 10^18.  The one
+node-by-node walk, node_stream, feeds pruning and is a third, independent
+oracle.  The tests check each against the others.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress, count, cycle, islice, repeat, tee
-from operator import floordiv, sub
+from itertools import chain, compress, count, islice, repeat, tee
+from operator import sub
 from typing import Iterator
 
 SUPERNODE = "supernode"
@@ -138,29 +137,12 @@ def cell_starts(spec: TreeSpec, n_max: int) -> bytes:
     return b"".join(_cut_chunks(spec, n_max))
 
 
-def _first_label_runs(spec: TreeSpec, n_max: int) -> Iterator[Iterator[int]]:
-    """One iterator per template chunk over the first labels of its cells, up to n_max."""
-    pos = 0
-    for chunk in _cut_chunks(spec, n_max):
-        yield compress(count(pos + 1), chunk)
-        pos += len(chunk)
+def cell_positions(spec: TreeSpec, n_max: int) -> Iterator[int]:
+    """The first label of each cell that opens by n_max: the 1 bytes of cell_starts, picked at C level.
 
-
-def cell_positions(spec: TreeSpec, n_max: int) -> Iterator[tuple[int, int, int]]:
-    """(first_label, leaf_index, cell_index) for each cell starting by n_max.
-
-    First labels come from the byte templates of _start_chunks; every leaf
-    has j cells, so leaf indices run 1 j times, 2 j times, ..., which is
-    (j + i) // j for cell i counted from 0, and cell indices cycle through
-    1..j.  The three are zipped at C level, with no Python step per cell and
-    no iterator per leaf.
+    Cell i, counted from 0, is slot i % j + 1 of leaf i // j + 1.
     """
-    j = spec.leaf_cells
-    return zip(
-        chain.from_iterable(_first_label_runs(spec, n_max)),
-        map(floordiv, count(j), repeat(j)),
-        cycle(range(1, j + 1)),
-    )
+    return compress(count(1), cell_starts(spec, n_max))
 
 
 def first_label(spec: TreeSpec, v: int) -> int:
@@ -216,15 +198,14 @@ def cell_count(spec: TreeSpec, n: int) -> int:
 
 
 def cell_count_sequence(spec: TreeSpec, n_max: int) -> list[int]:
-    """C_T(1), ..., C_T(n_max) in one pass: the running sum of cell_starts.
+    """C_T(1), ..., C_T(n_max) in one pass over the first labels of cell_positions.
 
-    Label 1 opens cell 1, and C_T stays at c from the first label of cell c
-    to the label before the next cell's, so the list repeats one int object
-    per cell over that run rather than making one per label.
+    C_T stays at c from the first label of cell c to the label before the
+    next cell's, or to n_max for the last cell, so the list repeats one int
+    object per cell over that run rather than making one per label.
     """
-    starts = cell_starts(spec, n_max)
-    firsts, nexts = tee(compress(count(1), starts))
-    runs = map(sub, chain(islice(nexts, 1, None), (len(starts) + 1,)), firsts)
+    firsts, nexts = tee(cell_positions(spec, n_max))
+    runs = map(sub, chain(islice(nexts, 1, None), (n_max + 1,)), firsts)
     return list(chain.from_iterable(map(repeat, count(1), runs)))
 
 
@@ -236,8 +217,8 @@ def initial_conditions(spec: TreeSpec, count: int) -> list[int]:
 def cell_count_split(spec: TreeSpec, n: int) -> tuple[int, ...]:
     """Nonempty cells among labels 1..n, grouped by leaf child position."""
     counts = [0] * spec.arity
-    for _, leaf, _ in cell_positions(spec, n):
-        counts[(leaf - 1) % spec.arity] += 1
+    for cell in range(sum(cell_starts(spec, n))):
+        counts[cell // spec.leaf_cells % spec.arity] += 1
     return tuple(counts)
 
 

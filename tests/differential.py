@@ -16,7 +16,8 @@ line led by its section name:
              seeded large trees: 2 n in [10^4, 6*10^4] for 3 points per op
     explore  cli.explore_rows --prune-check rows on the record grids, plus
              points whose keys do not fit their catalog entry
-    walk     tree.cell_positions to 20,000 labels and the streamed check
+    walk     tree.cell_positions to 20,000 labels, each first label with
+             the leaf and slot its ordinal gives, and the streamed check
              frequency.empirical_matches_closed_form to 100,000, on a grid of
              trees: k 2..4, s 0..2, j 1..3, two label allocations each
 
@@ -178,7 +179,8 @@ def walk_specs() -> list[tree.TreeSpec]:
 
 def walk_lines():
     for spec in walk_specs():
-        cells = list(tree.cell_positions(spec, WALK_N))
+        j = spec.leaf_cells
+        cells = [(first, i // j + 1, i % j + 1) for i, first in enumerate(tree.cell_positions(spec, WALK_N))]
         check = frequency.empirical_matches_closed_form(spec, CHECK_N)
         yield f"walk {spec} cells={len(cells)} h={digest(cells)} check={check}"
 

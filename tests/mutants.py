@@ -45,7 +45,9 @@ class Mutant(NamedTuple):
 
 
 RECURSION, CLI, PRUNING = "src/nestrec/recursion.py", "src/nestrec/cli.py", "src/nestrec/pruning.py"
+TREE, FREQUENCY, FAMILIES = "src/nestrec/tree.py", "src/nestrec/frequency.py", "src/nestrec/families.py"
 T_RECURSION, T_CLI, T_PRUNING = "tests/test_recursion.py", "tests/test_cli.py", "tests/test_pruning.py"
+T_TREE, T_FREQUENCY, T_FAMILIES = "tests/test_tree.py", "tests/test_frequency.py", "tests/test_families.py"
 
 MUTANTS = (
     # the evaluator's one object per run of equal values, and its cap check
@@ -82,6 +84,49 @@ MUTANTS = (
     Mutant("superposed passes reversed", PRUNING,
            "for i, b in enumerate(row, 1):", "for i, b in enumerate(reversed(row), 1):",
            "the deletion passes would log their blocks in another order", (T_PRUNING,)),
+    # the other prune ops and their bounds
+    Mutant("order_one prune threshold one lower", FAMILIES,
+           "        return 4 * self.j + 2 * self.m + 2 * self.s\n",
+           "        return 4 * self.j + 2 * self.m + 2 * self.s - 1\n",
+           "prune would accept an n one below the order_one bound", (T_FAMILIES, T_PRUNING)),
+    Mutant("front deletion falls back to the parent first", PRUNING,
+           "                if last:\n"
+           "                    runs.append(last[:1])\n"
+           "                    sources.append(ordinal)\n"
+           "                    cells[-1] = last[1:]\n"
+           "                elif own:\n"
+           "                    runs.append(own[:1])\n"
+           "                    sources.append(parent)\n"
+           "                    all_cells[parent - 1] = (own[1:], *all_cells[parent - 1][1:])\n",
+           "                if own:\n"
+           "                    runs.append(own[:1])\n"
+           "                    sources.append(parent)\n"
+           "                    all_cells[parent - 1] = (own[1:], *all_cells[parent - 1][1:])\n"
+           "                elif last:\n"
+           "                    runs.append(last[:1])\n"
+           "                    sources.append(ordinal)\n"
+           "                    cells[-1] = last[1:]\n",
+           "an empty cell would take its label from the parent while the leaf's last cell still holds one",
+           (T_PRUNING,)),
+    Mutant("end correction trims the front of a run", PRUNING,
+           "                cells[slot] = run[:keep]\n", "                cells[slot] = run[len(run) - keep:]\n",
+           "the smallest labels of a node would go instead of the largest", (T_PRUNING,)),
+    # the first-label stream: C_T, the gaps and the streamed phi check read it
+    Mutant("first labels counted from 0", TREE,
+           "return compress(count(1), cell_starts(spec, n_max))", "return compress(count(0), cell_starts(spec, n_max))",
+           "every first label would read one low", (T_TREE, T_FREQUENCY)),
+    Mutant("gaps not shifted by one cell", FREQUENCY,
+           "    next(nexts, None)\n", "",
+           "every observed gap would be a cell's first label minus itself", (T_FREQUENCY,)),
+    Mutant("mismatch re-walk one gap late", FREQUENCY,
+           "islice(_observed_gaps(spec, n_max), v - 1, None)", "islice(_observed_gaps(spec, n_max), v, None)",
+           "a failed stream check would report gap v + 1 as the observed phi(v)", (T_FREQUENCY,)),
+    Mutant("last cell's run one short", TREE,
+           "(n_max + 1,)", "(n_max,)",
+           "C_T(1..n_max) would miss its last label", (T_TREE,)),
+    Mutant("split by cell, not leaf", TREE,
+           "cell // spec.leaf_cells % spec.arity", "cell % spec.arity",
+           "cells would be grouped by their ordinal, not their leaf's child position", (T_TREE,)),
 )
 
 

@@ -78,11 +78,11 @@ def test_phi_stream_matches_closed_form(k, s, j, c, last, x):
     assert freq.closed_form_sequence(spec, vmax).entries == tuple(want)
 
 
-@pytest.mark.parametrize("where", ["first block", "interior", "block end"])
+@pytest.mark.parametrize("where", ["first value", "first block", "interior", "block end"])
 def test_stream_check_reports_first_difference(where, monkeypatch):
     """A closed form off by one at v gives the report the per-cell loop gave: v, observed, expected."""
     p = period(RUNNING)  # 1536
-    bad = {"first block": 600, "interior": p + 9, "block end": 2 * p}[where]
+    bad = {"first value": 1, "first block": 600, "interior": p + 9, "block end": 2 * p}[where]
     true_phi = freq.closed_form
     monkeypatch.setattr(freq, "closed_form", lambda spec, v: true_phi(spec, v) + (v == bad))
     report = freq.empirical_matches_closed_form(RUNNING, 20000)
@@ -92,7 +92,7 @@ def test_stream_check_reports_first_difference(where, monkeypatch):
 
 def per_cell_frequency(spec, n_max):
     """The per-cell loop empirical_frequency used to run: gaps between successive first labels."""
-    firsts = [first for first, _, _ in tree.cell_positions(spec, n_max)]
+    firsts = list(tree.cell_positions(spec, n_max))
     return tuple(firsts[v] - firsts[v - 1] for v in range(1, len(firsts)))
 
 
@@ -100,6 +100,13 @@ def per_cell_frequency(spec, n_max):
 def test_empirical_frequency_matches_per_cell_gaps(spec):
     for n_max in (0, 1, 2, 20000):
         assert freq.empirical_frequency(spec, n_max).entries == per_cell_frequency(spec, n_max)
+
+
+@pytest.mark.parametrize("spec", [RUNNING, fam.tree_of(fam.KaryOrderP(4, 2, 3)), TreeSpec(4, 2, 2, 1, 3, 1)])
+def test_stream_check_agrees_with_few_or_no_cells(spec):
+    """No label, or too few for a gap to complete, leaves nothing to disagree with."""
+    for n_max in (0, 1, 2):
+        assert freq.empirical_matches_closed_form(spec, n_max).agree
 
 
 def test_empirical_equals_count_sequence_diffs():

@@ -466,8 +466,9 @@ SPEC_GRID = [(1, 3, 1, 2, 2), (0, 1, 1, 3, 0), (2, 2, 2, 1, 1), (0, 4, 1, 1, 3)]
 def test_leaf_runs_match_cell_positions(k, s, j, c, last, x):
     """build_prefix's leaf cells against the byte-template walk, which uses no node_stream.
 
-    tree.cell_positions gives each cell's first label, leaf and cell index;
-    its size is the spec's, cut at n.  Every nonempty leaf cell must be that
+    tree.cell_positions gives each cell's first label; cell i, counted from
+    0, is slot i % j + 1 of leaf i // j + 1, and its size is the spec's, cut
+    at n.  Every nonempty leaf cell must be that
     run, starting at that first label, and every empty one, lying past n,
     must start at n + 1: pruning reads the opening labels off the starts.
     """
@@ -485,8 +486,8 @@ def test_leaf_runs_match_cell_positions(k, s, j, c, last, x):
                 else:
                     assert cell.start == n + 1, (index, slot)
         expected = [
-            (first, leaf, slot, range(first, first + min(sizes[slot - 1], n + 1 - first)))
-            for first, leaf, slot in tree.cell_positions(spec, n)
+            (first, i // j + 1, i % j + 1, range(first, first + min(sizes[i % j], n + 1 - first)))
+            for i, first in enumerate(tree.cell_positions(spec, n))
         ]
         assert built == expected, (spec, n)
 

@@ -137,7 +137,7 @@ def test_cell_starts_sum_to_closed_form(k, s, j, c, last, x, n):
 
 
 def test_cell_positions_are_label_sorted():
-    positions = [first for first, _, _ in tree.cell_positions(RUNNING, 4000)]
+    positions = list(tree.cell_positions(RUNNING, 4000))
     assert positions == sorted(positions)
     assert len(positions) == tree.cell_count(RUNNING, 4000)
 
@@ -153,7 +153,10 @@ def test_cell_positions_are_label_sorted():
     st.integers(0, 1500),
 )
 def test_cell_positions_match_node_stream(k, s, j, c, last, x, n):
-    """The byte-template walk against cells rebuilt node by node from node_stream."""
+    """The byte-template walk against cells rebuilt node by node from node_stream.
+
+    Cell i, counted from 0, is numbered leaf i // j + 1 and slot i % j + 1.
+    """
     spec = TreeSpec(k, s, j, c, last, x)
     expected = []
     pos = 0
@@ -167,7 +170,8 @@ def test_cell_positions_match_node_stream(k, s, j, c, last, x, n):
                 pos += size
         else:
             pos += s if kind == SUPERNODE else x
-    assert list(tree.cell_positions(spec, n)) == expected
+    cells = [(first, i // j + 1, i % j + 1) for i, first in enumerate(tree.cell_positions(spec, n))]
+    assert cells == expected
 
 
 @settings(max_examples=60)
