@@ -468,9 +468,9 @@ def test_leaf_runs_match_cell_positions(k, s, j, c, last, x):
 
     tree.cell_positions gives each cell's first label; cell i, counted from
     0, is slot i % j + 1 of leaf i // j + 1, and its size is the spec's, cut
-    at n.  Every nonempty leaf cell must be that
-    run, starting at that first label, and every empty one, lying past n,
-    must start at n + 1: pruning reads the opening labels off the starts.
+    at n.  Every nonempty leaf cell must be that run, starting at that first
+    label, and every empty one, lying past n, must start at n + 1: pruning
+    reads the opening labels off the starts.
     """
     spec = TreeSpec(k, s, j, c, last, x)
     sizes = spec.cell_sizes()
