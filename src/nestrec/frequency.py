@@ -10,17 +10,20 @@ The closed form is periodic away from its block ends.  Take P = j*k^h.
 For t >= 1 and 0 < r < P, phi(t*P + r) = phi(P + r): off the grid both
 are per_cell, and on it r = j*r' with 0 < r' < k^h, so
 nu_k(t*k^h + r') = nu_k(r') and t*k^h + r' is no power of k (a power
-above k^h would be a multiple of k^h).  So _phi_stream gives phi(1..P)
-lazily, then repeats one list of phi(P + 1..2P - 1) between single calls
-for the block ends (t + 1)*P, and the checks below compare it with the
-observed gaps through itertools alone, with no Python step per value.
+above k^h would be a multiple of k^h).  So _phi_stream gives phi(1..P),
+then repeats one list of phi(P + 1..2P - 1) between single closed_form
+calls for the block ends (t + 1)*P, and the checks below compare it with
+the observed gaps through itertools alone, with no Python step per value.
+Both lists are built by list repetition from the ruler nu_k(1..k^h - 1):
+the grid values for q < k^(h+1) are k copies of those for q < k^h, with
+the value of q = t*k^h, t < k, between them, and only t = 1 gives a power
+of k.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain, compress, count, islice, tee
 from operator import ne, sub
 from typing import Iterable, Iterator, Optional, Sequence
@@ -83,16 +86,32 @@ class FrequencySequence:
 _MIN_PERIOD = 1024
 
 
-def _phi_blocks(spec: TreeSpec) -> Iterator[Iterable[int]]:
-    phi = partial(closed_form, spec)
-    period = spec.leaf_cells
+def _phi_blocks(spec: TreeSpec) -> Iterator[Sequence[int]]:
+    """phi(1..P), then phi(P + 1..2P - 1) and phi(2P), that list and phi(3P), and so on.
+
+    P = j*k^h is the smallest such length of at least _MIN_PERIOD.  `pure`
+    holds the grid values last_cell + regular*nu_k(q) for q = 1..k^h - 1 and
+    `first` the same with supernode_labels added at each power of k; each
+    round takes h to h + 1 by repetition (see the module docstring), so
+    neither block makes a Python call per value.
+    """
+    k, j, s, x = spec.arity, spec.leaf_cells, spec.supernode_labels, spec.regular_labels
+    pure: list[int] = []
+    first: list[int] = []
+    g, period = spec.last_cell, j  # g is the grid value at q = k^h
     while period < _MIN_PERIOD:
-        period *= spec.arity
-    yield map(phi, range(1, period + 1))
-    interior = list(map(phi, range(period + 1, 2 * period)))
+        first = first + [g + s] + (pure + [g]) * (k - 2) + pure
+        pure = (pure + [g]) * (k - 1) + pure
+        g += x
+        period *= k
+    block = [spec.per_cell] * period
+    block[j - 1::j] = first + [g + s]
+    yield block
+    interior = [spec.per_cell] * (period - 1)
+    interior[j - 1::j] = pure
     for end in count(2 * period, period):
         yield interior
-        yield (phi(end),)
+        yield (closed_form(spec, end),)
 
 
 def _phi_stream(spec: TreeSpec) -> Iterator[int]:
@@ -140,9 +159,10 @@ def compare(a: FrequencySequence, b: FrequencySequence, vmax: int) -> CompareRep
     """First v <= vmax where the two sequences disagree, if any."""
     if a.vmax < vmax or b.vmax < vmax:
         raise ValueError(f"both sequences must cover 1..{vmax}")
-    v = _first_mismatch(a.entries, b.entries)
-    if v is None or v > vmax:
+    head = slice(max(vmax, 0))
+    if a.entries[head] == b.entries[head]:
         return CompareReport(True)
+    v = _first_mismatch(a.entries, b.entries)
     return CompareReport(False, v, a[v], b[v])
 
 
@@ -155,9 +175,9 @@ def empirical_matches_closed_form(spec: TreeSpec, n_max: int) -> CompareReport:
     v = _first_mismatch(_observed_gaps(spec, n_max), _phi_stream(spec))
     if v is None:
         return CompareReport(True)
-    # the first walk is spent; a second one reads gap v
+    # the first walk and stream are spent; second ones read gap v and phi(v)
     observed = next(islice(_observed_gaps(spec, n_max), v - 1, None))
-    return CompareReport(False, v, observed, closed_form(spec, v))
+    return CompareReport(False, v, observed, next(islice(_phi_stream(spec), v - 1, None)))
 
 
 def superpose(components: Sequence[tuple[int, TreeSpec]]) -> TreeSpec:

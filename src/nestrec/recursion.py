@@ -50,7 +50,7 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, count, islice, repeat
-from operator import rshift, sub
+from operator import add, rshift, sub
 from typing import Callable, Iterator, Optional, Sequence
 
 from .frequency import FrequencySequence
@@ -301,15 +301,21 @@ def frequency_of(values: Sequence[int]) -> FrequencySequence:
     """Occurrence counts of each value, dropping the possibly unfinished last run.
 
     The input must be slow and start at 1 so that every value up to the
-    final one occurs at least once.
+    final one occurs at least once.  One pass packs the steps into bytes,
+    which fails on a step below 0 or past 255; the sequence is slow when
+    no byte other than 0 or 1 is left, and then each 1 ends a run, so
+    phi(v) is one more than the number of 0 steps before the v-th 1.
     """
-    if slowness_violation(values) is not None:
+    try:
+        steps = bytes(map(sub, islice(values, 1, None), values))
+    except ValueError:  # a step below 0 or past 255
+        steps = b"\2"
+    if (values and values[0] < 1) or steps.translate(None, b"\0\1"):
         raise ValueError("frequency counting needs a slow sequence")
     if not values or values[0] != 1:
         raise ValueError("frequency counting needs a slow sequence starting at 1")
-    # a slow sequence from 1 meets its values in order, so the counts come
-    # out as phi(1), phi(2), ...; the last is the unfinished run
-    return FrequencySequence(tuple(Counter(values).values())[:-1])
+    # the piece after the last 1 is the unfinished run
+    return FrequencySequence(tuple(map(add, repeat(1), map(len, steps.split(b"\1")[:-1]))))
 
 
 def from_document(doc: dict) -> tuple[RecursionSpec, list[int]]:

@@ -5,7 +5,7 @@ Run it from the repository root of each version and compare the outputs:
     PYTHONPATH=src python tests/differential.py > digest.txt
     diff old-digest.txt digest.txt
 
-It is not named test_*, so pytest does not collect it.  Five sections, each
+It is not named test_*, so pytest does not collect it.  Six sections, each
 line led by its section name:
 
     eval     recursion.evaluate on seeded random specs, shifted-row and free
@@ -20,6 +20,9 @@ line led by its section name:
              the leaf and slot its ordinal gives, and the streamed check
              frequency.empirical_matches_closed_form to 100,000, on a grid of
              trees: k 2..4, s 0..2, j 1..3, two label allocations each
+    phi      frequency.closed_form_sequence at vmax 1, j, 1023, 1024 and
+             5,000, one hash per tree: k 2..5, s 0..2, j 1..3, three label
+             allocations each
 
 A value is printed as its repr, an exception as `!Type: message`, and a
 long sequence or move log as its length and a short hash.
@@ -42,6 +45,7 @@ LARGE_N = (10_000, 60_000)
 LARGE_POINTS, LARGE_SIZES = 3, 2  # points per op, n per point
 EXPLORE_N = 300
 WALK_N, CHECK_N = 20_000, 100_000
+PHI_LABELS = ((1, 1, 1), (2, 3, 0), (1, 4, 2))  # (per cell, last cell, per regular node)
 
 
 def digest(value: object) -> str:
@@ -185,10 +189,22 @@ def walk_lines():
         yield f"walk {spec} cells={len(cells)} h={digest(cells)} check={check}"
 
 
+def phi_lines():
+    for k in range(2, 6):
+        for s in range(3):
+            for j in range(1, 4):
+                for c, last, x in PHI_LABELS:
+                    spec = tree.TreeSpec(k, s, j, c, last, x)
+                    sequences = [frequency.closed_form_sequence(spec, vmax).entries
+                                 for vmax in (1, j, 1023, 1024, 5000)]
+                    yield f"phi {spec} h={digest(sequences)}"
+
+
 def main() -> None:
     rng = random.Random(SEED)
     out = sys.stdout
-    for section in (eval_lines(rng), record_lines(), prune_lines(), explore_lines(), walk_lines()):
+    for section in (eval_lines(rng), record_lines(), prune_lines(), explore_lines(), walk_lines(),
+                    phi_lines()):
         for line in section:
             out.write(line + "\n")
 

@@ -127,6 +127,17 @@ MUTANTS = (
     Mutant("split by cell, not leaf", TREE,
            "cell // spec.leaf_cells % spec.arity", "cell % spec.arity",
            "cells would be grouped by their ordinal, not their leaf's child position", (T_TREE,)),
+    # the ruler-built phi blocks and the one-pass frequency count
+    Mutant("supernode bump in every copy of first", FREQUENCY,
+           "first = first + [g + s] + (pure + [g]) * (k - 2) + pure",
+           "first = first + [g + s] + (first + [g + s]) * (k - 2) + first",
+           "phi would add supernode_labels at q = t*k^h + k^e, not only at the powers of k", (T_FREQUENCY,)),
+    Mutant("unfinished run counted", RECURSION,
+           'steps.split(b"\\1")[:-1]', 'steps.split(b"\\1")',
+           "frequency_of would report the last run, which may still grow, as a finished phi", (T_RECURSION,)),
+    Mutant("a step of 2 counted as slow", RECURSION,
+           'steps.translate(None, b"\\0\\1")', 'steps.translate(None, b"\\0\\1\\2")',
+           "frequency_of would count a sequence that skips a value, or any step past the byte range", (T_RECURSION,)),
 )
 
 

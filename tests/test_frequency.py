@@ -78,15 +78,46 @@ def test_phi_stream_matches_closed_form(k, s, j, c, last, x):
     assert freq.closed_form_sequence(spec, vmax).entries == tuple(want)
 
 
+def test_phi_blocks_call_closed_form_only_at_block_ends(monkeypatch):
+    """The first period and the interior block come from the ruler lists; closed_form gives each block end."""
+    calls = []
+    true_phi = freq.closed_form
+    monkeypatch.setattr(freq, "closed_form", lambda spec, v: calls.append(v) or true_phi(spec, v))
+    p = period(RUNNING)
+    blocks = list(islice(freq._phi_blocks(RUNNING), 5))
+    assert list(map(len, blocks)) == [p, p - 1, 1, p - 1, 1]
+    assert calls == [2 * p, 3 * p]
+
+
+@pytest.mark.parametrize("spec", [RUNNING, TreeSpec(5, 2, 1, 3, 1, 2), TreeSpec(3, 0, 4, 2, 5, 1),
+                                  TreeSpec(2, 1, 1500, 1, 2, 3)])
+def test_closed_form_sequence_at_block_edges(spec):
+    """vmax at and around a leaf's last cell and the first period's end; j = 1500 needs no ruler round."""
+    j, p = spec.leaf_cells, period(spec)
+    for vmax in (0, 1, j - 1, j, p - 1, p, p + 1):
+        want = tuple(freq.closed_form(spec, v) for v in range(1, vmax + 1))
+        assert freq.closed_form_sequence(spec, vmax).entries == want
+
+
 @pytest.mark.parametrize("where", ["first value", "first block", "interior", "block end"])
 def test_stream_check_reports_first_difference(where, monkeypatch):
-    """A closed form off by one at v gives the report the per-cell loop gave: v, observed, expected."""
+    """A phi block off by one at v gives the report the per-cell loop gave: v, observed, expected."""
     p = period(RUNNING)  # 1536
     bad = {"first value": 1, "first block": 600, "interior": p + 9, "block end": 2 * p}[where]
-    true_phi = freq.closed_form
-    monkeypatch.setattr(freq, "closed_form", lambda spec, v: true_phi(spec, v) + (v == bad))
+    true_blocks = freq._phi_blocks
+
+    def off_by_one(spec):
+        start = 1
+        for block in true_blocks(spec):
+            if start <= bad < start + len(block):
+                block = list(block)
+                block[bad - start] += 1
+            start += len(block)
+            yield block
+
+    monkeypatch.setattr(freq, "_phi_blocks", off_by_one)
     report = freq.empirical_matches_closed_form(RUNNING, 20000)
-    phi = true_phi(RUNNING, bad)
+    phi = freq.closed_form(RUNNING, bad)
     assert (report.agree, report.first_diff, report.left, report.right) == (False, bad, phi, phi + 1)
 
 

@@ -249,6 +249,19 @@ def test_move_log_record_for_record(family, n, moves):
     assert list(map(repr, report.moves)) == list(map(repr, moves))
 
 
+def test_front_deletion_takes_the_leaf_last_cell_before_the_parent():
+    """An emptied cell's label comes from its leaf's last cell first, and only then from the parent.
+
+    Both orders give the round trip here; taking from the parent first would
+    delete label 7 from node 5 instead of label 14 from leaf node 6.
+    """
+    family = fam.HigherOrder(0, 2, 1, 2)
+    report = pruning.prune_family(family, pruning.build_prefix(fam.tree_of(family), 18))
+    last = [move for move in report.moves if move[0] == "deletion"][-1]
+    assert last == ("deletion", (range(14, 15),), 6, None)
+    assert repr(last) == repr(("deletion", (range(14, 15),), 6, None))
+
+
 def test_order2_removed_formula():
     for s, j, m in [(0, 1, 0), (0, 1, 1), (1, 3, 1), (2, 4, 3), (0, 2, 2)]:
         f = fam.OrderOne(s, j, m)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections import Counter
 from itertools import accumulate
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from nestrec import families as fam
 from nestrec import recursion, tree
+from nestrec.frequency import FrequencySequence
 from nestrec.recursion import DeadReason, RecursionSpec
 
 
@@ -117,6 +119,33 @@ def test_frequency_requires_slow_from_one():
         recursion.frequency_of([2, 3, 3])
     with pytest.raises(ValueError):
         recursion.frequency_of([1, 3])
+    with pytest.raises(ValueError, match="starting at 1"):
+        recursion.frequency_of([])
+
+
+def counter_frequency_of(values):
+    """frequency_of as it was written before its one byte pass: a slowness scan, then a Counter."""
+    if recursion.slowness_violation(values) is not None:
+        raise ValueError("frequency counting needs a slow sequence")
+    if not values or values[0] != 1:
+        raise ValueError("frequency counting needs a slow sequence starting at 1")
+    return FrequencySequence(tuple(Counter(values).values())[:-1])
+
+
+def outcome(call):
+    try:
+        return call()
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([1, 0, 2, 300]),
+       st.lists(st.sampled_from([0, 1, 0, 1, 0, 1, -300, -1, 2, 255, 256]), max_size=40))
+def test_frequency_of_matches_the_counter_reference(first, steps):
+    """Equal entries or the equal ValueError message, at the step bytes' edges: -1, 255 and 256."""
+    values = list(accumulate(steps, initial=first))
+    assert outcome(lambda: recursion.frequency_of(values)) == outcome(lambda: counter_frequency_of(values))
 
 
 def test_prefix_stability():
