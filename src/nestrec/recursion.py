@@ -303,8 +303,8 @@ def frequency_of(values: Sequence[int]) -> FrequencySequence:
     The input must be slow and start at 1 so that every value up to the
     final one occurs at least once.  One pass packs the steps into bytes,
     which fails on a step below 0 or past 255; the sequence is slow when
-    no byte other than 0 or 1 is left, and then each 1 ends a run, so
-    phi(v) is one more than the number of 0 steps before the v-th 1.
+    no byte other than 0 or 1 is left.  Then the v-th 1 ends the run of v,
+    and phi(v) is one more than the 0 steps since the 1 before it.
     """
     try:
         steps = bytes(map(sub, islice(values, 1, None), values))

@@ -259,7 +259,6 @@ def test_front_deletion_takes_the_leaf_last_cell_before_the_parent():
     report = pruning.prune_family(family, pruning.build_prefix(fam.tree_of(family), 18))
     last = [move for move in report.moves if move[0] == "deletion"][-1]
     assert last == ("deletion", (range(14, 15),), 6, None)
-    assert repr(last) == repr(("deletion", (range(14, 15),), 6, None))
 
 
 def test_order2_removed_formula():
