@@ -14,7 +14,8 @@ def show(family, label: str, vmax: int = 12) -> None:
     spec = fam.tree_of(family)
     closed = [freq.closed_form(spec, v) for v in range(1, vmax + 1)]
     values = recursion.evaluate(fam.recursion_of(family), fam.standard_ics(family), 3000).values
-    counted = recursion.frequency_of(values)
+    _, steps = recursion.slow_steps(values)  # the slow prefix's steps: here, all of them
+    counted = freq.from_steps(steps)
     empirical = [counted[v] for v in range(1, vmax + 1)]
     print(f"{label}:")
     print(f"  closed form  {closed}")

@@ -333,14 +333,16 @@ def explore_rows(name: str, points: list[dict[str, int]], n_max: int, prune_chec
             reason = f"parameters do not fit: {err}"
         else:
             probe = _neg_gamma_row if family.name == "neg_gamma" else _probe_row
-            reason = probe(row, family, n_max, prune_check)
+            reason = probe(row, family, n_max)
         if reason is not None:
             row.update(survived_to="", dead_reason=reason, slow="", freq_match="")
+        elif prune_check:
+            row["prune_identity"] = _prune_identity(family, n_max)
         rows.append(row)
     return rows
 
 
-def _probe_row(row: dict, family: fam.Family, n_max: int, prune_check: bool) -> Optional[str]:
+def _probe_row(row: dict, family: fam.Family, n_max: int) -> Optional[str]:
     """Run one point from the ICs of its nearest tree; the reason it cannot run, if any.
 
     Out-of-range points have no tree of their own, so they borrow the cell
@@ -361,28 +363,24 @@ def _probe_row(row: dict, family: fam.Family, n_max: int, prune_check: bool) -> 
         rspec = family.offsets()
     except ValueError as err:
         return f"malformed recursion: {err}"
-    values, violation = _survival(row, recursion.evaluate(rspec, ic, n_max))
+    violation, steps = _survival(row, recursion.evaluate(rspec, ic, n_max))
     in_range = verdict.ok and not verdict.exploratory and violation is None
-    row["freq_match"] = _freq_match(spec, values) if in_range else ""
-    if prune_check:
-        row["prune_identity"] = _prune_identity(family, n_max)
+    row["freq_match"] = _freq_match(spec, steps) if in_range else ""
     return None
 
 
-def _survival(row: dict, result: recursion.EvalResult) -> tuple[tuple[int, ...], Optional[int]]:
-    """Fill survived_to, dead_reason and slow from one evaluation; return its values and slowness violation."""
+def _survival(row: dict, result: recursion.EvalResult) -> tuple[Optional[int], bytes]:
+    """Fill survived_to, dead_reason and slow from one evaluation; return its slowness violation and slow steps."""
     row["survived_to"] = len(result.values)
     row["dead_reason"] = result.reason.value if result.reason else ""
-    violation = recursion.slowness_violation(result.values)
+    violation, steps = recursion.slow_steps(result.values)
     row["slow"] = "yes" if violation is None else f"no(at {violation})"
-    return result.values, violation
+    return violation, steps
 
 
-def _freq_match(spec: tree.TreeSpec, values: Sequence[int]) -> str:
-    """Observed frequencies of `values` against the tree's closed form; "" if none complete."""
-    if not values:
-        return ""
-    empirical = recursion.frequency_of(values)
+def _freq_match(spec: tree.TreeSpec, steps: bytes) -> str:
+    """phi of a slow run from 1, read from its steps, against the tree's closed form; "" if none complete."""
+    empirical = freq.from_steps(steps)
     if empirical.vmax < 1:
         return ""
     closed = freq.closed_form_sequence(spec, empirical.vmax)
@@ -399,7 +397,7 @@ def _prune_identity(family: fam.Family, n_max: int) -> str:
         return f"skipped({err})"
 
 
-def _neg_gamma_row(row: dict, family: fam.NegGammaCandidate, n_max: int, prune_check: bool) -> Optional[str]:
+def _neg_gamma_row(row: dict, family: fam.NegGammaCandidate, n_max: int) -> Optional[str]:
     """Run a candidate point from the ICs of its conjectured tree; it has no pruning operation."""
     verdict = family.check()
     row["valid"] = "candidate" if verdict.ok else "no"
@@ -408,12 +406,11 @@ def _neg_gamma_row(row: dict, family: fam.NegGammaCandidate, n_max: int, prune_c
     conjectured = family.conjectured()
     spec = conjectured.tree()
     ic = tree.initial_conditions(spec, conjectured.ic_length())
-    values, violation = _survival(row, recursion.evaluate(family.offsets(), ic, n_max))
+    violation, steps = _survival(row, recursion.evaluate(family.offsets(), ic, n_max))
     # compare what frequency evidence there is, even from a prefix that
-    # later stops being slow
-    prefix = values if violation is None else values[: violation - 1]
-    match = _freq_match(spec, prefix) if prefix and prefix[0] == 1 else ""
-    scope = "" if violation is None or not match else f"prefix({len(prefix)}):"
+    # later stops being slow; the tree's ICs start at C_T(1) = 1
+    match = _freq_match(spec, steps)
+    scope = "" if violation is None or not match else f"prefix({violation - 1}):"
     row["freq_match"] = scope + match
     return None
 

@@ -18,17 +18,21 @@ Both lists are built by list repetition from the ruler nu_k(1..k^h - 1):
 the grid values for q < k^(h+1) are k copies of those for q < k^h, with
 the value of q = t*k^h, t < k, between them, and only t = 1 gives a power
 of k.
+
+A sequence's own phi is read in one place, from_steps, off its steps as
+bytes: recursion.slow_steps packs them for a recursion's values, and the
+tree's are its cell_starts bytes after the first, as C_T is their sum.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import chain, compress, count, islice, tee
-from operator import ne, sub
+from itertools import chain, compress, count, islice, repeat, tee
+from operator import add, ne, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .tree import TreeSpec, cell_positions
+from .tree import TreeSpec, cell_positions, cell_starts
 
 log = logging.getLogger(__name__)
 
@@ -133,13 +137,23 @@ def closed_form_sequence(spec: TreeSpec, vmax: int) -> FrequencySequence:
     return FrequencySequence(tuple(islice(_phi_stream(spec), max(vmax, 0))))
 
 
+def from_steps(steps: bytes) -> FrequencySequence:
+    """phi of a slow sequence that starts at 1, from its steps as bytes of 0 and 1.
+
+    The v-th 1 byte ends the run of v, and phi(v) is one more than the 0
+    bytes before it since the 1 before that.  The piece after the last 1 is
+    a run that may still grow, so it is dropped.
+    """
+    return FrequencySequence(tuple(map(add, repeat(1), map(len, steps.split(b"\1")[:-1]))))
+
+
 def empirical_frequency(spec: TreeSpec, n_max: int) -> FrequencySequence:
-    """phi from the tree itself: gaps between successive cell first-labels.
+    """phi from the tree itself: the runs of C_T(1..n_max), from its cell-start bytes.
 
     Covers every v whose run of occurrences completes within the first
     n_max labels.
     """
-    return FrequencySequence(tuple(_observed_gaps(spec, n_max)))
+    return from_steps(cell_starts(spec, n_max)[1:])
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,10 @@ A slow sequence repeats each value about twice, so a term whose sum equals
 the value before it stores that value's object again, and a run of equal
 values holds one int.  Values are capped at 2^63 - 1; the loop checks the
 cap where it stores a new value, so a repeated value is not checked again.
+
+Slowness is read in one place, slow_steps: one pass packs the steps into
+bytes and gives the first term that breaks slowness and the slow prefix's
+steps, from which frequency.from_steps reads phi.
 """
 
 from __future__ import annotations
@@ -50,10 +54,9 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, count, islice, repeat
-from operator import add, rshift, sub
+from operator import rshift, sub
 from typing import Callable, Iterator, Optional, Sequence
 
-from .frequency import FrequencySequence
 from .tree import document_fields
 
 MAX_VALUE = 2**63 - 1
@@ -275,47 +278,27 @@ def right_side(spec: RecursionSpec, value: Callable[[int], int], n: int) -> int:
     return total
 
 
-_SLOW_STEPS = frozenset((0, 1))
-
-
-def slowness_violation(values: Sequence[int]) -> Optional[int]:
-    """1-based index of the first term breaking slowness, or None if slow.
+def slow_steps(values: Sequence[int]) -> tuple[Optional[int], bytes]:
+    """The first term breaking slowness (1-based, or None if slow) and the slow prefix's steps as bytes.
 
     Slow means the sequence starts at a positive value and every consecutive
-    difference is 0 or 1.
+    difference is 0 or 1.  One pass packs the steps into bytes, and the
+    slow prefix ends where the leading 0 and 1 bytes do.  A step below 0 or
+    past 255 is no byte and ends that pass; only then does a second pass
+    find the first step that is not 0 or 1.
     """
     if not values:
-        return None
+        return None, b""
     if values[0] < 1:
-        return 1
-    # one C-level pass, which stops at the first step that is not 0 or 1 ...
-    if _SLOW_STEPS.issuperset(map(sub, islice(values, 1, None), values)):
-        return None
-    # ... and one that finds its index: a step is 0 or 1 exactly when
-    # shifting it right by one bit leaves 0
-    steps = map(sub, islice(values, 1, None), values)
-    return next(compress(count(2), map(rshift, steps, repeat(1))))
-
-
-def frequency_of(values: Sequence[int]) -> FrequencySequence:
-    """Occurrence counts of each value, dropping the possibly unfinished last run.
-
-    The input must be slow and start at 1 so that every value up to the
-    final one occurs at least once.  One pass packs the steps into bytes,
-    which fails on a step below 0 or past 255; the sequence is slow when
-    no byte other than 0 or 1 is left.  Then the v-th 1 ends the run of v,
-    and phi(v) is one more than the 0 steps since the 1 before it.
-    """
+        return 1, b""
     try:
         steps = bytes(map(sub, islice(values, 1, None), values))
-    except ValueError:  # a step below 0 or past 255
-        steps = b"\2"
-    if (values and values[0] < 1) or steps.translate(None, b"\0\1"):
-        raise ValueError("frequency counting needs a slow sequence")
-    if not values or values[0] != 1:
-        raise ValueError("frequency counting needs a slow sequence starting at 1")
-    # the piece after the last 1 is the unfinished run
-    return FrequencySequence(tuple(map(add, repeat(1), map(len, steps.split(b"\1")[:-1]))))
+    except ValueError:
+        # a step is 0 or 1 exactly when shifting it right by one bit leaves 0
+        violation = next(compress(count(2), map(rshift, map(sub, islice(values, 1, None), values), repeat(1))))
+        return violation, bytes(map(sub, islice(values, 1, violation - 1), values))
+    slow = len(steps) - len(steps.lstrip(b"\0\1"))
+    return (None if slow == len(steps) else slow + 2), steps[:slow]
 
 
 def from_document(doc: dict) -> tuple[RecursionSpec, list[int]]:

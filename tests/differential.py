@@ -5,8 +5,10 @@ Run it from the repository root of each version and compare the outputs:
     PYTHONPATH=src python tests/differential.py > digest.txt
     diff old-digest.txt digest.txt
 
-It is not named test_*, so pytest does not collect it.  Six sections, each
-line led by its section name:
+Name sections to print only those, in the order given, such as
+`python tests/differential.py eval explore`; each prints the same lines
+alone as in the whole digest.  It is not named test_*, so pytest does not
+collect it.  Six sections, each line led by its section name:
 
     eval     recursion.evaluate on seeded random specs, shifted-row and free
     record   every record method, and the range-checked module functions,
@@ -200,14 +202,16 @@ def phi_lines():
                     yield f"phi {spec} h={digest(sequences)}"
 
 
-def main() -> None:
-    rng = random.Random(SEED)
+SECTIONS = {"eval": lambda: eval_lines(random.Random(SEED)), "record": record_lines, "prune": prune_lines,
+            "explore": explore_lines, "walk": walk_lines, "phi": phi_lines}
+
+
+def main(names: list[str]) -> None:
     out = sys.stdout
-    for section in (eval_lines(rng), record_lines(), prune_lines(), explore_lines(), walk_lines(),
-                    phi_lines()):
-        for line in section:
+    for name in names or SECTIONS:
+        for line in SECTIONS[name]():
             out.write(line + "\n")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -12,7 +12,14 @@ replacement, runs pytest on the named files there (first failure ends the
 run, hypothesis seeded so a run repeats) and prints
 
     KILLED    name  by the first failing test
+    KILLED    name  by the digest only: how its lines differ
     SURVIVED  name  and why the mutant matters
+
+For a mutant in recursion.py, cli.py or frequency.py the script also runs
+the eval, explore, walk and phi sections of tests/differential.py in the
+mutated copy (about 3 s) and compares them with the clean copy's.  A test
+kill notes whether the digest saw the mutant too; a mutant that the tests
+miss and the digest sees is a digest-only kill, which no test covers.
 
 A mutant whose old text no longer occurs exactly once is reported as
 STALE: the code it names has changed, so update or drop it.  A mutant
@@ -28,6 +35,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 from typing import NamedTuple
 
@@ -127,18 +135,40 @@ MUTANTS = (
     Mutant("split by cell, not leaf", TREE,
            "cell // spec.leaf_cells % spec.arity", "cell % spec.arity",
            "cells would be grouped by their ordinal, not their leaf's child position", (T_TREE,)),
-    # the ruler-built phi blocks and the one-pass frequency count
+    # the ruler-built phi blocks
     Mutant("supernode bump in every copy of first", FREQUENCY,
            "first = first + [g + s] + (pure + [g]) * (k - 2) + pure",
            "first = first + [g + s] + (first + [g + s]) * (k - 2) + first",
            "phi would add supernode_labels at q = t*k^h + k^e, not only at the powers of k", (T_FREQUENCY,)),
-    Mutant("unfinished run counted", RECURSION,
+    # slowness and phi from one step-byte pass: slow_steps and from_steps
+    Mutant("unfinished run counted", FREQUENCY,
            'steps.split(b"\\1")[:-1]', 'steps.split(b"\\1")',
-           "frequency_of would report the last run, which may still grow, as a finished phi", (T_RECURSION,)),
+           "from_steps would report the last run, which may still grow, as a finished phi",
+           (T_RECURSION, T_FREQUENCY)),
     Mutant("a step of 2 counted as slow", RECURSION,
-           'steps.translate(None, b"\\0\\1")', 'steps.translate(None, b"\\0\\1\\2")',
-           "frequency_of would count a sequence that skips a value, or any step past the byte range", (T_RECURSION,)),
+           'steps.lstrip(b"\\0\\1")', 'steps.lstrip(b"\\0\\1\\2")',
+           "slow_steps would pass a sequence that skips a value", (T_RECURSION,)),
+    Mutant("a step of 1 counted as a break", RECURSION,
+           'steps.lstrip(b"\\0\\1")', 'steps.lstrip(b"\\0")',
+           "slow_steps would end the slow prefix at its first new value", (T_RECURSION,)),
+    Mutant("violation one term early", RECURSION,
+           "slow + 2", "slow + 1",
+           "slow_steps would name the term before the first break", (T_RECURSION,)),
+    Mutant("ValueError path packs the full steps", RECURSION,
+           "islice(values, 1, violation - 1)", "islice(values, 1, None)",
+           "a step below 0 or past 255 would raise from slow_steps instead of ending its slow prefix",
+           (T_RECURSION,)),
+    Mutant("ValueError path packs the breaking step", RECURSION,
+           "islice(values, 1, violation - 1)", "islice(values, 1, violation)",
+           "the slow prefix's steps would end in the step that breaks slowness", (T_RECURSION,)),
+    Mutant("tree's first cell-start byte read as a step", FREQUENCY,
+           "cell_starts(spec, n_max)[1:]", "cell_starts(spec, n_max)",
+           "empirical phi would start with an extra 1 and read every phi(v) one value late", (T_FREQUENCY,)),
 )
+
+
+DIGESTED = (RECURSION, CLI, FREQUENCY)
+DIGEST_SECTIONS = ("eval", "explore", "walk", "phi")
 
 
 def checkout(directory: Path) -> None:
@@ -159,6 +189,26 @@ def first_failure(directory: Path, tests: tuple[str, ...]) -> str | None:
     return failed[0] if failed else f"pytest exit {run.returncode}"
 
 
+def digest(directory: Path) -> list[str] | None:
+    """The copy's digest sections as lines, or None when the digest run fails."""
+    run = subprocess.run(
+        [sys.executable, "tests/differential.py", *DIGEST_SECTIONS],
+        cwd=directory, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": "src"},
+    )
+    return None if run.returncode else run.stdout.splitlines()
+
+
+def digest_difference(clean: list[str], mutated: list[str] | None) -> str | None:
+    """How many digest lines differ and the section of the first, or None when the digests match."""
+    if mutated is None:
+        return "its run failed"
+    if mutated == clean:
+        return None
+    changed = [(old, new) for old, new in zip_longest(clean, mutated, fillvalue="") if old != new]
+    old, new = changed[0]
+    return f"{len(changed)} lines differ, first in {(new or old).split(' ', 1)[0]}"
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as clean:
         checkout(Path(clean))
@@ -166,6 +216,10 @@ def main() -> int:
         failure = first_failure(Path(clean), tests)
         if failure:
             print(f"the unmutated copy fails {failure}; no mutant run")
+            return 1
+        clean_digest = digest(Path(clean))
+        if clean_digest is None:
+            print("the digest fails on the unmutated copy; no mutant run")
             return 1
     bad = 0
     for mutant in MUTANTS:
@@ -179,8 +233,14 @@ def main() -> int:
                 continue
             path.write_text(text.replace(mutant.old, mutant.new))
             killer = first_failure(Path(copy), mutant.tests)
+            digested = mutant.file in DIGESTED
+            seen = digest_difference(clean_digest, digest(Path(copy))) if digested else None
+        marked = "  (marked equivalent)" if mutant.equivalent else ""
         if killer:
-            print(f"KILLED    {mutant.name}  by {killer}" + ("  (marked equivalent)" if mutant.equivalent else ""))
+            note = (f"; digest: {seen}" if seen else "; digest unchanged") if digested else ""
+            print(f"KILLED    {mutant.name}  by {killer}{note}{marked}")
+        elif seen:
+            print(f"KILLED    {mutant.name}  by the digest only: {seen}" + marked)
         else:
             print(f"SURVIVED  {mutant.name}: {mutant.reason}" + ("  (equivalent)" if mutant.equivalent else ""))
             bad += not mutant.equivalent

@@ -414,6 +414,16 @@ def test_explore_neg_gamma(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 2
     assert "candidate" in lines[1]
+    # a candidate has no pruning operation, and --prune-check says so as it does for q_family
+    code, out, _ = run(["explore", "neg_gamma", "--grid", "k=2..3;gamma=-1;delta=0..4", "--n", "300",
+                        "--prune-check"], capsys)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["prune_identity"] for row in rows if row["valid"] == "candidate"] == [
+        f"skipped(no tree construction for NegGammaCandidate(k={k}, gamma=-1, delta={delta}))"
+        for k, delta in ((2, 3), (2, 4), (3, 4))
+    ]
+    assert {row["prune_identity"] for row in rows if row["valid"] == "no"} == {""}
 
 
 def test_grid_parser():

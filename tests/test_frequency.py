@@ -129,7 +129,10 @@ def per_cell_frequency(spec, n_max):
 
 @pytest.mark.parametrize("spec", [RUNNING, fam.tree_of(fam.KaryOrderP(4, 2, 3)), TreeSpec(4, 2, 2, 1, 3, 1)])
 def test_empirical_frequency_matches_per_cell_gaps(spec):
-    for n_max in (0, 1, 2, 20000):
+    # one label into leaf 3's last cell, which holds last_cell >= 2 labels
+    inside_last_cell = tree.first_label(spec, 3 * spec.leaf_cells)
+    assert spec.last_cell >= 2
+    for n_max in (0, 1, 2, inside_last_cell, 20000):
         assert freq.empirical_frequency(spec, n_max).entries == per_cell_frequency(spec, n_max)
         # down to no label at all, where no gap completes
         assert freq.empirical_matches_closed_form(spec, n_max).agree
@@ -138,7 +141,9 @@ def test_empirical_frequency_matches_per_cell_gaps(spec):
 def test_empirical_equals_count_sequence_diffs():
     emp = freq.empirical_frequency(RUNNING, 5000)
     counts = tree.cell_count_sequence(RUNNING, 5000)
-    by_value = recursion.frequency_of(counts)
+    violation, steps = recursion.slow_steps(counts)
+    assert violation is None
+    by_value = freq.from_steps(steps)
     for v in range(1, min(emp.vmax, by_value.vmax) + 1):
         assert emp[v] == by_value[v]
 

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, compress, count, islice, repeat
+from operator import rshift, sub
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nestrec import families as fam
+from nestrec import frequency as freq
 from nestrec import recursion, tree
 from nestrec.frequency import FrequencySequence
 from nestrec.recursion import DeadReason, RecursionSpec
@@ -97,55 +99,65 @@ def test_overflow_guard():
 
 
 def test_slowness_violation():
-    assert recursion.slowness_violation([1, 2, 2, 3]) is None
-    assert recursion.slowness_violation([2, 2, 3]) is None
-    assert recursion.slowness_violation([1, 2, 4]) == 3
-    assert recursion.slowness_violation([1, 2, 1]) == 3
-    assert recursion.slowness_violation([0, 1]) == 1
+    assert recursion.slow_steps([1, 2, 2, 3]) == (None, b"\1\0\1")
+    assert recursion.slow_steps([2, 2, 3]) == (None, b"\0\1")
+    assert recursion.slow_steps([1, 2, 4]) == (3, b"\1")
+    assert recursion.slow_steps([1, 2, 1]) == (3, b"\1")
+    assert recursion.slow_steps([0, 1]) == (1, b"")
+    # a step past the byte range ends the one pass; the first break may lie before it
+    assert recursion.slow_steps([1, 2, 2, 300]) == (4, b"\1\0")
+    assert recursion.slow_steps([1, 2, 4, 3]) == (3, b"\1")
 
 
-def test_frequency_of():
-    freq = recursion.frequency_of([1, 2, 2, 3, 4, 4, 4, 5])
-    assert freq.entries == (1, 2, 1, 3)
-    assert freq.vmax == 4
-    assert freq[2] == 2
+def test_phi_from_slow_steps():
+    violation, steps = recursion.slow_steps([1, 2, 2, 3, 4, 4, 4, 5])
+    assert violation is None
+    phi = freq.from_steps(steps)
+    assert phi.entries == (1, 2, 1, 3)
+    assert phi.vmax == 4
+    assert phi[2] == 2
     # the last run may be unfinished, so a single value gives no frequency
-    assert recursion.frequency_of([1]).vmax == 0
-    assert recursion.frequency_of([1, 1, 1]).vmax == 0
+    assert freq.from_steps(recursion.slow_steps([1])[1]).vmax == 0
+    assert freq.from_steps(recursion.slow_steps([1, 1, 1])[1]).vmax == 0
 
 
-def test_frequency_requires_slow_from_one():
-    with pytest.raises(ValueError):
-        recursion.frequency_of([2, 3, 3])
-    with pytest.raises(ValueError):
-        recursion.frequency_of([1, 3])
-    with pytest.raises(ValueError, match="starting at 1"):
-        recursion.frequency_of([])
+def test_slow_steps_outside_slow_from_one():
+    """Slow from 2 keeps its steps, whose phi would be off by one value; a break keeps only the prefix before it."""
+    assert recursion.slow_steps([2, 3, 3]) == (None, b"\1\0")
+    assert recursion.slow_steps([1, 3]) == (2, b"")
+    assert recursion.slow_steps([]) == (None, b"")
+    assert freq.from_steps(b"").vmax == 0
+
+
+def scan_slowness_violation(values):
+    """The slowness check as it was written before slow_steps: an issuperset pass, then an rshift pass for the index."""
+    if not values:
+        return None
+    if values[0] < 1:
+        return 1
+    if {0, 1}.issuperset(map(sub, islice(values, 1, None), values)):
+        return None
+    steps = map(sub, islice(values, 1, None), values)
+    return next(compress(count(2), map(rshift, steps, repeat(1))))
 
 
 def counter_frequency_of(values):
-    """frequency_of as it was written before its one byte pass: a slowness scan, then a Counter."""
-    if recursion.slowness_violation(values) is not None:
-        raise ValueError("frequency counting needs a slow sequence")
-    if not values or values[0] != 1:
-        raise ValueError("frequency counting needs a slow sequence starting at 1")
+    """phi of a slow sequence from 1 by a Counter of its values, dropping the last run, which may be unfinished."""
     return FrequencySequence(tuple(Counter(values).values())[:-1])
-
-
-def outcome(call):
-    try:
-        return call()
-    except ValueError as err:
-        return f"ValueError: {err}"
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from([1, 0, 2, 300]),
        st.lists(st.sampled_from([0, 1, 0, 1, 0, 1, -300, -1, 2, 255, 256]), max_size=40))
-def test_frequency_of_matches_the_counter_reference(first, steps):
-    """Equal entries or the equal ValueError message, at the step bytes' edges: -1, 255 and 256."""
+def test_slow_steps_match_the_scan_and_the_counter(first, steps):
+    """The violation, the slow prefix's steps and their phi, at the step bytes' edges: -1, 255 and 256."""
     values = list(accumulate(steps, initial=first))
-    assert outcome(lambda: recursion.frequency_of(values)) == outcome(lambda: counter_frequency_of(values))
+    violation, packed = recursion.slow_steps(values)
+    assert violation == scan_slowness_violation(values)
+    prefix = values if violation is None else values[: violation - 1]
+    assert packed == bytes(b - a for a, b in zip(prefix, prefix[1:]))
+    if prefix and prefix[0] == 1:
+        assert freq.from_steps(packed) == counter_frequency_of(prefix)
 
 
 def test_prefix_stability():
