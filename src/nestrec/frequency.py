@@ -10,10 +10,10 @@ The closed form is periodic away from its block ends.  Take P = j*k^h.
 For t >= 1 and 0 < r < P, phi(t*P + r) = phi(P + r): off the grid both
 are per_cell, and on it r = j*r' with 0 < r' < k^h, so
 nu_k(t*k^h + r') = nu_k(r') and t*k^h + r' is no power of k (a power
-above k^h would be a multiple of k^h).  So _phi_stream gives phi(1..P),
+above k^h would be a multiple of k^h).  So _phi_blocks gives phi(1..P),
 then repeats one list of phi(P + 1..2P - 1) between single closed_form
-calls for the block ends (t + 1)*P, and the checks below compare it with
-the observed gaps through itertools alone, with no Python step per value.
+calls for the block ends (t + 1)*P, and the streamed check compares each
+block with the gaps of as many first labels in one list ==.
 Both lists are built by list repetition from the ruler nu_k(1..k^h - 1):
 the grid values for q < k^(h+1) are k copies of those for q < k^h, with
 the value of q = t*k^h, t < k, between them, and only t = 1 gives a power
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import chain, compress, count, islice, repeat, tee
+from itertools import chain, compress, count, islice, repeat
 from operator import add, ne, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -90,7 +90,7 @@ class FrequencySequence:
 _MIN_PERIOD = 1024
 
 
-def _phi_blocks(spec: TreeSpec) -> Iterator[Sequence[int]]:
+def _phi_blocks(spec: TreeSpec) -> Iterator[list[int]]:
     """phi(1..P), then phi(P + 1..2P - 1) and phi(2P), that list and phi(3P), and so on.
 
     P = j*k^h is the smallest such length of at least _MIN_PERIOD.  `pure`
@@ -115,26 +115,11 @@ def _phi_blocks(spec: TreeSpec) -> Iterator[Sequence[int]]:
     interior[j - 1::j] = pure
     for end in count(2 * period, period):
         yield interior
-        yield (closed_form(spec, end),)
-
-
-def _phi_stream(spec: TreeSpec) -> Iterator[int]:
-    """phi(1), phi(2), ... from the closed form, in period blocks (see the module docstring)."""
-    return chain.from_iterable(_phi_blocks(spec))
-
-
-def _observed_gaps(spec: TreeSpec, n_max: int) -> Iterator[int]:
-    """phi as the tree shows it, from one cell_positions walk up to n_max.
-
-    Gap v runs from the first label of cell v to that of cell v + 1.
-    """
-    firsts, nexts = tee(cell_positions(spec, n_max))
-    next(nexts, None)
-    return map(sub, nexts, firsts)
+        yield [closed_form(spec, end)]
 
 
 def closed_form_sequence(spec: TreeSpec, vmax: int) -> FrequencySequence:
-    return FrequencySequence(tuple(islice(_phi_stream(spec), max(vmax, 0))))
+    return FrequencySequence(tuple(islice(chain.from_iterable(_phi_blocks(spec)), max(vmax, 0))))
 
 
 def from_steps(steps: bytes) -> FrequencySequence:
@@ -183,15 +168,20 @@ def compare(a: FrequencySequence, b: FrequencySequence, vmax: int) -> CompareRep
 def empirical_matches_closed_form(spec: TreeSpec, n_max: int) -> CompareReport:
     """Streaming form of compare(empirical, closed) for big n_max.
 
-    Walks the tree once and checks each completed v against the closed form
-    without materializing either sequence.
+    One tree walk, read a phi block's worth of first labels at a time: gap
+    v runs from the first label of cell v to that of cell v + 1.
     """
-    v = _first_mismatch(_observed_gaps(spec, n_max), _phi_stream(spec))
-    if v is None:
-        return CompareReport(True)
-    # the first walk and stream are spent; second ones read gap v and phi(v)
-    observed = next(islice(_observed_gaps(spec, n_max), v - 1, None))
-    return CompareReport(False, v, observed, next(islice(_phi_stream(spec), v - 1, None)))
+    firsts = cell_positions(spec, n_max)
+    prev = next(firsts, None)
+    v = 1
+    for block in _phi_blocks(spec):  # endless: the walk ends first
+        chunk = list(islice(firsts, len(block)))
+        gaps = list(map(sub, chunk, chain((prev,), chunk)))
+        if gaps != block:
+            at = _first_mismatch(gaps, block)  # None when the walk ended inside this block
+            return CompareReport(True) if at is None else CompareReport(False, v + at - 1, gaps[at - 1], block[at - 1])
+        prev = chunk[-1]
+        v += len(block)
 
 
 def superpose(components: Sequence[tuple[int, TreeSpec]]) -> TreeSpec:

@@ -39,7 +39,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import add, attrgetter, getitem, itemgetter, not_
+from operator import attrgetter, getitem, itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
 from . import families as fam
@@ -54,7 +54,7 @@ class PruneRefused(ValueError):
 class LabelledTree:
     """T(n) as parallel columns, one entry per node in insertion order.
 
-    `kinds` and `indices` are node_stream's (kind, index) pairs.  `cells`
+    `kinds` and `indices` are node_stream's column blocks joined.  `cells`
     holds each node's tuple of cells, each a range of labels: a leaf has one
     per leaf cell of the spec and an interior node one, until lifting hands
     a parent its leaves' runs as further cells.  A cell's first label is its
@@ -124,35 +124,30 @@ class PruneReport:
 def build_prefix(spec: TreeSpec, n: int) -> LabelledTree:
     """Materialize the nodes of T(n), up to and including the one holding label n.
 
-    The nodes come from one node_stream walk, in blocks of at most as many
-    nodes as the labels still wanted could fill, so every node taken opens
-    at or below n.  Every node is filled to capacity, and the last one cut
-    back at n.
+    The nodes come from one node_stream walk, one block of columns at a time
+    until a block ends past n; the columns are then cut after the last node
+    that opens at or below n.  Every node is filled to capacity, and the
+    last one cut back at n.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    offsets = tuple(accumulate(spec.cell_sizes(), initial=0))
-    capacity = {LEAF: offsets[-1], SUPERNODE: spec.supernode_labels, REGULAR: spec.regular_labels}
-    widest = max(capacity.values())
-    stream = node_stream(spec.arity)
-    pairs: list = []  # kind, index, kind, index, ...
-    starts: list[int] = []  # each node's first label, then the label after the last
-    end = 1
-    while end <= n:
-        taken = len(pairs)
-        pairs += chain.from_iterable(islice(stream, (n - end) // widest + 1))
-        starts += accumulate(map(capacity.__getitem__, pairs[taken::2]), initial=end)
+    sizes = {LEAF: spec.cell_sizes(), SUPERNODE: (spec.supernode_labels,), REGULAR: (spec.regular_labels,)}
+    capacity = {kind: sum(cells) for kind, cells in sizes.items()}
+    kinds, indices, starts, end = [], [], [], 1  # starts: each node's first label
+    for block_kinds, block_indices in node_stream(spec.arity):
+        kinds += block_kinds
+        indices += block_indices
+        starts += accumulate(map(capacity.__getitem__, block_kinds), initial=end)
         end = starts.pop()
-    starts.append(end)
-    kinds, indices = pairs[::2], pairs[1::2]
-    # a leaf's cells sit at fixed offsets from its first label and an interior
-    # node's one cell spans it; each node draws its cells from its kind's stream
-    leaf = [kind == LEAF for kind in kinds]
-    firsts = list(compress(starts, leaf))
-    leaf_cells = zip(*[map(range, map(add, firsts, repeat(lo)), map(add, firsts, repeat(hi)))
-                       for lo, hi in zip(offsets, offsets[1:])])
-    inner_cells = zip(map(range, compress(starts, map(not_, leaf)), compress(islice(starts, 1, None), map(not_, leaf))))
-    cells = list(map(next, map((inner_cells, leaf_cells).__getitem__, leaf)))
+        if end > n:
+            break
+    cut = bisect_right(starts, n)
+    del kinds[cut:], indices[cut:]
+    # the cells in node order are one run of label ranges: a leaf draws j, an interior node one
+    bounds = list(accumulate(chain.from_iterable(map(sizes.__getitem__, kinds)), initial=1))
+    runs = map(range, bounds, islice(bounds, 1, None))
+    draws = (zip(runs), zip(*[runs] * spec.leaf_cells))
+    cells = list(map(next, map(draws.__getitem__, map(LEAF.__eq__, kinds))))
     # the last node may run past n: cut it back; a cell wholly past n starts at n + 1
     stop = n + 1
     cells[-1] = tuple([range(min(cell.start, stop), min(cell.stop, stop)) for cell in cells[-1]])

@@ -20,16 +20,17 @@ cell_positions picks the first labels out of the same bytes at C level;
 C_T and the frequency gaps read only those.  The closed form (first_label,
 and cell_count on top of it) sums the frequency formula to get the first
 label of any cell in O(log n) and finds C_T(n) by binary search in
-O(log^2 n), so single-point counts stay cheap at n = 10^18.  The one
-node-by-node walk, node_stream, feeds pruning and is a third, independent
-oracle.  The tests check each against the others.
+O(log^2 n), so single-point counts stay cheap at n = 10^18.  node_stream
+gives pruning the nodes in column blocks copied from subtree templates.
+The tests check each against the others, node_stream against a node walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, compress, count, islice, repeat, tee
-from operator import sub
+from operator import add, mul, sub
 from typing import Iterator
 
 SUPERNODE = "supernode"
@@ -67,35 +68,47 @@ class TreeSpec:
         return (self.per_cell,) * (self.leaf_cells - 1) + (self.last_cell,)
 
 
-def node_stream(k: int) -> Iterator[tuple[str, int]]:
-    """Yield (kind, index) for every node in insertion order.
+# The most nodes one template block of node_stream holds.
+_BLOCK = 1024
 
-    The stream opens with the first supernode's family, leaf 1 first, and
-    then emits supernode i followed by its k-1 complete k-ary subtrees of
-    height i-1, each in node-before-children order.
+
+@cache
+def _template(k: int, h: int) -> tuple[tuple[str, ...], tuple[int, ...], tuple[int, ...]]:
+    """Kinds and indices of the regular subtree of height h with leaves numbered from 1, and 1 at each leaf."""
+    if not h:
+        return (LEAF,), (1,), (1,)
+    kinds, first, mask = _template(k, h - 1)
+    copies = (map(add, first, map(mul, mask, repeat(c * k ** (h - 1)))) for c in range(k))
+    return (REGULAR, *kinds * k), (h, *chain.from_iterable(copies)), (0, *mask * k)
+
+
+def node_stream(k: int) -> Iterator[tuple[tuple[str, ...], tuple[int, ...]]]:
+    """Every node in insertion order, as blocks of (kinds, indices) columns.
+
+    First the first supernode's family, leaf 1 first; then supernode i alone
+    and its k-1 complete k-ary subtrees of height i-1, each in
+    node-before-children order.  A subtree of at most _BLOCK nodes is one
+    block, its height's template with the leaf indices shifted past the
+    leaves before it; a larger one is its root, then its k children.
     """
     if k < 2:
         raise ValueError("arity must be at least 2")
-    yield (LEAF, 1)
-    yield (SUPERNODE, 1)
-    leaf = 1
-    for _ in range(k - 1):
-        leaf += 1
-        yield (LEAF, leaf)
-    i = 2
-    while True:
-        yield (SUPERNODE, i)
-        for _ in range(k - 1):
-            stack = [i - 1]
-            while stack:
-                level = stack.pop()
-                if level == 0:
-                    leaf += 1
-                    yield (LEAF, leaf)
-                else:
-                    yield (REGULAR, level)
-                    stack.extend((level - 1,) * k)
-        i += 1
+    yield (LEAF, SUPERNODE, *(LEAF,) * (k - 1)), (1, 1, *range(2, k + 1))
+    # the greatest height whose subtree holds at most _BLOCK nodes
+    fits = next(h for h in count() if (k ** (h + 2) - 1) // (k - 1) > _BLOCK)
+    leaves = k
+    for i in count(2):
+        yield (SUPERNODE,), (i,)
+        stack = [i - 1] * (k - 1)
+        while stack:
+            h = stack.pop()
+            if h > fits:
+                yield (REGULAR,), (h,)
+                stack += (h - 1,) * k
+            else:
+                kinds, first, mask = _template(k, h)
+                yield kinds, tuple(map(add, first, map(mul, mask, repeat(leaves))))
+                leaves += k ** h
 
 
 def _start_chunks(spec: TreeSpec) -> Iterator[bytes]:

@@ -17,11 +17,13 @@ collect it.  Six sections, each line led by its section name:
              each point's threshold, superposed m < 0 included, then on
              seeded large trees: 2 n in [10^4, 6*10^4] for 3 points per op
     explore  cli.explore_rows --prune-check rows on the record grids, plus
-             points whose keys do not fit their catalog entry
+             points whose keys do not fit their catalog entry, and one
+             point whose slow prefix ends at a step of 2
     walk     tree.cell_positions to 20,000 labels, each first label with
              the leaf and slot its ordinal gives, and the streamed check
              frequency.empirical_matches_closed_form to 100,000, on a grid of
-             trees: k 2..4, s 0..2, j 1..3, two label allocations each
+             trees: k 2..4, s 0..2, j 1..3, two label allocations each; then
+             on a line of its own frequency.empirical_frequency to 20,000
     phi      frequency.closed_form_sequence at vmax 1, j, 1023, 1024 and
              5,000, one hash per tree: k 2..5, s 0..2, j 1..3, three label
              allocations each
@@ -168,11 +170,16 @@ MISFITS = [  # points whose keys do not fit their catalog entry, and the constru
 ]
 
 
+# slow until n = 143, where it steps by 2 with every step to n = 300 in 0..255, so recursion.slow_steps
+# finds the break by its lstrip and not by its second pass
+STEP_OF_TWO = ("superposed", {"s": 1, "j": 2, "m": 7, "p": 3})
+
+
 def explore_lines():
     for name, points in record_grids().items():
         for row in cli.explore_rows(name, points, EXPLORE_N, prune_check=True):
             yield f"explore {row}"
-    for name, point in MISFITS:
+    for name, point in [*MISFITS, STEP_OF_TWO]:
         for row in cli.explore_rows(name, [point], EXPLORE_N, prune_check=True):
             yield f"explore {row}"
 
@@ -189,6 +196,8 @@ def walk_lines():
         cells = [(first, i // j + 1, i % j + 1) for i, first in enumerate(tree.cell_positions(spec, WALK_N))]
         check = frequency.empirical_matches_closed_form(spec, CHECK_N)
         yield f"walk {spec} cells={len(cells)} h={digest(cells)} check={check}"
+        phi = frequency.empirical_frequency(spec, WALK_N).entries
+        yield f"walk {spec} empirical vmax={len(phi)} h={digest(phi)}"
 
 
 def phi_lines():

@@ -17,9 +17,11 @@ run, hypothesis seeded so a run repeats) and prints
 
 For a mutant in recursion.py, cli.py or frequency.py the script also runs
 the eval, explore, walk and phi sections of tests/differential.py in the
-mutated copy (about 3 s) and compares them with the clean copy's.  A test
-kill notes whether the digest saw the mutant too; a mutant that the tests
-miss and the digest sees is a digest-only kill, which no test covers.
+mutated copy (about 3 s), and for one in tree.py or pruning.py the
+explore, walk and prune sections (about 15 s); it compares them with the
+clean copy's.  A test kill notes whether the digest saw the mutant too; a
+mutant that the tests miss and the digest sees is a digest-only kill, which
+no test covers.
 
 A mutant whose old text no longer occurs exactly once is reported as
 STALE: the code it names has changed, so update or drop it.  A mutant
@@ -124,17 +126,34 @@ MUTANTS = (
            "return compress(count(1), cell_starts(spec, n_max))", "return compress(count(0), cell_starts(spec, n_max))",
            "every first label would read one low", (T_TREE, T_FREQUENCY)),
     Mutant("gaps not shifted by one cell", FREQUENCY,
-           "    next(nexts, None)\n", "",
+           "map(sub, chunk, chain((prev,), chunk))", "map(sub, chunk, chunk)",
            "every observed gap would be a cell's first label minus itself", (T_FREQUENCY,)),
-    Mutant("mismatch re-walk one gap late", FREQUENCY,
-           "islice(_observed_gaps(spec, n_max), v - 1, None)", "islice(_observed_gaps(spec, n_max), v, None)",
-           "a failed stream check would report gap v + 1 as the observed phi(v)", (T_FREQUENCY,)),
+    Mutant("mismatch reported one gap late", FREQUENCY,
+           "CompareReport(False, v + at - 1,", "CompareReport(False, v + at,",
+           "a failed stream check would name v + 1 for a mismatch at phi(v)", (T_FREQUENCY,)),
+    Mutant("chunk seam reads the block's own first label", FREQUENCY,
+           "        prev = chunk[-1]\n", "        prev = chunk[0]\n",
+           "the first gap of every chunk after the first would start from the wrong cell", (T_FREQUENCY,)),
     Mutant("last cell's run one short", TREE,
            "(n_max + 1,)", "(n_max,)",
            "C_T(1..n_max) would miss its last label", (T_TREE,)),
     Mutant("split by cell, not leaf", TREE,
            "cell // spec.leaf_cells % spec.arity", "cell % spec.arity",
            "cells would be grouped by their ordinal, not their leaf's child position", (T_TREE,)),
+    # node_stream's column blocks and build_prefix's block walk
+    Mutant("template copy's leaf shift off by one", TREE,
+           "map(mul, mask, repeat(leaves))", "map(mul, mask, repeat(leaves + 1))",
+           "every leaf of a template block would be numbered one too high", (T_TREE, T_PRUNING)),
+    Mutant("template one height too tall", TREE,
+           "if (k ** (h + 2) - 1) // (k - 1) > _BLOCK)", "if (k ** (h + 3) - 1) // (k - 1) > _BLOCK)",
+           "a template block would hold up to k times _BLOCK nodes: the same nodes in fewer, larger blocks",
+           (T_TREE,)),
+    Mutant("cut before the node that opens at n", PRUNING,
+           "cut = bisect_right(starts, n)", "cut = bisect_left(starts, n)",
+           "T(n) would lose its last node when that node's first label is n", (T_PRUNING,)),
+    Mutant("every cell drawn as a leaf's", PRUNING,
+           "draws = (zip(runs), zip(*[runs] * spec.leaf_cells))", "draws = (zip(*[runs] * spec.leaf_cells),) * 2",
+           "an interior node would take j runs of labels, shifting every later cell", (T_PRUNING,)),
     # the ruler-built phi blocks
     Mutant("supernode bump in every copy of first", FREQUENCY,
            "first = first + [g + s] + (pure + [g]) * (k - 2) + pure",
@@ -167,8 +186,10 @@ MUTANTS = (
 )
 
 
-DIGESTED = (RECURSION, CLI, FREQUENCY)
-DIGEST_SECTIONS = ("eval", "explore", "walk", "phi")
+EVALUATION_SECTIONS = ("eval", "explore", "walk", "phi")
+TREE_SECTIONS = ("explore", "walk", "prune")
+DIGESTED = {RECURSION: EVALUATION_SECTIONS, CLI: EVALUATION_SECTIONS, FREQUENCY: EVALUATION_SECTIONS,
+            TREE: TREE_SECTIONS, PRUNING: TREE_SECTIONS}
 
 
 def checkout(directory: Path) -> None:
@@ -189,10 +210,10 @@ def first_failure(directory: Path, tests: tuple[str, ...]) -> str | None:
     return failed[0] if failed else f"pytest exit {run.returncode}"
 
 
-def digest(directory: Path) -> list[str] | None:
+def digest(directory: Path, sections: tuple[str, ...]) -> list[str] | None:
     """The copy's digest sections as lines, or None when the digest run fails."""
     run = subprocess.run(
-        [sys.executable, "tests/differential.py", *DIGEST_SECTIONS],
+        [sys.executable, "tests/differential.py", *sections],
         cwd=directory, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": "src"},
     )
     return None if run.returncode else run.stdout.splitlines()
@@ -217,8 +238,8 @@ def main() -> int:
         if failure:
             print(f"the unmutated copy fails {failure}; no mutant run")
             return 1
-        clean_digest = digest(Path(clean))
-        if clean_digest is None:
+        clean_digests = {sections: digest(Path(clean), sections) for sections in set(DIGESTED.values())}
+        if None in clean_digests.values():
             print("the digest fails on the unmutated copy; no mutant run")
             return 1
     bad = 0
@@ -233,8 +254,9 @@ def main() -> int:
                 continue
             path.write_text(text.replace(mutant.old, mutant.new))
             killer = first_failure(Path(copy), mutant.tests)
-            digested = mutant.file in DIGESTED
-            seen = digest_difference(clean_digest, digest(Path(copy))) if digested else None
+            sections = DIGESTED.get(mutant.file)
+            digested = sections is not None
+            seen = digest_difference(clean_digests[sections], digest(Path(copy), sections)) if digested else None
         marked = "  (marked equivalent)" if mutant.equivalent else ""
         if killer:
             note = (f"; digest: {seen}" if seen else "; digest unchanged") if digested else ""

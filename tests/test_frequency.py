@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from itertools import islice
+from itertools import chain, islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -74,7 +74,7 @@ def test_phi_stream_matches_closed_form(k, s, j, c, last, x):
     spec = TreeSpec(k, s, j, c, last, x)
     vmax = 3 * period(spec) + 5
     want = [freq.closed_form(spec, v) for v in range(1, vmax + 1)]
-    assert list(islice(freq._phi_stream(spec), vmax)) == want
+    assert list(islice(chain.from_iterable(freq._phi_blocks(spec)), vmax)) == want
     assert freq.closed_form_sequence(spec, vmax).entries == tuple(want)
 
 
@@ -99,11 +99,21 @@ def test_closed_form_sequence_at_block_edges(spec):
         assert freq.closed_form_sequence(spec, vmax).entries == want
 
 
-@pytest.mark.parametrize("where", ["first value", "first block", "interior", "block end"])
+@pytest.mark.parametrize("where", ["first value", "first block", "first period end", "first interior value",
+                                   "interior", "block end", "after a block end", "partial last chunk"])
 def test_stream_check_reports_first_difference(where, monkeypatch):
-    """A phi block off by one at v gives the report the per-cell loop gave: v, observed, expected."""
+    """A phi block off by one at v gives the report the per-cell loop gave: v, observed, expected.
+
+    The walk is read one chunk per phi block, so v also sits at each seam:
+    the first period's end P, the first interior value P + 1, the value
+    2P + 1 after a block end, and the walk's last gap, inside a chunk that
+    the walk ends before filling.
+    """
     p = period(RUNNING)  # 1536
-    bad = {"first value": 1, "first block": 600, "interior": p + 9, "block end": 2 * p}[where]
+    last = tree.cell_count(RUNNING, 20000) - 1  # the last gap that completes by label 20000
+    assert 6 * p < last < 7 * p - 1  # inside the interior block 6P + 1..7P - 1
+    bad = {"first value": 1, "first block": 600, "first period end": p, "first interior value": p + 1,
+           "interior": p + 9, "block end": 2 * p, "after a block end": 2 * p + 1, "partial last chunk": last}[where]
     true_blocks = freq._phi_blocks
 
     def off_by_one(spec):

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from nestrec import families as fam
 from nestrec import pruning, tree
 from nestrec.tree import TreeSpec
+from node_oracle import reference_node_stream
 
 
 RUNNING = TreeSpec(2, 1, 3, 1, 2, 2)
@@ -34,14 +35,14 @@ def test_build_prefix_keeps_empty_interior_nodes():
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_leaf_parents_follow_node_stream(k):
-    """Pruning's (leaf ordinal, parent ordinal) pairs, rebuilt from node_stream.
+    """Pruning's (leaf ordinal, parent ordinal) pairs, rebuilt from the node-by-node reference walk.
 
     A leaf's parent is supernode 1 (node 2) for leaves 1..k and otherwise
     the latest level-1 regular node before it; equivalently, leaf L hangs
     off the ((L - 1) // k + 1)-th of supernode 1 and the level-1 regulars.
     """
     t = pruning.build_prefix(TreeSpec(k, 1, 2, 1, 1, 1), 2000)
-    nodes = list(enumerate(islice(tree.node_stream(k), len(t.kinds)), 1))
+    nodes = list(enumerate(islice(reference_node_stream(k), len(t.kinds)), 1))
     want = []
     latest = None
     for ordinal, (kind, index) in nodes:
@@ -476,7 +477,7 @@ SPEC_GRID = [(1, 3, 1, 2, 2), (0, 1, 1, 3, 0), (2, 2, 2, 1, 1), (0, 4, 1, 1, 3)]
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 @pytest.mark.parametrize("s, j, c, last, x", SPEC_GRID)
 def test_leaf_runs_match_cell_positions(k, s, j, c, last, x):
-    """build_prefix's leaf cells against the byte-template walk, which uses no node_stream.
+    """build_prefix's leaf cells against the byte-template walk, which reads no node stream.
 
     tree.cell_positions gives each cell's first label; cell i, counted from
     0, is slot i % j + 1 of leaf i // j + 1, and its size is the spec's, cut
@@ -509,7 +510,7 @@ def test_leaf_runs_match_cell_positions(k, s, j, c, last, x):
 def test_build_prefix_fills_every_node_to_capacity(k, s, j, c, last, x):
     """Every cell of build_prefix, interior nodes included, against the spec alone.
 
-    The nodes are node_stream's, and the cells hold labels 1..n once each,
+    The nodes are the reference walk's, and the cells hold labels 1..n once each,
     in node order.  Every node but the last holds its kind's capacity: a
     leaf the spec's cell sizes, a supernode s labels and a regular node x,
     in one cell.  The last node holds label n, cut back from its capacity.
@@ -520,7 +521,7 @@ def test_build_prefix_fills_every_node_to_capacity(k, s, j, c, last, x):
     capacity = {tree.LEAF: spec.cell_sizes(), tree.SUPERNODE: (s,), tree.REGULAR: (x,)}
     for n in (1, 2, 3, 7, 64, 999, 20_000):
         t = pruning.build_prefix(spec, n)
-        assert list(zip(t.kinds, t.indices)) == list(islice(tree.node_stream(k), len(t.kinds))), (spec, n)
+        assert list(zip(t.kinds, t.indices)) == list(islice(reference_node_stream(k), len(t.kinds))), (spec, n)
         assert len(t.indices) == len(t.cells) == len(t.kinds) and t.placeholders == 0
         sizes = [tuple(map(len, cells)) for cells in t.cells]
         assert sizes[:-1] == [capacity[kind] for kind in t.kinds[:-1]], (spec, n)

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from nestrec import families as fam
 from nestrec import frequency, recursion, tree
 from nestrec.tree import LEAF, REGULAR, SUPERNODE, TreeSpec
+from node_oracle import flat_node_stream, reference_node_stream
 
 
 RUNNING = TreeSpec(2, 1, 3, 1, 2, 2)
@@ -40,8 +41,7 @@ def test_cell_sizes():
 
 def test_node_order_prefix():
     """First nodes: leaf, supernode, leaf, supernode, regular, two leaves."""
-    kinds = list(islice(tree.node_stream(2), 8))
-    assert kinds == [
+    want = [
         (LEAF, 1),
         (SUPERNODE, 1),
         (LEAF, 2),
@@ -51,6 +51,35 @@ def test_node_order_prefix():
         (LEAF, 4),
         (SUPERNODE, 3),
     ]
+    assert list(islice(reference_node_stream(2), 8)) == want
+    assert list(islice(flat_node_stream(2), 8)) == want
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_node_stream_blocks_flatten_to_the_reference_walk(k):
+    """The column blocks, read pair by pair, are the node-by-node walk for 60,000 nodes."""
+    assert list(islice(flat_node_stream(k), 60_000)) == list(islice(reference_node_stream(k), 60_000))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 40, 1100])
+def test_node_stream_template_blocks_fit(k):
+    """Every block after the head holds at most _BLOCK nodes, and the largest regular subtree that fits is one block.
+
+    A subtree of height h holds (k^(h+1) - 1) / (k - 1) nodes; the head is
+    leaf 1, supernode 1 and leaves 2..k.
+    """
+    blocks = tree.node_stream(k)
+    head = next(blocks)
+    assert head == ((LEAF, SUPERNODE, *(LEAF,) * (k - 1)), (1, 1, *range(2, k + 1)))
+    sizes, nodes = [], 0
+    for kinds, indices in blocks:
+        assert len(kinds) == len(indices)
+        sizes.append(len(kinds))
+        nodes += len(kinds)
+        if nodes > 60_000:
+            break
+    subtree = [(k ** (h + 1) - 1) // (k - 1) for h in range(12)]
+    assert max(sizes) == max(size for size in subtree if size <= tree._BLOCK)
 
 
 @pytest.mark.parametrize("k,spine", [(2, 12), (3, 8), (4, 6), (5, 5)])
@@ -59,7 +88,7 @@ def test_supernode_follows_leaf_power(k, spine):
     leaf_seen = 0
     super_seen = 0
     last_leaf_at_super = {}
-    for kind, idx in tree.node_stream(k):
+    for kind, idx in reference_node_stream(k):
         if kind == LEAF:
             leaf_seen = idx
         elif kind == SUPERNODE:
@@ -84,7 +113,7 @@ def test_regulars_in_stream_match(k):
     run = 0
     prev_leaf = 0
     count = 0
-    for kind, idx in tree.node_stream(k):
+    for kind, idx in reference_node_stream(k):
         if kind == REGULAR:
             run += 1
         elif kind == LEAF:
@@ -153,14 +182,14 @@ def test_cell_positions_are_label_sorted():
     st.integers(0, 1500),
 )
 def test_cell_positions_match_node_stream(k, s, j, c, last, x, n):
-    """The byte-template walk against cells rebuilt node by node from node_stream.
+    """The byte-template walk against cells rebuilt node by node from the reference walk.
 
     Cell i, counted from 0, is numbered leaf i // j + 1 and slot i % j + 1.
     """
     spec = TreeSpec(k, s, j, c, last, x)
     expected = []
     pos = 0
-    for kind, index in tree.node_stream(k):
+    for kind, index in reference_node_stream(k):
         if pos >= n:
             break
         if kind == LEAF:
