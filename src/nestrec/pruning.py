@@ -23,7 +23,12 @@ n + 1.  Each deletion pass is a nested term R(n - b) of the first summand:
 for b in the record's first inner offset row, every leaf cell opening at
 or below n - b gives up a label.  Order one and order p take it off the
 front, with a fallback for an empty cell; superposed takes it off the
-back, and the k-ary op logs one block per leaf.
+back, and the k-ary op logs one block per leaf.  The first three write
+what one leaf does in one pass as a rule on its cells alone, and run it
+on leaf 1 only: a leaf that every pass opens whole, and that no earlier
+step touched, makes leaf 1's moves shifted by its first label, so its
+blocks and cells are stamped with `map` and `zip`, and only the leaves
+near n take the rule one by one.
 
 Every label movement is logged, one block per moved run or runs, in
 columns like the tree's: each block's step, source and target, and all
@@ -39,7 +44,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import attrgetter, getitem, itemgetter
+from operator import add, attrgetter, getitem, itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
 from . import families as fam
@@ -315,57 +320,182 @@ def _finish(t: LabelledTree, leaves: list[Leaf], quota: int, log: _MoveLog, anom
     return PruneReport(t.n - result.n, result, log, anomalies)
 
 
-def _delete_fronts(t: LabelledTree, leaves: list[Leaf], row: tuple[int, ...], log: _MoveLog,
-                   anomalies: list[str]) -> None:
-    """One pass per b in `row`: each leaf cell opening at or below n - b gives up its first label.
+def _take_fronts(cells: tuple[range, ...], opened: int) -> tuple[list, tuple[range, ...], bool]:
+    """Front deletion's rule for one leaf in one pass: each of its first `opened` cells gives up its first label.
 
-    A leaf's labels in one pass are logged as one block, up to an empty cell,
-    which falls back to the leaf's last cell, then the parent, then a
-    placeholder.  A cell opens where the tree was built to open it, at a
-    fixed offset from its leaf's first label, however many labels earlier
-    passes took off its front.
+    The labels go as one block, up to an empty cell, which takes its label
+    from the leaf's last cell instead; when that is empty too, the block is
+    the slot's number, for the parent or a placeholder to fill.  Give the
+    blocks, the leaf's new cells and whether any block needs filling.
+    """
+    cells = list(cells)
+    blocks, labels, outside = [], [], False
+    for slot in range(opened):
+        cell = cells[slot]
+        if cell:
+            labels.append(cell.start)
+            cells[slot] = cell[1:]
+            continue
+        if labels:
+            blocks.append(tuple(labels))
+            labels = []
+        last = cells[-1]
+        if last:
+            blocks.append(last[:1])
+            cells[-1] = last[1:]
+        else:
+            blocks.append(slot)
+            outside = True
+    if labels:
+        blocks.append(tuple(labels))
+    return blocks, tuple(cells), outside
+
+
+def _fill_front(t: LabelledTree, ordinal: int, parent: int, slot: int, _pass: int) -> Union[tuple, str]:
+    """An emptied slot's label from outside its leaf: the parent's first label, else a placeholder.
+
+    Give the block and its source, or the anomaly when neither is left.
+    """
+    own = t.cells[parent - 1]
+    if own[0]:
+        t.cells[parent - 1] = (own[0][1:], *own[1:])
+        return own[0][:1], parent
+    if parent == 2 and t.placeholders:
+        t.placeholders -= 1
+        return ("placeholder",), parent
+    return f"nothing left to delete for leaf {t.indices[ordinal - 1]} cell {slot + 1}"
+
+
+def _take_backs(cells: tuple[range, ...], opened: int) -> tuple[list, tuple[range, ...], bool]:
+    """Back deletion's rule for one leaf in one pass: each of its first `opened` cells gives up its last label.
+
+    The labels go as one block, after the number of each slot found empty.
+    """
+    cells = list(cells)
+    blocks, labels = [], []
+    for slot in range(opened):
+        cell = cells[slot]
+        if cell:
+            labels.append(cell[-1])
+            cells[slot] = cell[:-1]
+        else:
+            blocks.append(slot)
+    blocks.append(tuple(labels))
+    return blocks, tuple(cells), len(blocks) > 1
+
+
+def _fill_back(t: LabelledTree, ordinal: int, _parent: int, slot: int, i: int) -> str:
+    """Back deletion has nothing to stand in for an empty cell: the anomaly."""
+    return f"cell {slot + 1} of leaf {t.indices[ordinal - 1]} was already empty in pass {i}"
+
+
+def _shifted(run: Union[range, tuple, int], firsts: list[int], origin: int) -> Iterable:
+    """One copy of `run` per first label, its labels moved from `origin` to that label.
+
+    A range stays a range and a tuple of labels a tuple.
+    """
+    if isinstance(run, range):
+        starts, stops = map(add, firsts, repeat(run.start - origin)), map(add, firsts, repeat(run.stop - origin))
+        return map(range, starts, stops, repeat(run.step))
+    if type(run) is int or not run:  # a slot number for a fill, or no labels
+        return repeat(run, len(firsts))
+    return zip(*[map(add, firsts, repeat(label - origin)) for label in run])
+
+
+def _interleave(streams: list[Iterable]) -> Iterable:
+    """The streams' first items, then their second items, and so on."""
+    return streams[0] if len(streams) == 1 else chain.from_iterable(zip(*streams))
+
+
+def _whole_open(t: LabelledTree, firsts: list[int], row: tuple[int, ...], untouched: int) -> int:
+    """How many leaves, from leaf 1 on, every pass opens whole while they still hold their build-time cells.
+
+    `firsts` are the leaves' first labels in node order.  A leaf is open whole
+    in every pass when its last cell opens at or below n - max(row), and it
+    holds its build-time cells when it ends at or below `untouched`, the
+    last label that no earlier step of the prune moved: at most n, where
+    the build cut the last node.
+    """
+    offsets, capacity = _cell_offsets(t.spec), sum(t.spec.cell_sizes())
+    return bisect_right(firsts, min(t.n - max(row) - offsets[-1], untouched - capacity + 1))
+
+
+def _delete(t: LabelledTree, leaves: list[Leaf], row: tuple[int, ...], take, fill, untouched: int, log: _MoveLog,
+            anomalies: list[str]) -> None:
+    """One pass per b in `row`: every leaf cell opening at or below n - b gives up a label, by the rule `take`.
+
+    A cell opens at a fixed offset from its leaf's first label, however many
+    labels earlier passes took from it.  `take` sees one leaf's cells and how
+    many of them the pass opens, and gives the pass's blocks, the leaf's new
+    cells and whether a block is a slot number, which `fill` must serve from
+    outside the leaf.
+
+    Stamping is exact: on the leaves _whole_open counts, every pass opens
+    every cell, and the cells are leaf 1's moved by the difference of their
+    first labels.  `take` sees only how a leaf's labels lie relative to each
+    other, so there it makes leaf 1's moves, shifted, with fills at the same
+    slots.  The rule runs once, on leaf 1, its blocks and final cells are
+    stamped over those leaves, and the leaves after them, near n, take the
+    rule one by one.  Fills read the parent and the placeholders, which
+    leaves share, so they run leaf by leaf in leaf order.  Each pass logs the
+    stamped leaves' blocks, then the others': the log of running the rule on
+    every leaf.
     """
     n, all_cells = t.n, t.cells
     offsets = _cell_offsets(t.spec)
     firsts = [all_cells[ordinal - 1][0].start for ordinal, _ in leaves]
+    stamped = _whole_open(t, firsts, row, untouched)
+    ordinals, heads = [ordinal for ordinal, _ in leaves[:stamped]], firsts[:stamped]
+    passes, model = [], all_cells[ordinals[0] - 1] if stamped else ()
+    if stamped:
+        for _ in row:
+            blocks, model, outside = take(model, len(offsets))
+            passes.append((blocks, outside))
     runs, sources = [], []
-    for b in row:
-        reach = n - b
-        for (ordinal, parent), first in zip(leaves, firsts):
-            opened = bisect_right(offsets, reach - first)
-            if not opened:
-                continue
-            cells = list(all_cells[ordinal - 1])
-            labels = []
-            for slot in range(opened):
-                cell = cells[slot]
-                if cell:
-                    labels.append(cell.start)
-                    cells[slot] = cell[1:]
-                    continue
-                if labels:
-                    runs.append(tuple(labels))
-                    sources.append(ordinal)
-                    labels = []
-                last, own = cells[-1], all_cells[parent - 1][0]
-                if last:
-                    runs.append(last[:1])
-                    sources.append(ordinal)
-                    cells[-1] = last[1:]
-                elif own:
-                    runs.append(own[:1])
-                    sources.append(parent)
-                    all_cells[parent - 1] = (own[1:], *all_cells[parent - 1][1:])
-                elif parent == 2 and t.placeholders:
-                    t.placeholders -= 1
-                    runs.append(("placeholder",))
-                    sources.append(parent)
-                else:
-                    anomalies.append(f"nothing left to delete for leaf {t.indices[ordinal - 1]} cell {slot + 1}")
-            if labels:
-                runs.append(tuple(labels))
+
+    def emit(ordinal: int, parent: int, blocks: Iterable, i: int) -> None:
+        """Log one leaf's blocks of pass i, filling each slot number from outside the leaf."""
+        for block in blocks:
+            if type(block) is not int:
+                runs.append(block)
                 sources.append(ordinal)
-            all_cells[ordinal - 1] = tuple(cells)
+                continue
+            filled = fill(t, ordinal, parent, block, i)
+            if isinstance(filled, str):
+                anomalies.append(filled)
+            else:
+                runs.append(filled[0])
+                sources.append(filled[1])
+
+    def stamp(i: int) -> None:
+        """Log pass i's blocks of the stamped leaves: leaf 1's, shifted to each."""
+        if not stamped:
+            return
+        blocks, outside = passes[i - 1]
+        copies = [_shifted(block, heads, firsts[0]) for block in blocks]
+        if outside:
+            for (ordinal, parent), copy in zip(leaves, zip(*copies)):
+                emit(ordinal, parent, copy, i)
+        else:
+            runs.extend(_interleave(copies))
+            sources.extend(_interleave([ordinals] * len(copies)))
+
+    def by_leaf(i: int, reach: int) -> None:
+        """Run pass i, which opens the cells at or below `reach`, on each leaf after the stamped ones."""
+        cut = bisect_right(firsts, reach)
+        for (ordinal, parent), first in zip(leaves[stamped:cut], firsts[stamped:cut]):
+            blocks, all_cells[ordinal - 1], outside = take(all_cells[ordinal - 1], bisect_right(offsets, reach - first))
+            if outside:
+                emit(ordinal, parent, blocks, i)
+            else:
+                runs.extend(blocks)
+                sources.extend(repeat(ordinal, len(blocks)))
+
+    for i, b in enumerate(row, 1):
+        stamp(i)
+        by_leaf(i, n - b)
+    for ordinal, cells in zip(ordinals, zip(*[_shifted(cell, heads, firsts[0]) for cell in model])):
+        all_cells[ordinal - 1] = cells
     log.add("deletion", runs, repeat(1, len(runs)), sources, repeat(None, len(runs)))
 
 
@@ -399,9 +529,10 @@ def prune_order2(t: LabelledTree, family: fam.OrderOne) -> PruneReport:
     t.cells[1] = (range(lowest, n + 1),)
 
     # deletion: the move-in took only labels past n - j, so every cell in
-    # reach still holds its first label and none falls back
+    # reach still holds its first label and none falls back; a leaf that
+    # every pass opens whole ends at or below n - j + m, below all of them
     leaves = _leaves(t)
-    _delete_fronts(t, leaves, row, log, anomalies)
+    _delete(t, leaves, row, _take_fronts, _fill_front, lowest - 1, log, anomalies)
     return _finish(t, leaves, 0, log, anomalies)
 
 
@@ -416,7 +547,7 @@ def prune_orderp(t: LabelledTree, family: fam.HigherOrder) -> PruneReport:
     _insert_placeholders(t, x, log)
 
     leaves = _leaves(t)
-    _delete_fronts(t, leaves, row, log, anomalies)
+    _delete(t, leaves, row, _take_fronts, _fill_front, t.n, log, anomalies)
     return _finish(t, leaves, x, log, anomalies)
 
 
@@ -427,7 +558,7 @@ def prune_superposed(t: LabelledTree, family: fam.Superposed) -> PruneReport:
     keep their starts and no fallback is needed.
     """
     row = _fits(t, family)
-    n, x, all_cells = t.n, t.spec.regular_labels, t.cells
+    n, x = t.n, t.spec.regular_labels
     log = _MoveLog()
     anomalies: list[str] = []
     # exploratory m < 0 shapes run from a lower threshold, so flag them at or below the IC length
@@ -439,28 +570,7 @@ def prune_superposed(t: LabelledTree, family: fam.Superposed) -> PruneReport:
     _insert_placeholders(t, x, log)
 
     leaves = _leaves(t)
-    offsets = _cell_offsets(t.spec)
-    firsts = [all_cells[ordinal - 1][0].start for ordinal, _ in leaves]
-    runs, sources = [], []
-    for i, b in enumerate(row, 1):
-        reach = n - b
-        for (ordinal, _), first in zip(leaves, firsts):
-            opened = bisect_right(offsets, reach - first)
-            if not opened:
-                continue
-            cells = list(all_cells[ordinal - 1])
-            labels = []
-            for slot in range(opened):
-                cell = cells[slot]
-                if cell:
-                    labels.append(cell[-1])
-                    cells[slot] = cell[:-1]
-                else:
-                    anomalies.append(f"cell {slot + 1} of leaf {t.indices[ordinal - 1]} was already empty in pass {i}")
-            runs.append(tuple(labels))
-            sources.append(ordinal)
-            all_cells[ordinal - 1] = tuple(cells)
-    log.add("deletion", runs, repeat(1, len(runs)), sources, repeat(None, len(runs)))
+    _delete(t, leaves, row, _take_backs, _fill_back, n, log, anomalies)
 
     return _finish(t, leaves, x, log, anomalies)
 

@@ -92,7 +92,7 @@ MUTANTS = (
            "    if n <= bound:\n", "    if n < bound:\n",
            "n equal to the IC length would not be flagged", (T_PRUNING,)),
     Mutant("superposed passes reversed", PRUNING,
-           "for i, b in enumerate(row, 1):", "for i, b in enumerate(reversed(row), 1):",
+           "_delete(t, leaves, row, _take_backs,", "_delete(t, leaves, row[::-1], _take_backs,",
            "the deletion passes would log their blocks in another order", (T_PRUNING,)),
     # the other prune ops and their bounds
     Mutant("order_one prune threshold one lower", FAMILIES,
@@ -100,24 +100,19 @@ MUTANTS = (
            "        return 4 * self.j + 2 * self.m + 2 * self.s - 1\n",
            "prune would accept an n one below the order_one bound", (T_FAMILIES, T_PRUNING)),
     Mutant("front deletion falls back to the parent first", PRUNING,
-           "                if last:\n"
-           "                    runs.append(last[:1])\n"
-           "                    sources.append(ordinal)\n"
-           "                    cells[-1] = last[1:]\n"
-           "                elif own:\n"
-           "                    runs.append(own[:1])\n"
-           "                    sources.append(parent)\n"
-           "                    all_cells[parent - 1] = (own[1:], *all_cells[parent - 1][1:])\n",
-           "                if own:\n"
-           "                    runs.append(own[:1])\n"
-           "                    sources.append(parent)\n"
-           "                    all_cells[parent - 1] = (own[1:], *all_cells[parent - 1][1:])\n"
-           "                elif last:\n"
-           "                    runs.append(last[:1])\n"
-           "                    sources.append(ordinal)\n"
-           "                    cells[-1] = last[1:]\n",
-           "an empty cell would take its label from the parent while the leaf's last cell still holds one",
-           (T_PRUNING,)),
+           "        last = cells[-1]\n        if last:\n", "        last = cells[-1]\n        if False:\n",
+           "an empty cell would take its label from the parent or a placeholder while the leaf's last cell "
+           "still holds one", (T_PRUNING,)),
+    # the stamped deletion: its bound, its guard and its place in each pass's log
+    Mutant("stamp one leaf past the whole-open bound", PRUNING,
+           "untouched - capacity + 1))\n", "untouched - capacity + 1)) + 1\n",
+           "the first leaf that some pass opens only in part would be given leaf 1's moves", (T_PRUNING,)),
+    Mutant("stamp over a leaf an earlier step touched", PRUNING,
+           "untouched - capacity + 1))\n", "t.n - capacity + 1))\n",
+           "a leaf whose labels an earlier step moved would be given leaf 1's moves", (T_PRUNING,)),
+    Mutant("stamped blocks after the pass's boundary leaves", PRUNING,
+           "        stamp(i)\n        by_leaf(i, n - b)\n", "        by_leaf(i, n - b)\n        stamp(i)\n",
+           "each pass would log the leaves near n before the stamped ones", (T_PRUNING,)),
     Mutant("end correction trims the front of a run", PRUNING,
            "                cells[slot] = run[:keep]\n", "                cells[slot] = run[len(run) - keep:]\n",
            "the smallest labels of a node would go instead of the largest", (T_PRUNING,)),

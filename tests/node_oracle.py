@@ -1,14 +1,16 @@
-"""The node-by-node walk of a labelled k-ary tree, the oracle for tree.node_stream's blocks.
+"""Node-by-node and leaf-by-leaf reference walks: the oracles for tree.node_stream's blocks and pruning's deletion.
 
 It is not named test_*, so pytest does not collect it; the test files import it.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from bisect import bisect_right
+from itertools import accumulate, chain, repeat
 from typing import Iterator
 
 from nestrec import tree
+from nestrec.pruning import LabelledTree
 from nestrec.tree import LEAF, REGULAR, SUPERNODE
 
 
@@ -46,3 +48,65 @@ def reference_node_stream(k: int) -> Iterator[tuple[str, int]]:
 def flat_node_stream(k: int) -> Iterator[tuple[str, int]]:
     """tree.node_stream's column blocks read as (kind, index) pairs."""
     return chain.from_iterable(zip(*block) for block in tree.node_stream(k))
+
+
+def reference_delete(t: LabelledTree, leaves: list[tuple[int, int]], row: tuple[int, ...], side: str, log,
+                     anomalies: list[str]) -> None:
+    """Deletion one leaf and one cell at a time: the oracle for pruning._delete's stamped passes.
+
+    One pass per b in `row`: each leaf cell opening at or below n - b gives
+    up its first label (side "front", as order one and order p delete) or
+    its last (side "back", as superposed deletes).  At the front a leaf's
+    labels in one pass are one block, up to an empty cell, which falls back
+    to the leaf's last cell, then the parent, then a placeholder; at the
+    back they are one block, and an empty cell is an anomaly.
+    """
+    n, all_cells = t.n, t.cells
+    offsets = tuple(accumulate(t.spec.cell_sizes()[:-1], initial=0))
+    firsts = [all_cells[ordinal - 1][0].start for ordinal, _ in leaves]
+    runs, sources = [], []
+    for i, b in enumerate(row, 1):
+        reach = n - b
+        for (ordinal, parent), first in zip(leaves, firsts):
+            opened = bisect_right(offsets, reach - first)
+            if not opened:
+                continue
+            cells = list(all_cells[ordinal - 1])
+            labels = []
+            for slot in range(opened):
+                cell = cells[slot]
+                if side == "back":
+                    if cell:
+                        labels.append(cell[-1])
+                        cells[slot] = cell[:-1]
+                    else:
+                        anomalies.append(f"cell {slot + 1} of leaf {t.indices[ordinal - 1]} was already empty in pass {i}")
+                    continue
+                if cell:
+                    labels.append(cell.start)
+                    cells[slot] = cell[1:]
+                    continue
+                if labels:
+                    runs.append(tuple(labels))
+                    sources.append(ordinal)
+                    labels = []
+                last, own = cells[-1], all_cells[parent - 1][0]
+                if last:
+                    runs.append(last[:1])
+                    sources.append(ordinal)
+                    cells[-1] = last[1:]
+                elif own:
+                    runs.append(own[:1])
+                    sources.append(parent)
+                    all_cells[parent - 1] = (own[1:], *all_cells[parent - 1][1:])
+                elif parent == 2 and t.placeholders:
+                    t.placeholders -= 1
+                    runs.append(("placeholder",))
+                    sources.append(parent)
+                else:
+                    anomalies.append(f"nothing left to delete for leaf {t.indices[ordinal - 1]} cell {slot + 1}")
+            if labels or side == "back":
+                runs.append(tuple(labels))
+                sources.append(ordinal)
+            all_cells[ordinal - 1] = tuple(cells)
+    log.add("deletion", runs, repeat(1, len(runs)), sources, repeat(None, len(runs)))

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from nestrec import families as fam
 from nestrec import pruning, tree
 from nestrec.tree import TreeSpec
-from node_oracle import reference_node_stream
+from differential import prune_points
+from node_oracle import reference_delete, reference_node_stream
 
 
 RUNNING = TreeSpec(2, 1, 3, 1, 2, 2)
@@ -540,3 +541,172 @@ def test_movement_log_is_json_clean():
     report = pruning.prune_order2(t, fam.OrderOne(1, 3, 1))
     text = json.dumps(report.steps)
     assert "initial correction" in text and "relabelling" in text
+
+
+# -- stamped deletion against the leaf-by-leaf reference ----------------------
+
+SIDES = {pruning._take_fronts: "front", pruning._take_backs: "back"}
+
+
+def reference_step(t, leaves, row, take, fill, untouched, log, anomalies):
+    """pruning._delete's signature over the leaf-by-leaf reference."""
+    reference_delete(t, leaves, row, SIDES[take], log, anomalies)
+
+
+def deletion_outcome(monkeypatch, family, n, delete):
+    """Prune T(n) with `delete` as the deletion step: what the step leaves behind, and the whole report.
+
+    The step's part is the log's record count, the anomalies, the placeholders and
+    the cells' reprs; the report's is the moves' reprs, the anomalies and the result.
+    """
+    after = []
+
+    def step(t, leaves, row, take, fill, untouched, log, anomalies):
+        delete(t, leaves, row, take, fill, untouched, log, anomalies)
+        after.append((len(log.steps), list(anomalies), t.placeholders, repr(t.cells)))
+
+    monkeypatch.setattr(pruning, "_delete", step)
+    try:
+        report = pruning.prune_family(family, pruning.build_prefix(fam.tree_of(family), n))
+    except pruning.PruneRefused as err:
+        return f"refused: {err}"
+    finally:
+        monkeypatch.undo()
+    return after, list(map(repr, report.moves)), report.anomalies, repr(report.result), report.removed
+
+
+def assert_matches_reference(monkeypatch, family, n):
+    stamped = deletion_outcome(monkeypatch, family, n, pruning._delete)
+    assert stamped == deletion_outcome(monkeypatch, family, n, reference_step), (family, n)
+
+
+DRIVEN = ["order_one", "higher_order", "superposed"]  # the operations whose deletion pruning._delete runs
+
+
+@pytest.mark.parametrize("name", DRIVEN)
+def test_stamped_deletion_matches_the_reference_on_the_prune_grid(monkeypatch, name):
+    """Every in-range point of the differential prune grid, from one below its threshold to 11 past it."""
+    for family in [point for point in prune_points() if point.name == name]:
+        threshold = fam.prune_threshold(family)
+        for n in range(threshold - 1, threshold + 12):
+            assert_matches_reference(monkeypatch, family, n)
+
+
+@pytest.mark.parametrize("name", DRIVEN)
+def test_stamped_deletion_matches_the_reference_on_large_trees(monkeypatch, name):
+    rng = random.Random(f"stamp:{name}")
+    points = [point for point in prune_points() if point.name == name]
+    for family in rng.sample(points, 2):
+        assert_matches_reference(monkeypatch, family, rng.randint(10_000, 60_000))
+
+
+def last_cell_opens_at_reach(family, leaf):
+    """The n at which the last cell of the leaf with that index opens at n - max b, the deepest pass's reach."""
+    spec = fam.tree_of(family)
+    t = pruning.build_prefix(spec, 100 * leaf)
+    ordinal, _ = pruning._leaves(t)[leaf - 1]
+    reach = max(fam.recursion_of(family).inner_offsets[0])
+    return t.cells[ordinal - 1][0].start + pruning._cell_offsets(spec)[-1] + reach
+
+
+def stamp_size(family, n):
+    t = pruning.build_prefix(fam.tree_of(family), n)
+    leaves = pruning._leaves(t)
+    firsts = [t.cells[ordinal - 1][0].start for ordinal, _ in leaves]
+    return pruning._whole_open(t, firsts, fam.recursion_of(family).inner_offsets[0], n)
+
+
+@pytest.mark.parametrize("family", [fam.HigherOrder(0, 2, 4, 2), fam.Superposed(1, 2, 2, 2), fam.HigherOrder(0, 2, 1, 2),
+                                    fam.OrderOne(1, 3, 1)])
+def test_stamp_ends_at_the_leaf_whose_last_cell_opens_at_n_minus_max_b(monkeypatch, family):
+    """Leaf 20 is the last stamped leaf when its last cell opens at n - max b, and takes the rule one label later."""
+    n = last_cell_opens_at_reach(family, 20)
+    assert stamp_size(family, n) == 20 and stamp_size(family, n - 1) == 19
+    for at in (n, n - 1):
+        assert_matches_reference(monkeypatch, family, at)
+
+
+def test_order_one_move_in_stops_short_of_the_stamp(monkeypatch):
+    """The move-in takes the labels past n - j + m, and a stamped leaf ends at or below that.
+
+    At the n where the move-in reaches the first leaf past the stamp, the
+    stamp is the same whether or not it counts the moved labels, and the
+    stamped deletion matches the reference.
+    """
+    reached = 0
+    for family in [point for point in prune_points() if point.name == "order_one"]:
+        spec, row = fam.tree_of(family), fam.recursion_of(family).inner_offsets[0]
+        for n in range(fam.prune_threshold(family), fam.prune_threshold(family) + 40):
+            t = pruning.build_prefix(spec, n)
+            leaves = pruning._leaves(t)
+            firsts = [t.cells[ordinal - 1][0].start for ordinal, _ in leaves]
+            lowest = n - spec.regular_labels + 1
+            stamped = pruning._whole_open(t, firsts, row, lowest - 1)
+            assert stamped == pruning._whole_open(t, firsts, row, n), (family, n)
+            if stamped < len(leaves) and any(cell and cell[-1] >= lowest for cell in t.cells[leaves[stamped][0] - 1]):
+                reached += 1
+                assert_matches_reference(monkeypatch, family, n)
+    assert reached
+
+
+def run_directly(delete, t, row, take, fill, untouched):
+    """One deletion step run on t by itself: its moves' reprs, anomalies, placeholders and cells' reprs."""
+    log, anomalies = pruning._MoveLog(), []
+    delete(t, pruning._leaves(t), row, take, fill, untouched, log, anomalies)
+    return repr(pruning.PruneReport(0, t, log, anomalies).moves), anomalies, t.placeholders, repr(t.cells)
+
+
+def test_a_leaf_an_earlier_step_touched_takes_the_rule():
+    """A leaf past `untouched` takes the rule leaf by leaf, though every pass opens it whole."""
+    family = fam.HigherOrder(0, 2, 4, 2)
+    spec, row = fam.tree_of(family), fam.recursion_of(family).inner_offsets[0]
+    outcomes = []
+    for delete in (pruning._delete, reference_step):
+        t = pruning.build_prefix(spec, 400)
+        leaves = pruning._leaves(t)
+        ordinal = leaves[10][0]
+        last = t.cells[ordinal - 1][-1]
+        t.cells[ordinal - 1] = (*t.cells[ordinal - 1][:-1], last[:-1])  # as if a correction took its last label
+        firsts = [t.cells[leaf - 1][0].start for leaf, _ in leaves]
+        assert pruning._whole_open(t, firsts, row, last.stop - 2) == 10 < pruning._whole_open(t, firsts, row, 400)
+        outcomes.append(run_directly(delete, t, row, pruning._take_fronts, pruning._fill_front, last.stop - 2))
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("family", [fam.HigherOrder(0, 2, 4, 2), fam.Superposed(0, 1, 0, 2), fam.OrderOne(1, 3, 1)])
+def test_fewer_than_two_whole_open_leaves(family):
+    """Trees too small to prune, run through _delete and the reference directly: a stamp of none or of leaf 1 alone."""
+    spec, row = fam.tree_of(family), fam.recursion_of(family).inner_offsets[0]
+    back = family.name == "superposed"
+    take, fill = (pruning._take_backs, pruning._fill_back) if back else (pruning._take_fronts, pruning._fill_front)
+    sizes = set()
+    for n in range(3, fam.prune_threshold(family) + 1):
+        if len(pruning.build_prefix(spec, n).kinds) < 2:
+            continue
+        outcomes = []
+        for delete in (pruning._delete, reference_step):
+            t = pruning.build_prefix(spec, n)
+            t.placeholders = spec.regular_labels
+            outcomes.append(run_directly(delete, t, row, take, fill, n))
+        assert outcomes[0] == outcomes[1], (family, n)
+        sizes.add(min(stamp_size(family, n), 2))
+    assert sizes >= {0, 1}
+
+
+@pytest.mark.parametrize("family, n", [(fam.HigherOrder(0, 2, 1, 2), 300), (fam.HigherOrder(0, 1, 0, 3), 300),
+                                       (fam.HigherOrder(1, 2, 0, 2), 2000)])
+def test_model_leaf_that_needs_its_parent_or_a_placeholder(monkeypatch, family, n):
+    """Leaf 1 asks for a fill, so every stamped leaf's slot is filled from its parent or a placeholder, in leaf order."""
+    spec, row = fam.tree_of(family), fam.recursion_of(family).inner_offsets[0]
+    cells, outside = pruning.build_prefix(spec, n).cells[0], []
+    for _ in row:
+        _, cells, asks = pruning._take_fronts(cells, spec.leaf_cells)
+        outside.append(asks)
+    stamped = stamp_size(family, n)
+    assert any(outside) and stamped >= 20
+    assert_matches_reference(monkeypatch, family, n)
+    t = pruning.build_prefix(spec, n)
+    interior = [kind != tree.LEAF for kind in t.kinds]
+    report = pruning.prune_family(family, t)
+    filled = [move for move in report.moves if move[0] == "deletion" and interior[move[2] - 1]]
+    assert len(filled) >= stamped
