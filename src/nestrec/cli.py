@@ -15,11 +15,10 @@ import argparse
 import csv
 import io
 import json
-import operator
 import os
 import random
 import sys
-from itertools import accumulate, islice
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from . import families as fam
@@ -176,13 +175,10 @@ def cmd_verify(args) -> int:
         print(f"DIVERGE: recursion dies at n = {result.dead_at} ({result.reason.value})")
         return 1
     # C_T is the running sum of the cell-start bytes, so the values agree with
-    # it when the first value and the steps between values equal those bytes
+    # it when they are slow and the first value and the steps equal those bytes
     starts, values = tree.cell_starts(tspec, args.n), result.values
-    try:
-        agree = values[0] == starts[0] and bytes(map(operator.sub, islice(values, 1, None), values)) == starts[1:]
-    except ValueError:  # a step outside 0..255 is no byte, and so not a start
-        agree = False
-    if not agree:
+    violation, steps = recursion.slow_steps(values)
+    if violation is not None or values[0] != starts[0] or steps != starts[1:]:
         n, a, b = next((n, a, b) for n, (a, b) in enumerate(zip(values, accumulate(starts)), 1) if a != b)
         print(f"DIVERGE at n = {n}: recursion {a}, tree {b}")
         return 1

@@ -25,10 +25,10 @@ or below n - b gives up a label.  Order one and order p take it off the
 front, with a fallback for an empty cell; superposed takes it off the
 back, and the k-ary op logs one block per leaf.  The first three write
 what one leaf does in one pass as a rule on its cells alone, and run it
-on leaf 1 only: a leaf that every pass opens whole, and that no earlier
-step touched, makes leaf 1's moves shifted by its first label, so its
-blocks and cells are stamped with `map` and `zip`, and only the leaves
-near n take the rule one by one.
+once per group of leaves: the leaves that every pass opens whole make
+leaf 1's moves shifted by their first labels, so they form one group,
+and each leaf near n is a group of its own.  A group's blocks and cells
+are stamped over its leaves with `map` and `zip`.
 
 Every label movement is logged, one block per moved run or runs, in
 columns like the tree's: each block's step, source and target, and all
@@ -320,16 +320,16 @@ def _finish(t: LabelledTree, leaves: list[Leaf], quota: int, log: _MoveLog, anom
     return PruneReport(t.n - result.n, result, log, anomalies)
 
 
-def _take_fronts(cells: tuple[range, ...], opened: int) -> tuple[list, tuple[range, ...], bool]:
+def _take_fronts(cells: tuple[range, ...], opened: int) -> tuple[list, tuple[range, ...]]:
     """Front deletion's rule for one leaf in one pass: each of its first `opened` cells gives up its first label.
 
     The labels go as one block, up to an empty cell, which takes its label
     from the leaf's last cell instead; when that is empty too, the block is
     the slot's number, for the parent or a placeholder to fill.  Give the
-    blocks, the leaf's new cells and whether any block needs filling.
+    blocks and the leaf's new cells.
     """
     cells = list(cells)
-    blocks, labels, outside = [], [], False
+    blocks, labels = [], []
     for slot in range(opened):
         cell = cells[slot]
         if cell:
@@ -345,10 +345,9 @@ def _take_fronts(cells: tuple[range, ...], opened: int) -> tuple[list, tuple[ran
             cells[-1] = last[1:]
         else:
             blocks.append(slot)
-            outside = True
     if labels:
         blocks.append(tuple(labels))
-    return blocks, tuple(cells), outside
+    return blocks, tuple(cells)
 
 
 def _fill_front(t: LabelledTree, ordinal: int, parent: int, slot: int, _pass: int) -> Union[tuple, str]:
@@ -366,7 +365,7 @@ def _fill_front(t: LabelledTree, ordinal: int, parent: int, slot: int, _pass: in
     return f"nothing left to delete for leaf {t.indices[ordinal - 1]} cell {slot + 1}"
 
 
-def _take_backs(cells: tuple[range, ...], opened: int) -> tuple[list, tuple[range, ...], bool]:
+def _take_backs(cells: tuple[range, ...], opened: int) -> tuple[list, tuple[range, ...]]:
     """Back deletion's rule for one leaf in one pass: each of its first `opened` cells gives up its last label.
 
     The labels go as one block, after the number of each slot found empty.
@@ -381,7 +380,7 @@ def _take_backs(cells: tuple[range, ...], opened: int) -> tuple[list, tuple[rang
         else:
             blocks.append(slot)
     blocks.append(tuple(labels))
-    return blocks, tuple(cells), len(blocks) > 1
+    return blocks, tuple(cells)
 
 
 def _fill_back(t: LabelledTree, ordinal: int, _parent: int, slot: int, i: int) -> str:
@@ -407,95 +406,71 @@ def _interleave(streams: list[Iterable]) -> Iterable:
     return streams[0] if len(streams) == 1 else chain.from_iterable(zip(*streams))
 
 
-def _whole_open(t: LabelledTree, firsts: list[int], row: tuple[int, ...], untouched: int) -> int:
-    """How many leaves, from leaf 1 on, every pass opens whole while they still hold their build-time cells.
+def _whole_open(t: LabelledTree, firsts: list[int], row: tuple[int, ...]) -> int:
+    """How many leaves, from leaf 1 on, every pass opens whole.
 
-    `firsts` are the leaves' first labels in node order.  A leaf is open whole
-    in every pass when its last cell opens at or below n - max(row), and it
-    holds its build-time cells when it ends at or below `untouched`, the
-    last label that no earlier step of the prune moved: at most n, where
-    the build cut the last node.
+    `firsts` are the leaves' first labels in node order.  A leaf is open
+    whole in every pass when its last cell opens at or below n - max(row).
     """
-    offsets, capacity = _cell_offsets(t.spec), sum(t.spec.cell_sizes())
-    return bisect_right(firsts, min(t.n - max(row) - offsets[-1], untouched - capacity + 1))
+    return bisect_right(firsts, t.n - max(row) - _cell_offsets(t.spec)[-1])
 
 
-def _delete(t: LabelledTree, leaves: list[Leaf], row: tuple[int, ...], take, fill, untouched: int, log: _MoveLog,
+def _delete(t: LabelledTree, leaves: list[Leaf], row: tuple[int, ...], take, fill, log: _MoveLog,
             anomalies: list[str]) -> None:
     """One pass per b in `row`: every leaf cell opening at or below n - b gives up a label, by the rule `take`.
 
     A cell opens at a fixed offset from its leaf's first label, however many
     labels earlier passes took from it.  `take` sees one leaf's cells and how
-    many of them the pass opens, and gives the pass's blocks, the leaf's new
-    cells and whether a block is a slot number, which `fill` must serve from
-    outside the leaf.
+    many of them the pass opens, and gives the pass's blocks and the leaf's
+    new cells; a block that is a slot number `fill` must serve from outside
+    the leaf.
 
-    Stamping is exact: on the leaves _whole_open counts, every pass opens
-    every cell, and the cells are leaf 1's moved by the difference of their
-    first labels.  `take` sees only how a leaf's labels lie relative to each
-    other, so there it makes leaf 1's moves, shifted, with fills at the same
-    slots.  The rule runs once, on leaf 1, its blocks and final cells are
-    stamped over those leaves, and the leaves after them, near n, take the
-    rule one by one.  Fills read the parent and the placeholders, which
-    leaves share, so they run leaf by leaf in leaf order.  Each pass logs the
-    stamped leaves' blocks, then the others': the log of running the rule on
-    every leaf.
+    The leaves run in groups: those _whole_open counts form one (leaf 1
+    alone when it counts none), and each later leaf is a group of its own.
+    Each pass runs `take` once per group, on its first leaf's cells, and
+    stamps the blocks over the group, each leaf's shifted by the difference
+    of first labels; at the end the group's cells are stamped the same way.
+    This is exact: every pass opens every cell of a whole-open leaf, and a
+    whole-open leaf ends at or below n, and for order one below the
+    move-in, so it holds its build-time cells, which are leaf 1's shifted.
+    `take` sees only how a leaf's labels lie relative to each other, so it
+    makes leaf 1's moves, shifted, with fills at the same slots.  Fills read
+    the parent and the placeholders, which leaves share, so they run leaf
+    by leaf in leaf order.  A pass stops at the first group that opens past
+    n - b, and logs the groups in leaf order: the log of running the rule
+    on every leaf.
     """
     n, all_cells = t.n, t.cells
     offsets = _cell_offsets(t.spec)
-    firsts = [all_cells[ordinal - 1][0].start for ordinal, _ in leaves]
-    stamped = _whole_open(t, firsts, row, untouched)
-    ordinals, heads = [ordinal for ordinal, _ in leaves[:stamped]], firsts[:stamped]
-    passes, model = [], all_cells[ordinals[0] - 1] if stamped else ()
-    if stamped:
-        for _ in row:
-            blocks, model, outside = take(model, len(offsets))
-            passes.append((blocks, outside))
+    ordinals = [ordinal for ordinal, _ in leaves]
+    firsts = [all_cells[ordinal - 1][0].start for ordinal in ordinals]
+    bounds = [0, *range(max(_whole_open(t, firsts, row), 1), len(leaves) + 1)]
+    groups = list(map(slice, bounds, islice(bounds, 1, None)))
+    models = [all_cells[ordinals[group.start] - 1] for group in groups]
     runs, sources = [], []
-
-    def emit(ordinal: int, parent: int, blocks: Iterable, i: int) -> None:
-        """Log one leaf's blocks of pass i, filling each slot number from outside the leaf."""
-        for block in blocks:
-            if type(block) is not int:
-                runs.append(block)
-                sources.append(ordinal)
-                continue
-            filled = fill(t, ordinal, parent, block, i)
-            if isinstance(filled, str):
-                anomalies.append(filled)
-            else:
-                runs.append(filled[0])
-                sources.append(filled[1])
-
-    def stamp(i: int) -> None:
-        """Log pass i's blocks of the stamped leaves: leaf 1's, shifted to each."""
-        if not stamped:
-            return
-        blocks, outside = passes[i - 1]
-        copies = [_shifted(block, heads, firsts[0]) for block in blocks]
-        if outside:
-            for (ordinal, parent), copy in zip(leaves, zip(*copies)):
-                emit(ordinal, parent, copy, i)
-        else:
-            runs.extend(_interleave(copies))
-            sources.extend(_interleave([ordinals] * len(copies)))
-
-    def by_leaf(i: int, reach: int) -> None:
-        """Run pass i, which opens the cells at or below `reach`, on each leaf after the stamped ones."""
-        cut = bisect_right(firsts, reach)
-        for (ordinal, parent), first in zip(leaves[stamped:cut], firsts[stamped:cut]):
-            blocks, all_cells[ordinal - 1], outside = take(all_cells[ordinal - 1], bisect_right(offsets, reach - first))
-            if outside:
-                emit(ordinal, parent, blocks, i)
-            else:
-                runs.extend(blocks)
-                sources.extend(repeat(ordinal, len(blocks)))
-
     for i, b in enumerate(row, 1):
-        stamp(i)
-        by_leaf(i, n - b)
-    for ordinal, cells in zip(ordinals, zip(*[_shifted(cell, heads, firsts[0]) for cell in model])):
-        all_cells[ordinal - 1] = cells
+        for g, group in enumerate(groups):
+            first = firsts[group.start]
+            if first > n - b:
+                break
+            blocks, models[g] = take(models[g], bisect_right(offsets, n - b - first))
+            copies = [_shifted(block, firsts[group], first) for block in blocks]
+            if int not in map(type, blocks):
+                runs += _interleave(copies)
+                sources += _interleave([ordinals[group]] * len(copies))
+                continue
+            for (ordinal, parent), copy in zip(leaves[group], zip(*copies)):
+                for block in copy:
+                    filled = fill(t, ordinal, parent, block, i) if type(block) is int else (block, ordinal)
+                    if isinstance(filled, str):
+                        anomalies.append(filled)
+                    else:
+                        runs.append(filled[0])
+                        sources.append(filled[1])
+    for group, model in zip(groups, models):
+        stamped = zip(*[_shifted(cell, firsts[group], firsts[group.start]) for cell in model])
+        for ordinal, cells in zip(ordinals[group], stamped):
+            all_cells[ordinal - 1] = cells
     log.add("deletion", runs, repeat(1, len(runs)), sources, repeat(None, len(runs)))
 
 
@@ -529,10 +504,10 @@ def prune_order2(t: LabelledTree, family: fam.OrderOne) -> PruneReport:
     t.cells[1] = (range(lowest, n + 1),)
 
     # deletion: the move-in took only labels past n - j, so every cell in
-    # reach still holds its first label and none falls back; a leaf that
-    # every pass opens whole ends at or below n - j + m, below all of them
+    # reach still holds its first label and none falls back; the leaves
+    # that every pass opens whole, one group, end below all of them
     leaves = _leaves(t)
-    _delete(t, leaves, row, _take_fronts, _fill_front, lowest - 1, log, anomalies)
+    _delete(t, leaves, row, _take_fronts, _fill_front, log, anomalies)
     return _finish(t, leaves, 0, log, anomalies)
 
 
@@ -547,7 +522,7 @@ def prune_orderp(t: LabelledTree, family: fam.HigherOrder) -> PruneReport:
     _insert_placeholders(t, x, log)
 
     leaves = _leaves(t)
-    _delete(t, leaves, row, _take_fronts, _fill_front, t.n, log, anomalies)
+    _delete(t, leaves, row, _take_fronts, _fill_front, log, anomalies)
     return _finish(t, leaves, x, log, anomalies)
 
 
@@ -570,7 +545,7 @@ def prune_superposed(t: LabelledTree, family: fam.Superposed) -> PruneReport:
     _insert_placeholders(t, x, log)
 
     leaves = _leaves(t)
-    _delete(t, leaves, row, _take_backs, _fill_back, n, log, anomalies)
+    _delete(t, leaves, row, _take_backs, _fill_back, log, anomalies)
 
     return _finish(t, leaves, x, log, anomalies)
 

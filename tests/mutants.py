@@ -85,8 +85,10 @@ MUTANTS = (
            "enumerate(zip(values, accumulate(starts)), 1)", "enumerate(zip(values, accumulate(starts)), 0)",
            "verify would name the n before the first difference", (T_CLI,)),
     Mutant("byte step compare lets a non-byte step through", CLI,
-           "        agree = False\n", "        agree = True\n",
-           "a step of -1 or past 255 against the tree would read as agreement", (T_CLI,)),
+           "violation is not None or values[0] != starts[0] or steps != starts[1:]",
+           "values[0] != starts[0] or not starts[1:].startswith(steps)",
+           "a step of -1 or past 255 ends the slow prefix, which would read as agreement when it matches the tree",
+           (T_CLI,)),
     # superposed pruning: tier-1 once missed both
     Mutant("superposed full-shape test strict", PRUNING,
            "    if n <= bound:\n", "    if n < bound:\n",
@@ -103,16 +105,39 @@ MUTANTS = (
            "        last = cells[-1]\n        if last:\n", "        last = cells[-1]\n        if False:\n",
            "an empty cell would take its label from the parent or a placeholder while the leaf's last cell "
            "still holds one", (T_PRUNING,)),
-    # the stamped deletion: its bound, its guard and its place in each pass's log
+    # the group deletion: the whole-open bound and the groups' order in each pass's log
     Mutant("stamp one leaf past the whole-open bound", PRUNING,
-           "untouched - capacity + 1))\n", "untouched - capacity + 1)) + 1\n",
+           "_cell_offsets(t.spec)[-1])\n", "_cell_offsets(t.spec)[-1]) + 1\n",
            "the first leaf that some pass opens only in part would be given leaf 1's moves", (T_PRUNING,)),
-    Mutant("stamp over a leaf an earlier step touched", PRUNING,
-           "untouched - capacity + 1))\n", "t.n - capacity + 1))\n",
-           "a leaf whose labels an earlier step moved would be given leaf 1's moves", (T_PRUNING,)),
     Mutant("stamped blocks after the pass's boundary leaves", PRUNING,
-           "        stamp(i)\n        by_leaf(i, n - b)\n", "        by_leaf(i, n - b)\n        stamp(i)\n",
+           "        for g, group in enumerate(groups):\n            first = firsts[group.start]\n"
+           "            if first > n - b:\n                break\n",
+           "        for g, group in reversed(list(enumerate(groups))):\n            first = firsts[group.start]\n"
+           "            if first > n - b:\n                continue\n",
            "each pass would log the leaves near n before the stamped ones", (T_PRUNING,)),
+    # lifting, k-ary deletion and the other records' prune bounds
+    Mutant("lift to the node after the parent", PRUNING,
+           "        cells[parent - 1] += runs\n", "        cells[parent] += runs\n",
+           "every leaf's runs would go to the node after its parent, which the log still names", (T_PRUNING,)),
+    Mutant("k-ary leaf at n - b out of reach", PRUNING,
+           "demand = bisect_right(row, n - cell.start)", "demand = bisect_left(row, n - cell.start)",
+           "a k-ary leaf opening at exactly n - b would keep that pass's label", (T_PRUNING,)),
+    Mutant("higher_order prune threshold one lower", FAMILIES,
+           "        return 3 * (self.j + self.m) + self._x() + 2 * self.s + 1\n",
+           "        return 3 * (self.j + self.m) + self._x() + 2 * self.s\n",
+           "prune would accept an n one below the higher_order bound", (T_FAMILIES, T_PRUNING)),
+    Mutant("superposed prune threshold one lower", FAMILIES,
+           "        return 5 * self.p * self.j + 3 * self.m + 2 * self.s + 1\n",
+           "        return 5 * self.p * self.j + 3 * self.m + 2 * self.s\n",
+           "prune would accept an n one below the superposed bound for m >= 0", (T_FAMILIES, T_PRUNING)),
+    Mutant("superposed m < 0 prune threshold one lower", FAMILIES,
+           "            return 3 * self.p * self.j + self.m + 2 * self.s + 1\n",
+           "            return 3 * self.p * self.j + self.m + 2 * self.s\n",
+           "prune would accept an n one below the exploratory m < 0 bound", (T_FAMILIES, T_PRUNING)),
+    Mutant("kary prune threshold one lower", FAMILIES,
+           "        return k * (p + m) + p - (k - 1) * m + 1\n",
+           "        return k * (p + m) + p - (k - 1) * m\n",
+           "prune would accept an n one below the kary bound", (T_FAMILIES, T_PRUNING)),
     Mutant("end correction trims the front of a run", PRUNING,
            "                cells[slot] = run[:keep]\n", "                cells[slot] = run[len(run) - keep:]\n",
            "the smallest labels of a node would go instead of the largest", (T_PRUNING,)),

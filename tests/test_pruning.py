@@ -548,7 +548,7 @@ def test_movement_log_is_json_clean():
 SIDES = {pruning._take_fronts: "front", pruning._take_backs: "back"}
 
 
-def reference_step(t, leaves, row, take, fill, untouched, log, anomalies):
+def reference_step(t, leaves, row, take, fill, log, anomalies):
     """pruning._delete's signature over the leaf-by-leaf reference."""
     reference_delete(t, leaves, row, SIDES[take], log, anomalies)
 
@@ -561,8 +561,8 @@ def deletion_outcome(monkeypatch, family, n, delete):
     """
     after = []
 
-    def step(t, leaves, row, take, fill, untouched, log, anomalies):
-        delete(t, leaves, row, take, fill, untouched, log, anomalies)
+    def step(t, leaves, row, take, fill, log, anomalies):
+        delete(t, leaves, row, take, fill, log, anomalies)
         after.append((len(log.steps), list(anomalies), t.placeholders, repr(t.cells)))
 
     monkeypatch.setattr(pruning, "_delete", step)
@@ -609,11 +609,17 @@ def last_cell_opens_at_reach(family, leaf):
     return t.cells[ordinal - 1][0].start + pruning._cell_offsets(spec)[-1] + reach
 
 
+def whole_open_cells(spec, row, n):
+    """T(n)'s leaves that every pass opens whole, as their cells, and the cells of the first leaf after them."""
+    t = pruning.build_prefix(spec, n)
+    cells = [t.cells[ordinal - 1] for ordinal, _ in pruning._leaves(t)]
+    stamped = pruning._whole_open(t, [leaf[0].start for leaf in cells], row)
+    return cells[:stamped], cells[stamped:stamped + 1]
+
+
 def stamp_size(family, n):
-    t = pruning.build_prefix(fam.tree_of(family), n)
-    leaves = pruning._leaves(t)
-    firsts = [t.cells[ordinal - 1][0].start for ordinal, _ in leaves]
-    return pruning._whole_open(t, firsts, fam.recursion_of(family).inner_offsets[0], n)
+    whole, _ = whole_open_cells(fam.tree_of(family), fam.recursion_of(family).inner_offsets[0], n)
+    return len(whole)
 
 
 @pytest.mark.parametrize("family", [fam.HigherOrder(0, 2, 4, 2), fam.Superposed(1, 2, 2, 2), fam.HigherOrder(0, 2, 1, 2),
@@ -627,55 +633,55 @@ def test_stamp_ends_at_the_leaf_whose_last_cell_opens_at_n_minus_max_b(monkeypat
 
 
 def test_order_one_move_in_stops_short_of_the_stamp(monkeypatch):
-    """The move-in takes the labels past n - j + m, and a stamped leaf ends at or below that.
+    """The move-in takes the labels from n - j + m + 1 on, and every cell of a whole-open leaf ends below them.
 
-    At the n where the move-in reaches the first leaf past the stamp, the
-    stamp is the same whether or not it counts the moved labels, and the
-    stamped deletion matches the reference.
+    So the move-in leaves the whole-open leaves their build-time cells.  At
+    the n where it reaches the first leaf past them, the stamped deletion
+    matches the reference.
     """
     reached = 0
     for family in [point for point in prune_points() if point.name == "order_one"]:
         spec, row = fam.tree_of(family), fam.recursion_of(family).inner_offsets[0]
         for n in range(fam.prune_threshold(family), fam.prune_threshold(family) + 40):
-            t = pruning.build_prefix(spec, n)
-            leaves = pruning._leaves(t)
-            firsts = [t.cells[ordinal - 1][0].start for ordinal, _ in leaves]
             lowest = n - spec.regular_labels + 1
-            stamped = pruning._whole_open(t, firsts, row, lowest - 1)
-            assert stamped == pruning._whole_open(t, firsts, row, n), (family, n)
-            if stamped < len(leaves) and any(cell and cell[-1] >= lowest for cell in t.cells[leaves[stamped][0] - 1]):
+            whole, after = whole_open_cells(spec, row, n)
+            assert whole and all(cell.stop <= lowest for cells in whole for cell in cells), (family, n)
+            if any(cell and cell[-1] >= lowest for cells in after for cell in cells):
                 reached += 1
                 assert_matches_reference(monkeypatch, family, n)
     assert reached
 
 
-def run_directly(delete, t, row, take, fill, untouched):
+@pytest.mark.parametrize("name", ["higher_order", "superposed"])
+def test_whole_open_leaves_end_at_or_below_n(name):
+    """A whole-open leaf of order p or superposed, m < 0 included, is full and ends at or below n.
+
+    Its last cell opens at or below n - max b and holds at most max b + 1
+    labels on every in-range point, so the build's cut at n never reaches it.
+    """
+    for family in [point for point in prune_points() if point.name == name]:
+        spec, row = fam.tree_of(family), fam.recursion_of(family).inner_offsets[0]
+        assert spec.cell_sizes()[-1] <= max(row) + 1, family
+        threshold = fam.prune_threshold(family)
+        for n in range(threshold - 1, threshold + 40):
+            whole, _ = whole_open_cells(spec, row, n)
+            for cells in whole:
+                assert tuple(map(len, cells)) == spec.cell_sizes() and cells[-1].stop <= n + 1, (family, n)
+
+
+def run_directly(delete, t, row, take, fill):
     """One deletion step run on t by itself: its moves' reprs, anomalies, placeholders and cells' reprs."""
     log, anomalies = pruning._MoveLog(), []
-    delete(t, pruning._leaves(t), row, take, fill, untouched, log, anomalies)
+    delete(t, pruning._leaves(t), row, take, fill, log, anomalies)
     return repr(pruning.PruneReport(0, t, log, anomalies).moves), anomalies, t.placeholders, repr(t.cells)
-
-
-def test_a_leaf_an_earlier_step_touched_takes_the_rule():
-    """A leaf past `untouched` takes the rule leaf by leaf, though every pass opens it whole."""
-    family = fam.HigherOrder(0, 2, 4, 2)
-    spec, row = fam.tree_of(family), fam.recursion_of(family).inner_offsets[0]
-    outcomes = []
-    for delete in (pruning._delete, reference_step):
-        t = pruning.build_prefix(spec, 400)
-        leaves = pruning._leaves(t)
-        ordinal = leaves[10][0]
-        last = t.cells[ordinal - 1][-1]
-        t.cells[ordinal - 1] = (*t.cells[ordinal - 1][:-1], last[:-1])  # as if a correction took its last label
-        firsts = [t.cells[leaf - 1][0].start for leaf, _ in leaves]
-        assert pruning._whole_open(t, firsts, row, last.stop - 2) == 10 < pruning._whole_open(t, firsts, row, 400)
-        outcomes.append(run_directly(delete, t, row, pruning._take_fronts, pruning._fill_front, last.stop - 2))
-    assert outcomes[0] == outcomes[1]
 
 
 @pytest.mark.parametrize("family", [fam.HigherOrder(0, 2, 4, 2), fam.Superposed(0, 1, 0, 2), fam.OrderOne(1, 3, 1)])
 def test_fewer_than_two_whole_open_leaves(family):
-    """Trees too small to prune, run through _delete and the reference directly: a stamp of none or of leaf 1 alone."""
+    """Trees too small to prune, run through _delete and the reference directly: no leaf or leaf 1 alone whole-open.
+
+    With none whole-open, leaf 1 forms a group alone.
+    """
     spec, row = fam.tree_of(family), fam.recursion_of(family).inner_offsets[0]
     back = family.name == "superposed"
     take, fill = (pruning._take_backs, pruning._fill_back) if back else (pruning._take_fronts, pruning._fill_front)
@@ -687,7 +693,7 @@ def test_fewer_than_two_whole_open_leaves(family):
         for delete in (pruning._delete, reference_step):
             t = pruning.build_prefix(spec, n)
             t.placeholders = spec.regular_labels
-            outcomes.append(run_directly(delete, t, row, take, fill, n))
+            outcomes.append(run_directly(delete, t, row, take, fill))
         assert outcomes[0] == outcomes[1], (family, n)
         sizes.add(min(stamp_size(family, n), 2))
     assert sizes >= {0, 1}
@@ -700,8 +706,8 @@ def test_model_leaf_that_needs_its_parent_or_a_placeholder(monkeypatch, family, 
     spec, row = fam.tree_of(family), fam.recursion_of(family).inner_offsets[0]
     cells, outside = pruning.build_prefix(spec, n).cells[0], []
     for _ in row:
-        _, cells, asks = pruning._take_fronts(cells, spec.leaf_cells)
-        outside.append(asks)
+        blocks, cells = pruning._take_fronts(cells, spec.leaf_cells)
+        outside.append(int in map(type, blocks))
     stamped = stamp_size(family, n)
     assert any(outside) and stamped >= 20
     assert_matches_reference(monkeypatch, family, n)
