@@ -17,11 +17,12 @@ run, hypothesis seeded so a run repeats) and prints
 
 For a mutant in recursion.py, cli.py or frequency.py the script also runs
 the eval, explore, walk and phi sections of tests/differential.py in the
-mutated copy (about 3 s), and for one in tree.py or pruning.py the
-explore, walk and prune sections (about 15 s); it compares them with the
-clean copy's.  A test kill notes whether the digest saw the mutant too; a
-mutant that the tests miss and the digest sees is a digest-only kill, which
-no test covers.
+mutated copy (about 3 s), for one in tree.py or pruning.py the explore,
+walk and prune sections (about 15 s), and for one in families.py the
+explore and prune sections; it compares them with the clean copy's.  A
+test kill notes whether the digest saw the mutant too; a mutant that the
+tests miss and the digest sees is a digest-only kill, which no test
+covers.
 
 A mutant whose old text no longer occurs exactly once is reported as
 STALE: the code it names has changed, so update or drop it.  A mutant
@@ -115,6 +116,14 @@ MUTANTS = (
            "        for g, group in reversed(list(enumerate(groups))):\n            first = firsts[group.start]\n"
            "            if first > n - b:\n                continue\n",
            "each pass would log the leaves near n before the stamped ones", (T_PRUNING,)),
+    # front fills stamped over whole sibling groups
+    Mutant("stamped fill's sibling offset off by one", PRUNING,
+           "positions = list(range(k)) *", "positions = list(range(1, k + 1)) *",
+           "each stamped leaf would take the parent labels of the sibling after it", (T_PRUNING,)),
+    Mutant("leaves 1..k stamped from node 2", PRUNING,
+           "siblings = slice(min(k, whole), whole - spare)", "siblings = slice(0, whole - spare)",
+           "the first supernode's leaves would take fills from its emptied cell, not its placeholders",
+           (T_PRUNING,)),
     # lifting, k-ary deletion and the other records' prune bounds
     Mutant("lift to the node after the parent", PRUNING,
            "        cells[parent - 1] += runs\n", "        cells[parent] += runs\n",
@@ -169,8 +178,11 @@ MUTANTS = (
            "a template block would hold up to k times _BLOCK nodes: the same nodes in fewer, larger blocks",
            (T_TREE,)),
     Mutant("cut before the node that opens at n", PRUNING,
-           "cut = bisect_right(starts, n)", "cut = bisect_left(starts, n)",
+           "cut = bisect_right(", "cut = bisect_left(",
            "T(n) would lose its last node when that node's first label is n", (T_PRUNING,)),
+    Mutant("crossing block's cut one label late", PRUNING,
+           "initial=end)), n)", "initial=end)), n + 1)",
+           "T(n) would keep the node that opens at n + 1, an empty node past n", (T_PRUNING,)),
     Mutant("every cell drawn as a leaf's", PRUNING,
            "draws = (zip(runs), zip(*[runs] * spec.leaf_cells))", "draws = (zip(*[runs] * spec.leaf_cells),) * 2",
            "an interior node would take j runs of labels, shifting every later cell", (T_PRUNING,)),
@@ -208,8 +220,9 @@ MUTANTS = (
 
 EVALUATION_SECTIONS = ("eval", "explore", "walk", "phi")
 TREE_SECTIONS = ("explore", "walk", "prune")
+RECORD_SECTIONS = ("explore", "prune")
 DIGESTED = {RECURSION: EVALUATION_SECTIONS, CLI: EVALUATION_SECTIONS, FREQUENCY: EVALUATION_SECTIONS,
-            TREE: TREE_SECTIONS, PRUNING: TREE_SECTIONS}
+            TREE: TREE_SECTIONS, PRUNING: TREE_SECTIONS, FAMILIES: RECORD_SECTIONS}
 
 
 def checkout(directory: Path) -> None:

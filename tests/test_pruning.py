@@ -506,6 +506,27 @@ def test_leaf_runs_match_cell_positions(k, s, j, c, last, x):
         assert built == expected, (spec, n)
 
 
+def block_edges(spec):
+    """The first and last label of the first node_stream block of each kind, with a label either side.
+
+    The kinds are the first supernode's family, a spine supernode, a regular
+    root taller than the template, and a template copy.
+    """
+    capacity = {tree.LEAF: sum(spec.cell_sizes()), tree.SUPERNODE: spec.supernode_labels,
+                tree.REGULAR: spec.regular_labels}
+    first_of_kind, end = {}, 1
+    for position, (block_kinds, _) in enumerate(tree.node_stream(spec.arity)):
+        kind = ("family" if not position else "spine" if block_kinds == (tree.SUPERNODE,)
+                else "root" if block_kinds == (tree.REGULAR,) else "template")
+        labels = sum(map(capacity.__getitem__, block_kinds))
+        first_of_kind.setdefault(kind, (end, end + labels - 1))
+        if len(first_of_kind) == 4:
+            break
+        end += labels
+    edges = chain.from_iterable(first_of_kind.values())
+    return sorted({n for edge in edges for n in range(edge - 1, edge + 2) if n >= 1})
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 @pytest.mark.parametrize("s, j, c, last, x", SPEC_GRID)
 def test_build_prefix_fills_every_node_to_capacity(k, s, j, c, last, x):
@@ -516,13 +537,17 @@ def test_build_prefix_fills_every_node_to_capacity(k, s, j, c, last, x):
     leaf the spec's cell sizes, a supernode s labels and a regular node x,
     in one cell.  The last node holds label n, cut back from its capacity.
     Each cell starts where the one before it stopped, so an empty cell
-    starts at the next label, which is n + 1 past n.
+    starts at the next label, which is n + 1 past n.  The n include a label
+    either side of where each kind of node_stream block starts and ends, so
+    the cut inside the block that holds n meets every kind of edge.
     """
     spec = TreeSpec(k, s, j, c, last, x)
     capacity = {tree.LEAF: spec.cell_sizes(), tree.SUPERNODE: (s,), tree.REGULAR: (x,)}
-    for n in (1, 2, 3, 7, 64, 999, 20_000):
-        t = pruning.build_prefix(spec, n)
-        assert list(zip(t.kinds, t.indices)) == list(islice(reference_node_stream(k), len(t.kinds))), (spec, n)
+    trees = [pruning.build_prefix(spec, n) for n in sorted({1, 2, 3, 7, 64, 999, 20_000, *block_edges(spec)})]
+    reference = list(islice(reference_node_stream(k), max(len(t.kinds) for t in trees)))
+    for t in trees:
+        n = t.n
+        assert list(zip(t.kinds, t.indices)) == reference[:len(t.kinds)], (spec, n)
         assert len(t.indices) == len(t.cells) == len(t.kinds) and t.placeholders == 0
         sizes = [tuple(map(len, cells)) for cells in t.cells]
         assert sizes[:-1] == [capacity[kind] for kind in t.kinds[:-1]], (spec, n)
@@ -716,3 +741,31 @@ def test_model_leaf_that_needs_its_parent_or_a_placeholder(monkeypatch, family, 
     report = pruning.prune_family(family, t)
     filled = [move for move in report.moves if move[0] == "deletion" and interior[move[2] - 1]]
     assert len(filled) >= stamped
+
+
+def fills_over_all_passes(family):
+    """How many of a whole-open leaf's slots its parent fills over all passes: the model leaf's fills."""
+    spec, row = fam.tree_of(family), fam.recursion_of(family).inner_offsets[0]
+    cells, fills = pruning.build_prefix(spec, sum(spec.cell_sizes())).cells[0], 0
+    for _ in row:
+        blocks, cells = pruning._take_fronts(cells, spec.leaf_cells)
+        fills += sum(type(block) is int for block in blocks)
+    return fills
+
+
+def test_regular_parent_outlasts_its_leaves_fills():
+    """Where leaves need fills, a regular parent holds at least k F + 1 labels, F a leaf's fills over all passes.
+
+    _delete stamps the fills of whole sibling groups from each parent's first
+    labels with no fallback, so the parent must hold them all.  Checked on
+    the digest's higher_order prune grid and on p 1..4, j 1..4, s 0..3 with
+    every m.  The slack, x - k F, is j + m, so it is least, 1, at m = 0, j = 1.
+    """
+    grid = [fam.HigherOrder(s, j, m, p) for p in range(1, 5) for j in range(1, 5) for s in range(4)
+            for m in range((2 * p - 1) * j + 1)]
+    for family in grid + [point for point in prune_points() if point.name == "higher_order"]:
+        spec, fills = fam.tree_of(family), fills_over_all_passes(family)
+        if fills:
+            assert spec.regular_labels >= spec.arity * fills + 1, (family, fills)
+            assert spec.regular_labels - spec.arity * fills == family.j + family.m, (family, fills)
+    assert len(grid) == 704 and sum(map(bool, map(fills_over_all_passes, grid))) == 240
