@@ -226,27 +226,37 @@ def cmd_prune(args) -> int:
         failures = 0
         for _ in range(args.check):
             n = rng.randint(lo, hi)
-            ok, report = _prune_round_trip(family, n)
-            status = "ok" if ok else "MISMATCH"
+            difference, report = _prune_round_trip(family, n)
+            status = "ok" if difference is None else "MISMATCH"
             print(f"n = {n}: removed {report.removed}, identity {status}")
-            failures += 0 if ok else 1
+            if difference is not None:
+                print(f"first difference: {difference}")
+                failures += 1
         return 1 if failures else 0
 
-    ok, report = _prune_round_trip(family, args.n)
+    difference, report = _prune_round_trip(family, args.n)
     print(f"removed {report.removed} labels; result has {report.result.n}")
-    print(f"identity {'holds' if ok else 'FAILS'}: pruned tree vs rebuilt prefix")
+    print(f"identity {'holds' if difference is None else 'FAILS'}: pruned tree vs rebuilt prefix")
+    if difference is not None:
+        print(f"first difference: {difference}")
     for note in report.anomalies:
         print(f"anomaly: {note}")
     if args.trace:
         print(json.dumps({"removed": report.removed, "steps": report.steps}, indent=2))
-    return 0 if ok else 1
+    return 0 if difference is None else 1
 
 
-def _prune_round_trip(family: fam.Family, n: int) -> tuple[bool, pruning.PruneReport]:
-    """Prune the family's T(n) and compare the result with T(n - removed) built afresh."""
+def _prune_round_trip(family: fam.Family, n: int) -> tuple[Optional[str], pruning.PruneReport]:
+    """Prune the family's T(n) and compare the result with T(n - removed) built afresh.
+
+    Give the first difference, named only when the trees differ, or None.
+    """
     tspec = fam.tree_of(family)
     report = pruning.prune_family(family, pruning.build_prefix(tspec, n))
-    return pruning.trees_equal(report.result, pruning.build_prefix(tspec, n - report.removed)), report
+    rebuilt = pruning.build_prefix(tspec, n - report.removed)
+    if pruning.trees_equal(report.result, rebuilt):
+        return None, report
+    return pruning.first_difference(report.result, rebuilt), report
 
 
 def cmd_oeis_match(args) -> int:
@@ -387,8 +397,8 @@ def _freq_match(spec: tree.TreeSpec, steps: bytes) -> str:
 def _prune_identity(family: fam.Family, n_max: int) -> str:
     try:
         n = max(n_max, fam.prune_threshold(family))
-        ok, _ = _prune_round_trip(family, n)
-        return f"yes(n={n})" if ok else f"no(n={n})"
+        difference, _ = _prune_round_trip(family, n)
+        return f"yes(n={n})" if difference is None else f"no(n={n})"
     except (fam.NoTreeKnown, ValueError) as err:
         return f"skipped({err})"
 

@@ -26,15 +26,13 @@ front, with a fallback for an empty cell; superposed takes it off the
 back, and the k-ary op logs one block per leaf.  The first three write
 what one leaf does in one pass as a rule on its cells alone, and run it
 once per group of leaves: the leaves that every pass opens whole make
-leaf 1's moves shifted by their first labels, so they form one group, in
-three parts: leaves 1..k, the sibling groups it holds whole, and the one
-it cuts.  Each leaf near n is a group of its own.  A group's blocks and
-cells are stamped over its leaves with `map` and `zip`.  An emptied cell
-that order p fills from a regular parent is stamped too, over whole
-sibling groups: each leaf's fills are the next labels off its parent's
-front, in sibling order.  Other fills, from the first supernode's
-placeholders or in the cut sibling group, and superposed's, which only
-name anomalies, run leaf by leaf in leaf order.
+leaf 1's moves shifted by their first labels, so they form one group,
+and each leaf near n is a group of its own.  A group's blocks and cells
+are stamped over its leaves with `map` and `zip`.  A fill, the label an
+emptied cell takes from outside its leaf, reads what leaves share: order
+p's come off the parent's front or node 2's placeholders, and
+superposed's only name anomalies.  So every fill runs leaf by leaf, in
+leaf order.
 
 Every label movement is logged, one block per moved run or runs, in
 columns like the tree's: each block's step, source and target, and all
@@ -50,7 +48,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import add, attrgetter, getitem, itemgetter, mul
+from operator import add, attrgetter, getitem, itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
 from . import families as fam
@@ -445,10 +443,8 @@ def _delete(t: LabelledTree, leaves: list[Leaf], row: tuple[int, ...], take, fil
     new cells; a block that is a slot number `fill` must serve from outside
     the leaf.
 
-    The leaves run in groups.  Those _whole_open counts (leaf 1 alone when
-    it counts none) form up to three: leaves 1..k, the first supernode's;
-    the sibling groups that lie whole among them; and the leaves of the
-    sibling group the bound splits.  Each later leaf is a group of its own.
+    The leaves run in groups: those _whole_open counts form one (leaf 1
+    alone when it counts none), and each later leaf is a group of its own.
     Each pass runs `take` once per group, on its first leaf's cells, and
     stamps the blocks over the group, each leaf's shifted by the difference
     of first labels; at the end the group's cells are stamped the same way.
@@ -456,31 +452,19 @@ def _delete(t: LabelledTree, leaves: list[Leaf], row: tuple[int, ...], take, fil
     whole-open leaf ends at or below n, and for order one below the
     move-in, so it holds its build-time cells, which are leaf 1's shifted.
     `take` sees only how a leaf's labels lie relative to each other, so it
-    makes leaf 1's moves, shifted, with fills at the same slots.
-
-    Fills read the parent and the placeholders, which leaves share, so in
-    most groups they run leaf by leaf in leaf order.  Front fills over whole
-    sibling groups are stamped too: each leaf takes its fills off the front
-    of its regular parent, F a pass, where F is the group's fill count, so
-    in a pass the leaf at sibling position q takes the F labels after the
-    q F its elder siblings take and the k F of each earlier pass.  A
-    regular parent holds more labels than its k leaves' fills over all
-    passes, so none runs out.  A pass stops at the first group that opens
-    past n - b, and logs the groups in leaf order: the log of running the
-    rule on every leaf.
+    makes leaf 1's moves, shifted, with fills at the same slots.  Fills read
+    the parent and the placeholders, which leaves share, so they run leaf
+    by leaf in leaf order.  A pass stops at the first group that opens past
+    n - b, and logs the groups in leaf order: the log of running the rule
+    on every leaf.
     """
-    n, all_cells, k = t.n, t.cells, t.spec.arity
+    n, all_cells = t.n, t.cells
     offsets = _cell_offsets(t.spec)
     ordinals = [ordinal for ordinal, _ in leaves]
     firsts = [all_cells[ordinal - 1][0].start for ordinal in ordinals]
-    whole = max(_whole_open(t, firsts, row), 1)
-    # after leaves 1..k each k leaves are siblings; front fills over whole sibling groups are stamped
-    spare = max(whole - k, 0) % k  # the whole-open leaves of the sibling group the bound splits
-    siblings = slice(min(k, whole), whole - spare) if fill is _fill_front else slice(whole, whole)
-    bounds = sorted({0, siblings.start, siblings.stop, *range(whole, len(leaves) + 1)})
+    bounds = [0, *range(max(_whole_open(t, firsts, row), 1), len(leaves) + 1)]
     groups = list(map(slice, bounds, islice(bounds, 1, None)))
     models = [all_cells[ordinals[group.start] - 1] for group in groups]
-    parents, taken = [], 0  # the sibling groups' parents, read at their first fill, and what each has given up
     runs, sources = [], []
     for i, b in enumerate(row, 1):
         for g, group in enumerate(groups):
@@ -489,33 +473,18 @@ def _delete(t: LabelledTree, leaves: list[Leaf], row: tuple[int, ...], take, fil
                 break
             blocks, models[g] = take(models[g], bisect_right(offsets, n - b - first))
             copies = [_shifted(block, firsts[group], first) for block in blocks]
-            fills = [at for at, block in enumerate(blocks) if type(block) is int]
-            if fills and group != siblings:
-                for (ordinal, parent), copy in zip(leaves[group], zip(*copies)):
-                    for block in copy:
-                        filled = fill(t, ordinal, parent, block, i) if type(block) is int else (block, ordinal)
-                        if isinstance(filled, str):
-                            anomalies.append(filled)
-                        else:
-                            runs.append(filled[0])
-                            sources.append(filled[1])
+            if int not in map(type, blocks):
+                runs += _interleave(copies)
+                sources += _interleave([ordinals[group]] * len(copies))
                 continue
-            origins = [ordinals[group]] * len(copies)
-            if fills:
-                if not parents:
-                    parents = list(map(itemgetter(1), leaves[group]))
-                    tops = [all_cells[parent - 1][0].start for parent in parents]
-                    positions = list(range(k)) * (len(parents) // k)
-                # this pass's fills of the leaf at sibling position q open q F labels into its parent's share
-                starts = list(map(add, tops, map(mul, positions, repeat(len(fills)))))
-                for label, at in enumerate(fills, taken):
-                    copies[at], origins[at] = _shifted(range(label, label + 1), starts, 0), parents
-                taken += k * len(fills)
-            runs += _interleave(copies)
-            sources += _interleave(origins)
-    for parent in parents[::k]:
-        own = all_cells[parent - 1]
-        all_cells[parent - 1] = (own[0][taken:], *own[1:])
+            for (ordinal, parent), copy in zip(leaves[group], zip(*copies)):
+                for block in copy:
+                    filled = fill(t, ordinal, parent, block, i) if type(block) is int else (block, ordinal)
+                    if isinstance(filled, str):
+                        anomalies.append(filled)
+                    else:
+                        runs.append(filled[0])
+                        sources.append(filled[1])
     for group, model in zip(groups, models):
         stamped = zip(*[_shifted(cell, firsts[group], firsts[group.start]) for cell in model])
         for ordinal, cells in zip(ordinals[group], stamped):

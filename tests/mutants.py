@@ -116,13 +116,10 @@ MUTANTS = (
            "        for g, group in reversed(list(enumerate(groups))):\n            first = firsts[group.start]\n"
            "            if first > n - b:\n                continue\n",
            "each pass would log the leaves near n before the stamped ones", (T_PRUNING,)),
-    # front fills stamped over whole sibling groups
-    Mutant("stamped fill's sibling offset off by one", PRUNING,
-           "positions = list(range(k)) *", "positions = list(range(1, k + 1)) *",
-           "each stamped leaf would take the parent labels of the sibling after it", (T_PRUNING,)),
-    Mutant("leaves 1..k stamped from node 2", PRUNING,
-           "siblings = slice(min(k, whole), whole - spare)", "siblings = slice(0, whole - spare)",
-           "the first supernode's leaves would take fills from its emptied cell, not its placeholders",
+    # the one fill rule, which every emptied front cell goes through
+    Mutant("fill takes the parent's last label", PRUNING,
+           "return own[0][:1], parent", "return own[0][-1:], parent",
+           "an emptied cell would log its parent's last label while the parent gives up its first",
            (T_PRUNING,)),
     # lifting, k-ary deletion and the other records' prune bounds
     Mutant("lift to the node after the parent", PRUNING,

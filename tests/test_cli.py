@@ -12,6 +12,7 @@ from hypothesis import example, given, note, settings, strategies as st
 
 from nestrec import cli
 from nestrec import families as fam
+from nestrec import pruning
 from nestrec import recursion
 from nestrec import tree
 
@@ -310,6 +311,7 @@ def test_prune_prints_anomalies(capsys):
     assert code == 1
     assert out == ("removed 9 labels; result has 8\n"
                    "identity FAILS: pruned tree vs rebuilt prefix\n"
+                   "first difference: node 1 (leaf 1): cells [[1, 2], [3, 4, 5]] vs [[1, 2], [3]]\n"
                    "anomaly: n = 17 is at or below the full-shape bound 17\n"
                    "anomaly: cell 2 of leaf 1 was already empty in pass 2\n"
                    "anomaly: cell 2 of leaf 2 was already empty in pass 2\n"
@@ -323,6 +325,28 @@ def test_prune_check_prints_seed(capsys):
     assert code == 0
     assert "seed = 7" in err
     assert out.count("identity ok") == 5
+
+
+def test_prune_mismatch_names_the_first_difference(monkeypatch, capsys):
+    """A broken prune op: both prune and prune --check say where its result first differs from the rebuilt prefix."""
+    real = pruning.prune_kary
+
+    def broken(t, family):
+        report = real(t, family)
+        report.result.cells[-1] = (range(0),)
+        return report
+
+    monkeypatch.setattr(pruning, "prune_kary", broken)
+    code, out, _ = run(["prune", "kary", "k=3", "m=0", "p=1", "--n", "40"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[1:3] == ["identity FAILS: pruned tree vs rebuilt prefix",
+                          "first difference: node 16 (regular 1): cells [[]] vs [[13]]"]
+    code, out, _ = run(["prune", "kary", "k=3", "m=0", "p=1", "--n", "40", "--check", "2", "--seed", "7"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 4 and all("identity MISMATCH" in line for line in lines[::2])
+    assert all(line.startswith("first difference: node ") for line in lines[1::2])
 
 
 def test_prune_check_negative_is_usage_error(capsys):

@@ -293,7 +293,13 @@ def test_orderp_removed_formula():
 
 
 def test_orderp_p1_equals_order2():
-    """The placeholder construction and the label move agree exactly at p=1."""
+    """The placeholder construction and the label move agree exactly at p=1.
+
+    HigherOrder(s, j, m, 1) has OrderOne(s, j, m)'s tree and offsets, and a
+    threshold one higher.  prune_orderp run with the OrderOne record itself
+    starts at OrderOne's threshold, and gives prune_order2's removed count,
+    result and anomalies (none) on s 0..3, j 1..4, m 0..j.
+    """
     for s, j, m in [(0, 1, 0), (1, 3, 1), (0, 2, 1), (1, 2, 2)]:
         f = fam.OrderOne(s, j, m)
         spec = fam.tree_of(f)
@@ -303,6 +309,14 @@ def test_orderp_p1_equals_order2():
             b = pruning.prune_orderp(pruning.build_prefix(spec, n), fam.HigherOrder(s, j, m, 1))
             assert a.removed == b.removed, (s, j, m, n)
             assert pruning.trees_equal(a.result, b.result), (s, j, m, n)
+    for f in [fam.OrderOne(s, j, m) for s in range(4) for j in range(1, 5) for m in range(j + 1)]:
+        spec, lo = fam.tree_of(f), fam.prune_threshold(f)
+        assert fam.prune_threshold(fam.HigherOrder(f.s, f.j, f.m, 1)) == lo + 1
+        for n in range(lo, lo + 10):
+            a = pruning.prune_order2(pruning.build_prefix(spec, n), f)
+            b = pruning.prune_orderp(pruning.build_prefix(spec, n), f)
+            assert (a.removed, a.anomalies) == (b.removed, b.anomalies) == (a.removed, []), (f, n)
+            assert pruning.trees_equal(a.result, b.result), (f, n)
 
 
 def test_superposed_removed_formula():
@@ -756,10 +770,13 @@ def fills_over_all_passes(family):
 def test_regular_parent_outlasts_its_leaves_fills():
     """Where leaves need fills, a regular parent holds at least k F + 1 labels, F a leaf's fills over all passes.
 
-    _delete stamps the fills of whole sibling groups from each parent's first
-    labels with no fallback, so the parent must hold them all.  Checked on
-    the digest's higher_order prune grid and on p 1..4, j 1..4, s 0..3 with
-    every m.  The slack, x - k F, is j + m, so it is least, 1, at m = 0, j = 1.
+    _fill_front serves a leaf of a regular parent from that parent's front,
+    and only node 2 has placeholders to fall back on.  A regular parent's
+    k leaves take at most k F of its labels, so it never runs out, and
+    the "nothing left to delete" anomaly never comes from a regular parent.
+    Checked on the digest's higher_order prune grid and on p 1..4, j 1..4,
+    s 0..3 with every m.  The slack, x - k F, is j + m, so it is least, 1,
+    at m = 0, j = 1.
     """
     grid = [fam.HigherOrder(s, j, m, p) for p in range(1, 5) for j in range(1, 5) for s in range(4)
             for m in range((2 * p - 1) * j + 1)]
