@@ -18,7 +18,6 @@ import json
 import os
 import random
 import sys
-from itertools import accumulate
 from typing import Optional, Sequence
 
 from . import families as fam
@@ -170,20 +169,22 @@ def cmd_verify(args) -> int:
     tspec = fam.tree_of(family)
     if args.n < 1:
         raise UsageError("--n must be at least 1")
-    result = recursion.evaluate(fam.recursion_of(family), fam.standard_ics(family), args.n)
+    rspec, ic = fam.recursion_of(family), fam.standard_ics(family)
+    # C_T is the running sum of the cell-start bytes; the recursion runs on
+    # them and stops at the first n where it dies or leaves C_T
+    starts = tree.cell_starts(tspec, args.n)
+    n = recursion.first_departure(rspec, ic, starts)
+    if n is None:
+        print(f"AGREE for n <= {args.n}: recursion matches cell counts")
+        return 0
+    # a run that dies by --n is reported by its death, before or after the
+    # departure; a live run first differs from C_T at the departure
+    result = recursion.evaluate(rspec, ic, args.n)
     if not result.alive:
         print(f"DIVERGE: recursion dies at n = {result.dead_at} ({result.reason.value})")
         return 1
-    # C_T is the running sum of the cell-start bytes, so the values agree with
-    # it when they are slow and the first value and the steps equal those bytes
-    starts, values = tree.cell_starts(tspec, args.n), result.values
-    violation, steps = recursion.slow_steps(values)
-    if violation is not None or values[0] != starts[0] or steps != starts[1:]:
-        n, a, b = next((n, a, b) for n, (a, b) in enumerate(zip(values, accumulate(starts)), 1) if a != b)
-        print(f"DIVERGE at n = {n}: recursion {a}, tree {b}")
-        return 1
-    print(f"AGREE for n <= {args.n}: recursion matches cell counts")
-    return 0
+    print(f"DIVERGE at n = {n}: recursion {result.values[n - 1]}, tree {sum(starts[:n])}")
+    return 1
 
 
 def verify_sparse(family: fam.Family, args) -> int:

@@ -16,11 +16,11 @@ per term rather than once per summand.  A summand whose (c, a) is already
 in a group starts a further group for c, so the members of a group lie
 d >= 1 apart.
 
-The bottom-up loop is generated and compiled once per (group sizes, p),
-with the offsets passed in as arguments, so each term costs a few
-bytecodes and no inner Python loop.  Every read at a fixed lag, R(n - b)
-and u(n - a) for a member d past its group's first, comes from a list
-iterator that zip advances once per term.  A list iterator reads its list
+The bottom-up loop is generated and compiled once per (group sizes, p)
+and variant, with the offsets passed in as arguments, so each term costs
+a few bytecodes and no inner Python loop.  Every read at a fixed lag,
+R(n - b) and u(n - a) for a member d past its group's first, comes from a
+list iterator that zip advances once per term.  A list iterator reads its list
 when it is advanced, before the term is written, and b >= 1 and d >= 1,
 so each read sees a value an earlier term wrote; only the outer read
 R(n - a - sum of R(n - b)) is a subscript.  Past n = max b every inner
@@ -42,6 +42,14 @@ the value before it stores that value's object again, and a run of equal
 values holds one int.  Values are capped at 2^63 - 1; the loop checks the
 cap where it stores a new value, so a repeated value is not checked again.
 
+first_departure checks the recursion against a tree's cell-start bytes,
+whose running sum is the cell count C_T.  Its initial conditions are
+compared with the head's running sum; past them a follow variant of the
+same compiled loop walks the bytes beside the lagged reads, adds each byte
+to the running count, returns the first n whose sum is not that count and
+stores the count otherwise.  It needs no cap, as C_T(n) <= n, and no
+second pass: where it returns None, R is C_T at every n.
+
 Slowness is read in one place, slow_steps: one pass packs the steps into
 bytes and gives the first term that breaks slowness and the slow prefix's
 steps, from which frequency.from_steps reads phi.
@@ -53,7 +61,7 @@ import enum
 import functools
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, count, islice, repeat
+from itertools import accumulate, compress, count, islice, repeat
 from operator import rshift, sub
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -124,21 +132,10 @@ def evaluate(spec: RecursionSpec, initial: Sequence[int], n_max: int) -> EvalRes
     than silent wraparound.  A run of equal computed values shares one int
     object.
     """
-    if not initial:
-        raise ValueError("at least one initial condition is required")
-    if any(v < 1 for v in initial):
-        raise ValueError("initial conditions must be positive")
+    _check_initial(initial)
     if n_max <= len(initial):
         return EvalResult(tuple(initial[: max(0, n_max)]), None, None)
-    values = [0] * (n_max + 1)  # 1-indexed
-    values[1 : len(initial) + 1] = list(initial)
-    start, stop = len(initial) + 1, n_max + 1
-    if start <= max(max(row) for row in spec.inner_offsets):
-        dead_at = start  # some inner index n - b is still below 1
-    else:
-        groups = _groups(spec)
-        loop = _group_loop(tuple(map(len, groups)), spec.order)
-        dead_at = loop(values, start, stop, *_arguments(spec, groups))
+    values, dead_at = _run(spec, initial, n_max + 1)
     if dead_at:
         try:
             right_side(spec, values.__getitem__, dead_at)
@@ -147,6 +144,50 @@ def evaluate(spec: RecursionSpec, initial: Sequence[int], n_max: int) -> EvalRes
         raise AssertionError(f"R({dead_at}) is defined; the evaluator stopped there in error")
     del values[0]  # in place: a values[1:] copy would cost 8 bytes a term
     return EvalResult(tuple(values))
+
+
+def first_departure(spec: RecursionSpec, initial: Sequence[int], starts: bytes) -> Optional[int]:
+    """The least n <= len(starts) where the recursion dies or leaves the running sum of starts, or None.
+
+    starts holds one byte per n, 1 where the tree opens a cell, so its
+    running sum is C_T.  The initial conditions are compared with the
+    running sum of the head bytes; past them the recursion runs in the
+    follow variant of the evaluation loop, which steps C_T by each byte and
+    returns the first n whose sum is not C_T(n).  Every value it stores is
+    both R(n) and C_T(n), so the first n it returns is where evaluate would
+    die or first differ from C_T.
+    """
+    _check_initial(initial)
+    for n, (value, count) in enumerate(zip(initial, accumulate(starts[: len(initial)])), 1):
+        if value != count:
+            return n
+    if len(starts) <= len(initial):
+        return None
+    return _run(spec, initial, len(starts) + 1, starts)[1] or None
+
+
+def _check_initial(initial: Sequence[int]) -> None:
+    if not initial:
+        raise ValueError("at least one initial condition is required")
+    if any(v < 1 for v in initial):
+        raise ValueError("initial conditions must be positive")
+
+
+def _run(spec: RecursionSpec, initial: Sequence[int], stop: int, *steps: bytes) -> tuple[list[int], int]:
+    """The values list, 1-indexed up to stop - 1 and filled from initial, and the loop's result on it.
+
+    The result is 0, or the first n where the run stopped.  A run that
+    starts at or below max b stops at its first open n, before any loop.
+    Given the step bytes, the follow variant of the loop runs on them.
+    """
+    values = [0] * stop  # 1-indexed
+    values[1 : len(initial) + 1] = list(initial)
+    start = len(initial) + 1
+    if start <= max(max(row) for row in spec.inner_offsets):
+        return values, start  # some inner index n - b is still below 1
+    groups = _groups(spec)
+    loop = _group_loop(tuple(map(len, groups)), spec.order, bool(steps))
+    return values, loop(values, start, stop, *steps, *_arguments(spec, groups))
 
 
 def _groups(spec: RecursionSpec) -> list[list[int]]:
@@ -173,7 +214,7 @@ def _arguments(spec: RecursionSpec, groups: list[list[int]]) -> list[int]:
 
 
 @functools.cache
-def _group_loop(sizes: tuple[int, ...], order: int) -> Callable[..., int]:
+def _group_loop(sizes: tuple[int, ...], order: int, follow: bool) -> Callable[..., int]:
     """The evaluation loop for groups of these sizes and this order, compiled on first use.
 
     loop(v, start, stop, *arguments) fills v[start:stop] and returns 0, or
@@ -200,6 +241,13 @@ def _group_loop(sizes: tuple[int, ...], order: int) -> Callable[..., int]:
     it; last starts at 0, below every value, so the first term is always a
     new value.  A new value past 2^63 - 1 raises OverflowError; a repeated
     one was checked when it was new.
+
+    With follow, loop(v, start, stop, steps, *arguments) holds the run to
+    the running sum of the step bytes instead: zip also hands in
+    steps[n - 1], last starts at v[start - 1] and adds each nonzero byte,
+    and the first n whose sum is not last is returned, as a death is.
+    Every stored value is last, so a run of equal values shares one object.
+    There is no cap check: the bytes add at most 255 a term.
     """
     params, fill, lagged, body, terms = [], [], [], [], []
     for g, size in enumerate(sizes):
@@ -227,20 +275,34 @@ def _group_loop(sizes: tuple[int, ...], order: int) -> Callable[..., int]:
         lagged += [(f"y{g}_{x}", f"at(u{g}, start - d{g}_{x})") for x in range(1, size)]
         body.append(f"        w{g} = u{g}[n] = v[i{g}]")
         terms += [f"w{g}", *(f"y{g}_{x}" for x in range(1, size))]
+    if follow:
+        params.insert(0, "steps")
+        lagged.insert(0, ("step", "at(steps, start - 1)"))
+        store = [
+            "        if step:",
+            "            last += step",
+            f"        if {' + '.join(terms)} != last:",
+            "            return n",
+        ]
+    else:
+        params.append("cap=MAX_VALUE")
+        store = [
+            "        total = " + " + ".join(terms),
+            "        if total != last:",
+            # CPython specializes an int compare only when both sides are below
+            # 2^30, which the cap is not, so the compare with 2^30 - 1 goes first
+            "            if total > 0x3FFFFFFF and total > cap:",
+            '                raise OverflowError(f"R({n}) exceeds 2^63 - 1")',
+            "            last = total",
+        ]
     names, iterators = zip(*lagged)
     lines = [
-        f"def loop(v, start, stop, {', '.join(params)}, cap=MAX_VALUE):",
-        "    end, last = stop, 0",
+        f"def loop(v, start, stop, {', '.join(params)}):",
+        "    end, last = stop, v[start - 1]" if follow else "    end, last = stop, 0",
         *fill,
         f"    for n, {', '.join(names)} in zip(range(start, end), {', '.join(iterators)}):",
         *body,
-        "        total = " + " + ".join(terms),
-        "        if total != last:",
-        # CPython specializes an int compare only when both sides are below
-        # 2^30, which the cap is not, so the compare with 2^30 - 1 goes first
-        "            if total > 0x3FFFFFFF and total > cap:",
-        '                raise OverflowError(f"R({n}) exceeds 2^63 - 1")',
-        "            last = total",
+        *store,
         "        v[n] = last",
         "    return end if end < stop else 0",
     ]

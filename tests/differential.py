@@ -8,7 +8,7 @@ Run it from the repository root of each version and compare the outputs:
 Name sections to print only those, in the order given, such as
 `python tests/differential.py eval explore`; each prints the same lines
 alone as in the whole digest.  It is not named test_*, so pytest does not
-collect it.  Six sections, each line led by its section name:
+collect it.  Seven sections, each line led by its section name:
 
     eval     recursion.evaluate on seeded random specs, shifted-row and free
     record   every record method, and the range-checked module functions,
@@ -27,6 +27,9 @@ collect it.  Six sections, each line led by its section name:
     phi      frequency.closed_form_sequence at vmax 1, j, 1023, 1024 and
              5,000, one hash per tree: k 2..5, s 0..2, j 1..3, three label
              allocations each
+    verify   dense `nestrec verify --n 3000`, exit code and output, on
+             seeded points of the record grids, then on seeded in-range
+             points with one initial condition moved by -1, +1 or +256
 
 A value is printed as its repr, an exception as `!Type: message`, and a
 long sequence or move log as its length and a short hash.
@@ -34,7 +37,9 @@ long sequence or move log as its length and a short hash.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import random
 import sys
 
@@ -48,6 +53,7 @@ PRUNE_WIDTH = 66  # n from threshold - 1 through threshold + PRUNE_WIDTH - 2
 LARGE_N = (10_000, 60_000)
 LARGE_POINTS, LARGE_SIZES = 3, 2  # points per op, n per point
 EXPLORE_N = 300
+VERIFY_N, VERIFY_POINTS, VERIFY_MOVED = 3000, 400, 400
 WALK_N, CHECK_N = 20_000, 100_000
 PHI_LABELS = ((1, 1, 1), (2, 3, 0), (1, 4, 2))  # (per cell, last cell, per regular node)
 
@@ -211,8 +217,42 @@ def phi_lines():
                     yield f"phi {spec} h={digest(sequences)}"
 
 
+def verify_run(name: str, point: dict[str, int]) -> str:
+    argv = ["verify", name, *(f"{key}={value}" for key, value in point.items()), "--n", str(VERIFY_N)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return f"code={code} out={out.getvalue()!r} err={err.getvalue()!r}"
+
+
+def standard_ics(name: str, point: dict[str, int]) -> list[int] | None:
+    """The point's initial conditions when it is in range and has a tree, else None."""
+    family = fam.constructor(name)(**point)
+    try:
+        return fam.standard_ics(family) if family.check().ok else None
+    except (ValueError, fam.NoTreeKnown):
+        return None
+
+
+def verify_lines():
+    rng = random.Random(f"verify:{SEED}")
+    points = [(name, point) for name, grid in record_grids().items() for point in grid]
+    for name, point in rng.sample(points, VERIFY_POINTS):
+        yield f"verify {name} {point} {verify_run(name, point)}"
+    real = fam.standard_ics
+    known = [(name, point, ic) for name, point in points for ic in [standard_ics(name, point)] if ic]
+    try:
+        for name, point, ic in rng.choices(known, k=VERIFY_MOVED):
+            at, by = rng.randrange(len(ic)), rng.choice((-1, 1, 256))
+            moved = [*ic[:at], max(1, ic[at] + by), *ic[at + 1:]]
+            fam.standard_ics = lambda family, moved=moved: moved
+            yield f"verify {name} {point} ic[{at}]{by:+} {verify_run(name, point)}"
+    finally:
+        fam.standard_ics = real
+
+
 SECTIONS = {"eval": lambda: eval_lines(random.Random(SEED)), "record": record_lines, "prune": prune_lines,
-            "explore": explore_lines, "walk": walk_lines, "phi": phi_lines}
+            "explore": explore_lines, "walk": walk_lines, "phi": phi_lines, "verify": verify_lines}
 
 
 def main(names: list[str]) -> None:

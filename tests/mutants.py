@@ -15,11 +15,12 @@ run, hypothesis seeded so a run repeats) and prints
     KILLED    name  by the digest only: how its lines differ
     SURVIVED  name  and why the mutant matters
 
-For a mutant in recursion.py, cli.py or frequency.py the script also runs
-the eval, explore, walk and phi sections of tests/differential.py in the
-mutated copy (about 3 s), for one in tree.py or pruning.py the explore,
-walk and prune sections (about 15 s), and for one in families.py the
-explore and prune sections; it compares them with the clean copy's.  A
+For a mutant in frequency.py the script also runs the eval, explore, walk
+and phi sections of tests/differential.py in the mutated copy (about 3 s),
+for one in recursion.py or cli.py those and the verify section (about
+5 s), for one in tree.py or pruning.py the explore, walk and prune sections
+(about 15 s), and for one in families.py the explore and prune sections;
+it compares them with the clean copy's.  A
 test kill notes whether the digest saw the mutant too; a mutant that the
 tests miss and the digest sees is a digest-only kill, which no test
 covers.
@@ -82,14 +83,23 @@ MUTANTS = (
            "shifts = tuple(sorted(b - a for b in row))", "shifts = tuple(b - a for b in row)",
            "equivalent in values: a summand whose row is a permuted shift row makes a group of its own, "
            "which computes the same inner sum once more per term", (T_RECURSION,), equivalent=True),
-    Mutant("DIVERGE index from 0", CLI,
-           "enumerate(zip(values, accumulate(starts)), 1)", "enumerate(zip(values, accumulate(starts)), 0)",
-           "verify would name the n before the first difference", (T_CLI,)),
-    Mutant("byte step compare lets a non-byte step through", CLI,
-           "violation is not None or values[0] != starts[0] or steps != starts[1:]",
-           "values[0] != starts[0] or not starts[1:].startswith(steps)",
-           "a step of -1 or past 255 ends the slow prefix, which would read as agreement when it matches the tree",
-           (T_CLI,)),
+    # dense verify: the recursion run against the tree's cell-start bytes
+    Mutant("IC compare skips the last IC", RECURSION,
+           "zip(initial, accumulate(starts[: len(initial)]))", "zip(initial[:-1], accumulate(starts[: len(initial)]))",
+           "a last initial condition off the tree would pass unseen until the loop reads it", (T_RECURSION, T_CLI)),
+    Mutant("step bytes read one label late", RECURSION,
+           '("step", "at(steps, start - 1)")', '("step", "at(steps, start)")',
+           "each term would be held to the tree's count one label past it", (T_RECURSION, T_CLI)),
+    Mutant("only a value below the tree departs", RECURSION,
+           "f\"        if {' + '.join(terms)} != last:\",", "f\"        if {' + '.join(terms)} < last:\",",
+           "a recursion value above C_T would be stored as C_T and the run would go on", (T_RECURSION, T_CLI)),
+    Mutant("death reported only at the departure", CLI,
+           "    result = recursion.evaluate(rspec, ic, args.n)\n    if not result.alive:\n",
+           "    result = recursion.evaluate(rspec, ic, args.n)\n    if result.dead_at == n:\n",
+           "verify would name the first difference where a full run dies later, by --n", (T_CLI,)),
+    Mutant("DIVERGE tree count one label short", CLI,
+           "tree {sum(starts[:n])}", "tree {sum(starts[: n - 1])}",
+           "verify would print the tree's count at n - 1 beside the recursion's at n", (T_CLI,)),
     # superposed pruning: tier-1 once missed both
     Mutant("superposed full-shape test strict", PRUNING,
            "    if n <= bound:\n", "    if n < bound:\n",
@@ -216,9 +226,10 @@ MUTANTS = (
 
 
 EVALUATION_SECTIONS = ("eval", "explore", "walk", "phi")
+VERIFY_SECTIONS = (*EVALUATION_SECTIONS, "verify")
 TREE_SECTIONS = ("explore", "walk", "prune")
 RECORD_SECTIONS = ("explore", "prune")
-DIGESTED = {RECURSION: EVALUATION_SECTIONS, CLI: EVALUATION_SECTIONS, FREQUENCY: EVALUATION_SECTIONS,
+DIGESTED = {RECURSION: VERIFY_SECTIONS, CLI: VERIFY_SECTIONS, FREQUENCY: EVALUATION_SECTIONS,
             TREE: TREE_SECTIONS, PRUNING: TREE_SECTIONS, FAMILIES: RECORD_SECTIONS}
 
 

@@ -13,7 +13,6 @@ from hypothesis import example, given, note, settings, strategies as st
 from nestrec import cli
 from nestrec import families as fam
 from nestrec import pruning
-from nestrec import recursion
 from nestrec import tree
 
 
@@ -128,25 +127,31 @@ def test_verify_dense_reports_first_divergence(capsys, monkeypatch):
     assert out == f"DIVERGE at n = 701: recursion {r}, tree {r + 1}\n"
 
 
-@pytest.mark.parametrize("moved", [lambda values: values[699] - 1, lambda values: values[700] + 256],
-                         ids=["-1", "256"])
-def test_verify_dense_reports_a_step_that_is_no_byte(capsys, monkeypatch, moved):
-    """R(701) moved so that the step into it is -1 or past 255, which no cell-start
-    byte can be, gives the same DIVERGE line as any other mismatch."""
-    real = recursion.evaluate
-
-    def shifted(spec, initial, n_max):
-        values = list(real(spec, initial, n_max).values)
-        if n_max > 700:
-            values[700] = moved(values)
-        return recursion.EvalResult(tuple(values))
-
-    monkeypatch.setattr(recursion, "evaluate", shifted)
-    r = shifted(fam.recursion_of(fam.conolly()), fam.standard_ics(fam.conolly()), 800).values[700]
-    t = sum(tree.cell_starts(fam.tree_of(fam.conolly()), 701))
-    code, out, _ = run(["verify", "conolly", "--n", "800"], capsys)
+@pytest.mark.parametrize("at,by", [(4, -1), (1, 256)], ids=["-1", "256"])
+def test_verify_dense_reports_a_step_that_is_no_byte(capsys, monkeypatch, at, by):
+    """An initial condition moved so that the recursion's step into it is -1 or
+    past 255, which no cell-start byte can be, gives the same DIVERGE line as any
+    other mismatch.  Both runs live to --n, so the line names the moved IC."""
+    family = fam.OrderOne(1, 3, 1)
+    ic = fam.standard_ics(family)  # 1 2 3 3 3 4 ...
+    moved = [*ic[:at], ic[at] + by, *ic[at + 1:]]
+    assert moved[at] - moved[at - 1] in (-1, 257)
+    monkeypatch.setattr(fam, "standard_ics", lambda family: moved)
+    code, out, _ = run(["verify", "order_one", "s=1", "j=3", "m=1", "--n", "800"], capsys)
     assert code == 1
-    assert out == f"DIVERGE at n = 701: recursion {r}, tree {t}\n"
+    assert out == f"DIVERGE at n = {at + 1}: recursion {moved[at]}, tree {ic[at]}\n"
+
+
+def test_verify_dense_reports_a_death_past_the_first_difference(capsys, monkeypatch):
+    """With R(9) one low the recursion leaves the tree at 9 and dies at 569: a run
+    that dies by --n is reported by its death, and one that does not by n = 9."""
+    ic = fam.standard_ics(fam.OrderOne(1, 3, 1))
+    moved = [*ic[:8], ic[8] - 1, *ic[9:]]
+    monkeypatch.setattr(fam, "standard_ics", lambda family: moved)
+    code, out, _ = run(["verify", "order_one", "s=1", "j=3", "m=1", "--n", "800"], capsys)
+    assert (code, out) == (1, "DIVERGE: recursion dies at n = 569 (outer_index_nonpositive)\n")
+    code, out, _ = run(["verify", "order_one", "s=1", "j=3", "m=1", "--n", "568"], capsys)
+    assert (code, out) == (1, f"DIVERGE at n = 9: recursion {ic[8] - 1}, tree {ic[8]}\n")
 
 
 def test_verify_dense_reports_death(capsys, monkeypatch):

@@ -377,9 +377,14 @@ def test_overflow_of_a_value_equal_to_the_last_initial_condition():
 
 @pytest.mark.parametrize("family", [fam.OrderOne(1, 3, 1), fam.KaryOrderP(4, 3, 3)], ids=["order_one", "kary"])
 def test_one_int_object_per_value(family):
-    """A slow run repeats each value, and every run of equal values is one object."""
+    """A slow run repeats each value, and every run of equal values is one object,
+    in evaluate's loop and in the follow loop that first_departure runs."""
     values = recursion.evaluate(fam.recursion_of(family), fam.standard_ics(family), 10**5).values
     assert len(set(map(id, values))) == len(set(values))
+    starts = tree.cell_starts(fam.tree_of(family), 10**5)
+    followed, departed = recursion._run(fam.recursion_of(family), fam.standard_ics(family), 10**5 + 1, starts)
+    assert departed == 0 and followed[1:] == list(values)
+    assert len(set(map(id, followed[1:]))) == len(set(values))
 
 
 @pytest.mark.parametrize("spec,initial,groups", [
@@ -395,3 +400,96 @@ def test_repeated_summand_in_a_long_grouped_run(spec, initial, groups):
     result = recursion.evaluate(spec, initial, 3000)
     assert result.alive
     assert (result.values, result.dead_at, result.reason) == reference_evaluate(spec, initial, 3000)
+
+
+# -- first_departure: the recursion run against a tree's cell-start bytes ----------
+
+
+def departure_by_evaluate(spec, initial, starts):
+    """The least n where evaluate's run dies or differs from the running sum of starts, or None."""
+    result = recursion.evaluate(spec, initial, len(starts))
+    differs = (n for n, (value, count) in enumerate(zip(result.values, accumulate(starts)), 1) if value != count)
+    return next(differs, result.dead_at)
+
+
+SOLVED = [fam.conolly(), fam.OrderOne(1, 3, 1), fam.OrderOne(0, 1, 0), fam.HigherOrder(0, 2, 1, 2),
+          fam.Superposed(0, 1, 1, 2), fam.Superposed(1, 2, -1, 2), fam.KaryOrderP(3, 1, 2), fam.KaryOrderP(2, 2, 3)]
+
+
+@st.composite
+def departures(draw):
+    """A spec, initial conditions from a tree with at most one entry moved, and the tree's bytes to n <= 400.
+
+    The spec is either the tree's own, from a solved family, or a random
+    shifted-row or free spec of arity 1-3 and order 1-3; n runs from 0
+    through the initial conditions and past them, and one byte may be set
+    to 0, 1, 2 or 255.
+    """
+    if draw(st.booleans()):
+        family = draw(st.sampled_from(SOLVED))
+        spec, shape, length = fam.recursion_of(family), fam.tree_of(family), family.ic_length()
+    else:
+        arity, order = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        outer = draw(st.lists(st.integers(0, 6), min_size=arity, max_size=arity))
+        if draw(st.booleans()):
+            spec = RecursionSpec.shifted(outer, draw(st.lists(st.integers(1, 6), min_size=order, max_size=order)))
+        else:
+            row = st.lists(st.integers(1, 10), min_size=order, max_size=order).map(tuple)
+            spec = RecursionSpec(arity, order, tuple(outer), tuple(draw(row) for _ in range(arity)))
+        k, j = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+        shape = tree.TreeSpec(k, draw(st.integers(0, 2)), j, 1, draw(st.integers(1, 2)), draw(st.integers(0, j)))
+        length = draw(st.integers(1, 14))
+    initial = tree.initial_conditions(shape, length)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, length - 1))
+        initial[at] += draw(st.sampled_from((-1, 1, 256)))
+        assume(initial[at] >= 1)
+    n = draw(st.integers(0, length) if draw(st.integers(0, 3)) == 3 else st.integers(length + 1, 400))
+    starts = bytearray(tree.cell_starts(shape, n))
+    if n and draw(st.integers(0, 3)) == 3:
+        # any byte counts by its value, though a tree's are 0 or 1
+        starts[draw(st.integers(0, n - 1))] = draw(st.sampled_from((0, 1, 2, 255)))
+    return spec, initial, bytes(starts)
+
+
+@settings(max_examples=400, deadline=None)
+@given(departures())
+def test_first_departure_is_where_evaluate_dies_or_leaves_the_tree(case):
+    try:
+        expected = departure_by_evaluate(*case)
+    except OverflowError:
+        assume(False)
+    assert recursion.first_departure(*case) == expected
+
+
+def test_first_departure_at_or_below_the_initial_conditions():
+    """With --n at or below the IC length only the ICs are compared, and an IC that
+    leaves C_T is the departure, whatever the recursion would do after it."""
+    starts = tree.cell_starts(fam.tree_of(fam.conolly()), 8)  # C_T = 1 2 2 3 4 4 4 5
+    ic = [1, 2, 2, 3, 4]
+    assert recursion.first_departure(CONOLLY, ic, starts) is None
+    assert recursion.first_departure(CONOLLY, ic, starts[:5]) is None
+    assert recursion.first_departure(CONOLLY, ic, b"") is None
+    assert recursion.first_departure(CONOLLY, [1, 2, 3, 3, 4], starts[:2]) is None
+    assert recursion.first_departure(CONOLLY, [1, 2, 3, 3, 4], starts[:3]) == 3
+    assert recursion.first_departure(CONOLLY, [1, 2, 2, 3, 5], starts) == 5
+    assert recursion.first_departure(CONOLLY, [1, 2, 2, 3, 4 + 256], starts) == 5
+    # the ICs agree, and R(6) = R(6 - R(5)) + R(5 - R(4)) = 4 is one below a C_T(6) lifted to 5
+    assert recursion.first_departure(CONOLLY, ic, starts[:5] + b"\1" + starts[6:]) == 6
+    assert recursion.first_departure(CONOLLY, [1, 1], starts) == 2
+    with pytest.raises(ValueError):
+        recursion.first_departure(CONOLLY, [], starts)
+    with pytest.raises(ValueError):
+        recursion.first_departure(CONOLLY, [1, 0], starts)
+
+
+def test_first_departure_dies_where_evaluate_does():
+    """A run that starts at or below max b dies at its first open n.  The second
+    run agrees at R(7) = R(2) + R(2) = 8, then reads u(5) = R(4 - R(2)) = R(0) in
+    its read-ahead window and dies at 8, where the summand with a = 4 needs it."""
+    assert recursion.first_departure(RecursionSpec(2, 1, (0, 1), ((9,), (2,))), [1], b"\1\0\1") == 2
+    spec = RecursionSpec(2, 1, (1, 4), ((3,), (6,)))
+    initial, starts = [1, 4, 4, 4, 6, 7], bytes([1, 3, 0, 0, 2, 1, 1, 0, 1])
+    result = recursion.evaluate(spec, initial, len(starts))
+    assert (result.values, result.dead_at) == ((1, 4, 4, 4, 6, 7, 8), 8)
+    assert recursion.first_departure(spec, initial, starts) == 8
