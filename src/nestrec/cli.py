@@ -386,13 +386,21 @@ def _survival(row: dict, result: recursion.EvalResult) -> tuple[Optional[int], b
 
 
 def _freq_match(spec: tree.TreeSpec, steps: bytes) -> str:
-    """phi of a slow run from 1, read from its steps, against the tree's closed form; "" if none complete."""
-    empirical = freq.from_steps(steps)
-    if empirical.vmax < 1:
+    """phi of a slow run from 1, read from its steps, against the tree's closed form; "" if none complete.
+
+    The run's start bytes up to the last 1, which opens the run that may
+    still grow, hold every complete run; they are compared with the closed
+    form's in one ==, and only a mismatch is read value by value to name v.
+    """
+    starts = b"\1" + steps
+    complete = starts.rfind(1)
+    if complete < 1:
         return ""
+    if starts[: complete + 1] == freq.phi_starts(spec, complete + 1):
+        return "yes"
+    empirical = freq.from_steps(steps)
     closed = freq.closed_form_sequence(spec, empirical.vmax)
-    report = freq.compare(empirical, closed, empirical.vmax)
-    return "yes" if report.agree else f"no(v={report.first_diff})"
+    return f"no(v={freq.compare(empirical, closed, empirical.vmax).first_diff})"
 
 
 def _prune_identity(family: fam.Family, n_max: int) -> str:

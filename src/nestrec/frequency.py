@@ -10,14 +10,18 @@ The closed form is periodic away from its block ends.  Take P = j*k^h.
 For t >= 1 and 0 < r < P, phi(t*P + r) = phi(P + r): off the grid both
 are per_cell, and on it r = j*r' with 0 < r' < k^h, so
 nu_k(t*k^h + r') = nu_k(r') and t*k^h + r' is no power of k (a power
-above k^h would be a multiple of k^h).  So _phi_blocks gives phi(1..P),
-then repeats one list of phi(P + 1..2P - 1) between single closed_form
-calls for the block ends (t + 1)*P, and the streamed check compares each
-block with the gaps of as many first labels in one list ==.
-Both lists are built by list repetition from the ruler nu_k(1..k^h - 1):
-the grid values for q < k^(h+1) are k copies of those for q < k^h, with
-the value of q = t*k^h, t < k, between them, and only t = 1 gives a power
-of k.
+above k^h would be a multiple of k^h).  So phi is phi(1..P), then one
+block phi(P + 1..2P - 1) repeated between single closed_form calls for the
+block ends (t + 1)*P.
+Both blocks come from one recurrence, _phi_period, by repetition of the
+ruler nu_k(1..k^h - 1): the grid values for q < k^(h+1) are k copies of
+those for q < k^h, with the value of q = t*k^h, t < k, between them, and
+only t = 1 gives a power of k.  The recurrence is written once over an
+encoding of one value: as a list [phi(v)] it gives the blocks of
+_phi_blocks, which closed_form_sequence and the streamed check read; as
+the bytes of a run, a 1 and phi(v) - 1 zeros, it gives phi_starts, the
+closed form's run-start bytes, which is tree.cell_starts when the claim
+holds.
 
 A sequence's own phi is read in one place, from_steps, off its steps as
 bytes: recursion.slow_steps packs them for a recursion's values, and the
@@ -26,15 +30,14 @@ tree's are its cell_starts bytes after the first, as C_T is their sum.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from itertools import chain, compress, count, islice, repeat
 from operator import add, ne, sub
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from .tree import TreeSpec, cell_positions, cell_starts
 
-log = logging.getLogger(__name__)
+Encoded = TypeVar("Encoded", list, bytes)
 
 
 def nu(k: int, v: int) -> int:
@@ -90,32 +93,55 @@ class FrequencySequence:
 _MIN_PERIOD = 1024
 
 
-def _phi_blocks(spec: TreeSpec) -> Iterator[list[int]]:
-    """phi(1..P), then phi(P + 1..2P - 1) and phi(2P), that list and phi(3P), and so on.
+def _phi_period(spec: TreeSpec, unit: Callable[[int], Encoded], empty: Encoded) -> tuple[Encoded, Encoded, int]:
+    """phi(1..P), phi(P + 1..2P - 1) and P, each value v written as unit(phi(v)).
 
     P = j*k^h is the smallest such length of at least _MIN_PERIOD.  `pure`
-    holds the grid values last_cell + regular*nu_k(q) for q = 1..k^h - 1 and
-    `first` the same with supernode_labels added at each power of k; each
-    round takes h to h + 1 by repetition (see the module docstring), so
-    neither block makes a Python call per value.
+    holds the grid runs, j - 1 off-grid values then last_cell +
+    regular*nu_k(q), for q = 1..k^h - 1, and `first` the same with
+    supernode_labels added at each power of k; each round takes h to h + 1
+    by repetition (see the module docstring), so neither block makes a
+    Python call per value.
     """
     k, j, s, x = spec.arity, spec.leaf_cells, spec.supernode_labels, spec.regular_labels
-    pure: list[int] = []
-    first: list[int] = []
+    off = unit(spec.per_cell) * (j - 1)
+    pure = first = empty
     g, period = spec.last_cell, j  # g is the grid value at q = k^h
     while period < _MIN_PERIOD:
-        first = first + [g + s] + (pure + [g]) * (k - 2) + pure
-        pure = (pure + [g]) * (k - 1) + pure
+        first = first + off + unit(g + s) + (pure + off + unit(g)) * (k - 2) + pure
+        pure = (pure + off + unit(g)) * (k - 1) + pure
         g += x
         period *= k
-    block = [spec.per_cell] * period
-    block[j - 1::j] = first + [g + s]
-    yield block
-    interior = [spec.per_cell] * (period - 1)
-    interior[j - 1::j] = pure
+    return first + off + unit(g + s), pure + off, period
+
+
+def _phi_blocks(spec: TreeSpec) -> Iterator[list[int]]:
+    """phi(1..P), then phi(P + 1..2P - 1) and phi(2P), that list and phi(3P), and so on."""
+    first, interior, period = _phi_period(spec, lambda f: [f], [])
+    yield first
     for end in count(2 * period, period):
         yield interior
         yield [closed_form(spec, end)]
+
+
+def _run(f: int) -> bytes:
+    """The start bytes of a run of f labels: a 1 where it opens, then f - 1 zeros."""
+    return b"\1" + bytes(f - 1)
+
+
+def phi_starts(spec: TreeSpec, n: int) -> bytes:
+    """The closed form's run-start bytes for labels 1..n: phi(v) as a 1 and phi(v) - 1 zeros, v = 1, 2, ...
+
+    When the frequency claim holds this is cell_starts(spec, n).
+    """
+    first, interior, period = _phi_period(spec, _run, b"")
+    pieces, size = [first], len(first)
+    for end in count(2 * period, period):
+        if size >= n:
+            return b"".join(pieces)[: max(n, 0)]
+        block_end = _run(closed_form(spec, end))
+        pieces += interior, block_end
+        size += len(interior) + len(block_end)
 
 
 def closed_form_sequence(spec: TreeSpec, vmax: int) -> FrequencySequence:
@@ -223,5 +249,8 @@ def linear_combination(terms: Sequence[tuple[int, FrequencySequence]]) -> Freque
     entries = tuple(sum(c * seq.entries[i] for c, seq in terms) for i in range(vmax))
     bad = [v for v, count in enumerate(entries, 1) if count < 1]
     if bad:
-        log.warning("combination is not a slow-sequence frequency: phi(%d) = %d", bad[0], entries[bad[0] - 1])
+        import logging  # imported here, not at module top, where it would cost every command's start-up
+
+        logging.getLogger(__name__).warning(
+            "combination is not a slow-sequence frequency: phi(%d) = %d", bad[0], entries[bad[0] - 1])
     return FrequencySequence(entries)

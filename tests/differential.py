@@ -26,7 +26,8 @@ collect it.  Seven sections, each line led by its section name:
              on a line of its own frequency.empirical_frequency to 20,000
     phi      frequency.closed_form_sequence at vmax 1, j, 1023, 1024 and
              5,000, one hash per tree: k 2..5, s 0..2, j 1..3, three label
-             allocations each
+             allocations each; then on a line of its own
+             frequency.phi_starts at the same label counts
     verify   dense `nestrec verify --n 3000`, exit code and output, on
              seeded points of the record grids, then on seeded in-range
              points with one initial condition moved by -1, +1 or +256
@@ -215,6 +216,8 @@ def phi_lines():
                     sequences = [frequency.closed_form_sequence(spec, vmax).entries
                                  for vmax in (1, j, 1023, 1024, 5000)]
                     yield f"phi {spec} h={digest(sequences)}"
+                    starts = [frequency.phi_starts(spec, n) for n in (1, j, 1023, 1024, 5000)]
+                    yield f"phi {spec} starts h={digest(starts)}"
 
 
 def verify_run(name: str, point: dict[str, int]) -> str:

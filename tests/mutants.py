@@ -195,9 +195,17 @@ MUTANTS = (
            "an interior node would take j runs of labels, shifting every later cell", (T_PRUNING,)),
     # the ruler-built phi blocks
     Mutant("supernode bump in every copy of first", FREQUENCY,
-           "first = first + [g + s] + (pure + [g]) * (k - 2) + pure",
-           "first = first + [g + s] + (first + [g + s]) * (k - 2) + first",
+           "first = first + off + unit(g + s) + (pure + off + unit(g)) * (k - 2) + pure",
+           "first = first + off + unit(g + s) + (first + off + unit(g + s)) * (k - 2) + first",
            "phi would add supernode_labels at q = t*k^h + k^e, not only at the powers of k", (T_FREQUENCY,)),
+    # explore's freq_match: the run-start bytes against phi_starts in one ==
+    Mutant("phi string one byte short", CLI,
+           "starts[: complete + 1] == freq.phi_starts(spec, complete + 1)",
+           "starts[:complete] == freq.phi_starts(spec, complete)",
+           "a last complete run one label shorter than the closed form would read yes", (T_CLI,)),
+    Mutant("block end read as off-grid", FREQUENCY,
+           "_run(closed_form(spec, end))", "_run(spec.per_cell)",
+           "phi_starts would give each block end (t + 1)*P the off-grid per_cell labels", (T_FREQUENCY,)),
     # slowness and phi from one step-byte pass: slow_steps and from_steps
     Mutant("unfinished run counted", FREQUENCY,
            'steps.split(b"\\1")[:-1]', 'steps.split(b"\\1")',

@@ -12,6 +12,7 @@ from hypothesis import example, given, note, settings, strategies as st
 
 from nestrec import cli
 from nestrec import families as fam
+from nestrec import frequency as freq
 from nestrec import pruning
 from nestrec import tree
 
@@ -564,6 +565,73 @@ def test_explore_rows_never_raise(case, n_max, prune_check):
         assert (row["dead_reason"], row["slow"], row["freq_match"]) == ("", "yes", freq_match)
         assert row["survived_to"] == max(n_max, 0)
         assert not prune_check or row["prune_identity"].startswith("yes(")
+
+
+def tuple_freq_match(spec, steps):
+    """_freq_match's value-by-value path, kept as its reference: phi from the steps against the closed form."""
+    empirical = freq.from_steps(steps)
+    if empirical.vmax < 1:
+        return ""
+    closed = freq.closed_form_sequence(spec, empirical.vmax)
+    report = freq.compare(empirical, closed, empirical.vmax)
+    return "yes" if report.agree else f"no(v={report.first_diff})"
+
+
+def flip(steps, at):
+    return steps[:at] + bytes([1 - steps[at]]) + steps[at + 1:]
+
+
+def nth_one(steps, v):
+    """The index of the v-th 1 byte, which ends the run of v."""
+    at = -1
+    for _ in range(v):
+        at = steps.index(1, at + 1)
+    return at
+
+
+RUNNING = tree.TreeSpec(2, 1, 3, 1, 2, 2)
+RUNNING_PERIOD = 3 * 2 ** 9  # P = j*k^h, the first at least 1024
+RUNNING_STEPS = tree.cell_starts(RUNNING, 3 * 10 ** 4)[1:]
+
+
+def one_label_short(steps):
+    """The last complete run closes one label early: its closing 1 moves onto the 0 before it."""
+    last = steps.rindex(1)
+    return steps[:last - 1] + b"\1\0" + steps[last + 1:]
+
+
+FREQ_MATCH_CASES = {
+    "first run": (flip(RUNNING_STEPS, 0), "no(v=1)"),
+    "block end": (flip(RUNNING_STEPS, nth_one(RUNNING_STEPS, RUNNING_PERIOD)), f"no(v={RUNNING_PERIOD})"),
+    "last run one label short": (one_label_short(RUNNING_STEPS[:60]), "no(v=30)"),
+    "zeros after the last 1": (RUNNING_STEPS[:RUNNING_STEPS.rindex(1) + 1] + bytes(40), "yes"),
+    "the tree's own steps": (RUNNING_STEPS, "yes"),
+    "no 1 byte": (bytes(7), ""),
+    "no step": (b"", ""),
+}
+
+
+@pytest.mark.parametrize("where", FREQ_MATCH_CASES)
+def test_freq_match_byte_compare_equals_the_tuple_path(where):
+    steps, want = FREQ_MATCH_CASES[where]
+    assert cli._freq_match(RUNNING, steps) == tuple_freq_match(RUNNING, steps) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 3), st.integers(1, 4), st.integers(1, 3), st.integers(1, 4),
+       st.integers(0, 4), st.integers(0, 6000), st.data())
+def test_freq_match_equals_the_tuple_path_on_perturbed_steps(k, s, j, c, last, x, n, data):
+    """A tree's steps, cut at n and sometimes perturbed, give the same freq_match text both ways."""
+    spec = tree.TreeSpec(k, s, j, c, last, x)
+    steps = tree.cell_starts(spec, n + 1)[1:]
+    change = data.draw(st.sampled_from(["none", "flip", "short", "zeros"]), label="change")
+    if change == "flip" and steps:
+        steps = flip(steps, data.draw(st.integers(0, len(steps) - 1), label="at"))
+    elif change == "short" and b"\0\1" in steps:
+        steps = one_label_short(steps[:steps.rindex(b"\0\1") + 2])
+    elif change == "zeros":
+        steps += bytes(data.draw(st.integers(1, 50), label="zeros"))
+    assert cli._freq_match(spec, steps) == tuple_freq_match(spec, steps)
 
 
 FORMATS = ["table", "csv", "json", "bfile", "xml"]

@@ -89,6 +89,26 @@ def test_phi_blocks_call_closed_form_only_at_block_ends(monkeypatch):
     assert calls == [2 * p, 3 * p]
 
 
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 3), st.integers(1, 4), st.integers(1, 3), st.integers(1, 4),
+       st.integers(0, 4), st.data())
+def test_phi_starts_is_the_run_string_and_the_tree(k, s, j, c, last, x, data):
+    """phi_starts against the closed form's runs joined value by value, and against the tree's cell starts.
+
+    n sits at 0, 1, the first period P and its labels L on either side,
+    and three to five periods out, past the block ends 2P and 3P.
+    """
+    spec = TreeSpec(k, s, j, c, last, x)
+    p = period(spec)
+    labels = sum(freq.closed_form(spec, v) for v in range(1, p + 1))
+    n = data.draw(st.sampled_from([0, 1, p - 1, p, p + 1, labels - 1, labels, labels + 1])
+                  | st.integers(3 * labels, 5 * labels), label="n")
+    starts = freq.phi_starts(spec, n)
+    runs = b"".join(b"\1" + bytes(f - 1) for f in freq.closed_form_sequence(spec, n).entries)
+    assert starts == runs[:n]
+    assert starts == tree.cell_starts(spec, n)
+
 @pytest.mark.parametrize("spec", [RUNNING, TreeSpec(5, 2, 1, 3, 1, 2), TreeSpec(3, 0, 4, 2, 5, 1),
                                   TreeSpec(2, 1, 1500, 1, 2, 3)])
 def test_closed_form_sequence_at_block_edges(spec):
