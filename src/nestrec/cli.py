@@ -188,7 +188,7 @@ def cmd_verify(args) -> int:
 
 
 def verify_sparse(family: fam.Family, args) -> int:
-    """The recursion identity on closed-form counts at seeded n past the ICs, up to --n."""
+    """The recursion identity on single-point tree counts at seeded n past the ICs, up to --n."""
     tspec = fam.tree_of(family)
     ic_length = family.ic_length()
     if args.sparse < 0:

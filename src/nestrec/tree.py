@@ -8,28 +8,30 @@ regular node x labels, and each leaf is split into j cells taking c labels
 apiece except the last cell, which takes l.  The cell counting function
 C_T(n) is the number of cells whose first label is among 1..n.
 
-C_T is computed two independent ways.  The template walk writes the labels
-as bytes, 1 where a cell opens and 0 elsewhere.  A full regular subtree of
-height h is the bytes of its root followed by k copies of the subtree of
-height h - 1, so each subtree is built once from the one below it and the
-labels 1..n come out of C-level bytes calls.  cell_starts joins those bytes
-up to n, and C_T(1..n) is their running sum; cell_count_sequence writes
-it as each cell's number repeated over its labels, with no Python step per
-label.
-cell_positions picks the first labels out of the same bytes at C level;
-C_T and the frequency gaps read only those.  The closed form (first_label,
-and cell_count on top of it) sums the frequency formula to get the first
-label of any cell in O(log n) and finds C_T(n) by binary search in
-O(log^2 n), so single-point counts stay cheap at n = 10^18.  node_stream
-gives pruning the nodes in column blocks copied from subtree templates.
-The tests check each against the others, node_stream against a node walk.
+C_T is computed two ways from the tree's shape.  The template walk writes
+the labels as bytes, 1 where a cell opens and 0 elsewhere.  A full regular
+subtree of height h is the bytes of its root followed by k copies of the
+subtree of height h - 1, so each subtree is built once from the one below it
+and the labels 1..n come out of C-level bytes calls.  cell_starts joins those
+bytes up to n, and C_T(1..n) is their running sum; cell_count_sequence
+writes it as each cell's number repeated over its labels, with no Python
+step per label.  cell_positions picks the first labels out of the same bytes
+at C level; C_T and the frequency gaps read only those.  The descent,
+cell_count, reads C_T at one n in O(log n): it climbs the spine to the
+subtree that holds label n and goes down it one level per divmod, so
+single-point counts stay cheap at n = 10^18.  The frequency formula checks
+both from outside: summed, it gives the first label of every cell, and the
+tests hold the walk and the descent to it and to each other.  node_stream
+gives pruning the nodes in column blocks copied from subtree templates; the
+tests check it against a node walk.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, compress, count, islice, repeat, tee
+from itertools import accumulate, chain, compress, count, islice, repeat, tee
 from operator import add, mul, sub
 from typing import Iterator
 
@@ -158,56 +160,39 @@ def cell_positions(spec: TreeSpec, n_max: int) -> Iterator[int]:
     return compress(count(1), cell_starts(spec, n_max))
 
 
-def first_label(spec: TreeSpec, v: int) -> int:
-    """First label of cell v: 1 + phi(1) + ... + phi(v - 1), in closed form.
-
-    With V = v - 1 and Q = V // j, the cells before cell v hold
-    (V - Q) * per_cell + Q * last_cell labels.  Between them sit
-    nu_k(1) + ... + nu_k(Q) regular nodes, which Legendre's formula sums to
-    (Q - s_k(Q)) / (k - 1) with s_k the base-k digit sum, and one supernode
-    per power of k up to Q, that is one per base-k digit of Q.
-    """
-    if v < 1:
-        raise ValueError("cells are numbered from 1")
-    k = spec.arity
-    before = v - 1
-    q = before // spec.leaf_cells
-    digit_sum = digits = 0
-    rest = q
-    while rest:
-        digit_sum += rest % k
-        rest //= k
-        digits += 1
-    return (
-        1
-        + (before - q) * spec.per_cell
-        + q * spec.last_cell
-        + spec.regular_labels * ((q - digit_sum) // (k - 1))
-        + spec.supernode_labels * digits
-    )
-
-
 def cell_count(spec: TreeSpec, n: int) -> int:
-    """Number of nonempty cells among the first n labels.
+    """Number of nonempty cells among the first n labels, by one descent of the tree's shape: O(log n).
 
-    Binary search for the last cell whose first_label is at most n: O(log^2 n)
-    from the closed form, with no tree walk.  cell_count_sequence walks the
-    tree and is the oracle the tests hold this against.
+    A regular subtree of height h holds T(h) = x + k*T(h - 1) labels and
+    j*k^h cells, with T(0) a leaf's labels.  Past leaf 1 the descent skips
+    supernodes and whole subtrees up the spine until n falls inside one,
+    then the root and whole children one level down per divmod, and counts
+    the cell openings of the leaf that holds label n.
     """
     if n < 0:
         raise ValueError("n cannot be negative")
-    if n == 0:
-        return 0
-    # cell 1 starts at label 1, and every cell holds a label, so cell n + 1
-    # starts past n
-    lo, hi = 1, n
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if first_label(spec, mid) <= n:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    k, s, x = spec.arity, spec.supernode_labels, spec.regular_labels
+    sizes = spec.cell_sizes()
+    levels = [(sum(sizes), spec.leaf_cells)]  # (labels, cells) of a regular subtree, by height
+    rest, cells = n, 0
+    if n >= levels[0][0]:  # past leaf 1
+        rest, cells = n - levels[0][0], levels[0][1]
+        while True:  # supernode i, then k - 1 subtrees of height i - 1
+            labels, held = levels[-1]
+            if rest <= s:
+                return cells
+            whole, part = divmod(rest - s, labels)
+            if whole < k - 1:
+                rest, cells = part, cells + whole * held
+                break
+            rest, cells = rest - s - (k - 1) * labels, cells + (k - 1) * held
+            levels.append((x + k * labels, k * held))
+    for labels, held in reversed(levels[:-1]):
+        if rest <= x:
+            return cells
+        whole, rest = divmod(rest - x, labels)
+        cells += whole * held
+    return cells + bisect_right(list(accumulate(sizes[:-1], initial=1)), rest)
 
 
 def cell_count_sequence(spec: TreeSpec, n_max: int) -> list[int]:
@@ -228,11 +213,15 @@ def initial_conditions(spec: TreeSpec, count: int) -> list[int]:
 
 
 def cell_count_split(spec: TreeSpec, n: int) -> tuple[int, ...]:
-    """Nonempty cells among labels 1..n, grouped by leaf child position."""
-    counts = [0] * spec.arity
-    for cell in range(sum(cell_starts(spec, n))):
-        counts[cell // spec.leaf_cells % spec.arity] += 1
-    return tuple(counts)
+    """Nonempty cells among labels 1..n, grouped by leaf child position.
+
+    Cell c, counted from 0, sits in leaf c // j at child position c // j % k,
+    so each run of j*k cells gives every position j, and the last, partial
+    run fills the positions in order.
+    """
+    j, k = spec.leaf_cells, spec.arity
+    q, r = divmod(cell_count(spec, n), j * k)
+    return tuple(q * j + min(max(r - i * j, 0), j) for i in range(k))
 
 
 _SHAPES = ("an integer", "an array of integers", "an array of arrays of integers")

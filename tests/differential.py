@@ -8,7 +8,7 @@ Run it from the repository root of each version and compare the outputs:
 Name sections to print only those, in the order given, such as
 `python tests/differential.py eval explore`; each prints the same lines
 alone as in the whole digest.  It is not named test_*, so pytest does not
-collect it.  Seven sections, each line led by its section name:
+collect it.  Eight sections, each line led by its section name:
 
     eval     recursion.evaluate on seeded random specs, shifted-row and free
     record   every record method, and the range-checked module functions,
@@ -31,6 +31,10 @@ collect it.  Seven sections, each line led by its section name:
     verify   dense `nestrec verify --n 3000`, exit code and output, on
              seeded points of the record grids, then on seeded in-range
              points with one initial condition moved by -1, +1 or +256
+    count    tree.cell_count and tree.cell_count_split on the phi grid of
+             trees at n = 0, 1, one below, at and one above the first
+             labels of cells P + 1 and 2P + 1, where P = j*k^h >= 1024 is
+             the phi stream's period, and at seeded n up to 10^18
 
 A value is printed as its repr, an exception as `!Type: message`, and a
 long sequence or move log as its length and a short hash.
@@ -57,6 +61,8 @@ EXPLORE_N = 300
 VERIFY_N, VERIFY_POINTS, VERIFY_MOVED = 3000, 400, 400
 WALK_N, CHECK_N = 20_000, 100_000
 PHI_LABELS = ((1, 1, 1), (2, 3, 0), (1, 4, 2))  # (per cell, last cell, per regular node)
+PERIOD_MIN = 1024  # the smallest period j*k^h of frequency's phi stream
+COUNT_HUGE, COUNT_SAMPLES = 10**18, 4
 
 
 def digest(value: object) -> str:
@@ -207,17 +213,32 @@ def walk_lines():
         yield f"walk {spec} empirical vmax={len(phi)} h={digest(phi)}"
 
 
+def phi_specs() -> list[tree.TreeSpec]:
+    return [tree.TreeSpec(k, s, j, c, last, x) for k in range(2, 6) for s in range(3) for j in range(1, 4)
+            for c, last, x in PHI_LABELS]
+
+
 def phi_lines():
-    for k in range(2, 6):
-        for s in range(3):
-            for j in range(1, 4):
-                for c, last, x in PHI_LABELS:
-                    spec = tree.TreeSpec(k, s, j, c, last, x)
-                    sequences = [frequency.closed_form_sequence(spec, vmax).entries
-                                 for vmax in (1, j, 1023, 1024, 5000)]
-                    yield f"phi {spec} h={digest(sequences)}"
-                    starts = [frequency.phi_starts(spec, n) for n in (1, j, 1023, 1024, 5000)]
-                    yield f"phi {spec} starts h={digest(starts)}"
+    for spec in phi_specs():
+        j = spec.leaf_cells
+        sequences = [frequency.closed_form_sequence(spec, vmax).entries for vmax in (1, j, 1023, 1024, 5000)]
+        yield f"phi {spec} h={digest(sequences)}"
+        starts = [frequency.phi_starts(spec, n) for n in (1, j, 1023, 1024, 5000)]
+        yield f"phi {spec} starts h={digest(starts)}"
+
+
+def count_lines():
+    rng = random.Random(f"count:{SEED}")
+    for spec in phi_specs():
+        period = spec.leaf_cells
+        while period < PERIOD_MIN:
+            period *= spec.arity
+        phi = frequency.closed_form_sequence(spec, 2 * period).entries
+        ends = (1 + sum(phi[:period]), 1 + sum(phi))  # the first labels of cells P + 1 and 2P + 1
+        samples = (rng.randint(0, COUNT_HUGE) for _ in range(COUNT_SAMPLES))
+        for n in (0, 1, *(end + d for end in ends for d in (-1, 0, 1)), *samples):
+            yield (f"count {spec} n={n} {outcome(lambda: tree.cell_count(spec, n))} "
+                   f"{outcome(lambda: tree.cell_count_split(spec, n))}")
 
 
 def verify_run(name: str, point: dict[str, int]) -> str:
@@ -255,7 +276,8 @@ def verify_lines():
 
 
 SECTIONS = {"eval": lambda: eval_lines(random.Random(SEED)), "record": record_lines, "prune": prune_lines,
-            "explore": explore_lines, "walk": walk_lines, "phi": phi_lines, "verify": verify_lines}
+            "explore": explore_lines, "walk": walk_lines, "phi": phi_lines, "verify": verify_lines,
+            "count": count_lines}
 
 
 def main(names: list[str]) -> None:

@@ -18,12 +18,11 @@ run, hypothesis seeded so a run repeats) and prints
 For a mutant in frequency.py the script also runs the eval, explore, walk
 and phi sections of tests/differential.py in the mutated copy (about 3 s),
 for one in recursion.py or cli.py those and the verify section (about
-5 s), for one in tree.py or pruning.py the explore, walk and prune sections
-(about 15 s), and for one in families.py the explore and prune sections;
-it compares them with the clean copy's.  A
-test kill notes whether the digest saw the mutant too; a mutant that the
-tests miss and the digest sees is a digest-only kill, which no test
-covers.
+5 s), for one in tree.py or pruning.py the explore, walk, prune and count
+sections (about 15 s), and for one in families.py the explore and prune
+sections; it compares them with the clean copy's.  A test kill notes
+whether the digest saw the mutant too; a mutant that the tests miss and
+the digest sees is a digest-only kill, which no test covers.
 
 A mutant whose old text no longer occurs exactly once is reported as
 STALE: the code it names has changed, so update or drop it.  A mutant
@@ -173,9 +172,18 @@ MUTANTS = (
     Mutant("last cell's run one short", TREE,
            "(n_max + 1,)", "(n_max,)",
            "C_T(1..n_max) would miss its last label", (T_TREE,)),
-    Mutant("split by cell, not leaf", TREE,
-           "cell // spec.leaf_cells % spec.arity", "cell % spec.arity",
-           "cells would be grouped by their ordinal, not their leaf's child position", (T_TREE,)),
+    # the descent and the closed split on top of it
+    Mutant("split reversed", TREE,
+           "r - i * j", "r - (k - 1 - i) * j",
+           "the last, partial run of cells would fill the child positions from the right; "
+           "the split would still sum to C_T(n)", (T_TREE,)),
+    Mutant("leaf cell opening at n missed", TREE,
+           "bisect_right(list(accumulate(", "bisect_left(list(accumulate(",
+           "a cell whose first label is n would not be counted at n", (T_TREE,)),
+    Mutant("climb keeps k subtrees", TREE,
+           "if whole < k - 1:", "if whole < k:",
+           "labels past the k - 1 subtrees of a supernode would be read as a k-th subtree, "
+           "not the next supernode's", (T_TREE,)),
     # node_stream's column blocks and build_prefix's block walk
     Mutant("template copy's leaf shift off by one", TREE,
            "map(mul, mask, repeat(leaves))", "map(mul, mask, repeat(leaves + 1))",
@@ -235,7 +243,7 @@ MUTANTS = (
 
 EVALUATION_SECTIONS = ("eval", "explore", "walk", "phi")
 VERIFY_SECTIONS = (*EVALUATION_SECTIONS, "verify")
-TREE_SECTIONS = ("explore", "walk", "prune")
+TREE_SECTIONS = ("explore", "walk", "prune", "count")
 RECORD_SECTIONS = ("explore", "prune")
 DIGESTED = {RECURSION: VERIFY_SECTIONS, CLI: VERIFY_SECTIONS, FREQUENCY: EVALUATION_SECTIONS,
             TREE: TREE_SECTIONS, PRUNING: TREE_SECTIONS, FAMILIES: RECORD_SECTIONS}

@@ -1,4 +1,4 @@
-"""Node-by-node and leaf-by-leaf reference walks: the oracles for tree.node_stream's blocks and pruning's deletion.
+"""Reference walks and closed forms: the oracles for tree.node_stream's blocks, pruning's deletion and tree's counts.
 
 It is not named test_*, so pytest does not collect it; the test files import it.
 """
@@ -11,7 +11,7 @@ from typing import Iterator
 
 from nestrec import tree
 from nestrec.pruning import LabelledTree
-from nestrec.tree import LEAF, REGULAR, SUPERNODE
+from nestrec.tree import LEAF, REGULAR, SUPERNODE, TreeSpec
 
 
 def reference_node_stream(k: int) -> Iterator[tuple[str, int]]:
@@ -48,6 +48,61 @@ def reference_node_stream(k: int) -> Iterator[tuple[str, int]]:
 def flat_node_stream(k: int) -> Iterator[tuple[str, int]]:
     """tree.node_stream's column blocks read as (kind, index) pairs."""
     return chain.from_iterable(zip(*block) for block in tree.node_stream(k))
+
+
+def first_label(spec: TreeSpec, v: int) -> int:
+    """First label of cell v: 1 + phi(1) + ... + phi(v - 1), in closed form.
+
+    With V = v - 1 and Q = V // j, the cells before cell v hold
+    (V - Q) * per_cell + Q * last_cell labels.  Between them sit
+    nu_k(1) + ... + nu_k(Q) regular nodes, which Legendre's formula sums to
+    (Q - s_k(Q)) / (k - 1) with s_k the base-k digit sum, and one supernode
+    per power of k up to Q, that is one per base-k digit of Q.
+    """
+    if v < 1:
+        raise ValueError("cells are numbered from 1")
+    k = spec.arity
+    before = v - 1
+    q = before // spec.leaf_cells
+    digit_sum = digits = 0
+    rest = q
+    while rest:
+        digit_sum += rest % k
+        rest //= k
+        digits += 1
+    return (
+        1
+        + (before - q) * spec.per_cell
+        + q * spec.last_cell
+        + spec.regular_labels * ((q - digit_sum) // (k - 1))
+        + spec.supernode_labels * digits
+    )
+
+
+def searched_count(spec: TreeSpec, n: int) -> int:
+    """C_T(n) by binary search for the last cell whose first_label is at most n: O(log^2 n), no tree read."""
+    if n < 0:
+        raise ValueError("n cannot be negative")
+    if n == 0:
+        return 0
+    # cell 1 starts at label 1, and every cell holds a label, so cell n + 1
+    # starts past n
+    lo, hi = 1, n
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if first_label(spec, mid) <= n:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def walking_split(spec: TreeSpec, n: int) -> tuple[int, ...]:
+    """Nonempty cells among labels 1..n grouped by leaf child position, one Python step per cell."""
+    counts = [0] * spec.arity
+    for cell in range(sum(tree.cell_starts(spec, n))):
+        counts[cell // spec.leaf_cells % spec.arity] += 1
+    return tuple(counts)
 
 
 def reference_delete(t: LabelledTree, leaves: list[tuple[int, int]], row: tuple[int, ...], side: str, log,

@@ -23,7 +23,8 @@ PACKAGE = ROOT / "src" / "nestrec"
 MODULES = ("tree", "recursion", "families", "frequency", "pruning", "cli")
 
 ALLOWED = {
-    "tree.cell_count_split": "the tree lemma C(n) = sum of the per-child counts; test_split_shift_identity is its only check",
+    "tree.cell_count_split": "the tree lemma, summand by summand: test_summand_counts_leaves_at_its_child_position holds "
+                             "each per-child count to its summand of the recursion",
     "pruning.left_leaf_correspondence": "the leaf-cell bijection a prune must keep: the acceptance suite's second check of each prune",
 }
 

@@ -183,7 +183,7 @@ def test_verify_sparse_at_huge_n(capsys):
 
 def test_verify_c_sjk_grid(capsys):
     """c_sjk's tree TreeSpec(k, s, j, 1, 1, j) gives its recursion's values to n = 2000
-    from its own ICs, and its closed-form counts satisfy the recursion at seeded n
+    from its own ICs, and its single-point counts satisfy the recursion at seeded n
     up to 10^18, over k 2..5, s 0..4 and j 1..4."""
     for k in range(2, 6):
         for s in range(5):

@@ -9,6 +9,7 @@ from nestrec import families as fam
 from nestrec import frequency as freq
 from nestrec import recursion, tree
 from nestrec.tree import TreeSpec
+from node_oracle import first_label
 
 
 RUNNING = TreeSpec(2, 1, 3, 1, 2, 2)
@@ -160,7 +161,7 @@ def per_cell_frequency(spec, n_max):
 @pytest.mark.parametrize("spec", [RUNNING, fam.tree_of(fam.KaryOrderP(4, 2, 3)), TreeSpec(4, 2, 2, 1, 3, 1)])
 def test_empirical_frequency_matches_per_cell_gaps(spec):
     # one label into leaf 3's last cell, which holds last_cell >= 2 labels
-    inside_last_cell = tree.first_label(spec, 3 * spec.leaf_cells)
+    inside_last_cell = first_label(spec, 3 * spec.leaf_cells)
     assert spec.last_cell >= 2
     for n_max in (0, 1, 2, inside_last_cell, 20000):
         assert freq.empirical_frequency(spec, n_max).entries == per_cell_frequency(spec, n_max)

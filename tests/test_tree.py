@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from nestrec import families as fam
 from nestrec import frequency, recursion, tree
 from nestrec.tree import LEAF, REGULAR, SUPERNODE, TreeSpec
-from node_oracle import flat_node_stream, reference_node_stream
+from node_oracle import first_label, flat_node_stream, reference_node_stream, searched_count, walking_split
 
 
 RUNNING = TreeSpec(2, 1, 3, 1, 2, 2)
@@ -158,7 +158,7 @@ def test_count_sequence_matches_pointwise():
 @example(3, 0, 1, 1, 1, 0, -1)
 @example(2, 1, 3, 1, 2, 2, 0)
 def test_cell_starts_sum_to_closed_form(k, s, j, c, last, x, n):
-    """One byte per label, whose running sum is the closed-form count; nothing for n <= 0."""
+    """One byte per label, whose running sum is the descent's count; nothing for n <= 0."""
     spec = TreeSpec(k, s, j, c, last, x)
     starts = tree.cell_starts(spec, n)
     assert len(starts) == max(n, 0)
@@ -214,7 +214,7 @@ def test_cell_positions_match_node_stream(k, s, j, c, last, x, n):
     st.integers(1, 800),
 )
 def test_count_is_slow(k, s, j, c, last, x, n):
-    """Cell counts climb by 0 or 1 per label, and the closed form matches the walk."""
+    """Cell counts climb by 0 or 1 per label, and the descent matches the walk."""
     spec = TreeSpec(k, s, j, c, last, x)
     seq = tree.cell_count_sequence(spec, n)
     assert len(seq) == n
@@ -238,7 +238,7 @@ def test_closed_form_count_at_huge_n():
     for spec in (RUNNING, TreeSpec(3, 2, 2, 1, 3, 1), TreeSpec(4, 0, 1, 2, 1, 0)):
         for _ in range(40):
             v = rng.randint(2, 10**17)
-            first = tree.first_label(spec, v)
+            first = first_label(spec, v)
             assert tree.cell_count(spec, first) == v, (HUGE_SEED, spec, v)
             assert tree.cell_count(spec, first - 1) == v - 1, (HUGE_SEED, spec, v)
             n = rng.randint(1, HUGE)
@@ -256,6 +256,34 @@ def test_closed_form_count_at_huge_n():
             assert count(n) == recursion.right_side(rspec, count, n), (HUGE_SEED, family, n)
 
 
+# k, s, j, per cell, last cell, per regular node: 324 trees
+DESCENT_SPECS = [TreeSpec(k, s, j, c, last, x) for k in (2, 3, 5) for s in (0, 1, 3) for j in (1, 2, 3)
+                 for c in (1, 2) for last in (1, 3) for x in (0, 1, 4)]
+DESCENT_SEED, DESCENT_N = 2026, 500
+
+
+def test_descent_matches_walk_and_legendre_count():
+    """The descent against the byte walk at every n <= DESCENT_N, and the Legendre count at seeded n <= 10^18."""
+    print(f"seed = {DESCENT_SEED}")
+    rng = random.Random(DESCENT_SEED)
+    for spec in DESCENT_SPECS:
+        walk = [0, *tree.cell_count_sequence(spec, DESCENT_N)]
+        assert [tree.cell_count(spec, n) for n in range(DESCENT_N + 1)] == walk, spec
+        for n in (rng.randint(DESCENT_N, HUGE) for _ in range(5)):
+            assert tree.cell_count(spec, n) == searched_count(spec, n), (DESCENT_SEED, spec, n)
+    with pytest.raises(ValueError):
+        tree.cell_count(RUNNING, -1)
+
+
+def test_split_matches_walking_split():
+    """The closed split against the walk that files each cell under its leaf's child position."""
+    for spec in DESCENT_SPECS[::3]:
+        for n in range(0, 300, 3):
+            assert tree.cell_count_split(spec, n) == walking_split(spec, n), (spec, n)
+    with pytest.raises(ValueError):
+        tree.cell_count_split(RUNNING, -1)
+
+
 def test_split_counts_sum():
     for n in (1, 7, 16, 31, 64, 200, 999):
         split = tree.cell_count_split(RUNNING, n)
@@ -269,6 +297,41 @@ def test_split_shift_identity():
         left, right = tree.cell_count_split(spec, n)
         shifted, _ = tree.cell_count_split(spec, n - 4)
         assert right == shifted
+
+
+def lemma_points() -> list[fam.Family]:
+    """The in-range catalog points of five records: 223 of them."""
+    points = [fam.OrderOne(s, j, m) for s in range(3) for j in range(1, 4) for m in range(4)]
+    points += [record(s, j, m, p) for record in (fam.HigherOrder, fam.Superposed)
+               for s in range(3) for j in range(1, 4) for m in range(4) for p in (2, 3)]
+    points += [fam.KaryOrderP(k, m, p) for k in range(2, 6) for m in range(4) for p in range(1, 4)]
+    points += [fam.CSJK(s, j, k) for k in range(2, 6) for s in range(3) for j in range(1, 4)]
+    return [point for point in points if point.check().ok]
+
+
+LEMMA_SEED = 29
+
+
+def test_summand_counts_leaves_at_its_child_position():
+    """Summand i of the recursion counts the cells of the leaves at child position i.
+
+    Each record lists its outer offsets a_i strictly increasing, and summand i
+    in that order is child position i: split_i(n) = C_T(n - a_i - sum_t
+    C_T(n - b_it)), just past the initial conditions and at seeded n <= 10^18.
+    """
+    print(f"seed = {LEMMA_SEED}")
+    rng = random.Random(LEMMA_SEED)
+    points = lemma_points()
+    assert len(points) == 223
+    for family in points:
+        spec, rspec = fam.tree_of(family), fam.recursion_of(family)
+        outer = rspec.outer_offsets
+        assert list(outer) == sorted(set(outer)), family
+        start = family.ic_length() + 1
+        for n in [*range(start, start + 40), *(rng.randint(start, HUGE) for _ in range(4))]:
+            summands = tuple(tree.cell_count(spec, n - a - sum(tree.cell_count(spec, n - b) for b in row))
+                             for a, row in zip(outer, rspec.inner_offsets))
+            assert tree.cell_count_split(spec, n) == summands, (LEMMA_SEED, family, n)
 
 
 def test_document_round_trip():
