@@ -504,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_source_args(sub)
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--sparse", type=int, default=0,
-                     help="check the recursion at this many seeded n <= N, closed-form counts only")
+                     help="check the recursion at this many seeded n <= N on single-point tree counts")
     sub.add_argument("--seed", type=int)
     sub.set_defaults(func=cmd_verify)
 

@@ -44,11 +44,16 @@ cap where it stores a new value, so a repeated value is not checked again.
 
 first_departure checks the recursion against a tree's cell-start bytes,
 whose running sum is the cell count C_T.  Its initial conditions are
-compared with the head's running sum; past them a follow variant of the
-same compiled loop walks the bytes beside the lagged reads, adds each byte
-to the running count, returns the first n whose sum is not that count and
-stores the count otherwise.  It needs no cap, as C_T(n) <= n, and no
-second pass: where it returns None, R is C_T at every n.
+compared with the running sum of the first bytes; past them a follow
+variant of the same compiled loop walks the bytes beside the lagged reads,
+adds each byte to the running count, returns the first n whose sum is not
+that count and stores the count otherwise.  It needs no cap, as C_T(n) <=
+n, and no second pass: where it returns None, R is C_T at every n.  Every
+value the loop reads is a C_T(m) that the bytes fix before the run, so a
+run of SPLIT_MIN_TERMS terms or more, with two CPUs usable and one thread,
+is cut in two: a forked child fills the values below the cut from the
+bytes and checks the tail while this process checks the head, and the
+head's n, else the child's, is the n one run would return.
 
 Slowness is read in one place, slow_steps: one pass packs the steps into
 bytes and gives the first term that breaks slowness and the slow prefix's
@@ -59,6 +64,9 @@ from __future__ import annotations
 
 import enum
 import functools
+import os
+import signal
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, compress, count, islice, repeat
@@ -68,6 +76,10 @@ from typing import Callable, Iterator, Optional, Sequence
 from .tree import document_fields
 
 MAX_VALUE = 2**63 - 1
+# A follow run of this many terms or more, with two CPUs usable and no other
+# thread, checks its tail in a forked child (_split_follow); a shorter one, a
+# few tens of milliseconds at most, is left whole rather than pay for a fork.
+SPLIT_MIN_TERMS = 2**17
 
 
 @dataclass(frozen=True)
@@ -155,7 +167,9 @@ def first_departure(spec: RecursionSpec, initial: Sequence[int], starts: bytes) 
     follow variant of the evaluation loop, which steps C_T by each byte and
     returns the first n whose sum is not C_T(n).  Every value it stores is
     both R(n) and C_T(n), so the first n it returns is where evaluate would
-    die or first differ from C_T.
+    die or first differ from C_T.  A loop of SPLIT_MIN_TERMS terms or more
+    runs its last 3/8 at the same time in a forked child when two CPUs are
+    usable and no other thread runs (_split_follow), with the same result.
     """
     _check_initial(initial)
     for n, (value, count) in enumerate(zip(initial, accumulate(starts[: len(initial)])), 1):
@@ -178,7 +192,11 @@ def _run(spec: RecursionSpec, initial: Sequence[int], stop: int, *steps: bytes) 
 
     The result is 0, or the first n where the run stopped.  A run that
     starts at or below max b stops at its first open n, before any loop.
-    Given the step bytes, the follow variant of the loop runs on them.
+    Given the step bytes, the follow variant of the loop runs on them, split
+    in two processes from SPLIT_MIN_TERMS terms with two CPUs usable and no
+    other thread; the values past the split are then the child's, and this
+    list holds 0 there unless the child failed and this process ran the
+    tail itself.
     """
     values = [0] * stop  # 1-indexed
     values[1 : len(initial) + 1] = list(initial)
@@ -187,7 +205,70 @@ def _run(spec: RecursionSpec, initial: Sequence[int], stop: int, *steps: bytes) 
         return values, start  # some inner index n - b is still below 1
     groups = _groups(spec)
     loop = _group_loop(tuple(map(len, groups)), spec.order, bool(steps))
-    return values, loop(values, start, stop, *steps, *_arguments(spec, groups))
+    arguments = (*steps, *_arguments(spec, groups))
+    # a fork copies only the calling thread, so another thread's locks could stay held in the child
+    if (steps and stop - start >= SPLIT_MIN_TERMS and hasattr(os, "fork") and _usable_cpus() >= 2
+            and threading.active_count() == 1):
+        return values, _split_follow(loop, values, steps[0], start, stop, arguments)
+    return values, loop(values, start, stop, *arguments)
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _split_follow(loop: Callable[..., int], values: list[int], starts: bytes, start: int, stop: int,
+                  arguments: tuple) -> int:
+    """The follow loop's result on start..stop - 1, its tail from mid run at once in a forked child.
+
+    Every value the follow loop reads is a C_T(m) that the bytes fix before
+    the run.  So the child fills values[1:mid] with their running sum, one
+    int object per value as the loop stores them, and runs the same loop
+    from mid while this process runs it from start to mid.  mid lies 5/8 of
+    the way: a prefix label costs the child about a third of a term, so the
+    two halves take about as long.  The head's n, if any, is the least: an
+    index below 1 that the tail's read-ahead window finds at an m below mid
+    was the head's to find, at the same n when that n is below mid.
+    Otherwise the answer is the number the child writes to a pipe.  The
+    child is killed as soon as its number cannot matter, and is always
+    reaped.  A child that could not start, or that ends with no number or a
+    nonzero status, leaves the tail to this process.
+    """
+    mid = start + (stop - start) * 5 // 8
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return loop(values, start, stop, *arguments)
+    if not pid:
+        status = 1
+        try:
+            os.close(read)
+            prefix = starts[: mid - 1]
+            values[1:mid] = map(list(range(sum(prefix) + 1)).__getitem__, accumulate(prefix))
+            del prefix
+            os.write(write, b"%d" % loop(values, mid, stop, *arguments))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    tail = b""
+    with open(read, "rb") as pipe:
+        try:
+            head = loop(values, start, mid, *arguments)
+            if not head:
+                tail = pipe.read()
+        finally:
+            if not tail:
+                os.kill(pid, signal.SIGKILL)
+            status = os.waitpid(pid, 0)[1]
+    if head:
+        return head
+    if tail and not status:
+        return int(tail)
+    return loop(values, mid, stop, *arguments)
 
 
 def _groups(spec: RecursionSpec) -> list[list[int]]:

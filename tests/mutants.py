@@ -92,6 +92,16 @@ MUTANTS = (
     Mutant("only a value below the tree departs", RECURSION,
            "f\"        if {' + '.join(terms)} != last:\",", "f\"        if {' + '.join(terms)} < last:\",",
            "a recursion value above C_T would be stored as C_T and the run would go on", (T_RECURSION, T_CLI)),
+    # the split follow run: the tail from mid in a forked child
+    Mutant("tail starts one label late", RECURSION,
+           'b"%d" % loop(values, mid, stop, *arguments)', 'b"%d" % loop(values, mid + 1, stop, *arguments)',
+           "the child would hold the term at mid + 1 to a count it never filled", (T_RECURSION,)),
+    Mutant("tail prefix one label short", RECURSION,
+           "prefix = starts[: mid - 1]", "prefix = starts[: mid - 2]",
+           "the child's values would end one label before mid and shift every later index", (T_RECURSION,)),
+    Mutant("child with no result read as agreement", RECURSION,
+           "    return loop(values, mid, stop, *arguments)\n", "    return 0\n",
+           "a child that failed would pass the tail unchecked", (T_RECURSION,)),
     Mutant("death reported only at the departure", CLI,
            "    result = recursion.evaluate(rspec, ic, args.n)\n    if not result.alive:\n",
            "    result = recursion.evaluate(rspec, ic, args.n)\n    if result.dead_at == n:\n",

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import contextlib
+import os
+import signal
+import threading
 from collections import Counter
 from itertools import accumulate, compress, count, islice, repeat
 from operator import rshift, sub
@@ -452,14 +456,118 @@ def departures(draw):
     return spec, initial, bytes(starts)
 
 
-@settings(max_examples=400, deadline=None)
-@given(departures())
-def test_first_departure_is_where_evaluate_dies_or_leaves_the_tree(case):
+def check_departure(case):
     try:
         expected = departure_by_evaluate(*case)
     except OverflowError:
         assume(False)
     assert recursion.first_departure(*case) == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(departures())
+def test_first_departure_is_where_evaluate_dies_or_leaves_the_tree(case):
+    check_departure(case)
+
+
+@contextlib.contextmanager
+def split_runs(min_terms=1, cpus=2):
+    """Follow runs of min_terms or more split as on this many CPUs; yields the reaped children's exit codes.
+
+    A child killed by a signal reads as minus that signal.  On leaving, no
+    child of this process is left to reap.
+    """
+    codes, waitpid = [], os.waitpid
+
+    def reap(pid, options):
+        reaped = waitpid(pid, options)
+        codes.append(os.waitstatus_to_exitcode(reaped[1]))
+        return reaped
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recursion, "SPLIT_MIN_TERMS", min_terms)
+        patch.setattr(recursion, "_usable_cpus", lambda: cpus)
+        patch.setattr(os, "waitpid", reap)
+        yield codes
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@settings(max_examples=400, deadline=None)
+@given(departures())
+def test_first_departure_split_in_two_is_where_evaluate_dies_or_leaves_the_tree(case):
+    """The property above with every run that reaches the loop split, its tail in a forked child.
+
+    Each child ends with its number or is killed once the head departs; a
+    child that failed would leave the tail to the parent unseen, so its
+    exit code is checked too.
+    """
+    with split_runs() as codes:
+        check_departure(case)
+    assert set(codes) <= {0, -signal.SIGKILL}
+
+
+BENCHMARK_KARY = fam.KaryOrderP(4, 3, 3)
+FULL = 3 * 10**5
+
+
+def flipped_starts(family, n, at):
+    """The tree's cell-start bytes to n with the byte of label at, if any, flipped, so C_T first moves there."""
+    starts = bytearray(tree.cell_starts(fam.tree_of(family), n))
+    if at:
+        starts[at - 1] ^= 1
+    return fam.recursion_of(family), fam.standard_ics(family), bytes(starts)
+
+
+@pytest.mark.parametrize("at", [None, FULL // 10, FULL * 9 // 10], ids=["agree", "head", "tail"])
+def test_split_run_at_full_size(at):
+    """At 3*10^5 labels the run splits by itself; a flip in the head kills the child,
+    one in the tail comes from the child's number, and every child is reaped."""
+    kills, kill = [], os.kill
+    case = flipped_starts(BENCHMARK_KARY, FULL, at)
+    with split_runs(recursion.SPLIT_MIN_TERMS) as codes, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "kill", lambda pid, sig: kills.append(sig) or kill(pid, sig))
+        assert recursion.first_departure(*case) == at
+    assert len(codes) == 1
+    if at == FULL // 10:
+        assert kills == [signal.SIGKILL] and codes[0] in (0, -signal.SIGKILL)
+    else:
+        assert kills == [] and codes == [0]
+
+
+def test_no_split_below_the_threshold_on_one_cpu_or_beside_a_thread():
+    case = flipped_starts(BENCHMARK_KARY, FULL, None)
+    with split_runs(recursion.SPLIT_MIN_TERMS, cpus=1) as one_cpu:
+        assert recursion.first_departure(*case) is None
+    with split_runs(FULL) as short:
+        assert recursion.first_departure(*case) is None
+    done = threading.Event()
+    waiting = threading.Thread(target=done.wait)
+    waiting.start()
+    try:
+        with split_runs(recursion.SPLIT_MIN_TERMS) as threaded:
+            assert recursion.first_departure(*case) is None
+    finally:
+        done.set()
+        waiting.join()
+    assert one_cpu == short == threaded == []
+
+
+@pytest.mark.parametrize("at", [None, 350], ids=["agree", "tail"])
+def test_split_run_falls_back_when_the_child_fails(at):
+    """A child that raises before its number exits 1, and the parent runs the tail itself."""
+    parent = os.getpid()
+
+    def accumulate_in_parent_only(*args):
+        if os.getpid() != parent:
+            raise MemoryError
+        return accumulate(*args)
+
+    case = flipped_starts(fam.OrderOne(1, 3, 1), 400, at)
+    with split_runs() as codes, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recursion, "accumulate", accumulate_in_parent_only)
+        assert recursion.first_departure(*case) == at
+    assert codes == [1]
 
 
 def test_first_departure_at_or_below_the_initial_conditions():
