@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -464,7 +465,9 @@ def add_source_args(sub, with_spec=True):
         sub.add_argument("--spec", help="JSON spec file instead of a named family")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `nestrec` argument parser, built once per process: each parse_args makes a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="nestrec",
         description="Slow solutions of nested recursions, computed two ways and cross-checked.",

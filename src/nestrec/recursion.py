@@ -51,9 +51,12 @@ that count and stores the count otherwise.  It needs no cap, as C_T(n) <=
 n, and no second pass: where it returns None, R is C_T at every n.  Every
 value the loop reads is a C_T(m) that the bytes fix before the run, so a
 run of SPLIT_MIN_TERMS terms or more, with two CPUs usable and one thread,
-is cut in two: a forked child fills the values below the cut from the
-bytes and checks the tail while this process checks the head, and the
-head's n, else the child's, is the n one run would return.
+is cut in two: a forked child fills from the bytes the window of values
+below the cut that the tail reads, from about half the cut up, and checks
+the tail while this process checks the head.  The follow loop takes a
+floor, the least outer index it may read, and returns the first n that
+reads below it; the child widens its window to 1 and runs on from there,
+so the head's n, else the child's, is the n one run would return.
 
 Slowness is read in one place, slow_steps: one pass packs the steps into
 bytes and gives the first term that breaks slowness and the slow prefix's
@@ -80,6 +83,10 @@ MAX_VALUE = 2**63 - 1
 # thread, checks its tail in a forked child (_split_follow); a shorter one, a
 # few tens of milliseconds at most, is left whole rather than pay for a fork.
 SPLIT_MIN_TERMS = 2**17
+# The forked tail fills its counts from this many labels below the least outer
+# index it reads at its first term (_tail_window); a read below them widens the
+# window, so the margin sets only how often that happens.
+WINDOW_MARGIN = 64
 
 
 @dataclass(frozen=True)
@@ -168,7 +175,7 @@ def first_departure(spec: RecursionSpec, initial: Sequence[int], starts: bytes) 
     returns the first n whose sum is not C_T(n).  Every value it stores is
     both R(n) and C_T(n), so the first n it returns is where evaluate would
     die or first differ from C_T.  A loop of SPLIT_MIN_TERMS terms or more
-    runs its last 3/8 at the same time in a forked child when two CPUs are
+    runs its last 7/16 at the same time in a forked child when two CPUs are
     usable and no other thread runs (_split_follow), with the same result.
     """
     _check_initial(initial)
@@ -192,11 +199,11 @@ def _run(spec: RecursionSpec, initial: Sequence[int], stop: int, *steps: bytes) 
 
     The result is 0, or the first n where the run stopped.  A run that
     starts at or below max b stops at its first open n, before any loop.
-    Given the step bytes, the follow variant of the loop runs on them, split
-    in two processes from SPLIT_MIN_TERMS terms with two CPUs usable and no
-    other thread; the values past the split are then the child's, and this
-    list holds 0 there unless the child failed and this process ran the
-    tail itself.
+    Given the step bytes, the follow variant of the loop runs on them with
+    floor 1, split in two processes from SPLIT_MIN_TERMS terms with two
+    CPUs usable and no other thread; the values past the split are then the
+    child's, and this list holds 0 there unless the child failed and this
+    process ran the tail itself.
     """
     values = [0] * stop  # 1-indexed
     values[1 : len(initial) + 1] = list(initial)
@@ -205,51 +212,60 @@ def _run(spec: RecursionSpec, initial: Sequence[int], stop: int, *steps: bytes) 
         return values, start  # some inner index n - b is still below 1
     groups = _groups(spec)
     loop = _group_loop(tuple(map(len, groups)), spec.order, bool(steps))
-    arguments = (*steps, *_arguments(spec, groups))
+    arguments = _arguments(spec, groups)
+    if not steps:
+        return values, loop(values, start, stop, *arguments)
     # a fork copies only the calling thread, so another thread's locks could stay held in the child
-    if (steps and stop - start >= SPLIT_MIN_TERMS and hasattr(os, "fork") and _usable_cpus() >= 2
+    if (stop - start >= SPLIT_MIN_TERMS and hasattr(os, "fork") and _usable_cpus() >= 2
             and threading.active_count() == 1):
-        return values, _split_follow(loop, values, steps[0], start, stop, arguments)
-    return values, loop(values, start, stop, *arguments)
+        return values, _split_follow(spec, loop, values, steps[0], start, stop, arguments)
+    return values, loop(values, start, stop, *steps, 1, *arguments)
 
 
 def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _split_follow(loop: Callable[..., int], values: list[int], starts: bytes, start: int, stop: int,
-                  arguments: tuple) -> int:
+def _split_follow(spec: RecursionSpec, loop: Callable[..., int], values: list[int], starts: bytes, start: int,
+                  stop: int, arguments: list[int]) -> int:
     """The follow loop's result on start..stop - 1, its tail from mid run at once in a forked child.
 
     Every value the follow loop reads is a C_T(m) that the bytes fix before
-    the run.  So the child fills values[1:mid] with their running sum, one
-    int object per value as the loop stores them, and runs the same loop
-    from mid while this process runs it from start to mid.  mid lies 5/8 of
-    the way: a prefix label costs the child about a third of a term, so the
-    two halves take about as long.  The head's n, if any, is the least: an
-    index below 1 that the tail's read-ahead window finds at an m below mid
-    was the head's to find, at the same n when that n is below mid.
-    Otherwise the answer is the number the child writes to a pipe.  The
-    child is killed as soon as its number cannot matter, and is always
-    reaped.  A child that could not start, or that ends with no number or a
-    nonzero status, leaves the tail to this process.
+    the run.  So the child fills the window values[lo:mid] that its tail
+    reads (_tail_window) and runs the same loop from mid with floor lo,
+    while this process runs it from start to mid with floor 1.  A run with
+    floor lo returns the first n whose outer index is below lo, as it would
+    one below 1; when the child's run returns some n and lo > 1, the child
+    fills values[1:lo] and runs on from n with floor 1, so any lo gives the
+    number one run would.  mid lies 9/16 of the way: the window reaches
+    down to about mid/2, or mid/4 for the k-ary families, and a label costs
+    the child about half a term, or a quarter of a k-ary term, so the two
+    halves take about as long.  The head's n, if any, is
+    the least: an index below 1 that the tail's read-ahead window finds at
+    an m below mid was the head's to find, at the same n when that n is
+    below mid.  Otherwise the answer is the number the child writes to a
+    pipe.  The child is killed as soon as its number cannot matter, and is
+    always reaped.  A child that could not start, or that ends with no
+    number or a nonzero status, leaves the tail to this process.
     """
-    mid = start + (stop - start) * 5 // 8
+    mid = start + (stop - start) * 9 // 16
     read, write = os.pipe()
     try:
         pid = os.fork()
     except OSError:
         os.close(read)
         os.close(write)
-        return loop(values, start, stop, *arguments)
+        return loop(values, start, stop, starts, 1, *arguments)
     if not pid:
         status = 1
         try:
             os.close(read)
-            prefix = starts[: mid - 1]
-            values[1:mid] = map(list(range(sum(prefix) + 1)).__getitem__, accumulate(prefix))
-            del prefix
-            os.write(write, b"%d" % loop(values, mid, stop, *arguments))
+            lo = _tail_window(spec, values, starts, mid)
+            n = loop(values, mid, stop, starts, lo, *arguments)
+            if n and lo > 1:
+                _fill_counts(values, starts, 1, lo, range(starts[0], values[lo] - starts[lo - 1] + 1))
+                n = loop(values, n, stop, starts, 1, *arguments)
+            os.write(write, b"%d" % n)
             status = 0
         finally:
             os._exit(status)
@@ -257,7 +273,7 @@ def _split_follow(loop: Callable[..., int], values: list[int], starts: bytes, st
     tail = b""
     with open(read, "rb") as pipe:
         try:
-            head = loop(values, start, mid, *arguments)
+            head = loop(values, start, mid, starts, 1, *arguments)
             if not head:
                 tail = pipe.read()
         finally:
@@ -268,7 +284,36 @@ def _split_follow(loop: Callable[..., int], values: list[int], starts: bytes, st
         return head
     if tail and not status:
         return int(tail)
-    return loop(values, mid, stop, *arguments)
+    return loop(values, mid, stop, starts, 1, *arguments)
+
+
+def _tail_window(spec: RecursionSpec, values: list[int], starts: bytes, mid: int) -> int:
+    """Fill values[lo:mid] with C_T, the running sum of starts, and return lo, the floor of a run from mid.
+
+    The least index that run reads at a fixed lag, R(n - b) in its body or
+    its read-ahead fill, is top = mid - max b.  Its outer indices start at
+    mid - a - sum over t of C_T(mid - b_t), one per summand, and on the
+    catalog's trees later ones fall at most one below the least of these;
+    lo lies WINDOW_MARGIN below it, and at or below top.
+    """
+    top = mid - max(max(row) for row in spec.inner_offsets)
+    below = sum(starts[:top])  # C_T(top); the bytes may exceed 1, so no count(1)
+    least = min(mid - a - sum(below + sum(starts[top : mid - b]) for b in row)
+                for a, row in zip(spec.outer_offsets, spec.inner_offsets))
+    lo = max(1, min(top, least - WINDOW_MARGIN))
+    counts = range(below - sum(starts[lo:top]), below + sum(starts[top : mid - 1]) + 1)
+    _fill_counts(values, starts, lo, mid, counts)
+    return lo
+
+
+def _fill_counts(values: list[int], starts: bytes, first: int, end: int, counts: range) -> None:
+    """Fill values[first:end] with C_T(first..end - 1), which run through counts.
+
+    A run of equal counts is one int object, as the loop stores them.
+    """
+    counts = list(counts)
+    values[first] = counts[0]
+    values[first + 1 : end] = map(counts.__getitem__, accumulate(starts[first : end - 1]))
 
 
 def _groups(spec: RecursionSpec) -> list[list[int]]:
@@ -323,20 +368,24 @@ def _group_loop(sizes: tuple[int, ...], order: int, follow: bool) -> Callable[..
     new value.  A new value past 2^63 - 1 raises OverflowError; a repeated
     one was checked when it was new.
 
-    With follow, loop(v, start, stop, steps, *arguments) holds the run to
-    the running sum of the step bytes instead: zip also hands in
+    With follow, loop(v, start, stop, steps, floor, *arguments) holds the
+    run to the running sum of the step bytes instead: zip also hands in
     steps[n - 1], last starts at v[start - 1] and adds each nonzero byte,
-    and the first n whose sum is not last is returned, as a death is.
-    Every stored value is last, so a run of equal values shares one object.
-    There is no cap check: the bytes add at most 255 a term.
+    and the first n whose sum is not last is returned, as a death is.  An
+    outer index below floor, not 1, ends the run, in the body and in the
+    read-ahead window alike, so a run whose v holds counts only from
+    floor up reads none below them.  Every stored value is last, so a
+    run of equal values shares one object.  There is no cap check: the
+    bytes add at most 255 a term.
     """
     params, fill, lagged, body, terms = [], [], [], [], []
+    floor = "floor" if follow else "1"
     for g, size in enumerate(sizes):
         params += [f"a{g}", *(f"b{g}_{t}" for t in range(order)), *(f"d{g}_{x}" for x in range(1, size))]
         lagged += [(f"x{g}_{t}", f"at(v, start - b{g}_{t})") for t in range(order)]
         body += [
             f"        i{g} = n - a{g}" + "".join(f" - x{g}_{t}" for t in range(order)),
-            f"        if i{g} < 1:",
+            f"        if i{g} < {floor}:",
             "            return n",
         ]
         if size == 1:
@@ -348,7 +397,7 @@ def _group_loop(sizes: tuple[int, ...], order: int, follow: bool) -> Callable[..
             f"    u{g} = [0] * stop",
             f"    for n in range(start - d{g}_{size - 1}, start):",
             f"        i{g} = n - a{g}{inner}",
-            f"        if i{g} < 1:",
+            f"        if i{g} < {floor}:",
             f"            end = min(end, n + min(d for d in ({lags}) if n + d >= start))",
             "        else:",
             f"            u{g}[n] = v[i{g}]",
@@ -357,7 +406,7 @@ def _group_loop(sizes: tuple[int, ...], order: int, follow: bool) -> Callable[..
         body.append(f"        w{g} = u{g}[n] = v[i{g}]")
         terms += [f"w{g}", *(f"y{g}_{x}" for x in range(1, size))]
     if follow:
-        params.insert(0, "steps")
+        params[:0] = ["steps", "floor"]
         lagged.insert(0, ("step", "at(steps, start - 1)"))
         store = [
             "        if step:",

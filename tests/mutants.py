@@ -92,15 +92,26 @@ MUTANTS = (
     Mutant("only a value below the tree departs", RECURSION,
            "f\"        if {' + '.join(terms)} != last:\",", "f\"        if {' + '.join(terms)} < last:\",",
            "a recursion value above C_T would be stored as C_T and the run would go on", (T_RECURSION, T_CLI)),
-    # the split follow run: the tail from mid in a forked child
+    # the split follow run: the tail from mid in a forked child, on the window of counts it reads
     Mutant("tail starts one label late", RECURSION,
-           'b"%d" % loop(values, mid, stop, *arguments)', 'b"%d" % loop(values, mid + 1, stop, *arguments)',
+           "n = loop(values, mid, stop, starts, lo, *arguments)",
+           "n = loop(values, mid + 1, stop, starts, lo, *arguments)",
            "the child would hold the term at mid + 1 to a count it never filled", (T_RECURSION,)),
-    Mutant("tail prefix one label short", RECURSION,
-           "prefix = starts[: mid - 1]", "prefix = starts[: mid - 2]",
-           "the child's values would end one label before mid and shift every later index", (T_RECURSION,)),
+    Mutant("tail floor ignored", RECURSION,
+           "n = loop(values, mid, stop, starts, lo, *arguments)", "n = loop(values, mid, stop, starts, 1, *arguments)",
+           "a read below the window would add 0 and could hide a departure instead of widening the window",
+           (T_RECURSION,)),
+    Mutant("window one label short", RECURSION,
+           "_fill_counts(values, starts, lo, mid, counts)", "_fill_counts(values, starts, lo, mid - 1, counts)",
+           "the tail's first term would start from a count of 0 at mid - 1", (T_RECURSION,)),
+    Mutant("window base counts ones", RECURSION,
+           "below = sum(starts[:top])", "below = starts[:top].count(1)",
+           "a byte above 1 below the window would shift every count in it", (T_RECURSION,)),
+    Mutant("widened prefix one label short", RECURSION,
+           "_fill_counts(values, starts, 1, lo, ", "_fill_counts(values, starts, 1, lo - 1, ",
+           "after widening, a read at lo - 1 would add 0 and could hide a departure", (T_RECURSION,)),
     Mutant("child with no result read as agreement", RECURSION,
-           "    return loop(values, mid, stop, *arguments)\n", "    return 0\n",
+           "    return loop(values, mid, stop, starts, 1, *arguments)\n", "    return 0\n",
            "a child that failed would pass the tail unchecked", (T_RECURSION,)),
     Mutant("death reported only at the departure", CLI,
            "    result = recursion.evaluate(rspec, ic, args.n)\n    if not result.alive:\n",

@@ -758,3 +758,28 @@ def test_main_never_raises_on_random_argv(argv_dir, data):
             assert exit_.code == 2, argv
             return
     assert code in (0, 1, 2), argv
+
+
+def main_output(argv):
+    """Exit code, stdout and stderr of one in-process main call; argparse's usage exit gives its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_one_parser_per_process_answers_as_fresh_ones():
+    """main builds its parser once; a usage error leaves nothing in it that changes the next command's output."""
+    commands = [["verify", "order_one", "s=1", "--n"], ["verify", "order_one", "s=1", "j=3", "m=1", "--n", "500"]]
+    fresh = []
+    for argv in commands:
+        cli.build_parser.cache_clear()
+        fresh.append(main_output(argv))
+    reused = [main_output(argv) for argv in commands]
+    assert cli.build_parser.cache_info()[:2] == (2, 1)  # hits, misses: both reused calls shared one parser
+    assert reused == fresh
+    assert [code for code, _, _ in fresh] == [2, 0]
+    assert fresh[0][2].startswith("usage: nestrec verify") and fresh[1][1].startswith("AGREE")

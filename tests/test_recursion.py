@@ -494,15 +494,18 @@ def split_runs(min_terms=1, cpus=2):
 
 
 @settings(max_examples=400, deadline=None)
-@given(departures())
-def test_first_departure_split_in_two_is_where_evaluate_dies_or_leaves_the_tree(case):
+@given(departures(), st.sampled_from((recursion.WINDOW_MARGIN, 0, -1, -3, -10**6)))
+def test_first_departure_split_in_two_is_where_evaluate_dies_or_leaves_the_tree(case, margin):
     """The property above with every run that reaches the loop split, its tail in a forked child.
 
-    Each child ends with its number or is killed once the head departs; a
-    child that failed would leave the tail to the parent unseen, so its
-    exit code is checked too.
+    The child's window starts margin below its first outer index, so a
+    margin below 0 makes the tail read under it and widen.  Each child
+    ends with its number or is killed once the head departs; a child that
+    failed would leave the tail to the parent unseen, so its exit code is
+    checked too.
     """
-    with split_runs() as codes:
+    with split_runs() as codes, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recursion, "WINDOW_MARGIN", margin)
         check_departure(case)
     assert set(codes) <= {0, -signal.SIGKILL}
 
@@ -568,6 +571,68 @@ def test_split_run_falls_back_when_the_child_fails(at):
         patch.setattr(recursion, "accumulate", accumulate_in_parent_only)
         assert recursion.first_departure(*case) == at
     assert codes == [1]
+
+
+@contextlib.contextmanager
+def no_widening():
+    """A forked child that widens its window, a second _fill_counts call, raises there and exits 1."""
+    parent, fill, filled = os.getpid(), recursion._fill_counts, []
+
+    def fill_once(*args):
+        if os.getpid() != parent:
+            filled.append(args[2:4])
+            if len(filled) > 1:
+                raise MemoryError
+        return fill(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recursion, "_fill_counts", fill_once)
+        yield
+
+
+@pytest.mark.parametrize("family", [BENCHMARK_KARY, fam.OrderOne(1, 3, 1)], ids=["kary", "order_one"])
+def test_tail_window_holds_every_read_of_an_agreeing_run(family):
+    """At 3*10^5 labels the child's window holds every count its tail reads, so it never widens;
+    the window is the running sum of the bytes, from about half the cut up, or a quarter for k-ary."""
+    spec, initial, starts = case = flipped_starts(family, FULL, None)
+    with split_runs(recursion.SPLIT_MIN_TERMS) as codes, no_widening():
+        assert recursion.first_departure(*case) is None
+    assert codes == [0]
+    mid, values = FULL * 9 // 16, [0] * (FULL + 1)
+    lo = recursion._tail_window(spec, values, starts, mid)
+    assert values[lo:mid] == list(accumulate(starts))[lo - 1 : mid - 1]
+    assert not any(values[:lo]) and not any(values[mid:])
+    low, high = (0.2, 0.3) if family is BENCHMARK_KARY else (0.45, 0.55)
+    assert low * mid < lo < high * mid
+
+
+@pytest.mark.parametrize("at", [None, FULL * 9 // 10], ids=["agree", "tail"])
+def test_tail_read_below_the_window_widens_it(at):
+    """With the margin turned up until lo sits at the least lagged read, mid - max b, the tail's
+    outer reads all lie below its window: the child fills values[1:lo] and runs on, and its number
+    is one run's.  Where widening raises, the child exits 1, which shows that it widened."""
+    case = flipped_starts(BENCHMARK_KARY, FULL, at)
+    with split_runs(recursion.SPLIT_MIN_TERMS) as codes, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recursion, "WINDOW_MARGIN", -FULL)
+        assert recursion.first_departure(*case) == at
+        with no_widening():
+            assert recursion.first_departure(*case) == at
+    assert codes == [0, 1]
+
+
+def test_tail_floor_holds_a_departure_that_a_read_below_the_window_would_hide():
+    """R(16) = R(16 - C_T(12)) + R(13 - C_T(12)) = C_T(9) + C_T(6) = 7 + 4 leaves C_T(16) = 7.  With
+    the margin at -1 the child's window starts at lo = 7, above the read at 6, which lies past the
+    five initial conditions: an unfilled 0 there would make the sum C_T(16), and the run would go on.
+    The floor stops it at 16 instead, and the widened run finds the departure there."""
+    spec, initial = RecursionSpec(2, 1, (0, 3), ((4,), (4,))), [1, 1, 3, 3, 3]
+    starts = bytes([1, 0, 2, 0, 0, 1, 0, 0, 3]) + bytes(15)
+    assert departure_by_evaluate(spec, initial, starts) == 16
+    with split_runs() as codes, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recursion, "WINDOW_MARGIN", -1)
+        assert recursion._tail_window(spec, [0] * 25, starts, 16) == 7
+        assert recursion.first_departure(spec, initial, starts) == 16
+    assert codes == [0]
 
 
 def test_first_departure_at_or_below_the_initial_conditions():
