@@ -576,12 +576,12 @@ def test_split_run_falls_back_when_the_child_fails(at):
 @contextlib.contextmanager
 def no_widening():
     """A forked child that widens its window, a second _fill_counts call, raises there and exits 1."""
-    parent, fill, filled = os.getpid(), recursion._fill_counts, []
+    parent, fill, calls = os.getpid(), recursion._fill_counts, []
 
     def fill_once(*args):
         if os.getpid() != parent:
-            filled.append(args[2:4])
-            if len(filled) > 1:
+            calls.append(args)
+            if len(calls) > 1:
                 raise MemoryError
         return fill(*args)
 
