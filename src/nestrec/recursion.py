@@ -16,26 +16,23 @@ per term rather than once per summand.  A summand whose (c, a) is already
 in a group starts a further group for c, so the members of a group lie
 d >= 1 apart.
 
-The bottom-up loop is generated and compiled once per (group sizes, p)
-and variant, with the offsets passed in as arguments, so each term costs
-a few bytecodes and no inner Python loop.  Every read at a fixed lag,
-R(n - b) and u(n - a) for a member d past its group's first, comes from a
-list iterator that zip advances once per term.  A list iterator reads its list
-when it is advanced, before the term is written, and b >= 1 and d >= 1,
-so each read sees a value an earlier term wrote; only the outer read
-R(n - a - sum of R(n - b)) is a subscript.  Past n = max b every inner
-index n - b lies in 1..n-1, so the loop only has to watch the outer
-indices, and only from below: the values are positive (the initial
-conditions are at least 1) and every summand subtracts at least one of
-them, so no outer index reaches n.  A group checks u(n - a) for its
-smallest a at n, where that summand alone would; its other summands read
-values checked at an earlier n or, for u(m) with m below the first open n,
-in the read-ahead window filled before the loop.  A window index below 1
-ends the run at the first open n that reads it, the least m + a at or
-past the first open n.  Either way one run of the loop dies where the
-summands one by one would.  A run that starts at or below max b dies at
-its first open n.  right_side at the death index then names why: it walks
-the summands in order and raises DeadIndex with the first one's reason.
+The bottom-up loop is generated and compiled once per (group sizes, p) and
+variant, with the offsets passed in as arguments, so each term costs a few
+bytecodes and no inner Python loop: every read at a fixed lag comes from a
+list iterator that zip advances once per term, and only the outer read is
+a subscript.  Past n = max b every inner index n - b lies in 1..n-1, so
+the loop only has to watch the outer indices, and only from below: the
+values are positive (the initial conditions are at least 1) and every
+summand subtracts at least one of them, so no outer index reaches n.  A
+group checks u(n - a) for its smallest a at n, where that summand alone
+would; its other summands read values checked at an earlier n or, for u(m)
+with m below the first open n, in the read-ahead window filled before the
+loop.  A window index below 1 ends the run at the first open n that reads
+it, the least m + a at or past the first open n.  Either way one run of
+the loop dies where the summands one by one would.  A run that starts at
+or below max b dies at its first open n.  right_side at the death index
+then names why: it walks the summands in order and raises DeadIndex with
+the first one's reason.
 
 A slow sequence repeats each value about twice, so a term whose sum equals
 the value before it stores that value's object again, and a run of equal
@@ -44,19 +41,15 @@ cap where it stores a new value, so a repeated value is not checked again.
 
 first_departure checks the recursion against a tree's cell-start bytes,
 whose running sum is the cell count C_T.  Its initial conditions are
-compared with the running sum of the first bytes; past them a follow
-variant of the same compiled loop walks the bytes beside the lagged reads,
-adds each byte to the running count, returns the first n whose sum is not
-that count and stores the count otherwise.  It needs no cap, as C_T(n) <=
-n, and no second pass: where it returns None, R is C_T at every n.  Every
-value the loop reads is a C_T(m) that the bytes fix before the run, so a
-run of SPLIT_MIN_TERMS terms or more, with two CPUs usable and one thread,
-is cut in two: a forked child fills from the bytes the window of values
-below the cut that the tail reads, from about half the cut up, and checks
-the tail while this process checks the head.  The follow loop takes a
-floor, the least outer index it may read, and returns the first n that
-reads below it; the child widens its window to 1 and runs on from there,
-so the head's n, else the child's, is the n one run would return.
+compared with the running sum of the first bytes.  Past them every value
+the recursion reads is a C_T(m) that the bytes fix, so a follow variant
+of the compiled loop tracks each group's outer index and reads the change
+of u from the bytes there: no values list, and one int add a term.  It
+returns the first n where R dies or leaves C_T; where it returns None, R
+is C_T at every n.  A run can start at any n from the bytes alone, so one
+of SPLIT_MIN_TERMS terms or more, with two CPUs usable and one thread,
+checks its second half in a forked child while this process checks the
+first.
 
 Slowness is read in one place, slow_steps: one pass packs the steps into
 bytes and gives the first term that breaks slowness and the slow prefix's
@@ -83,10 +76,6 @@ MAX_VALUE = 2**63 - 1
 # thread, checks its tail in a forked child (_split_follow); a shorter one, a
 # few tens of milliseconds at most, is left whole rather than pay for a fork.
 SPLIT_MIN_TERMS = 2**17
-# The forked tail fills its counts from this many labels below the least outer
-# index it reads at its first term (_tail_window); a read below them widens the
-# window, so the margin sets only how often that happens.
-WINDOW_MARGIN = 64
 
 
 @dataclass(frozen=True)
@@ -170,21 +159,24 @@ def first_departure(spec: RecursionSpec, initial: Sequence[int], starts: bytes) 
 
     starts holds one byte per n, 1 where the tree opens a cell, so its
     running sum is C_T.  The initial conditions are compared with the
-    running sum of the head bytes; past them the recursion runs in the
-    follow variant of the evaluation loop, which steps C_T by each byte and
-    returns the first n whose sum is not C_T(n).  Every value it stores is
-    both R(n) and C_T(n), so the first n it returns is where evaluate would
-    die or first differ from C_T.  A loop of SPLIT_MIN_TERMS terms or more
-    runs its last 7/16 at the same time in a forked child when two CPUs are
-    usable and no other thread runs (_split_follow), with the same result.
+    running sum of the head bytes; past them _follow runs the recursion on
+    C_T, where evaluate would die or first differ from C_T.  A run of
+    SPLIT_MIN_TERMS terms or more checks its second half at once in a forked
+    child when two CPUs are usable and no other thread runs (_split_follow).
     """
     _check_initial(initial)
     for n, (value, count) in enumerate(zip(initial, accumulate(starts[: len(initial)])), 1):
         if value != count:
             return n
-    if len(starts) <= len(initial):
+    start, stop = len(initial) + 1, len(starts) + 1
+    if stop <= start:
         return None
-    return _run(spec, initial, len(starts) + 1, starts)[1] or None
+    loop = _group_loop(tuple(map(len, _groups(spec))), spec.order, True)
+    # a fork copies only the calling thread, so another thread's locks could stay held in the child
+    if (stop - start >= SPLIT_MIN_TERMS and hasattr(os, "fork") and _usable_cpus() >= 2
+            and threading.active_count() == 1):
+        return _split_follow(spec, loop, starts, start, stop) or None
+    return _follow(spec, loop, starts, start, stop) or None
 
 
 def _check_initial(initial: Sequence[int]) -> None:
@@ -194,16 +186,11 @@ def _check_initial(initial: Sequence[int]) -> None:
         raise ValueError("initial conditions must be positive")
 
 
-def _run(spec: RecursionSpec, initial: Sequence[int], stop: int, *steps: bytes) -> tuple[list[int], int]:
+def _run(spec: RecursionSpec, initial: Sequence[int], stop: int) -> tuple[list[int], int]:
     """The values list, 1-indexed up to stop - 1 and filled from initial, and the loop's result on it.
 
     The result is 0, or the first n where the run stopped.  A run that
     starts at or below max b stops at its first open n, before any loop.
-    Given the step bytes, the follow variant of the loop runs on them with
-    floor 1, split in two processes from SPLIT_MIN_TERMS terms with two
-    CPUs usable and no other thread; the values past the split are then the
-    child's, and this list holds 0 there unless the child failed and this
-    process ran the tail itself.
     """
     values = [0] * stop  # 1-indexed
     values[1 : len(initial) + 1] = list(initial)
@@ -211,61 +198,38 @@ def _run(spec: RecursionSpec, initial: Sequence[int], stop: int, *steps: bytes) 
     if start <= max(max(row) for row in spec.inner_offsets):
         return values, start  # some inner index n - b is still below 1
     groups = _groups(spec)
-    loop = _group_loop(tuple(map(len, groups)), spec.order, bool(steps))
-    arguments = _arguments(spec, groups)
-    if not steps:
-        return values, loop(values, start, stop, *arguments)
-    # a fork copies only the calling thread, so another thread's locks could stay held in the child
-    if (stop - start >= SPLIT_MIN_TERMS and hasattr(os, "fork") and _usable_cpus() >= 2
-            and threading.active_count() == 1):
-        return values, _split_follow(spec, loop, values, steps[0], start, stop, arguments)
-    return values, loop(values, start, stop, *steps, 1, *arguments)
+    loop = _group_loop(tuple(map(len, groups)), spec.order, False)
+    return values, loop(values, start, stop, *_arguments(spec, groups))
 
 
 def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _split_follow(spec: RecursionSpec, loop: Callable[..., int], values: list[int], starts: bytes, start: int,
-                  stop: int, arguments: list[int]) -> int:
-    """The follow loop's result on start..stop - 1, its tail from mid run at once in a forked child.
+def _split_follow(spec: RecursionSpec, loop: Callable[..., int], starts: bytes, start: int, stop: int) -> int:
+    """_follow's result on start..stop - 1, its second half from mid, half way, run at once in a forked child.
 
-    Every value the follow loop reads is a C_T(m) that the bytes fix before
-    the run.  So the child fills the window values[lo:mid] that its tail
-    reads (_tail_window) and runs the same loop from mid with floor lo,
-    while this process runs it from start to mid with floor 1.  A run with
-    floor lo returns the first n whose outer index is below lo, as it would
-    one below 1; when the child's run returns some n and lo > 1, the child
-    fills values[1:lo] and runs on from n with floor 1, so any lo gives the
-    number one run would.  mid lies 9/16 of the way: the window reaches
-    down to about mid/2, or mid/4 for the k-ary families, and a label costs
-    the child about half a term, or a quarter of a k-ary term, so the two
-    halves take about as long.  The head's n, if any, is
-    the least: an index below 1 that the tail's read-ahead window finds at
-    an m below mid was the head's to find, at the same n when that n is
-    below mid.  Otherwise the answer is the number the child writes to a
-    pipe.  The child is killed as soon as its number cannot matter, and is
-    always reaped.  A child that could not start, or that ends with no
-    number or a nonzero status, leaves the tail to this process.
+    The head's n, if any, is the least: an index below 1 that the tail's
+    read-ahead window finds at an m below mid was the head's to find, at
+    the same n when that n is below mid.  Otherwise the answer is the
+    number the child writes to a pipe.  The child is killed as soon as its
+    number cannot matter, and is always reaped.  A child that could not
+    start, or that ends with no number or a nonzero status, leaves the tail
+    to this process.
     """
-    mid = start + (stop - start) * 9 // 16
+    mid = start + (stop - start) // 2
     read, write = os.pipe()
     try:
         pid = os.fork()
     except OSError:
         os.close(read)
         os.close(write)
-        return loop(values, start, stop, starts, 1, *arguments)
+        return _follow(spec, loop, starts, start, stop)
     if not pid:
         status = 1
         try:
             os.close(read)
-            lo = _tail_window(spec, values, starts, mid)
-            n = loop(values, mid, stop, starts, lo, *arguments)
-            if n and lo > 1:
-                _fill_counts(values, starts, 1, lo, range(starts[0], values[lo] - starts[lo - 1] + 1))
-                n = loop(values, n, stop, starts, 1, *arguments)
-            os.write(write, b"%d" % n)
+            os.write(write, b"%d" % _follow(spec, loop, starts, mid, stop))
             status = 0
         finally:
             os._exit(status)
@@ -273,7 +237,7 @@ def _split_follow(spec: RecursionSpec, loop: Callable[..., int], values: list[in
     tail = b""
     with open(read, "rb") as pipe:
         try:
-            head = loop(values, start, mid, starts, 1, *arguments)
+            head = _follow(spec, loop, starts, start, mid)
             if not head:
                 tail = pipe.read()
         finally:
@@ -284,36 +248,67 @@ def _split_follow(spec: RecursionSpec, loop: Callable[..., int], values: list[in
         return head
     if tail and not status:
         return int(tail)
-    return loop(values, mid, stop, starts, 1, *arguments)
+    return _follow(spec, loop, starts, mid, stop)
 
 
-def _tail_window(spec: RecursionSpec, values: list[int], starts: bytes, mid: int) -> int:
-    """Fill values[lo:mid] with C_T, the running sum of starts, and return lo, the floor of a run from mid.
+def _follow(spec: RecursionSpec, loop: Callable[..., int], starts: bytes, n0: int, stop: int) -> int:
+    """0 if R is C_T on n0..stop - 1 given that it is below n0, else the first n there where it dies or is not."""
+    end, state = _follow_state(spec, starts, n0)
+    return end if end == n0 else loop(starts, n0 + 1, stop, min(end, stop), *state)
 
-    The least index that run reads at a fixed lag, R(n - b) in its body or
-    its read-ahead fill, is top = mid - max b.  Its outer indices start at
-    mid - a - sum over t of C_T(mid - b_t), one per summand, and on the
-    catalog's trees later ones fall at most one below the least of these;
-    lo lies WINDOW_MARGIN below it, and at or below top.
+
+def _follow_state(spec: RecursionSpec, starts: bytes, n0: int) -> tuple[int, list]:
+    """Where a follow run from n0 stops by its read-ahead window, n0 if R(n0) dies or is not C_T(n0),
+    and the state its loop takes past n0.
+
+    With R = C_T below n0, a group with first summand (a, b row) and others
+    d past it reads I(m) = m - a - sum over t of C_T(m - b_t) for m from
+    n0 - max d to n0.  An I(m) below 1 stops the run at the least m + d at
+    or past n0, d = 0 for the first summand, as evaluate's read-ahead
+    window does.  Otherwise R(n0), the sum of C_T(I(n0 - d)), is checked in
+    full.  The state is, per group, j = I(n0) - 1, du(m) = C_T(I(m)) -
+    C_T(I(m - 1)) in a list from n0 + 1 - max d up if it has more members,
+    its b row and its lags.  A run from n0 <= max b stops at n0.  Counts
+    come from one byte sum below n0 - max b and one pass to the I(m).
     """
-    top = mid - max(max(row) for row in spec.inner_offsets)
-    below = sum(starts[:top])  # C_T(top); the bytes may exceed 1, so no count(1)
-    least = min(mid - a - sum(below + sum(starts[top : mid - b]) for b in row)
-                for a, row in zip(spec.outer_offsets, spec.inner_offsets))
-    lo = max(1, min(top, least - WINDOW_MARGIN))
-    counts = range(below - sum(starts[lo:top]), below + sum(starts[top : mid - 1]) + 1)
-    _fill_counts(values, starts, lo, mid, counts)
-    return lo
+    a, b, stop = spec.outer_offsets, spec.inner_offsets, len(starts) + 1
+    shapes = [(a[first], b[first], [0, *(a[i] - a[first] for i in rest)]) for first, *rest in _groups(spec)]
+    low = n0 - max(max(row) + max(lags) for _, row, lags in shapes)  # n0 - max b, the least inner index
+    if low < 1:
+        return n0, []
+    near = list(accumulate(starts[low:n0], initial=_counts_at(starts, [low])[low]))  # C_T(low..n0)
+    outers = [[m - lead - sum(near[m - t - low] for t in row) for m in range(n0 - max(lags), n0 + 1)]
+              for lead, row, lags in shapes]  # I(m) for m from n0 - max d to n0, per group
+    end = stop
+    for (_, _, lags), outer in zip(shapes, outers):
+        for m, i in zip(range(n0 - max(lags), n0 + 1), outer):
+            if i < 1:
+                end = min(end, m + min(d for d in lags if m + d >= n0))
+    if end == n0:
+        return n0, []
+    counts = _counts_at(starts, [i for outer in outers for i in outer if i >= 1])
+    if sum(counts[outer[-1 - d]] for (_, _, lags), outer in zip(shapes, outers) for d in lags) != near[-1]:
+        return n0, []
+    state = []
+    for (_, row, lags), outer in zip(shapes, outers):
+        state.append(outer[-1] - 1)
+        if len(lags) > 1:
+            du = [0] * stop
+            du[n0 + 1 - max(lags) : n0 + 1] = [counts.get(i, 0) - counts.get(h, 0) for h, i in zip(outer, outer[1:])]
+            state.append(du)
+        state += [*row, *lags[1:]]
+    return end, state
 
 
-def _fill_counts(values: list[int], starts: bytes, first: int, end: int, counts: range) -> None:
-    """Fill values[first:end] with C_T(first..end - 1), which run through counts.
-
-    A run of equal counts is one int object, as the loop stores them.
-    """
-    counts = list(counts)
-    values[first] = counts[0]
-    values[first + 1 : end] = map(counts.__getitem__, accumulate(starts[first : end - 1]))
+def _counts_at(starts: bytes, points: list[int]) -> dict[int, int]:
+    """C_T at each point, from one pass over the bytes below the largest, taken in sorted order."""
+    counts, total, last = {}, 0, 0
+    for point in sorted(set(points)):
+        # a tree's bytes are 0 or 1, which count(1) adds several times faster than sum
+        part = starts[last:point]
+        total += sum(part) if part.translate(None, b"\0\1") else part.count(1)
+        counts[point], last = total, point
+    return counts
 
 
 def _groups(spec: RecursionSpec) -> list[list[int]]:
@@ -355,67 +350,74 @@ def _group_loop(sizes: tuple[int, ...], order: int, follow: bool) -> Callable[..
     so the loop ends before that n and returns it.  A group of one is the
     plain summand, read from v with no list.
 
-    Every read at a fixed lag, v[n - b_t] and U[n - d], is a value that zip
-    hands in from a list iterator set at start - b_t or start - d.  A list
-    iterator reads its list when it is advanced, and zip advances it before
-    the body writes v[n] and U[n]; as b_t >= 1 and d >= 1 (_groups keeps a
-    repeated a out of a group), it reads what earlier terms wrote.  Only
-    the outer read v[i] is a subscript.  The source holds only group, term
-    and member numbers; the offsets are arguments.
+    Every read at a fixed lag, v[n - b_t] and U[n - d], comes from a list
+    iterator that zip advances before the body writes v[n] and U[n]; as
+    b_t >= 1 and d >= 1, it reads what earlier terms wrote.  Only the outer
+    read v[i] is a subscript, and the offsets are arguments.
 
     Each term stores the object of the last new value when its sum equals
-    it; last starts at 0, below every value, so the first term is always a
-    new value.  A new value past 2^63 - 1 raises OverflowError; a repeated
-    one was checked when it was new.
+    it; last starts at 0, below every value, so the first term is a new
+    value.  A new value past 2^63 - 1 raises OverflowError.
 
-    With follow, loop(v, start, stop, steps, floor, *arguments) holds the
-    run to the running sum of the step bytes instead: zip also hands in
-    steps[n - 1], last starts at v[start - 1] and adds each nonzero byte,
-    and the first n whose sum is not last is returned, as a death is.  An
-    outer index below floor, not 1, ends the run, in the body and in the
-    read-ahead window alike, so a run whose v holds counts only from
-    floor up reads none below them.  Every stored value is last, so a
-    run of equal values shares one object.  There is no cap check: the
-    bytes add at most 255 a term.
+    With follow, loop(steps, start, stop, end, *state) holds R, equal to
+    C_T below start, to C_T, the running sum of the step bytes, and returns
+    the first n < end where R dies or is not C_T, else end if end < stop,
+    else 0.  Group g tracks j = I(n - a) - 1, where I(m) = m - sum over t
+    of C_T(m - c_t), and steps it by 1 - e, e the sum of the bytes
+    steps[n - b_t - 1].  Then du = C_T(I) - C_T(I_prev) is steps[j] when e
+    is 0, 0 when e is 1, and minus the bytes j stepped back over when e > 1,
+    the one branch where j can fall below 0, a death.  A group with more
+    members stores du in a list and reads it at n - d, and the du must sum
+    to steps[n - 1].  There are no values and no cap.
     """
     params, fill, lagged, body, terms = [], [], [], [], []
-    floor = "floor" if follow else "1"
     for g, size in enumerate(sizes):
-        params += [f"a{g}", *(f"b{g}_{t}" for t in range(order)), *(f"d{g}_{x}" for x in range(1, size))]
-        lagged += [(f"x{g}_{t}", f"at(v, start - b{g}_{t})") for t in range(order)]
-        body += [
-            f"        i{g} = n - a{g}" + "".join(f" - x{g}_{t}" for t in range(order)),
-            f"        if i{g} < {floor}:",
-            "            return n",
-        ]
-        if size == 1:
-            terms.append(f"v[i{g}]")
-            continue
-        inner = "".join(f" - v[n - b{g}_{t}]" for t in range(order))
-        lags = "".join(f"d{g}_{x}, " for x in range(1, size))
-        fill += [
-            f"    u{g} = [0] * stop",
-            f"    for n in range(start - d{g}_{size - 1}, start):",
-            f"        i{g} = n - a{g}{inner}",
-            f"        if i{g} < {floor}:",
-            f"            end = min(end, n + min(d for d in ({lags}) if n + d >= start))",
-            "        else:",
-            f"            u{g}[n] = v[i{g}]",
-        ]
+        rows, lags = [f"b{g}_{t}" for t in range(order)], [f"d{g}_{x}" for x in range(1, size)]
+        if follow:
+            params += [f"j{g}", *[f"u{g}"][: size - 1], *rows, *lags]
+            # e is the sum of the bytes at n - b_t - 1, or the one byte when order is 1
+            read = [f"x{g}_{t}" for t in range(order)] if order > 1 else [f"e{g}"]
+            lagged += [(x, f"at(steps, start - 1 - b{g}_{t})") for t, x in enumerate(read)]
+            body += [  # one clause a line: j steps by 1 - e, and w is the change of u there
+                *[f"        e{g} = " + " + ".join(read)][: order - 1],
+                f"        if not e{g}:", f"            j{g} += 1", f"            w{g} = steps[j{g}]",
+                f"        elif e{g} == 1:", f"            w{g} = 0",
+                f"        elif e{g} == 2:", f"            w{g} = -steps[j{g}]", f"            j{g} -= 1",
+                f"            if j{g} < 0:", "                return n", "        else:",
+                f"            j{g} += 1 - e{g}", f"            if j{g} < 0:", "                return n",
+                f"            w{g} = -sum(steps[j{g} + 1 : j{g} + e{g}])",
+                *[f"        u{g}[n] = w{g}"][: size - 1],
+            ]
+        else:
+            params += [f"a{g}", *rows, *lags]
+            lagged += [(f"x{g}_{t}", f"at(v, start - b{g}_{t})") for t in range(order)]
+            body += [
+                f"        i{g} = n - a{g}" + "".join(f" - x{g}_{t}" for t in range(order)),
+                f"        if i{g} < 1:",
+                "            return n",
+            ]
+            if size == 1:
+                terms.append(f"v[i{g}]")
+                continue
+            inner = "".join(f" - v[n - b{g}_{t}]" for t in range(order))
+            fill += [
+                f"    u{g} = [0] * stop",
+                f"    for n in range(start - d{g}_{size - 1}, start):",
+                f"        i{g} = n - a{g}{inner}",
+                f"        if i{g} < 1:",
+                f"            end = min(end, n + min(d for d in ({', '.join(lags)}, ) if n + d >= start))",
+                "        else:",
+                f"            u{g}[n] = v[i{g}]",
+            ]
+            body.append(f"        w{g} = u{g}[n] = v[i{g}]")
         lagged += [(f"y{g}_{x}", f"at(u{g}, start - d{g}_{x})") for x in range(1, size)]
-        body.append(f"        w{g} = u{g}[n] = v[i{g}]")
         terms += [f"w{g}", *(f"y{g}_{x}" for x in range(1, size))]
     if follow:
-        params[:0] = ["steps", "floor"]
         lagged.insert(0, ("step", "at(steps, start - 1)"))
-        store = [
-            "        if step:",
-            "            last += step",
-            f"        if {' + '.join(terms)} != last:",
-            "            return n",
-        ]
+        head = [f"def loop(steps, start, stop, end, {', '.join(params)}):"]
+        store = [f"        if {' + '.join(terms)} != step:", "            return n"]
     else:
-        params.append("cap=MAX_VALUE")
+        head = [f"def loop(v, start, stop, {', '.join(params)}, cap=MAX_VALUE):", "    end, last = stop, 0", *fill]
         store = [
             "        total = " + " + ".join(terms),
             "        if total != last:",
@@ -424,16 +426,14 @@ def _group_loop(sizes: tuple[int, ...], order: int, follow: bool) -> Callable[..
             "            if total > 0x3FFFFFFF and total > cap:",
             '                raise OverflowError(f"R({n}) exceeds 2^63 - 1")',
             "            last = total",
+            "        v[n] = last",
         ]
     names, iterators = zip(*lagged)
     lines = [
-        f"def loop(v, start, stop, {', '.join(params)}):",
-        "    end, last = stop, v[start - 1]" if follow else "    end, last = stop, 0",
-        *fill,
+        *head,
         f"    for n, {', '.join(names)} in zip(range(start, end), {', '.join(iterators)}):",
         *body,
         *store,
-        "        v[n] = last",
         "    return end if end < stop else 0",
     ]
     namespace = {"MAX_VALUE": MAX_VALUE, "at": _list_iterator_at}

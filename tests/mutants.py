@@ -90,28 +90,40 @@ MUTANTS = (
            '("step", "at(steps, start - 1)")', '("step", "at(steps, start)")',
            "each term would be held to the tree's count one label past it", (T_RECURSION, T_CLI)),
     Mutant("only a value below the tree departs", RECURSION,
-           "f\"        if {' + '.join(terms)} != last:\",", "f\"        if {' + '.join(terms)} < last:\",",
-           "a recursion value above C_T would be stored as C_T and the run would go on", (T_RECURSION, T_CLI)),
-    # the split follow run: the tail from mid in a forked child, on the window of counts it reads
-    Mutant("tail starts one label late", RECURSION,
-           "n = loop(values, mid, stop, starts, lo, *arguments)",
-           "n = loop(values, mid + 1, stop, starts, lo, *arguments)",
-           "the child would hold the term at mid + 1 to a count it never filled", (T_RECURSION,)),
-    Mutant("tail floor ignored", RECURSION,
-           "n = loop(values, mid, stop, starts, lo, *arguments)", "n = loop(values, mid, stop, starts, 1, *arguments)",
-           "a read below the window would add 0 and could hide a departure instead of widening the window",
-           (T_RECURSION,)),
-    Mutant("window one label short", RECURSION,
-           "_fill_counts(values, starts, lo, mid, counts)", "_fill_counts(values, starts, lo, mid - 1, counts)",
-           "the tail's first term would start from a count of 0 at mid - 1", (T_RECURSION,)),
-    Mutant("window base counts ones", RECURSION,
-           "below = sum(starts[:top])", "below = starts[:top].count(1)",
-           "a byte above 1 below the window would shift every count in it", (T_RECURSION,)),
-    Mutant("widened prefix one label short", RECURSION,
-           "_fill_counts(values, starts, 1, lo, ", "_fill_counts(values, starts, 1, lo - 1, ",
-           "after widening, a read at lo - 1 would add 0 and could hide a departure", (T_RECURSION,)),
+           "f\"        if {' + '.join(terms)} != step:\"", "f\"        if {' + '.join(terms)} < step:\"",
+           "a recursion value above C_T would pass, and the run would go on from C_T", (T_RECURSION, T_CLI)),
+    # the follow loop in differences: j steps by 1 - e, and the change of u is read from the bytes
+    Mutant("a step back of one reads the byte one label off", RECURSION,
+           'f"            w{g} = -steps[j{g}]"', 'f"            w{g} = -steps[j{g} - 1]"',
+           "where j steps back one label, u would lose the byte below the one it passed", (T_RECURSION, T_CLI)),
+    Mutant("a longer step back sums one byte short", RECURSION,
+           "-sum(steps[j{g} + 1 : j{g} + e{g}])", "-sum(steps[j{g} + 1 : j{g} + e{g} - 1])",
+           "where j steps back two labels or more, u would keep the last byte it passed", (T_RECURSION,)),
+    # the prologue that starts a follow run at any n0 from the bytes alone
+    Mutant("prologue skips the full check at n0", RECURSION,
+           " != near[-1]:", " != near[-1] and False:",
+           "R(n0), the first term of each run, would never be held to C_T(n0)", (T_RECURSION, T_CLI)),
+    Mutant("window death one lag late", RECURSION,
+           "if m + d >= n0))", "if m + d > n0))",
+           "an index below 1 first read at n0 would not stop the run there", (T_RECURSION,)),
+    Mutant("du window one label low", RECURSION,
+           "du[n0 + 1 - max(lags) : n0 + 1] = ", "du[n0 - max(lags) : n0] = ",
+           "each lagged member would read the change of u one label early at its first terms", (T_RECURSION,)),
+    Mutant("byte sums count ones", RECURSION,
+           'total += sum(part) if part.translate(None, b"\\0\\1") else part.count(1)', "total += part.count(1)",
+           "a byte above 1 below n0 would shift every count the prologue reads", (T_RECURSION,)),
+    Mutant("sorted pass sums each point from 0", RECURSION,
+           "counts[point], last = total, point", "counts[point] = total",
+           "every count past the least point would add the bytes below that point again", (T_RECURSION,)),
+    # the split follow run: the second half from mid in a forked child
+    Mutant("child starts at mid + 1", RECURSION,
+           'b"%d" % _follow(spec, loop, starts, mid, stop)', 'b"%d" % _follow(spec, loop, starts, mid + 1, stop)',
+           "the term at mid would be checked by neither process", (T_RECURSION,)),
+    Mutant("head stops one label early", RECURSION,
+           "head = _follow(spec, loop, starts, start, mid)", "head = _follow(spec, loop, starts, start, mid - 1)",
+           "the term at mid - 1 would be checked by neither process", (T_RECURSION,)),
     Mutant("child with no result read as agreement", RECURSION,
-           "    return loop(values, mid, stop, starts, 1, *arguments)\n", "    return 0\n",
+           "    return _follow(spec, loop, starts, mid, stop)\n", "    return 0\n",
            "a child that failed would pass the tail unchecked", (T_RECURSION,)),
     Mutant("death reported only at the departure", CLI,
            "    result = recursion.evaluate(rspec, ic, args.n)\n    if not result.alive:\n",

@@ -4,6 +4,7 @@ import contextlib
 import os
 import signal
 import threading
+import tracemalloc
 from collections import Counter
 from itertools import accumulate, compress, count, islice, repeat
 from operator import rshift, sub
@@ -381,14 +382,13 @@ def test_overflow_of_a_value_equal_to_the_last_initial_condition():
 
 @pytest.mark.parametrize("family", [fam.OrderOne(1, 3, 1), fam.KaryOrderP(4, 3, 3)], ids=["order_one", "kary"])
 def test_one_int_object_per_value(family):
-    """A slow run repeats each value, and every run of equal values is one object,
-    in evaluate's loop and in the follow loop that first_departure runs."""
+    """A slow run repeats each value, and every run of equal values is one object in
+    evaluate's loop; the values are C_T, whose bytes first_departure follows to the end."""
     values = recursion.evaluate(fam.recursion_of(family), fam.standard_ics(family), 10**5).values
     assert len(set(map(id, values))) == len(set(values))
     starts = tree.cell_starts(fam.tree_of(family), 10**5)
-    followed, departed = recursion._run(fam.recursion_of(family), fam.standard_ics(family), 10**5 + 1, starts)
-    assert departed == 0 and followed[1:] == list(values)
-    assert len(set(map(id, followed[1:]))) == len(set(values))
+    assert bytes(map(sub, values, (0, *values))) == starts
+    assert recursion.first_departure(fam.recursion_of(family), fam.standard_ics(family), starts) is None
 
 
 @pytest.mark.parametrize("spec,initial,groups", [
@@ -494,18 +494,15 @@ def split_runs(min_terms=1, cpus=2):
 
 
 @settings(max_examples=400, deadline=None)
-@given(departures(), st.sampled_from((recursion.WINDOW_MARGIN, 0, -1, -3, -10**6)))
-def test_first_departure_split_in_two_is_where_evaluate_dies_or_leaves_the_tree(case, margin):
-    """The property above with every run that reaches the loop split, its tail in a forked child.
+@given(departures())
+def test_first_departure_split_in_two_is_where_evaluate_dies_or_leaves_the_tree(case):
+    """The property above with every run that reaches the loop split, its second half in a forked child.
 
-    The child's window starts margin below its first outer index, so a
-    margin below 0 makes the tail read under it and widen.  Each child
-    ends with its number or is killed once the head departs; a child that
-    failed would leave the tail to the parent unseen, so its exit code is
-    checked too.
+    Each child ends with its number or is killed once the head departs; a
+    child that failed would leave the tail to the parent unseen, so its
+    exit code is checked too.
     """
-    with split_runs() as codes, pytest.MonkeyPatch.context() as patch:
-        patch.setattr(recursion, "WINDOW_MARGIN", margin)
+    with split_runs() as codes:
         check_departure(case)
     assert set(codes) <= {0, -signal.SIGKILL}
 
@@ -558,81 +555,165 @@ def test_no_split_below_the_threshold_on_one_cpu_or_beside_a_thread():
 
 @pytest.mark.parametrize("at", [None, 350], ids=["agree", "tail"])
 def test_split_run_falls_back_when_the_child_fails(at):
-    """A child that raises before its number exits 1, and the parent runs the tail itself."""
-    parent = os.getpid()
+    """A child whose prologue raises exits 1 with no number, and the parent runs the tail itself."""
+    parent, state = os.getpid(), recursion._follow_state
 
-    def accumulate_in_parent_only(*args):
+    def state_in_parent_only(*args):
         if os.getpid() != parent:
             raise MemoryError
-        return accumulate(*args)
+        return state(*args)
 
     case = flipped_starts(fam.OrderOne(1, 3, 1), 400, at)
     with split_runs() as codes, pytest.MonkeyPatch.context() as patch:
-        patch.setattr(recursion, "accumulate", accumulate_in_parent_only)
+        patch.setattr(recursion, "_follow_state", state_in_parent_only)
         assert recursion.first_departure(*case) == at
     assert codes == [1]
 
 
-@contextlib.contextmanager
-def no_widening():
-    """A forked child that widens its window, a second _fill_counts call, raises there and exits 1."""
-    parent, fill, calls = os.getpid(), recursion._fill_counts, []
-
-    def fill_once(*args):
-        if os.getpid() != parent:
-            calls.append(args)
-            if len(calls) > 1:
-                raise MemoryError
-        return fill(*args)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(recursion, "_fill_counts", fill_once)
-        yield
+def cut(initial, n):
+    """Where a split run to n hands the rest to its child: half way from the first open n."""
+    return len(initial) + 1 + (n - len(initial)) // 2
 
 
 @pytest.mark.parametrize("family", [BENCHMARK_KARY, fam.OrderOne(1, 3, 1)], ids=["kary", "order_one"])
-def test_tail_window_holds_every_read_of_an_agreeing_run(family):
-    """At 3*10^5 labels the child's window holds every count its tail reads, so it never widens;
-    the window is the running sum of the bytes, from about half the cut up, or a quarter for k-ary."""
+def test_tail_state_at_the_cut_is_read_from_the_bytes(family):
+    """At 3*10^5 labels the run splits by itself and agrees.  The child's state at the cut is the
+    group's outer index I(cut) less one and the du window below it, as the running sum of the bytes
+    gives them: I(m) = m - a - sum over t of C_T(m - b_t) and du(m) = C_T(I(m)) - C_T(I(m - 1))."""
     spec, initial, starts = case = flipped_starts(family, FULL, None)
-    with split_runs(recursion.SPLIT_MIN_TERMS) as codes, no_widening():
+    with split_runs(recursion.SPLIT_MIN_TERMS) as codes:
         assert recursion.first_departure(*case) is None
     assert codes == [0]
-    mid, values = FULL * 9 // 16, [0] * (FULL + 1)
-    lo = recursion._tail_window(spec, values, starts, mid)
-    assert values[lo:mid] == list(accumulate(starts))[lo - 1 : mid - 1]
-    assert not any(values[:lo]) and not any(values[mid:])
-    low, high = (0.2, 0.3) if family is BENCHMARK_KARY else (0.45, 0.55)
-    assert low * mid < lo < high * mid
+    mid, counts = cut(initial, FULL), [0, *accumulate(starts)]
+    [[first, *rest]] = recursion._groups(spec)
+    a, row = spec.outer_offsets[first], spec.inner_offsets[first]
+    lags = [spec.outer_offsets[x] - a for x in rest]
+
+    def outer(m):
+        return m - a - sum(counts[m - b] for b in row)
+
+    end, (j, du, *offsets) = recursion._follow_state(spec, starts, mid)
+    window = range(mid + 1 - max(lags), mid + 1)
+    assert (end, j, offsets) == (FULL + 1, outer(mid) - 1, [*row, *lags])
+    assert du[window.start : window.stop] == [counts[outer(m)] - counts[outer(m - 1)] for m in window]
+    assert len(du) == FULL + 1 and not any(du[: window.start]) and not any(du[window.stop :])
 
 
-@pytest.mark.parametrize("at", [None, FULL * 9 // 10], ids=["agree", "tail"])
-def test_tail_read_below_the_window_widens_it(at):
-    """With the margin turned up until lo sits at the least lagged read, mid - max b, the tail's
-    outer reads all lie below its window: the child fills values[1:lo] and runs on, and its number
-    is one run's.  Where widening raises, the child exits 1, which shows that it widened."""
-    case = flipped_starts(BENCHMARK_KARY, FULL, at)
-    with split_runs(recursion.SPLIT_MIN_TERMS) as codes, pytest.MonkeyPatch.context() as patch:
-        patch.setattr(recursion, "WINDOW_MARGIN", -FULL)
-        assert recursion.first_departure(*case) == at
-        with no_widening():
+@pytest.mark.parametrize("at", [None, FULL // 10, FULL * 9 // 10], ids=["agree", "head", "tail"])
+def test_cut_next_to_the_departure(at):
+    """The 3*10^5 cases cut one label before, at and one label after their flip (the tail's flip for
+    agree): the child's loop meets the departure, its prologue's full check at the cut does, or the
+    head's last term does.  Each run's result is the unsplit one."""
+    flip = at or FULL * 9 // 10
+    ic_length = len(fam.standard_ics(BENCHMARK_KARY))
+    for mid in (flip - 1, flip, flip + 1):
+        n = 2 * (mid - ic_length - 1) + ic_length
+        case = flipped_starts(BENCHMARK_KARY, n, at)
+        assert cut(case[1], n) == mid
+        with split_runs() as codes:
             assert recursion.first_departure(*case) == at
-    assert codes == [0, 1]
+        assert codes in ([0], [-signal.SIGKILL])
 
 
-def test_tail_floor_holds_a_departure_that_a_read_below_the_window_would_hide():
-    """R(16) = R(16 - C_T(12)) + R(13 - C_T(12)) = C_T(9) + C_T(6) = 7 + 4 leaves C_T(16) = 7.  With
-    the margin at -1 the child's window starts at lo = 7, above the read at 6, which lies past the
-    five initial conditions: an unfilled 0 there would make the sum C_T(16), and the run would go on.
-    The floor stops it at 16 instead, and the widened run finds the departure there."""
+def departs_alike_at_every_cut(spec, initial, starts):
+    """first_departure on each prefix of starts, whole and split, is evaluate's departure; the last one."""
+    for n in range(len(starts) + 1):
+        case = (spec, initial, starts[:n])
+        expected = departure_by_evaluate(*case)
+        assert recursion.first_departure(*case) == expected
+        with split_runs() as codes:
+            assert recursion.first_departure(*case) == expected
+        assert set(codes) <= {0, -signal.SIGKILL}
+    return expected
+
+
+def test_every_cut_of_a_short_run_finds_its_departure():
+    """R(16) = R(16 - C_T(12)) + R(13 - C_T(12)) = C_T(9) + C_T(6) = 7 + 4 leaves C_T(16) = 7, a
+    read at 6 that lies past the five initial conditions and below every cut.  Each prefix of the
+    24 bytes moves the cut, from the first open n to 15, and the split run departs where one run does."""
     spec, initial = RecursionSpec(2, 1, (0, 3), ((4,), (4,))), [1, 1, 3, 3, 3]
     starts = bytes([1, 0, 2, 0, 0, 1, 0, 0, 3]) + bytes(15)
-    assert departure_by_evaluate(spec, initial, starts) == 16
-    with split_runs() as codes, pytest.MonkeyPatch.context() as patch:
-        patch.setattr(recursion, "WINDOW_MARGIN", -1)
-        assert recursion._tail_window(spec, [0] * 25, starts, 16) == 7
-        assert recursion.first_departure(spec, initial, starts) == 16
-    assert codes == [0]
+    assert departs_alike_at_every_cut(spec, initial, starts) == 16
+
+
+def own_steps(spec, initial, n):
+    """The recursion's values to n as cell-start bytes: the first value, then each step."""
+    values = recursion.evaluate(spec, initial, n).values
+    return bytes(map(sub, values, (0, *values)))
+
+
+@pytest.mark.parametrize("spec,initial,n,moves", [
+    # R(n) = R(n - R(n - 3)) + R(n - 3 - R(n - 6)) from 1 2 3 3 3 6 rises by 0 or 3, so e = 3 at
+    # n = 9, 15, 18, ...
+    (RecursionSpec.shifted((0, 3), (3,)), [1, 2, 3, 3, 3, 6], 120, ((40, 1), (48, -3), (48, 1))),
+    # at n = 10 the outer index of R(n - R(n - 6)) steps back from 6 to 4, over the bytes 2 and 0
+    # of labels 6 and 5, while that of R(n - 2 - R(n - 5)) steps up over a 2: R(11) then falls
+    (RecursionSpec(2, 1, (2, 0), ((5,), (6,))), [1, 3, 3, 6, 6, 8, 9], 10, ((10, 1),)),
+], ids=["long", "top_byte"])
+def test_steps_back_by_more_than_one(spec, initial, n, moves):
+    """Where e >= 3, j steps back two labels or more, and du is minus every byte it passed.  The
+    run follows its own steps at every cut; with one step moved, it departs where evaluate does."""
+    starts = own_steps(spec, initial, n)
+    assert any(sum(starts[m - b - 1] for b in row) >= 3 for m in range(len(initial) + 1, n + 1)
+               for row in spec.inner_offsets)
+    assert departs_alike_at_every_cut(spec, initial, starts) is None
+    for label, by in moves:
+        moved = bytearray(starts)
+        moved[label - 1] += by
+        assert departs_alike_at_every_cut(spec, initial, bytes(moved)) == label
+
+
+@pytest.mark.parametrize("spec,initial,starts,e", [
+    # j is 0 at 13, and e = 2 steps it to -1 at 14
+    (RecursionSpec.shifted((3, 4), (2, 4)), [3, 3, 3, 3, 3, 4, 5, 5, 6, 6],
+     bytes([3, 0, 0, 0, 0, 1, 1, 0, 1]) + bytes(5), 2),
+    # R(10) = R(10 - R(7)) + R(9 - R(6)) reads R(0): the byte of 4 at 7 steps j back three labels, past 0
+    (RecursionSpec.shifted((0, 1), (3,)), [5, 5, 5, 5, 6, 6], bytes([5, 0, 0, 0, 1, 0, 4, 0, 0, 0]), 4),
+], ids=["step_of_one", "step_of_three"])
+def test_death_stepping_back(spec, initial, starts, e):
+    """A run that agrees with its bytes dies in its loop, past its read-ahead window, where its outer
+    index steps back below 1; every cut finds the death where evaluate does."""
+    dead_at = recursion.evaluate(spec, initial, len(starts)).dead_at
+    assert dead_at == len(starts)
+    assert sum(starts[dead_at - b - 1] for b in spec.inner_offsets[0]) == e
+    assert recursion._follow_state(spec, starts, len(initial) + 1)[0] == len(starts) + 1
+    assert departs_alike_at_every_cut(spec, initial, starts) == dead_at
+
+
+TWO_GROUPS = RecursionSpec(3, 1, (1, 5, 1), ((2,), (6,), (4,)))
+
+
+@pytest.mark.parametrize("at", [None, FULL // 10, FULL * 9 // 10], ids=["agree", "head", "tail"])
+def test_two_groups_one_of_them_alone(at):
+    """u(m) = R(m - R(m - 1)) read at n - 1 and n - 5, and R(n - 1 - R(n - 4)) on its own: the
+    sequence from 1 1 1 1 3 3 rises by 0 or 2 to 3*10^5.  The run on its own steps, one step moved
+    at the flip, departs there, whole and split."""
+    assert recursion._groups(TWO_GROUPS) == [[0, 1], [2]]
+    initial = [1, 1, 1, 1, 3, 3]
+    starts = bytearray(own_steps(TWO_GROUPS, initial, FULL))
+    assert set(starts[1:]) == {0, 2}
+    if at:
+        starts[at - 1] += 1
+    with split_runs(recursion.SPLIT_MIN_TERMS, cpus=1) as whole:
+        assert recursion.first_departure(TWO_GROUPS, initial, bytes(starts)) == at
+    with split_runs(recursion.SPLIT_MIN_TERMS) as codes:
+        assert recursion.first_departure(TWO_GROUPS, initial, bytes(starts)) == at
+    assert whole == [] and len(codes) == 1
+
+
+def test_follow_holds_one_slot_a_label():
+    """An unsplit check of BENCHMARK_KARY to 3*10^5 labels holds, beside its bytes, one du list of
+    8-byte slots and no values: its traced peak stays under 12 bytes a label."""
+    case = flipped_starts(BENCHMARK_KARY, FULL, None)
+    assert recursion.first_departure(*case[:2], case[2][:1000]) is None  # compiles the loop first
+    with split_runs(recursion.SPLIT_MIN_TERMS, cpus=1):
+        tracemalloc.start()
+        try:
+            assert recursion.first_departure(*case) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 12 * FULL
 
 
 def test_first_departure_at_or_below_the_initial_conditions():
