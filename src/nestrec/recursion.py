@@ -158,9 +158,9 @@ def first_departure(spec: RecursionSpec, initial: Sequence[int], starts: bytes) 
     """The least n <= len(starts) where the recursion dies or leaves the running sum of starts, or None.
 
     starts holds one byte per n, 1 where the tree opens a cell, so its
-    running sum is C_T.  The initial conditions are compared with the
-    running sum of the head bytes; past them _follow runs the recursion on
-    C_T, where evaluate would die or first differ from C_T.  A run of
+    running sum is C_T.  Past the initial conditions, compared with the
+    running sum of the head bytes, _follow runs the recursion on C_T to
+    where evaluate would die or first differ from it.  A run of
     SPLIT_MIN_TERMS terms or more checks its second half at once in a forked
     child when two CPUs are usable and no other thread runs (_split_follow).
     """

@@ -645,7 +645,7 @@ def own_steps(spec, initial, n):
 @pytest.mark.parametrize("spec,initial,n,moves", [
     # R(n) = R(n - R(n - 3)) + R(n - 3 - R(n - 6)) from 1 2 3 3 3 6 rises by 0 or 3, so e = 3 at
     # n = 9, 15, 18, ...
-    (RecursionSpec.shifted((0, 3), (3,)), [1, 2, 3, 3, 3, 6], 120, ((40, 1), (48, -3), (48, 1))),
+    (RecursionSpec.shifted((0, 3), (3,)), [1, 2, 3, 3, 3, 6], 60, ((40, 1), (48, -3), (48, 1))),
     # at n = 10 the outer index of R(n - R(n - 6)) steps back from 6 to 4, over the bytes 2 and 0
     # of labels 6 and 5, while that of R(n - 2 - R(n - 5)) steps up over a 2: R(11) then falls
     (RecursionSpec(2, 1, (2, 0), ((5,), (6,))), [1, 3, 3, 6, 6, 8, 9], 10, ((10, 1),)),
