@@ -29,8 +29,11 @@ def main() -> None:
     print(f"  removed {report.removed} labels in {len(report.steps)} recorded moves")
     same = pruning.trees_equal(report.result, pruning.build_prefix(spec, 31 - report.removed))
     print(f"  result equals the fresh prefix with labels 1..{31 - report.removed}: {same}")
+    # the first supernode gives up its label and takes x = j - m placeholders, as at every order p
     moved = [s["label"] for s in report.steps if s["step"] == "initial correction"]
-    print(f"  labels moved during the initial correction: {moved}")
+    print(f"  initial correction, the supernode's label out and the placeholders in: {moved}")
+    trimmed = [s["label"] for s in report.steps if s["step"] == "end correction"]
+    print(f"  end correction, as many of the largest labels as placeholders: {trimmed}")
 
 
 if __name__ == "__main__":

@@ -4,6 +4,10 @@ A prune is a five-step rewrite of T(n): fix up the first supernode, delete
 labels against smaller copies of the tree, lift what is left out of the
 leaves, trim the largest stragglers, and renumber.  Done right, the result
 is T(n - removed) again, which is what ties the trees to the recursions.
+The three binary families share one prune: the fix-up swaps the first
+supernode's labels for x placeholders, x a regular node's labels, and the
+trim takes the x largest, so order one is order p at p = 1.  The k-ary op
+keeps the supernode's labels beside its placeholders.
 
 A tree is held as columns, not as one object per node: parallel lists of
 kinds, indices and cells, where node ordinal o (1-based, as the move log
@@ -219,11 +223,6 @@ def _fits(t: LabelledTree, family) -> tuple[int, ...]:
 
 def _placeholders(count: int) -> tuple[str, ...]:
     return tuple(f"placeholder-{i}" for i in range(1, count + 1))
-
-
-def _drop_supernode_labels(t: LabelledTree, log: _MoveLog) -> None:
-    log.add("initial correction", t.cells[1], [len(t.cells[1])], [2], [None])
-    t.cells[1] = (range(0),)
 
 
 def _insert_placeholders(t: LabelledTree, count: int, log: _MoveLog) -> None:
@@ -449,12 +448,11 @@ def _delete(t: LabelledTree, leaves: list[Leaf], row: tuple[int, ...], take, fil
     stamps the blocks over the group, each leaf's shifted by the difference
     of first labels; at the end the group's cells are stamped the same way.
     This is exact: every pass opens every cell of a whole-open leaf, and a
-    whole-open leaf ends at or below n, and for order one below the
-    move-in, so it holds its build-time cells, which are leaf 1's shifted.
-    `take` sees only how a leaf's labels lie relative to each other, so it
-    makes leaf 1's moves, shifted, with fills at the same slots.  Fills read
-    the parent and the placeholders, which leaves share, so they run leaf
-    by leaf in leaf order.  A pass stops at the first group that opens past
+    whole-open leaf ends at or below n, so it holds its build-time cells,
+    which are leaf 1's shifted.  `take` sees only how a leaf's labels lie
+    relative to each other, so it makes leaf 1's moves, shifted, with fills
+    at the same slots.  Fills read the parent and the placeholders, which
+    leaves share, so they run leaf by leaf in leaf order.  A pass stops at the first group that opens past
     n - b, and logs the groups in leaf order: the log of running the rule
     on every leaf.
     """
@@ -495,77 +493,45 @@ def _delete(t: LabelledTree, leaves: list[Leaf], row: tuple[int, ...], take, fil
 # -- the four pruning operations ----------------------------------------------
 
 
-def prune_order2(t: LabelledTree, family: fam.OrderOne) -> PruneReport:
-    """Prune T(n) of an order-one binary family: move-in correction, no end correction."""
-    row = _fits(t, family)
-    n, wanted = t.n, t.spec.regular_labels
-    log = _MoveLog()
-    anomalies: list[str] = []
+def _prune_binary(t: LabelledTree, family, take, fill, bound: int) -> PruneReport:
+    """The prune of the binary families: placeholder correction, deletion by `take` and `fill`, quota x.
 
-    # initial correction: empty the first supernode, refill it with the
-    # j - m largest labels of the tree (as many as a regular node holds),
-    # a suffix of the last cells
-    _drop_supernode_labels(t, log)
-    lowest = n - wanted + 1
-    for pos in range(len(t.cells) - 1, -1, -1):
-        if not wanted:
-            break
-        kept = []
-        for cell in t.cells[pos]:
-            cut = max(lowest - cell.start, 0)
-            if cut < len(cell):
-                log.add("initial correction", [cell[cut:]], [1], [pos + 1], [2])
-                wanted -= len(cell) - cut
-            kept.append(cell[:cut])
-        t.cells[pos] = tuple(kept)
-    # n is past the threshold, so all of them lie beyond the first supernode
-    t.cells[1] = (range(lowest, n + 1),)
-
-    # deletion: the move-in took only labels past n - j, so every cell in
-    # reach still holds its first label and none falls back; the leaves
-    # that every pass opens whole, one group, end below all of them
-    leaves = _leaves(t)
-    _delete(t, leaves, row, _take_fronts, _fill_front, log, anomalies)
-    return _finish(t, leaves, 0, log, anomalies)
-
-
-def prune_orderp(t: LabelledTree, family: fam.HigherOrder) -> PruneReport:
-    """Prune T(n) of an order-p binary family, deleting against p nested subtrees."""
+    The initial correction empties the first supernode and puts x
+    placeholders in it, x the labels of a regular node, and the end
+    correction removes the x largest labels left.  An n at or below `bound`
+    is flagged first as below the full shape.
+    """
     row = _fits(t, family)
     x = t.spec.regular_labels
     log = _MoveLog()
-    anomalies: list[str] = []
-
-    _drop_supernode_labels(t, log)
+    anomalies = [f"n = {t.n} is at or below the full-shape bound {bound}"] if t.n <= bound else []
+    log.add("initial correction", t.cells[1], [len(t.cells[1])], [2], [None])
+    t.cells[1] = (range(0),)
     _insert_placeholders(t, x, log)
-
     leaves = _leaves(t)
-    _delete(t, leaves, row, _take_fronts, _fill_front, log, anomalies)
+    _delete(t, leaves, row, take, fill, log, anomalies)
     return _finish(t, leaves, x, log, anomalies)
+
+
+def prune_order2(t: LabelledTree, family: fam.OrderOne) -> PruneReport:
+    """Prune T(n) of an order-one binary family, which is order p's prune at p = 1."""
+    # a name of its own, as perfbench/tracing.py times each prune operation by its function
+    return prune_orderp(t, family)
+
+
+def prune_orderp(t: LabelledTree, family: Union[fam.OrderOne, fam.HigherOrder]) -> PruneReport:
+    """Prune T(n) of an order-p binary family, deleting against p nested subtrees."""
+    return _prune_binary(t, family, _take_fronts, _fill_front, 0)
 
 
 def prune_superposed(t: LabelledTree, family: fam.Superposed) -> PruneReport:
     """Prune T(n) of a superposed family; exploratory m < 0 shapes may come up short.
 
     Each cell in reach gives up its last label, not its first, so the cells
-    keep their starts and no fallback is needed.
+    keep their starts and no fallback is needed.  Exploratory m < 0 shapes
+    run from a lower threshold, so an n at or below the IC length is flagged.
     """
-    row = _fits(t, family)
-    n, x = t.n, t.spec.regular_labels
-    log = _MoveLog()
-    anomalies: list[str] = []
-    # exploratory m < 0 shapes run from a lower threshold, so flag them at or below the IC length
-    bound = family.ic_length()
-    if n <= bound:
-        anomalies.append(f"n = {n} is at or below the full-shape bound {bound}")
-
-    _drop_supernode_labels(t, log)
-    _insert_placeholders(t, x, log)
-
-    leaves = _leaves(t)
-    _delete(t, leaves, row, _take_backs, _fill_back, log, anomalies)
-
-    return _finish(t, leaves, x, log, anomalies)
+    return _prune_binary(t, family, _take_backs, _fill_back, family.ic_length())
 
 
 def prune_kary(t: LabelledTree, family: fam.KaryOrderP) -> PruneReport:

@@ -143,7 +143,15 @@ def evaluate(spec: RecursionSpec, initial: Sequence[int], n_max: int) -> EvalRes
     _check_initial(initial)
     if n_max <= len(initial):
         return EvalResult(tuple(initial[: max(0, n_max)]), None, None)
-    values, dead_at = _run(spec, initial, n_max + 1)
+    values = [0] * (n_max + 1)  # 1-indexed
+    values[1 : len(initial) + 1] = list(initial)
+    start = len(initial) + 1
+    if start <= max(max(row) for row in spec.inner_offsets):
+        dead_at = start  # some inner index n - b is still below 1
+    else:
+        groups = _groups(spec)
+        dead_at = _group_loop(tuple(map(len, groups)), spec.order, False)(
+            values, start, n_max + 1, *_arguments(spec, groups))
     if dead_at:
         try:
             right_side(spec, values.__getitem__, dead_at)
@@ -184,22 +192,6 @@ def _check_initial(initial: Sequence[int]) -> None:
         raise ValueError("at least one initial condition is required")
     if any(v < 1 for v in initial):
         raise ValueError("initial conditions must be positive")
-
-
-def _run(spec: RecursionSpec, initial: Sequence[int], stop: int) -> tuple[list[int], int]:
-    """The values list, 1-indexed up to stop - 1 and filled from initial, and the loop's result on it.
-
-    The result is 0, or the first n where the run stopped.  A run that
-    starts at or below max b stops at its first open n, before any loop.
-    """
-    values = [0] * stop  # 1-indexed
-    values[1 : len(initial) + 1] = list(initial)
-    start = len(initial) + 1
-    if start <= max(max(row) for row in spec.inner_offsets):
-        return values, start  # some inner index n - b is still below 1
-    groups = _groups(spec)
-    loop = _group_loop(tuple(map(len, groups)), spec.order, False)
-    return values, loop(values, start, stop, *_arguments(spec, groups))
 
 
 def _usable_cpus() -> int:
@@ -253,13 +245,13 @@ def _split_follow(spec: RecursionSpec, loop: Callable[..., int], starts: bytes, 
 
 def _follow(spec: RecursionSpec, loop: Callable[..., int], starts: bytes, n0: int, stop: int) -> int:
     """0 if R is C_T on n0..stop - 1 given that it is below n0, else the first n there where it dies or is not."""
-    end, state = _follow_state(spec, starts, n0)
+    end, state = _follow_state(spec, starts, n0, stop)
     return end if end == n0 else loop(starts, n0 + 1, stop, min(end, stop), *state)
 
 
-def _follow_state(spec: RecursionSpec, starts: bytes, n0: int) -> tuple[int, list]:
+def _follow_state(spec: RecursionSpec, starts: bytes, n0: int, stop: int) -> tuple[int, list]:
     """Where a follow run from n0 stops by its read-ahead window, n0 if R(n0) dies or is not C_T(n0),
-    and the state its loop takes past n0.
+    and the state its loop takes past n0 to stop - 1.
 
     With R = C_T below n0, a group with first summand (a, b row) and others
     d past it reads I(m) = m - a - sum over t of C_T(m - b_t) for m from
@@ -268,10 +260,11 @@ def _follow_state(spec: RecursionSpec, starts: bytes, n0: int) -> tuple[int, lis
     window does.  Otherwise R(n0), the sum of C_T(I(n0 - d)), is checked in
     full.  The state is, per group, j = I(n0) - 1, du(m) = C_T(I(m)) -
     C_T(I(m - 1)) in a list from n0 + 1 - max d up if it has more members,
-    its b row and its lags.  A run from n0 <= max b stops at n0.  Counts
-    come from one byte sum below n0 - max b and one pass to the I(m).
+    its b row and its lags; the list has stop slots, as the loop writes du
+    only below stop.  A run from n0 <= max b stops at n0.  Counts come from
+    one byte sum below n0 - max b and one pass to the I(m).
     """
-    a, b, stop = spec.outer_offsets, spec.inner_offsets, len(starts) + 1
+    a, b = spec.outer_offsets, spec.inner_offsets
     shapes = [(a[first], b[first], [0, *(a[i] - a[first] for i in rest)]) for first, *rest in _groups(spec)]
     low = n0 - max(max(row) + max(lags) for _, row, lags in shapes)  # n0 - max b, the least inner index
     if low < 1:
@@ -279,7 +272,7 @@ def _follow_state(spec: RecursionSpec, starts: bytes, n0: int) -> tuple[int, lis
     near = list(accumulate(starts[low:n0], initial=_counts_at(starts, [low])[low]))  # C_T(low..n0)
     outers = [[m - lead - sum(near[m - t - low] for t in row) for m in range(n0 - max(lags), n0 + 1)]
               for lead, row, lags in shapes]  # I(m) for m from n0 - max d to n0, per group
-    end = stop
+    end = len(starts) + 1
     for (_, _, lags), outer in zip(shapes, outers):
         for m, i in zip(range(n0 - max(lags), n0 + 1), outer):
             if i < 1:

@@ -132,13 +132,22 @@ MUTANTS = (
     Mutant("DIVERGE tree count one label short", CLI,
            "tree {sum(starts[:n])}", "tree {sum(starts[: n - 1])}",
            "verify would print the tree's count at n - 1 beside the recursion's at n", (T_CLI,)),
-    # superposed pruning: tier-1 once missed both
+    # the one prune body of order one, order p and superposed; tier-1 once missed the first two in superposed
     Mutant("superposed full-shape test strict", PRUNING,
-           "    if n <= bound:\n", "    if n < bound:\n",
+           " if t.n <= bound else []", " if t.n < bound else []",
            "n equal to the IC length would not be flagged", (T_PRUNING,)),
-    Mutant("superposed passes reversed", PRUNING,
-           "_delete(t, leaves, row, _take_backs,", "_delete(t, leaves, row[::-1], _take_backs,",
+    Mutant("binary passes reversed", PRUNING,
+           "_delete(t, leaves, row, take,", "_delete(t, leaves, row[::-1], take,",
            "the deletion passes would log their blocks in another order", (T_PRUNING,)),
+    Mutant("binary placeholders one short", PRUNING,
+           "    _insert_placeholders(t, x, log)\n    leaves = _leaves(t)\n    _delete(",
+           "    _insert_placeholders(t, x - 1, log)\n    leaves = _leaves(t)\n    _delete(",
+           "the first supernode would hold x - 1 placeholders, so each prune would remove one label more",
+           (T_PRUNING,)),
+    Mutant("binary end correction quota 0", PRUNING,
+           "fill, log, anomalies)\n    return _finish(t, leaves, x,",
+           "fill, log, anomalies)\n    return _finish(t, leaves, 0,",
+           "the x largest labels would stay, so each prune would remove x labels fewer", (T_PRUNING,)),
     # the other prune ops and their bounds
     Mutant("order_one prune threshold one lower", FAMILIES,
            "        return 4 * self.j + 2 * self.m + 2 * self.s\n",

@@ -111,19 +111,22 @@ def test_running_example_prune():
 
 
 def test_running_example_moved_labels():
+    """The initial correction moves label 5 out of the first supernode and x = j - m = 2 placeholders in.
+
+    The end correction then removes the two largest labels, 30 and 31, from node 10, their leaf's parent.
+    """
     t = pruning.build_prefix(RUNNING, 31)
     report = pruning.prune_order2(t, fam.OrderOne(1, 3, 1))
-    moved = sorted(s["label"] for s in report.steps
-                   if s["step"] == "initial correction" and s["to"] == 2
-                   and isinstance(s["label"], int))
-    assert moved == [30, 31]
+    moved = [(s["label"], s["from"], s["to"]) for s in report.steps if s["step"] == "initial correction"]
+    assert moved == [(5, 2, None), ("placeholder-1", None, 2), ("placeholder-2", None, 2)]
+    trimmed = [(s["label"], s["from"]) for s in report.steps if s["step"] == "end correction"]
+    assert trimmed == [(31, 10), (30, 10)]
 
 
 PINNED_MOVES = [  # the four golden --trace cases, then a leaf's last cell standing in for an emptied one
     (fam.OrderOne(1, 3, 1), 31, [
         ('initial correction', (range(5, 6),), 2, None),
-        ('initial correction', (range(30, 31),), 12, 2),
-        ('initial correction', (range(31, 32),), 12, 2),
+        ('initial correction', (('placeholder-1', 'placeholder-2'),), None, 2),
         ('deletion', ((1, 2, 3),), 1, None),
         ('deletion', ((6, 7, 8),), 3, None),
         ('deletion', ((13, 14, 15),), 6, None),
@@ -134,9 +137,12 @@ PINNED_MOVES = [  # the four golden --trace cases, then a leaf's last cell stand
         ('lifting', (range(14, 14), range(15, 15), range(16, 17)), 6, 5),
         ('lifting', (range(18, 18), range(19, 19), range(20, 21)), 7, 5),
         ('lifting', (range(27, 27), range(28, 28), range(29, 30)), 11, 10),
-        ('lifting', (range(30, 30), range(31, 31), range(32, 32)), 12, 10),
+        ('lifting', (range(30, 31), range(31, 32), range(32, 32)), 12, 10),
+        ('end correction', (range(31, 30, -1),), 10, None),
+        ('end correction', (range(30, 29, -1),), 10, None),
         ('relabelling', (
-            range(2, 2), range(3, 3), range(4, 5), range(7, 7), range(8, 8), range(9, 10), range(30, 32),
+            ('placeholder-1', 'placeholder-2'), range(0, 0), range(2, 2), range(3, 3), range(4, 5), range(7, 7),
+            range(8, 8), range(9, 10),
         ), 2, range(1, 5)),
         ('relabelling', (range(10, 11),), 4, range(5, 6)),
         ('relabelling', (
@@ -293,30 +299,24 @@ def test_orderp_removed_formula():
 
 
 def test_orderp_p1_equals_order2():
-    """The placeholder construction and the label move agree exactly at p=1.
+    """HigherOrder(s, j, m, 1) prunes like OrderOne(s, j, m), whose threshold is one lower.
 
-    HigherOrder(s, j, m, 1) has OrderOne(s, j, m)'s tree and offsets, and a
-    threshold one higher.  prune_orderp run with the OrderOne record itself
-    starts at OrderOne's threshold, and gives prune_order2's removed count,
-    result and anomalies (none) on s 0..3, j 1..4, m 0..j.
+    The two records have one tree and one offset row, so from the higher
+    threshold on both prune to the same removed count, result, move log and
+    anomalies (none), on s 0..3, j 1..4, m 0..j.
     """
-    for s, j, m in [(0, 1, 0), (1, 3, 1), (0, 2, 1), (1, 2, 2)]:
-        f = fam.OrderOne(s, j, m)
-        spec = fam.tree_of(f)
-        # the order-p precondition is strict, so it kicks in one label later
-        for n in range(fam.prune_threshold(f) + 1, fam.prune_threshold(f) + 30):
-            a = pruning.prune_order2(pruning.build_prefix(spec, n), f)
-            b = pruning.prune_orderp(pruning.build_prefix(spec, n), fam.HigherOrder(s, j, m, 1))
-            assert a.removed == b.removed, (s, j, m, n)
-            assert pruning.trees_equal(a.result, b.result), (s, j, m, n)
     for f in [fam.OrderOne(s, j, m) for s in range(4) for j in range(1, 5) for m in range(j + 1)]:
+        p1 = fam.HigherOrder(f.s, f.j, f.m, 1)
         spec, lo = fam.tree_of(f), fam.prune_threshold(f)
-        assert fam.prune_threshold(fam.HigherOrder(f.s, f.j, f.m, 1)) == lo + 1
-        for n in range(lo, lo + 10):
+        assert fam.tree_of(p1) == spec and fam.recursion_of(p1) == fam.recursion_of(f), f
+        assert fam.prune_threshold(p1) == lo + 1
+        with pytest.raises(pruning.PruneRefused):
+            pruning.prune_orderp(pruning.build_prefix(spec, lo), p1)
+        for n in range(lo + 1, lo + 11):
             a = pruning.prune_order2(pruning.build_prefix(spec, n), f)
-            b = pruning.prune_orderp(pruning.build_prefix(spec, n), f)
-            assert (a.removed, a.anomalies) == (b.removed, b.anomalies) == (a.removed, []), (f, n)
-            assert pruning.trees_equal(a.result, b.result), (f, n)
+            b = pruning.prune_orderp(pruning.build_prefix(spec, n), p1)
+            assert (a.removed, a.anomalies, a.moves) == (b.removed, b.anomalies, b.moves), (f, n)
+            assert a.anomalies == [] and pruning.trees_equal(a.result, b.result), (f, n)
 
 
 def test_superposed_removed_formula():
@@ -671,29 +671,9 @@ def test_stamp_ends_at_the_leaf_whose_last_cell_opens_at_n_minus_max_b(monkeypat
         assert_matches_reference(monkeypatch, family, at)
 
 
-def test_order_one_move_in_stops_short_of_the_stamp(monkeypatch):
-    """The move-in takes the labels from n - j + m + 1 on, and every cell of a whole-open leaf ends below them.
-
-    So the move-in leaves the whole-open leaves their build-time cells.  At
-    the n where it reaches the first leaf past them, the stamped deletion
-    matches the reference.
-    """
-    reached = 0
-    for family in [point for point in prune_points() if point.name == "order_one"]:
-        spec, row = fam.tree_of(family), fam.recursion_of(family).inner_offsets[0]
-        for n in range(fam.prune_threshold(family), fam.prune_threshold(family) + 40):
-            lowest = n - spec.regular_labels + 1
-            whole, after = whole_open_cells(spec, row, n)
-            assert whole and all(cell.stop <= lowest for cells in whole for cell in cells), (family, n)
-            if any(cell and cell[-1] >= lowest for cells in after for cell in cells):
-                reached += 1
-                assert_matches_reference(monkeypatch, family, n)
-    assert reached
-
-
-@pytest.mark.parametrize("name", ["higher_order", "superposed"])
+@pytest.mark.parametrize("name", DRIVEN)
 def test_whole_open_leaves_end_at_or_below_n(name):
-    """A whole-open leaf of order p or superposed, m < 0 included, is full and ends at or below n.
+    """A whole-open leaf of order one, order p or superposed, m < 0 included, is full and ends at or below n.
 
     Its last cell opens at or below n - max b and holds at most max b + 1
     labels on every in-range point, so the build's cut at n never reaches it.

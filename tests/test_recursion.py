@@ -577,14 +577,25 @@ def cut(initial, n):
 
 @pytest.mark.parametrize("family", [BENCHMARK_KARY, fam.OrderOne(1, 3, 1)], ids=["kary", "order_one"])
 def test_tail_state_at_the_cut_is_read_from_the_bytes(family):
-    """At 3*10^5 labels the run splits by itself and agrees.  The child's state at the cut is the
-    group's outer index I(cut) less one and the du window below it, as the running sum of the bytes
-    gives them: I(m) = m - a - sum over t of C_T(m - b_t) and du(m) = C_T(I(m)) - C_T(I(m - 1))."""
+    """At 3*10^5 labels the run splits by itself and agrees, and the head's du list holds the cut's
+    number of slots, as its run stops there.  The child's state at the cut is the group's outer
+    index I(cut) less one and the du window below it, as the running sum of the bytes gives them:
+    I(m) = m - a - sum over t of C_T(m - b_t) and du(m) = C_T(I(m)) - C_T(I(m - 1))."""
     spec, initial, starts = case = flipped_starts(family, FULL, None)
-    with split_runs(recursion.SPLIT_MIN_TERMS) as codes:
+    parent, state, runs = os.getpid(), recursion._follow_state, []
+
+    def state_sized(spec, starts, n0, stop):
+        end, values = state(spec, starts, n0, stop)
+        if os.getpid() == parent:
+            runs.append((n0, stop, [len(du) for du in values if isinstance(du, list)]))
+        return end, values
+
+    with split_runs(recursion.SPLIT_MIN_TERMS) as codes, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recursion, "_follow_state", state_sized)
         assert recursion.first_departure(*case) is None
     assert codes == [0]
     mid, counts = cut(initial, FULL), [0, *accumulate(starts)]
+    assert runs == [(len(initial) + 1, mid, [mid])]
     [[first, *rest]] = recursion._groups(spec)
     a, row = spec.outer_offsets[first], spec.inner_offsets[first]
     lags = [spec.outer_offsets[x] - a for x in rest]
@@ -592,7 +603,7 @@ def test_tail_state_at_the_cut_is_read_from_the_bytes(family):
     def outer(m):
         return m - a - sum(counts[m - b] for b in row)
 
-    end, (j, du, *offsets) = recursion._follow_state(spec, starts, mid)
+    end, (j, du, *offsets) = recursion._follow_state(spec, starts, mid, FULL + 1)
     window = range(mid + 1 - max(lags), mid + 1)
     assert (end, j, offsets) == (FULL + 1, outer(mid) - 1, [*row, *lags])
     assert du[window.start : window.stop] == [counts[outer(m)] - counts[outer(m - 1)] for m in window]
@@ -676,7 +687,7 @@ def test_death_stepping_back(spec, initial, starts, e):
     dead_at = recursion.evaluate(spec, initial, len(starts)).dead_at
     assert dead_at == len(starts)
     assert sum(starts[dead_at - b - 1] for b in spec.inner_offsets[0]) == e
-    assert recursion._follow_state(spec, starts, len(initial) + 1)[0] == len(starts) + 1
+    assert recursion._follow_state(spec, starts, len(initial) + 1, len(starts) + 1)[0] == len(starts) + 1
     assert departs_alike_at_every_cut(spec, initial, starts) == dead_at
 
 
