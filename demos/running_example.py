@@ -29,7 +29,6 @@ def main() -> None:
     print(f"  removed {report.removed} labels in {len(report.steps)} recorded moves")
     same = pruning.trees_equal(report.result, pruning.build_prefix(spec, 31 - report.removed))
     print(f"  result equals the fresh prefix with labels 1..{31 - report.removed}: {same}")
-    # the first supernode gives up its label and takes x = j - m placeholders, as at every order p
     moved = [s["label"] for s in report.steps if s["step"] == "initial correction"]
     print(f"  initial correction, the supernode's label out and the placeholders in: {moved}")
     trimmed = [s["label"] for s in report.steps if s["step"] == "end correction"]

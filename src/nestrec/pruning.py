@@ -452,9 +452,9 @@ def _delete(t: LabelledTree, leaves: list[Leaf], row: tuple[int, ...], take, fil
     which are leaf 1's shifted.  `take` sees only how a leaf's labels lie
     relative to each other, so it makes leaf 1's moves, shifted, with fills
     at the same slots.  Fills read the parent and the placeholders, which
-    leaves share, so they run leaf by leaf in leaf order.  A pass stops at the first group that opens past
-    n - b, and logs the groups in leaf order: the log of running the rule
-    on every leaf.
+    leaves share, so they run leaf by leaf in leaf order.  A pass stops at
+    the first group that opens past n - b, and logs the groups in leaf
+    order: the log of running the rule on every leaf.
     """
     n, all_cells = t.n, t.cells
     offsets = _cell_offsets(t.spec)

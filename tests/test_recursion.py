@@ -585,10 +585,10 @@ def test_tail_state_at_the_cut_is_read_from_the_bytes(family):
     parent, state, runs = os.getpid(), recursion._follow_state, []
 
     def state_sized(spec, starts, n0, stop):
-        end, values = state(spec, starts, n0, stop)
+        end, loop_state = state(spec, starts, n0, stop)
         if os.getpid() == parent:
-            runs.append((n0, stop, [len(du) for du in values if isinstance(du, list)]))
-        return end, values
+            runs.append((n0, stop, [len(du) for du in loop_state if isinstance(du, list)]))
+        return end, loop_state
 
     with split_runs(recursion.SPLIT_MIN_TERMS) as codes, pytest.MonkeyPatch.context() as patch:
         patch.setattr(recursion, "_follow_state", state_sized)
