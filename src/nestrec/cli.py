@@ -15,6 +15,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import os
 import random
@@ -60,12 +61,10 @@ def resolve_family(args) -> fam.Family:
 
 def resolve_recursion(args) -> tuple[recursion.RecursionSpec, list[int]]:
     """A recursion plus initial conditions, from a named family or a spec file."""
-    if args.spec and args.family_name:
-        raise UsageError("pass either a family name or --spec, not both")
-    if args.spec:
-        with open(args.spec) as handle:
-            return recursion.from_document(json.load(handle))
-    family = resolve_family(args)
+    return _spec_or_family(args, recursion.from_document, _recursion_and_ics)
+
+
+def _recursion_and_ics(family: fam.Family) -> tuple[recursion.RecursionSpec, list[int]]:
     try:
         ic = fam.standard_ics(family)
     except fam.NoTreeKnown:
@@ -76,24 +75,29 @@ def resolve_recursion(args) -> tuple[recursion.RecursionSpec, list[int]]:
 
 
 def resolve_tree(args) -> tree.TreeSpec:
+    return _spec_or_family(args, tree.from_document, fam.tree_of)
+
+
+def _spec_or_family(args, from_document, of_family):
+    """`from_document` of the --spec file, or `of_family` of the named family: one of the two, not both."""
     if args.spec and args.family_name:
         raise UsageError("pass either a family name or --spec, not both")
     if args.spec:
         with open(args.spec) as handle:
-            return tree.from_document(json.load(handle))
-    return fam.tree_of(resolve_family(args))
+            return from_document(json.load(handle))
+    return of_family(resolve_family(args))
 
 
 # -- output formatting --------------------------------------------------------
 
 
-def render_sequence(values: Sequence[int], fmt: str) -> str:
+def render_sequence(values: Sequence[int], fmt: str, header: str = "n,value") -> str:
     if not values:
         raise UsageError("nothing to write: the sequence is empty")
     if fmt == "bfile":
         return "".join(f"{n} {v}\n" for n, v in enumerate(values, 1))
     if fmt == "csv":
-        return "n,value\n" + "".join(f"{n},{v}\n" for n, v in enumerate(values, 1))
+        return header + "\n" + "".join(f"{n},{v}\n" for n, v in enumerate(values, 1))
     if fmt == "json":
         return json.dumps(list(values)) + "\n"
     if fmt == "table":
@@ -149,14 +153,11 @@ def cmd_freq(args) -> int:
             )
     else:
         seq = freq.closed_form_sequence(spec, args.vmax)
-    rows = [(v, seq[v]) for v in range(1, args.vmax + 1)]
+    phi = [seq[v] for v in range(1, args.vmax + 1)]
     if args.format == "json":
-        text = json.dumps({str(v): phi for v, phi in rows}) + "\n"
-    elif args.format == "table":
-        width = len(str(args.vmax))
-        text = "".join(f"{v:>{width}}  {phi}\n" for v, phi in rows)
+        text = json.dumps({str(v): value for v, value in enumerate(phi, 1)}) + "\n"
     else:
-        text = "v,phi\n" + "".join(f"{v},{phi}\n" for v, phi in rows)
+        text = render_sequence(phi, args.format, header="v,phi")
     write_output(text, args.out)
     return 0
 
@@ -196,14 +197,9 @@ def verify_sparse(family: fam.Family, args) -> int:
         raise UsageError("--sparse needs a positive sample count")
     if args.n <= ic_length:
         raise UsageError(f"--n must exceed the {ic_length} initial conditions")
-    seed = args.seed if args.seed is not None else random.randrange(10**9)
-    print(f"seed = {seed}", file=sys.stderr)
-    rng = random.Random(seed)
+    rng = _seeded_rng(args.seed)
     rspec = fam.recursion_of(family)
-
-    def count(n: int) -> int:
-        return tree.cell_count(tspec, n)
-
+    count = functools.partial(tree.cell_count, tspec)
     for _ in range(args.sparse):
         n = rng.randint(ic_length + 1, args.n)
         lhs, rhs = count(n), recursion.right_side(rspec, count, n)
@@ -215,15 +211,21 @@ def verify_sparse(family: fam.Family, args) -> int:
     return 0
 
 
+def _seeded_rng(seed: Optional[int]) -> random.Random:
+    """A generator from --seed, or from a drawn seed; the seed goes to stderr so a run can be repeated."""
+    if seed is None:
+        seed = random.randrange(10**9)
+    print(f"seed = {seed}", file=sys.stderr)
+    return random.Random(seed)
+
+
 def cmd_prune(args) -> int:
     family = resolve_family(args)
     lo = fam.prune_threshold(family)
     if args.check < 0:
         raise UsageError("--check needs a positive sample count")
     if args.check:
-        seed = args.seed if args.seed is not None else random.randrange(10**9)
-        print(f"seed = {seed}", file=sys.stderr)
-        rng = random.Random(seed)
+        rng = _seeded_rng(args.seed)
         hi = max(args.n, lo + 1)
         failures = 0
         for _ in range(args.check):
@@ -322,10 +324,7 @@ def parse_grid(text: str) -> dict[str, list[int]]:
 
 
 def grid_points(grid: dict[str, list[int]]) -> list[dict[str, int]]:
-    points = [{}]
-    for key, values in grid.items():
-        points = [dict(point, **{key: v}) for point in points for v in values]
-    return points
+    return [dict(zip(grid, values)) for values in itertools.product(*grid.values())]
 
 
 def explore_rows(name: str, points: list[dict[str, int]], n_max: int, prune_check: bool = False) -> list[dict]:
@@ -391,17 +390,19 @@ def _freq_match(spec: tree.TreeSpec, steps: bytes) -> str:
 
     The run's start bytes up to the last 1, which opens the run that may
     still grow, hold every complete run; they are compared with the closed
-    form's in one ==, and only a mismatch is read value by value to name v.
+    form's in one ==.  Both start with a 1, so on a mismatch the run that
+    differs first is v, the count of 1 bytes before the first differing
+    byte; that run ends by the last 1, so it is complete.
     """
     starts = b"\1" + steps
     complete = starts.rfind(1)
     if complete < 1:
         return ""
-    if starts[: complete + 1] == freq.phi_starts(spec, complete + 1):
+    observed, closed = starts[: complete + 1], freq.phi_starts(spec, complete + 1)
+    if observed == closed:
         return "yes"
-    empirical = freq.from_steps(steps)
-    closed = freq.closed_form_sequence(spec, empirical.vmax)
-    return f"no(v={freq.compare(empirical, closed, empirical.vmax).first_diff})"
+    at = next(i for i, (a, b) in enumerate(zip(observed, closed)) if a != b)
+    return f"no(v={starts.count(1, 0, at)})"
 
 
 def _prune_identity(family: fam.Family, n_max: int) -> str:
@@ -442,11 +443,7 @@ def cmd_explore(args) -> int:
         raise UsageError(f"parameter {both[0]!r} is given both positionally and in --grid")
     points = [dict(fixed, **point) for point in grid_points(grid)]
     rows = explore_rows(name, points, args.n, prune_check=args.prune_check)
-    columns: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
+    columns = list(dict.fromkeys(key for row in rows for key in row))
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=columns, restval="")
     writer.writeheader()
@@ -465,6 +462,11 @@ def add_source_args(sub, with_spec=True):
         sub.add_argument("--spec", help="JSON spec file instead of a named family")
 
 
+def _add_output_args(sub, default="table", formats=("table", "csv", "json", "bfile")):
+    sub.add_argument("--format", default=default, choices=formats)
+    sub.add_argument("--out")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The `nestrec` argument parser, built once per process: each parse_args makes a fresh namespace."""
@@ -477,30 +479,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser("eval", help="evaluate a recursion")
     add_source_args(sub)
     sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--format", default="table", choices=["table", "csv", "json", "bfile"])
-    sub.add_argument("--out")
+    _add_output_args(sub)
     sub.set_defaults(func=cmd_eval)
 
     sub = subparsers.add_parser("tree", help="cell counting sequence of a tree")
     add_source_args(sub)
     sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--format", default="table", choices=["table", "csv", "json", "bfile"])
-    sub.add_argument("--out")
+    _add_output_args(sub)
     sub.set_defaults(func=cmd_tree)
 
     sub = subparsers.add_parser("ic", help="tree-following initial conditions")
     add_source_args(sub, with_spec=False)
     sub.add_argument("--n", type=int, default=0, help="override the standard length")
-    sub.add_argument("--format", default="table", choices=["table", "csv", "json", "bfile"])
-    sub.add_argument("--out")
+    _add_output_args(sub)
     sub.set_defaults(func=cmd_ic)
 
     sub = subparsers.add_parser("freq", help="frequency sequence, closed form or empirical")
     add_source_args(sub)
     sub.add_argument("--vmax", type=int, required=True)
     sub.add_argument("--empirical", type=int, default=0, help="derive from the first N labels instead")
-    sub.add_argument("--format", default="csv", choices=["table", "csv", "json"])
-    sub.add_argument("--out")
+    _add_output_args(sub, default="csv", formats=("table", "csv", "json"))
     sub.set_defaults(func=cmd_freq)
 
     sub = subparsers.add_parser("verify", help="recursion vs tree cell counts")

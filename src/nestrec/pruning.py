@@ -551,8 +551,6 @@ def prune_kary(t: LabelledTree, family: fam.KaryOrderP) -> PruneReport:
     runs, sources = [], []
     for ordinal, _ in leaves:
         cell = all_cells[ordinal - 1][0]
-        if not cell:  # it lies past n
-            continue
         demand = bisect_right(row, n - cell.start)
         runs.append(cell[:demand])
         sources.append(ordinal)

@@ -248,11 +248,14 @@ MUTANTS = (
            "first = first + off + unit(g + s) + (pure + off + unit(g)) * (k - 2) + pure",
            "first = first + off + unit(g + s) + (first + off + unit(g + s)) * (k - 2) + first",
            "phi would add supernode_labels at q = t*k^h + k^e, not only at the powers of k", (T_FREQUENCY,)),
-    # explore's freq_match: the run-start bytes against phi_starts in one ==
+    # explore's freq_match: the run-start bytes against phi_starts in one ==, v from the first differing byte
     Mutant("phi string one byte short", CLI,
-           "starts[: complete + 1] == freq.phi_starts(spec, complete + 1)",
-           "starts[:complete] == freq.phi_starts(spec, complete)",
+           "starts[: complete + 1], freq.phi_starts(spec, complete + 1)",
+           "starts[:complete], freq.phi_starts(spec, complete)",
            "a last complete run one label shorter than the closed form would read yes", (T_CLI,)),
+    Mutant("v counted through the differing byte", CLI,
+           "starts.count(1, 0, at)", "starts.count(1, 0, at + 1)",
+           "a run that closes early would be named one value late, as v + 1", (T_CLI,)),
     Mutant("block end read as off-grid", FREQUENCY,
            "_run(closed_form(spec, end))", "_run(spec.per_cell)",
            "phi_starts would give each block end (t + 1)*P the off-grid per_cell labels", (T_FREQUENCY,)),

@@ -214,6 +214,9 @@ def test_verify_sparse_usage_errors(capsys):
     assert "no tree" in err
     code, _, err = run(["verify", "order_one", "s=1", "j=3", "m=1", "--n", "20", "--sparse", "5"], capsys)
     assert code == 2
+    code, out, err = run(["verify", "order_one", "s=1", "j=3", "m=1", "--n", "50", "--sparse", "-1"], capsys)
+    assert code == 2
+    assert out == "" and err == "error: --sparse needs a positive sample count\n"
 
 
 def test_freq_csv_header(capsys):
@@ -369,6 +372,13 @@ def test_exit_code_2_on_bad_params(capsys):
     assert code == 2
     code, _, err = run(["eval", "no_such", "--n", "10"], capsys)
     assert code == 2
+    code, out, err = run(["tree", "q_family", "s=1", "j=3", "q=1", "--n", "5"], capsys)
+    assert code == 2
+    assert out == "" and err.endswith("error: no tree construction for QFamily(s=1, j=3, q=1)\n")
+    # a candidate has no IC length of its own
+    code, out, err = run(["ic", "neg_gamma", "k=3", "gamma=-1", "delta=4"], capsys)
+    assert code == 2
+    assert out == "" and err.endswith("error: no tree construction for NegGammaCandidate(k=3, gamma=-1, delta=4)\n")
 
 
 def test_spec_file_round_trip(tmp_path, capsys):
@@ -408,6 +418,9 @@ def test_oeis_match(tmp_path, capsys, monkeypatch):
     assert out.strip() == "A000001"
     code, out, _ = run(["oeis-match", "h", "--n", "12"], capsys)
     assert out.strip() == "A000002"
+    code, out, err = run(["oeis-match", "conolly", "--n", "0", "--stripped", str(snapshot)], capsys)
+    assert code == 2
+    assert out == "" and err == "error: empty query sequence\n"
 
 
 def test_oeis_match_requires_snapshot(capsys, monkeypatch):

@@ -120,6 +120,7 @@ def test_validate_ranges():
     assert not fam.HigherOrder(0, 2, 7, 2).check().ok
     assert fam.Superposed(0, 2, 4, 2).check().ok
     assert not fam.Superposed(0, 2, 5, 2).check().ok
+    assert fam.NegGammaCandidate(3, -1, -1).check() == fam.Validation(False, "delta must be nonnegative")
 
 
 def test_validate_superposed_negative_is_exploratory():

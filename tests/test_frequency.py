@@ -28,6 +28,8 @@ def test_nu():
 def test_closed_form_running_example():
     values = [freq.closed_form(RUNNING, v) for v in range(1, 7)]
     assert values == [1, 1, 3, 1, 1, 5]
+    with pytest.raises(ValueError, match="v must be positive"):
+        freq.closed_form(RUNNING, 0)
     # v=3 is the first leaf-closing value: last cell 2 plus the supernode bonus
     assert freq.closed_form(RUNNING, 3) == 2 + 0 + 1
     assert freq.closed_form(RUNNING, 6) == 2 + 2 * 1 + 1
@@ -269,6 +271,8 @@ def test_linear_combination():
         assert combo[v] == a[v] + b[v]
     with pytest.raises(ValueError):
         freq.linear_combination([])
+    with pytest.raises(ValueError, match="no common range"):
+        freq.linear_combination([(1, a), (1, freq.FrequencySequence(()))])
 
 
 def test_linear_combination_warns_on_nonpositive(caplog):

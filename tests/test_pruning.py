@@ -25,6 +25,8 @@ def test_build_prefix_materializes_through_last_label():
     assert kinds[-1] == (tree.LEAF, 3)
     assert (tree.REGULAR, 1) in kinds
     assert t.placeholders + sum(len(cell) for cells in t.cells for cell in cells) == 13
+    with pytest.raises(ValueError, match="n must be positive"):
+        pruning.build_prefix(RUNNING, 0)
 
 
 def test_build_prefix_keeps_empty_interior_nodes():
@@ -377,6 +379,27 @@ def test_kary_removed_formula():
             assert pruning.trees_equal(report.result, pruning.build_prefix(spec, n - want))
 
 
+def test_kary_leaf_cells_are_never_empty():
+    """prune_kary reads every leaf's one cell as nonempty: T(n) keeps only nodes that open at or below n.
+
+    k 2..5, p 1..3 and every valid m, at n from the prune threshold to 59
+    past it, and 997 and 5003 past it.
+    """
+    leaves = 0
+    for k in range(2, 6):
+        for p in range(1, 4):
+            for m in range(p - 1, k * p // (k - 1)):
+                family = fam.KaryOrderP(k, m, p)
+                assert family.check().ok
+                spec, threshold = fam.tree_of(family), fam.prune_threshold(family)
+                for n in [*range(threshold, threshold + 60), threshold + 997, threshold + 5003]:
+                    t = pruning.build_prefix(spec, n)
+                    cells = [t.cells[ordinal - 1] for ordinal, _ in pruning._leaves(t)]
+                    assert all(len(leaf) == 1 and leaf[0] for leaf in cells), (family, n)
+                    leaves += len(cells)
+    assert leaves == 62_445
+
+
 def test_prune_family_dispatch():
     f = fam.OrderOne(1, 3, 1)
     t = pruning.build_prefix(fam.tree_of(f), 31)
@@ -585,6 +608,27 @@ def test_movement_log_is_json_clean():
 # -- stamped deletion against the leaf-by-leaf reference ----------------------
 
 SIDES = {pruning._take_fronts: "front", pruning._take_backs: "back"}
+
+
+def test_take_fronts_ends_its_block_at_an_empty_slot():
+    """Labels taken before an empty slot go as one block; the empty slot takes the last cell's first label.
+
+    With the last cell empty too, the slot's number goes for the parent or a placeholder to fill.
+    """
+    blocks, cells = pruning._take_fronts((range(1, 3), range(3, 3), range(3, 6)), 2)
+    assert blocks == [(1,), range(3, 4)]
+    assert cells == (range(2, 3), range(3, 3), range(4, 6))
+    blocks, cells = pruning._take_fronts((range(1, 2), range(2, 2), range(2, 2)), 2)
+    assert blocks == [(1,), 1]
+    assert cells == (range(2, 2), range(2, 2), range(2, 2))
+
+
+def test_fill_front_reports_nothing_left_to_delete():
+    """Node 2 with no label of its own fills from its one placeholder, then has nothing left."""
+    t = pruning.LabelledTree(RUNNING, 1, [tree.LEAF, tree.SUPERNODE], [1, 1], [(range(1, 2),), (range(2, 2),)], 1)
+    assert pruning._fill_front(t, 1, 2, 0, 0) == (("placeholder",), 2)
+    assert t.placeholders == 0
+    assert pruning._fill_front(t, 1, 2, 1, 1) == "nothing left to delete for leaf 1 cell 2"
 
 
 def reference_step(t, leaves, row, take, fill, log, anomalies):

@@ -32,6 +32,8 @@ def test_spec_validation():
         RecursionSpec(2, 1, (0, 1), ((1, 2), (2,)))
     with pytest.raises(ValueError):
         RecursionSpec(2, 1, (0,), ((1,), (2,)))
+    with pytest.raises(ValueError, match="one inner offset row per summand"):
+        RecursionSpec(2, 1, (0, 1), ((1,),))
 
 
 def test_conolly_prefix():
@@ -468,6 +470,11 @@ def check_departure(case):
 @given(departures())
 def test_first_departure_is_where_evaluate_dies_or_leaves_the_tree(case):
     check_departure(case)
+
+
+def test_usable_cpus_lies_between_one_and_the_cpu_count():
+    """The split tests patch _usable_cpus; unpatched it counts this process's CPUs."""
+    assert 1 <= recursion._usable_cpus() <= (os.cpu_count() or 1)
 
 
 @contextlib.contextmanager

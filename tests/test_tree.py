@@ -53,6 +53,8 @@ def test_node_order_prefix():
     ]
     assert list(islice(reference_node_stream(2), 8)) == want
     assert list(islice(flat_node_stream(2), 8)) == want
+    with pytest.raises(ValueError, match="arity must be at least 2"):
+        next(tree.node_stream(1))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
