@@ -166,7 +166,7 @@ def cmd_verify(args) -> int:
     if args.spec:
         raise UsageError("verify needs a named family: both mechanisms must know it")
     family = resolve_family(args)
-    if args.sparse:
+    if args.sparse is not None:
         return verify_sparse(family, args)
     tspec = fam.tree_of(family)
     if args.n < 1:
@@ -193,7 +193,7 @@ def verify_sparse(family: fam.Family, args) -> int:
     """The recursion identity on single-point tree counts at seeded n past the ICs, up to --n."""
     tspec = fam.tree_of(family)
     ic_length = family.ic_length()
-    if args.sparse < 0:
+    if args.sparse < 1:
         raise UsageError("--sparse needs a positive sample count")
     if args.n <= ic_length:
         raise UsageError(f"--n must exceed the {ic_length} initial conditions")
@@ -222,9 +222,11 @@ def _seeded_rng(seed: Optional[int]) -> random.Random:
 def cmd_prune(args) -> int:
     family = resolve_family(args)
     lo = fam.prune_threshold(family)
-    if args.check < 0:
-        raise UsageError("--check needs a positive sample count")
-    if args.check:
+    if args.check is not None:
+        if args.check < 1:
+            raise UsageError("--check needs a positive sample count")
+        if args.trace:
+            raise UsageError("--trace dumps the log of one prune; it does not combine with --check")
         rng = _seeded_rng(args.seed)
         hi = max(args.n, lo + 1)
         failures = 0
@@ -504,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser("verify", help="recursion vs tree cell counts")
     add_source_args(sub)
     sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--sparse", type=int, default=0,
+    sub.add_argument("--sparse", type=int,
                      help="check the recursion at this many seeded n <= N on single-point tree counts")
     sub.add_argument("--seed", type=int)
     sub.set_defaults(func=cmd_verify)
@@ -512,8 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser("prune", help="run a pruning operation and check the identity")
     add_source_args(sub, with_spec=False)
     sub.add_argument("--n", type=int, required=True, help="tree size (or sampling cap with --check)")
-    sub.add_argument("--trace", action="store_true", help="dump the label movement log as JSON")
-    sub.add_argument("--check", type=int, default=0, help="sample this many n values instead")
+    sub.add_argument("--trace", action="store_true", help="dump the label movement log as JSON (not with --check)")
+    sub.add_argument("--check", type=int, help="sample this many n values instead")
     sub.add_argument("--seed", type=int)
     sub.set_defaults(func=cmd_prune)
 

@@ -38,12 +38,15 @@ p's come off the parent's front or node 2's placeholders, and
 superposed's only name anomalies.  So every fill runs leaf by leaf, in
 leaf order.
 
-Every label movement is logged, one block per moved run or runs, in
-columns like the tree's: each block's step, source and target, and all
-blocks' runs in one flat list, so the log holds no record tuple for the
-cyclic garbage collector to chase.  PruneReport.moves rebuilds the records
-and PruneReport.steps one dict per label, each on first read, so a caller
-that only wants the result never pays for either.
+Every label movement is logged, one block per moved run or runs, as
+parts: each a step, a function and the objects it reads, which the prune
+holds and never changes afterwards (the lifted cell tuples, the
+relabelling runs, ordinals and fresh ranges, and for each stamped deletion
+group and pass its model blocks, first labels and ordinals).  Fills, which
+change the parent, log their blocks as they go.  The first read of
+PruneReport.moves expands every part into records, shifting the stamped
+blocks only then; PruneReport.steps gives one dict per label.  A caller
+that only wants the result pays for neither.
 """
 
 from __future__ import annotations
@@ -83,29 +86,30 @@ class LabelledTree:
     placeholders: int = 0
 
 
-# A block as PruneReport.moves rebuilds it: (step, runs, from, to).  `runs` holds the moved labels as runs,
+# A block as PruneReport.moves expands it: (step, runs, from, to).  `runs` holds the moved labels as runs,
 # in the order they moved; `to` is a node ordinal or None, or for relabelling the range of fresh labels.
 Move = tuple[str, Sequence[Sequence[Union[int, str]]], Optional[int], Union[int, range, None]]
 
 
 @dataclass
 class _MoveLog:
-    """The move log as columns: block b moved runs[ends[b - 1]:ends[b]] (from 0 for b = 0) in steps[b],
-    from sources[b] to targets[b]."""
+    """The move log as parts, expanded into records on the first read of `moves`: each part a step, a function
+    and its arguments, the function giving the part's blocks as columns of runs, sources and targets."""
 
-    steps: list[str] = field(default_factory=list)
-    sources: list[Optional[int]] = field(default_factory=list)
-    targets: list[Union[int, range, None]] = field(default_factory=list)
-    runs: list[Sequence[Union[int, str]]] = field(default_factory=list)
-    ends: list[int] = field(default_factory=list)
+    parts: list[tuple] = field(default_factory=list)
 
-    def add(self, step: str, runs: Iterable, sizes: Iterable[int], sources: Iterable, targets: Iterable) -> None:
-        """Log one block per item of `sizes`, taking that many of `runs` in turn, from its source to its target."""
-        self.ends += islice(accumulate(sizes, initial=len(self.runs)), 1, None)
-        self.runs += runs
-        self.steps += repeat(step, len(self.ends) - len(self.steps))
-        self.sources += sources
-        self.targets += targets
+    def add(self, step: str, expand, *args) -> None:
+        """Log the blocks of `expand(*args)` in `step`."""
+        self.parts.append((step, expand, args))
+        vars(self).pop("moves", None)  # a read before this part is stale
+
+    @cached_property
+    def moves(self) -> list[Move]:
+        """Every part's blocks as records, in log order."""
+        return [*chain.from_iterable(zip(repeat(step), *expand(*args)) for step, expand, args in self.parts)]
+
+    def __eq__(self, other) -> bool:  # equal records, as parts made by two prunes hold distinct functions
+        return isinstance(other, _MoveLog) and self.moves == other.moves
 
 
 @dataclass
@@ -117,12 +121,10 @@ class PruneReport:
     log: _MoveLog
     anomalies: list[str]
 
-    @cached_property
+    @property
     def moves(self) -> list[Move]:
-        """The move log as records, rebuilt from its columns on first read."""
-        log = self.log
-        runs = map(tuple, map(log.runs.__getitem__, map(slice, chain((0,), log.ends), log.ends)))
-        return list(zip(log.steps, runs, log.sources, log.targets))
+        """The move log as records, expanded from its parts on first read."""
+        return self.log.moves
 
     @cached_property
     def steps(self) -> list[dict]:
@@ -227,7 +229,12 @@ def _placeholders(count: int) -> tuple[str, ...]:
 
 def _insert_placeholders(t: LabelledTree, count: int, log: _MoveLog) -> None:
     t.placeholders += count
-    log.add("initial correction", [_placeholders(count)], [1], [None], [2])
+    log.add("initial correction", lambda: ([(_placeholders(count),)], [None], [2]))
+
+
+def _singles(runs, sources):
+    """Blocks of one run each, from their sources to no node."""
+    return zip(runs), sources, repeat(None)
 
 
 def _cell_offsets(spec: TreeSpec) -> tuple[int, ...]:
@@ -258,8 +265,7 @@ def _lift(t: LabelledTree, leaves: list[Leaf], log: _MoveLog) -> None:
     cells = t.cells
     emptied = (range(0),) * len(cells[0])
     lifted = [cells[ordinal - 1] for ordinal, _ in leaves]
-    log.add("lifting", chain.from_iterable(lifted), map(len, lifted),
-            map(itemgetter(0), leaves), map(itemgetter(1), leaves))
+    log.add("lifting", lambda: (lifted, map(itemgetter(0), leaves), map(itemgetter(1), leaves)))
     for (ordinal, parent), runs in zip(leaves, lifted):
         cells[parent - 1] += runs
         cells[ordinal - 1] = emptied
@@ -281,7 +287,7 @@ def _end_correction(t: LabelledTree, quota: int, log: _MoveLog, anomalies: list[
             run = cells[slot]
             keep = max(len(run) - left, 0)
             if keep < len(run):
-                log.add("end correction", [run[keep:][::-1]], [1], [pos + 1], [None])
+                log.add("end correction", _singles, [run[keep:][::-1]], [pos + 1])
                 left -= len(run) - keep
                 cells[slot] = run[:keep]
             if not left:
@@ -310,7 +316,7 @@ def _relabel(t: LabelledTree, log: _MoveLog, anomalies: list[str]) -> LabelledTr
         runs[0] = (_placeholders(t.placeholders), *runs[0])
     bounds = list(accumulate(counts, initial=1))
     fresh = list(map(range, bounds, islice(bounds, 1, None)))
-    log.add("relabelling", chain.from_iterable(runs), map(len, runs), compress(count(1), inner), fresh)
+    log.add("relabelling", lambda: (runs, compress(count(1), inner), fresh))
 
     kinds = list(compress(t.kinds, inner))
     indices = [index - 1 for index in compress(t.indices, inner)]
@@ -423,6 +429,12 @@ def _interleave(streams: list[Iterable]) -> Iterable:
     return streams[0] if len(streams) == 1 else chain.from_iterable(zip(*streams))
 
 
+def _stamped(blocks: list, firsts: list[int], first: int, ordinals: list[int]) -> tuple:
+    """A group's deletion blocks in one pass: `blocks` shifted from `first` to each leaf's first label, leaf by leaf."""
+    copies = [_shifted(block, firsts, first) for block in blocks]
+    return _singles(_interleave(copies), _interleave([ordinals] * len(copies)))
+
+
 def _whole_open(t: LabelledTree, firsts: list[int], row: tuple[int, ...]) -> int:
     """How many leaves, from leaf 1 on, every pass opens whole.
 
@@ -463,18 +475,18 @@ def _delete(t: LabelledTree, leaves: list[Leaf], row: tuple[int, ...], take, fil
     bounds = [0, *range(max(_whole_open(t, firsts, row), 1), len(leaves) + 1)]
     groups = list(map(slice, bounds, islice(bounds, 1, None)))
     models = [all_cells[ordinals[group.start] - 1] for group in groups]
-    runs, sources = [], []
+    group_firsts, group_ordinals = [firsts[group] for group in groups], [ordinals[group] for group in groups]
     for i, b in enumerate(row, 1):
         for g, group in enumerate(groups):
             first = firsts[group.start]
             if first > n - b:
                 break
             blocks, models[g] = take(models[g], bisect_right(offsets, n - b - first))
-            copies = [_shifted(block, firsts[group], first) for block in blocks]
             if int not in map(type, blocks):
-                runs += _interleave(copies)
-                sources += _interleave([ordinals[group]] * len(copies))
+                log.add("deletion", _stamped, blocks, group_firsts[g], first, group_ordinals[g])
                 continue
+            runs, sources = [], []
+            copies = [_shifted(block, group_firsts[g], first) for block in blocks]
             for (ordinal, parent), copy in zip(leaves[group], zip(*copies)):
                 for block in copy:
                     filled = fill(t, ordinal, parent, block, i) if type(block) is int else (block, ordinal)
@@ -483,11 +495,11 @@ def _delete(t: LabelledTree, leaves: list[Leaf], row: tuple[int, ...], take, fil
                     else:
                         runs.append(filled[0])
                         sources.append(filled[1])
-    for group, model in zip(groups, models):
-        stamped = zip(*[_shifted(cell, firsts[group], firsts[group.start]) for cell in model])
-        for ordinal, cells in zip(ordinals[group], stamped):
+            log.add("deletion", _singles, runs, sources)
+    for leaf_firsts, leaf_ordinals, model in zip(group_firsts, group_ordinals, models):
+        stamped = zip(*[_shifted(cell, leaf_firsts, leaf_firsts[0]) for cell in model])
+        for ordinal, cells in zip(leaf_ordinals, stamped):
             all_cells[ordinal - 1] = cells
-    log.add("deletion", runs, repeat(1, len(runs)), sources, repeat(None, len(runs)))
 
 
 # -- the four pruning operations ----------------------------------------------
@@ -505,7 +517,7 @@ def _prune_binary(t: LabelledTree, family, take, fill, bound: int) -> PruneRepor
     x = t.spec.regular_labels
     log = _MoveLog()
     anomalies = [f"n = {t.n} is at or below the full-shape bound {bound}"] if t.n <= bound else []
-    log.add("initial correction", t.cells[1], [len(t.cells[1])], [2], [None])
+    log.add("initial correction", _singles, t.cells[1], [2])  # node 2's one cell, as one block
     t.cells[1] = (range(0),)
     _insert_placeholders(t, x, log)
     leaves = _leaves(t)
@@ -548,16 +560,14 @@ def prune_kary(t: LabelledTree, family: fam.KaryOrderP) -> PruneReport:
     _insert_placeholders(t, x, log)
 
     leaves = _leaves(t)
-    runs, sources = [], []
-    for ordinal, _ in leaves:
-        cell = all_cells[ordinal - 1][0]
-        demand = bisect_right(row, n - cell.start)
-        runs.append(cell[:demand])
-        sources.append(ordinal)
+    ordinals = list(map(itemgetter(0), leaves))
+    heads = [all_cells[ordinal - 1][0] for ordinal in ordinals]
+    demands = [bisect_right(row, n - cell.start) for cell in heads]
+    for ordinal, cell, demand in zip(ordinals, heads, demands):
         all_cells[ordinal - 1] = (cell[demand:],)
         if demand > len(cell):
             anomalies += [f"leaf {t.indices[ordinal - 1]} ran out of labels during deletion"] * (demand - len(cell))
-    log.add("deletion", runs, repeat(1, len(runs)), sources, repeat(None, len(runs)))
+    log.add("deletion", lambda: _singles(map(getitem, heads, map(slice, demands)), ordinals))
 
     return _finish(t, leaves, x, log, anomalies)
 

@@ -117,6 +117,11 @@ COMMANDS = [
     "freq conolly --vmax 0",
     "freq conolly --vmax -2 --format json",
     "freq conolly --vmax 5 --empirical -5",
+    # refused since: before, --sparse 0 ran the dense check to --n, --check 0
+    # ran one prune at --n, and --trace beside --check was dropped unread
+    "verify order_one s=1 j=3 m=1 --n 1000000000000000000 --sparse 0",
+    "prune kary k=3 m=0 p=1 --n 1000000000000000000 --check 0",
+    "prune order_one s=0 j=2 m=1 --n 300 --check 2 --seed 7 --trace",
 ]
 
 

@@ -167,6 +167,13 @@ MUTANTS = (
            "        for g, group in reversed(list(enumerate(groups))):\n            first = firsts[group.start]\n"
            "            if first > n - b:\n                continue\n",
            "each pass would log the leaves near n before the stamped ones", (T_PRUNING,)),
+    # the deferred move log: parts kept in log order, each expanded only when moves is read
+    Mutant("log parts expanded in reverse order", PRUNING,
+           "for step, expand, args in self.parts)]", "for step, expand, args in reversed(self.parts))]",
+           "the records would come out last part first, relabelling before the initial correction", (T_PRUNING,)),
+    Mutant("stamped sources shifted by one leaf", PRUNING,
+           "_interleave([ordinals] * len(copies))", "_interleave([ordinals[1:] + ordinals[-1:]] * len(copies))",
+           "each stamped deletion block would name the next leaf as its source", (T_PRUNING,)),
     # the one fill rule, which every emptied front cell goes through
     Mutant("fill takes the parent's last label", PRUNING,
            "return own[0][:1], parent", "return own[0][-1:], parent",
@@ -177,7 +184,8 @@ MUTANTS = (
            "        cells[parent - 1] += runs\n", "        cells[parent] += runs\n",
            "every leaf's runs would go to the node after its parent, which the log still names", (T_PRUNING,)),
     Mutant("k-ary leaf at n - b out of reach", PRUNING,
-           "demand = bisect_right(row, n - cell.start)", "demand = bisect_left(row, n - cell.start)",
+           "[bisect_right(row, n - cell.start) for cell in heads]",
+           "[bisect_left(row, n - cell.start) for cell in heads]",
            "a k-ary leaf opening at exactly n - b would keep that pass's label", (T_PRUNING,)),
     Mutant("higher_order prune threshold one lower", FAMILIES,
            "        return 3 * (self.j + self.m) + self._x() + 2 * self.s + 1\n",

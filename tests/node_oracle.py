@@ -6,11 +6,11 @@ It is not named test_*, so pytest does not collect it; the test files import it.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain
 from typing import Iterator
 
 from nestrec import tree
-from nestrec.pruning import LabelledTree
+from nestrec.pruning import LabelledTree, _singles
 from nestrec.tree import LEAF, REGULAR, SUPERNODE, TreeSpec
 
 
@@ -164,4 +164,4 @@ def reference_delete(t: LabelledTree, leaves: list[tuple[int, int]], row: tuple[
                 runs.append(tuple(labels))
                 sources.append(ordinal)
             all_cells[ordinal - 1] = tuple(cells)
-    log.add("deletion", runs, repeat(1, len(runs)), sources, repeat(None, len(runs)))
+    log.add("deletion", _singles, runs, sources)

@@ -364,6 +364,30 @@ def test_prune_check_negative_is_usage_error(capsys):
     assert out == "" and "--check" in err
 
 
+def no_run(*args):
+    raise AssertionError("a run started")
+
+
+def test_zero_samples_are_usage_errors_that_start_no_run(monkeypatch, capsys):
+    """--sparse 0 and --check 0 are refused before any tree is read, however large --n is."""
+    monkeypatch.setattr(tree, "cell_starts", no_run)
+    monkeypatch.setattr(pruning, "build_prefix", no_run)
+    huge = str(10**18)
+    code, out, err = run(["verify", "order_one", "s=1", "j=3", "m=1", "--n", huge, "--sparse", "0"], capsys)
+    assert (code, out, err) == (2, "", "error: --sparse needs a positive sample count\n")
+    code, out, err = run(["prune", "kary", "k=3", "m=0", "p=1", "--n", huge, "--check", "0"], capsys)
+    assert (code, out, err) == (2, "", "error: --check needs a positive sample count\n")
+
+
+def test_prune_trace_with_check_is_usage_error(monkeypatch, capsys):
+    """--trace dumps one prune's log, so beside --check it is refused, before any prune runs."""
+    monkeypatch.setattr(pruning, "build_prefix", no_run)
+    code, out, err = run(["prune", "order_one", "s=0", "j=2", "m=1", "--n", "300",
+                          "--check", "2", "--seed", "7", "--trace"], capsys)
+    assert code == 2
+    assert out == "" and err == "error: --trace dumps the log of one prune; it does not combine with --check\n"
+
+
 def test_exit_code_2_on_bad_params(capsys):
     code, _, err = run(["eval", "order_one", "s=1", "--n", "10"], capsys)
     assert code == 2

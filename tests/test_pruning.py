@@ -259,6 +259,36 @@ def test_move_log_record_for_record(family, n, moves):
     assert list(map(repr, report.moves)) == list(map(repr, moves))
 
 
+DEFERRED = [fam.OrderOne(1, 3, 1), fam.HigherOrder(0, 2, 4, 2), fam.Superposed(0, 1, 0, 2), fam.KaryOrderP(3, 1, 2)]
+
+
+@pytest.mark.parametrize("family", DEFERRED, ids=str)
+def test_a_prune_read_for_its_result_leaves_its_log_unexpanded(family):
+    """Reading removed, result and anomalies expands no part of the log; reading moves expands it once."""
+    n = fam.prune_threshold(family) + 300
+    report = pruning.prune_family(family, pruning.build_prefix(fam.tree_of(family), n))
+    assert report.removed > 0 and report.result.n == n - report.removed and isinstance(report.anomalies, list)
+    assert "moves" not in vars(report.log)
+    moves = report.moves
+    assert vars(report.log)["moves"] is moves
+    assert len(moves) > 10 * len(report.log.parts)  # a part stands for a whole group of leaves or nodes
+    assert pruning.PruneReport(report.removed, report.result, report.log, report.anomalies).moves is moves
+
+
+@pytest.mark.parametrize("family", DEFERRED, ids=str)
+def test_moves_read_after_both_trees_are_overwritten(family):
+    """The log's parts hold what the prune moved, not the trees: wiping every cell of T(n) and of the result
+    before the first read of moves leaves the records of a fresh prune."""
+    spec, n = fam.tree_of(family), fam.prune_threshold(family) + 300
+    t = pruning.build_prefix(spec, n)
+    report = pruning.prune_family(family, t)
+    for cells in (t.cells, report.result.cells):
+        cells[:] = [(range(0),)] * len(cells)
+    again = pruning.prune_family(family, pruning.build_prefix(spec, n))
+    assert list(map(repr, report.moves)) == list(map(repr, again.moves))
+    assert report.log == again.log and report.log != pruning._MoveLog()
+
+
 def test_front_deletion_takes_the_leaf_last_cell_before_the_parent():
     """An emptied cell's label comes from its leaf's last cell first, and only then from the parent.
 
@@ -646,7 +676,7 @@ def deletion_outcome(monkeypatch, family, n, delete):
 
     def step(t, leaves, row, take, fill, log, anomalies):
         delete(t, leaves, row, take, fill, log, anomalies)
-        after.append((len(log.steps), list(anomalies), t.placeholders, repr(t.cells)))
+        after.append((len(log.moves), list(anomalies), t.placeholders, repr(t.cells)))
 
     monkeypatch.setattr(pruning, "_delete", step)
     try:
