@@ -227,11 +227,12 @@ def cmd_prune(args) -> int:
             raise UsageError("--check needs a positive sample count")
         if args.trace:
             raise UsageError("--trace dumps the log of one prune; it does not combine with --check")
+        if args.n < lo:
+            raise UsageError(f"need n >= {lo}, got {args.n}")
         rng = _seeded_rng(args.seed)
-        hi = max(args.n, lo + 1)
         failures = 0
         for _ in range(args.check):
-            n = rng.randint(lo, hi)
+            n = rng.randint(lo, args.n)
             difference, report = _prune_round_trip(family, n)
             status = "ok" if difference is None else "MISMATCH"
             print(f"n = {n}: removed {report.removed}, identity {status}")
@@ -253,16 +254,10 @@ def cmd_prune(args) -> int:
 
 
 def _prune_round_trip(family: fam.Family, n: int) -> tuple[Optional[str], pruning.PruneReport]:
-    """Prune the family's T(n) and compare the result with T(n - removed) built afresh.
-
-    Give the first difference, named only when the trees differ, or None.
-    """
+    """Prune the family's T(n); its first difference from T(n - removed) built afresh, or None, by one compare."""
     tspec = fam.tree_of(family)
     report = pruning.prune_family(family, pruning.build_prefix(tspec, n))
-    rebuilt = pruning.build_prefix(tspec, n - report.removed)
-    if pruning.trees_equal(report.result, rebuilt):
-        return None, report
-    return pruning.first_difference(report.result, rebuilt), report
+    return pruning.first_difference(report.result, pruning.build_prefix(tspec, n - report.removed)), report
 
 
 def cmd_oeis_match(args) -> int:
@@ -403,8 +398,7 @@ def _freq_match(spec: tree.TreeSpec, steps: bytes) -> str:
     observed, closed = starts[: complete + 1], freq.phi_starts(spec, complete + 1)
     if observed == closed:
         return "yes"
-    at = next(i for i, (a, b) in enumerate(zip(observed, closed)) if a != b)
-    return f"no(v={starts.count(1, 0, at)})"
+    return f"no(v={starts.count(1, 0, tree.first_mismatch(observed, closed) - 1)})"
 
 
 def _prune_identity(family: fam.Family, n_max: int) -> str:

@@ -13,15 +13,14 @@ nu_k(t*k^h + r') = nu_k(r') and t*k^h + r' is no power of k (a power
 above k^h would be a multiple of k^h).  So phi is phi(1..P), then one
 block phi(P + 1..2P - 1) repeated between single closed_form calls for the
 block ends (t + 1)*P.
-Both blocks come from one recurrence, _phi_period, by repetition of the
-ruler nu_k(1..k^h - 1): the grid values for q < k^(h+1) are k copies of
-those for q < k^h, with the value of q = t*k^h, t < k, between them, and
-only t = 1 gives a power of k.  The recurrence is written once over an
-encoding of one value: as a list [phi(v)] it gives the blocks of
-_phi_blocks, which closed_form_sequence and the streamed check read; as
-the bytes of a run, a 1 and phi(v) - 1 zeros, it gives phi_starts, the
-closed form's run-start bytes, which is tree.cell_starts when the claim
-holds.
+_phi_blocks yields these blocks, both built by one recurrence from
+repeats of the ruler nu_k(1..k^h - 1): the grid values for q < k^(h+1)
+are k copies of those for q < k^h, with the value of q = t*k^h, t < k,
+between them, and only t = 1 gives a power of k.  The stream is written
+once over an encoding of one value: as lists [phi(v)] closed_form_sequence
+and the streamed check read its blocks; as the bytes of runs, a 1 and
+phi(v) - 1 zeros, tree.first_bytes cuts them into phi_starts, the closed
+form's run-start bytes, which is tree.cell_starts when the claim holds.
 
 A sequence's own phi is read in one place, from_steps, off its steps as
 bytes: recursion.slow_steps packs them for a recursion's values, and the
@@ -31,11 +30,11 @@ tree's are its cell_starts bytes after the first, as C_T is their sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress, count, islice, repeat
-from operator import add, ne, sub
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
+from itertools import chain, count, islice, repeat
+from operator import add, sub
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
-from .tree import TreeSpec, cell_positions, cell_starts
+from .tree import TreeSpec, cell_positions, cell_starts, first_bytes, first_mismatch
 
 Encoded = TypeVar("Encoded", list, bytes)
 
@@ -93,15 +92,15 @@ class FrequencySequence:
 _MIN_PERIOD = 1024
 
 
-def _phi_period(spec: TreeSpec, unit: Callable[[int], Encoded], empty: Encoded) -> tuple[Encoded, Encoded, int]:
-    """phi(1..P), phi(P + 1..2P - 1) and P, each value v written as unit(phi(v)).
+def _phi_blocks(spec: TreeSpec, unit: Callable[[int], Encoded], empty: Encoded) -> Iterator[Encoded]:
+    """phi(1..P), then phi(P + 1..2P - 1) and phi(2P), that block and phi(3P), and so on, v as unit(phi(v)).
 
     P = j*k^h is the smallest such length of at least _MIN_PERIOD.  `pure`
     holds the grid runs, j - 1 off-grid values then last_cell +
     regular*nu_k(q), for q = 1..k^h - 1, and `first` the same with
     supernode_labels added at each power of k; each round takes h to h + 1
     by repetition (see the module docstring), so neither block makes a
-    Python call per value.
+    Python call per value.  closed_form gives each block end.
     """
     k, j, s, x = spec.arity, spec.leaf_cells, spec.supernode_labels, spec.regular_labels
     off = unit(spec.per_cell) * (j - 1)
@@ -112,16 +111,15 @@ def _phi_period(spec: TreeSpec, unit: Callable[[int], Encoded], empty: Encoded) 
         pure = (pure + off + unit(g)) * (k - 1) + pure
         g += x
         period *= k
-    return first + off + unit(g + s), pure + off, period
-
-
-def _phi_blocks(spec: TreeSpec) -> Iterator[list[int]]:
-    """phi(1..P), then phi(P + 1..2P - 1) and phi(2P), that list and phi(3P), and so on."""
-    first, interior, period = _phi_period(spec, lambda f: [f], [])
-    yield first
+    yield first + off + unit(g + s)
+    interior = pure + off
     for end in count(2 * period, period):
         yield interior
-        yield [closed_form(spec, end)]
+        yield unit(closed_form(spec, end))
+
+
+def _entry(f: int) -> list[int]:
+    return [f]
 
 
 def _run(f: int) -> bytes:
@@ -134,18 +132,11 @@ def phi_starts(spec: TreeSpec, n: int) -> bytes:
 
     When the frequency claim holds this is cell_starts(spec, n).
     """
-    first, interior, period = _phi_period(spec, _run, b"")
-    pieces, size = [first], len(first)
-    for end in count(2 * period, period):
-        if size >= n:
-            return b"".join(pieces)[: max(n, 0)]
-        block_end = _run(closed_form(spec, end))
-        pieces += interior, block_end
-        size += len(interior) + len(block_end)
+    return first_bytes(_phi_blocks(spec, _run, b""), n)
 
 
 def closed_form_sequence(spec: TreeSpec, vmax: int) -> FrequencySequence:
-    return FrequencySequence(tuple(islice(chain.from_iterable(_phi_blocks(spec)), max(vmax, 0))))
+    return FrequencySequence(tuple(islice(chain.from_iterable(_phi_blocks(spec, _entry, [])), max(vmax, 0))))
 
 
 def from_steps(steps: bytes) -> FrequencySequence:
@@ -175,11 +166,6 @@ class CompareReport:
     right: Optional[int] = None
 
 
-def _first_mismatch(left: Iterable[int], right: Iterable[int]) -> Optional[int]:
-    """1-based position of the first pair that differs, over the shorter of the two."""
-    return next(compress(count(1), map(ne, left, right)), None)
-
-
 def compare(a: FrequencySequence, b: FrequencySequence, vmax: int) -> CompareReport:
     """First v <= vmax where the two sequences disagree, if any."""
     if a.vmax < vmax or b.vmax < vmax:
@@ -187,7 +173,7 @@ def compare(a: FrequencySequence, b: FrequencySequence, vmax: int) -> CompareRep
     head = slice(max(vmax, 0))
     if a.entries[head] == b.entries[head]:
         return CompareReport(True)
-    v = _first_mismatch(a.entries, b.entries)
+    v = first_mismatch(a.entries, b.entries)
     return CompareReport(False, v, a[v], b[v])
 
 
@@ -200,11 +186,11 @@ def empirical_matches_closed_form(spec: TreeSpec, n_max: int) -> CompareReport:
     firsts = cell_positions(spec, n_max)
     prev = next(firsts, None)
     v = 1
-    for block in _phi_blocks(spec):  # endless: the walk ends first
+    for block in _phi_blocks(spec, _entry, []):  # endless: the walk ends first
         chunk = list(islice(firsts, len(block)))
         gaps = list(map(sub, chunk, chain((prev,), chunk)))
         if gaps != block:
-            at = _first_mismatch(gaps, block)  # None when the walk ended inside this block
+            at = first_mismatch(gaps, block)  # None when the walk ended inside this block
             return CompareReport(True) if at is None else CompareReport(False, v + at - 1, gaps[at - 1], block[at - 1])
         prev = chunk[-1]
         v += len(block)

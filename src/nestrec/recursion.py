@@ -69,7 +69,7 @@ from itertools import accumulate, compress, count, islice, repeat
 from operator import rshift, sub
 from typing import Callable, Iterator, Optional, Sequence
 
-from .tree import document_fields
+from .tree import document_fields, first_mismatch
 
 MAX_VALUE = 2**63 - 1
 # A follow run of this many terms or more, with two CPUs usable and no other
@@ -149,9 +149,9 @@ def evaluate(spec: RecursionSpec, initial: Sequence[int], n_max: int) -> EvalRes
     if start <= max(max(row) for row in spec.inner_offsets):
         dead_at = start  # some inner index n - b is still below 1
     else:
-        groups = _groups(spec)
-        dead_at = _group_loop(tuple(map(len, groups)), spec.order, False)(
-            values, start, n_max + 1, *_arguments(spec, groups))
+        shapes = _shapes(spec)
+        dead_at = _group_loop(tuple(len(lags) for *_, lags in shapes), spec.order, False)(
+            values, start, n_max + 1, *(x for lead, row, lags in shapes for x in (lead, *row, *lags[1:])))
     if dead_at:
         try:
             right_side(spec, values.__getitem__, dead_at)
@@ -173,9 +173,8 @@ def first_departure(spec: RecursionSpec, initial: Sequence[int], starts: bytes) 
     child when two CPUs are usable and no other thread runs (_split_follow).
     """
     _check_initial(initial)
-    for n, (value, count) in enumerate(zip(initial, accumulate(starts[: len(initial)])), 1):
-        if value != count:
-            return n
+    if (n := first_mismatch(initial, accumulate(starts[: len(initial)]))) is not None:
+        return n
     start, stop = len(initial) + 1, len(starts) + 1
     if stop <= start:
         return None
@@ -253,19 +252,18 @@ def _follow_state(spec: RecursionSpec, starts: bytes, n0: int, stop: int) -> tup
     """Where a follow run from n0 stops by its read-ahead window, n0 if R(n0) dies or is not C_T(n0),
     and the state its loop takes past n0 to stop - 1.
 
-    With R = C_T below n0, a group with first summand (a, b row) and others
-    d past it reads I(m) = m - a - sum over t of C_T(m - b_t) for m from
-    n0 - max d to n0.  An I(m) below 1 stops the run at the least m + d at
-    or past n0, d = 0 for the first summand, as evaluate's read-ahead
-    window does.  Otherwise R(n0), the sum of C_T(I(n0 - d)), is checked in
-    full.  The state is, per group, j = I(n0) - 1, du(m) = C_T(I(m)) -
-    C_T(I(m - 1)) in a list from n0 + 1 - max d up if it has more members,
-    its b row and its lags; the list has stop slots, as the loop writes du
-    only below stop.  A run from n0 <= max b stops at n0.  Counts come from
-    one byte sum below n0 - max b and one pass to the I(m).
+    With R = C_T below n0, a group of _shapes, with first summand (a, b row)
+    and others d past it, reads I(m) = m - a - sum over t of C_T(m - b_t)
+    for m from n0 - max d to n0.  An I(m) below 1 stops the run at the least
+    m + d at or past n0, d = 0 for the first summand, as evaluate's
+    read-ahead window does.  Otherwise R(n0), the sum of C_T(I(n0 - d)), is
+    checked in full.  The state is, per group, j = I(n0) - 1, du(m) =
+    C_T(I(m)) - C_T(I(m - 1)) in a list from n0 + 1 - max d up if it has
+    more members, its b row and its lags; the list has stop slots, as the
+    loop writes du only below stop.  A run from n0 <= max b stops at n0.
+    Counts come from one byte sum below n0 - max b and one pass to the I(m).
     """
-    a, b = spec.outer_offsets, spec.inner_offsets
-    shapes = [(a[first], b[first], [0, *(a[i] - a[first] for i in rest)]) for first, *rest in _groups(spec)]
+    shapes = _shapes(spec)
     low = n0 - max(max(row) + max(lags) for _, row, lags in shapes)  # n0 - max b, the least inner index
     if low < 1:
         return n0, []
@@ -321,19 +319,20 @@ def _groups(spec: RecursionSpec) -> list[list[int]]:
     return [sorted(members, key=spec.outer_offsets.__getitem__) for members in groups.values()]
 
 
-def _arguments(spec: RecursionSpec, groups: list[list[int]]) -> list[int]:
-    """Per group: its first summand's a and b row, then how far past that a each other a lies."""
+def _shapes(spec: RecursionSpec) -> list[tuple[int, tuple[int, ...], list[int]]]:
+    """Per group: its first summand's a and b row, and how far past that a each member's a lies, 0 first."""
     a, b = spec.outer_offsets, spec.inner_offsets
-    return [x for first, *rest in groups for x in (a[first], *b[first], *(a[i] - a[first] for i in rest))]
+    return [(a[first], b[first], [0, *(a[i] - a[first] for i in rest)]) for first, *rest in _groups(spec)]
 
 
 @functools.cache
 def _group_loop(sizes: tuple[int, ...], order: int, follow: bool) -> Callable[..., int]:
     """The evaluation loop for groups of these sizes and this order, compiled on first use.
 
-    loop(v, start, stop, *arguments) fills v[start:stop] and returns 0, or
-    fills v[start:n] and returns the first n whose outer index is below 1.
-    It assumes start > max b, so no inner index needs a check.  Group g with
+    loop(v, start, stop, *arguments), the arguments each group's _shapes
+    entry without its lag 0, fills v[start:stop] and returns 0, or fills
+    v[start:n] and returns the first n whose outer index is below 1.  It
+    assumes start > max b, so no inner index needs a check.  Group g with
     first summand (a, b row) and others d past it keeps U[n] = u(n - a) =
     v[n - a - sum over t of v[n - b_t]] in a list and sums U[n] and each
     U[n - d]: one inner sum per group and term.  Before its loop it fills

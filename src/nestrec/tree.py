@@ -12,13 +12,13 @@ C_T is computed two ways from the tree's shape.  The template walk writes
 the labels as bytes, 1 where a cell opens and 0 elsewhere.  A full regular
 subtree of height h is the bytes of its root followed by k copies of the
 subtree of height h - 1, so each subtree is built once from the one below it
-and the labels 1..n come out of C-level bytes calls.  cell_starts joins those
-bytes up to n, and C_T(1..n) is their running sum; cell_count_sequence
-writes it as each cell's number repeated over its labels, with no Python
-step per label.  cell_positions picks the first labels out of the same bytes
-at C level; C_T and the frequency gaps read only those.  The descent,
-cell_count, reads C_T at one n in O(log n): it climbs the spine to the
-subtree that holds label n and goes down it one level per divmod, so
+and the labels 1..n come out of C-level bytes calls.  cell_starts cuts those
+bytes at n with first_bytes, and C_T(1..n) is their running sum;
+cell_count_sequence writes it as each cell's number repeated over its labels,
+with no Python step per label.  cell_positions picks the first labels out of
+the same bytes at C level; C_T and the frequency gaps read only those.  The
+descent, cell_count, reads C_T at one n in O(log n): it climbs the spine to
+the subtree that holds label n and goes down it one level per divmod, so
 single-point counts stay cheap at n = 10^18.  The frequency formula checks
 both from outside: summed, it gives the first label of every cell, and the
 tests hold the walk and the descent to it and to each other.  node_stream
@@ -32,8 +32,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, chain, compress, count, islice, repeat, tee
-from operator import add, mul, sub
-from typing import Iterator
+from operator import add, mul, ne, sub
+from typing import Generator, Iterable, Iterator, Optional
 
 SUPERNODE = "supernode"
 REGULAR = "regular"
@@ -137,19 +137,22 @@ def _start_chunks(spec: TreeSpec) -> Iterator[bytes]:
             yield subtree
 
 
-def _cut_chunks(spec: TreeSpec, n_max: int) -> Iterator[bytes]:
-    """The template chunks of _start_chunks, the last one cut so they hold n_max labels."""
-    pos = 0
-    chunks = _start_chunks(spec)
-    while pos < n_max:
-        chunk = next(chunks)
-        yield chunk[: n_max - pos]
-        pos += len(chunk)
+def first_bytes(chunks: Generator[bytes, None, None], n: int) -> bytes:
+    """The first n bytes of an endless chunk generator, the last chunk cut and none read past it; b"" for n <= 0.
+
+    The generator is closed before the join, so a template it holds, as long as the last chunk, is freed first.
+    """
+    pieces, size = [], 0
+    while size < n:
+        pieces.append(next(chunks)[: n - size])  # a whole chunk, or the last one cut, which ends the loop
+        size += len(pieces[-1])
+    chunks.close()
+    return b"".join(pieces)
 
 
 def cell_starts(spec: TreeSpec, n_max: int) -> bytes:
     """One byte per label 1..n_max, 1 where a cell opens: C_T is their running sum."""
-    return b"".join(_cut_chunks(spec, n_max))
+    return first_bytes(_start_chunks(spec), n_max)
 
 
 def cell_positions(spec: TreeSpec, n_max: int) -> Iterator[int]:
@@ -205,6 +208,11 @@ def cell_count_sequence(spec: TreeSpec, n_max: int) -> list[int]:
     firsts, nexts = tee(cell_positions(spec, n_max))
     runs = map(sub, chain(islice(nexts, 1, None), (n_max + 1,)), firsts)
     return list(chain.from_iterable(map(repeat, count(1), runs)))
+
+
+def first_mismatch(left: Iterable[int], right: Iterable[int]) -> Optional[int]:
+    """1-based position of the first pair that differs, over the shorter of the two, or None."""
+    return next(compress(count(1), map(ne, left, right)), None)
 
 
 def initial_conditions(spec: TreeSpec, count: int) -> list[int]:

@@ -122,6 +122,9 @@ COMMANDS = [
     "verify order_one s=1 j=3 m=1 --n 1000000000000000000 --sparse 0",
     "prune kary k=3 m=0 p=1 --n 1000000000000000000 --check 0",
     "prune order_one s=0 j=2 m=1 --n 300 --check 2 --seed 7 --trace",
+    # --n caps the sampled n since: before, --n 2 checked n = 5 and --n 5 checked n = 6
+    "prune kary k=3 m=0 p=1 --n 2 --check 2 --seed 1",
+    "prune kary k=3 m=0 p=1 --n 5 --check 3 --seed 1",
 ]
 
 

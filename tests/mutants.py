@@ -24,12 +24,13 @@ sections; it compares them with the clean copy's.  A test kill notes
 whether the digest saw the mutant too; a mutant that the tests miss and
 the digest sees is a digest-only kill, which no test covers.
 
-A mutant whose old text no longer occurs exactly once is reported as
-STALE: the code it names has changed, so update or drop it.  A mutant
-marked equivalent changes no behaviour that any test could see; its
-survival is expected, and a kill means the reason given is wrong.  Before
-the mutants, the named files must pass on the unmutated copy.  The exit
-status is 1 when a mutant that is not equivalent survived, or one is stale.
+A mutant whose old text no longer occurs exactly once is reported as STALE:
+the code it names has changed, so update or drop it; test_mutant_list.py
+checks that in the tier-1 run, against the working tree.  A mutant marked
+equivalent changes no behaviour that any test could see; its survival is
+expected, and a kill means the reason given is wrong.  Before the mutants,
+the named files must pass on the unmutated copy.  The exit status is 1 when
+a mutant that is not equivalent survived, or one is stale.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ MUTANTS = (
            "which computes the same inner sum once more per term", (T_RECURSION,), equivalent=True),
     # dense verify: the recursion run against the tree's cell-start bytes
     Mutant("IC compare skips the last IC", RECURSION,
-           "zip(initial, accumulate(starts[: len(initial)]))", "zip(initial[:-1], accumulate(starts[: len(initial)]))",
+           "first_mismatch(initial, accumulate(starts[: len(initial)]))",
+           "first_mismatch(initial[:-1], accumulate(starts[: len(initial)]))",
            "a last initial condition off the tree would pass unseen until the loop reads it", (T_RECURSION, T_CLI)),
     Mutant("step bytes read one label late", RECURSION,
            '("step", "at(steps, start - 1)")', '("step", "at(steps, start)")',
@@ -262,11 +264,12 @@ MUTANTS = (
            "starts[:complete], freq.phi_starts(spec, complete)",
            "a last complete run one label shorter than the closed form would read yes", (T_CLI,)),
     Mutant("v counted through the differing byte", CLI,
-           "starts.count(1, 0, at)", "starts.count(1, 0, at + 1)",
+           "tree.first_mismatch(observed, closed) - 1)", "tree.first_mismatch(observed, closed))",
            "a run that closes early would be named one value late, as v + 1", (T_CLI,)),
     Mutant("block end read as off-grid", FREQUENCY,
-           "_run(closed_form(spec, end))", "_run(spec.per_cell)",
-           "phi_starts would give each block end (t + 1)*P the off-grid per_cell labels", (T_FREQUENCY,)),
+           "yield unit(closed_form(spec, end))", "yield unit(spec.per_cell)",
+           "the phi stream, as lists and as run bytes, would give each block end (t + 1)*P the off-grid per_cell",
+           (T_FREQUENCY,)),
     # slowness and phi from one step-byte pass: slow_steps and from_steps
     Mutant("unfinished run counted", FREQUENCY,
            'steps.split(b"\\1")[:-1]', 'steps.split(b"\\1")',
@@ -291,6 +294,23 @@ MUTANTS = (
     Mutant("tree's first cell-start byte read as a step", FREQUENCY,
            "cell_starts(spec, n_max)[1:]", "cell_starts(spec, n_max)",
            "empirical phi would start with an extra 1 and read every phi(v) one value late", (T_FREQUENCY,)),
+    # the helpers that several jobs share: the chunk cutter, the first mismatch, the group shapes
+    # a chunk cut short never lets size reach n, so that loop would pull ever larger templates: count long instead
+    Mutant("first_bytes counts each chunk one byte long", TREE,
+           "size += len(pieces[-1])", "size += len(pieces[-1]) + 1",
+           "cell_starts and phi_starts would both come out a byte short for every chunk before the cut",
+           (T_TREE, T_FREQUENCY)),
+    Mutant("first_bytes leaves the stream open", TREE,
+           "    chunks.close()\n", "    pass\n",
+           "the tree's largest template would stay held through the join, one more chunk of memory at the peak",
+           (T_TREE,)),
+    Mutant("first_mismatch counts from 0", TREE,
+           "compress(count(1), map(ne, left, right))", "compress(count(0), map(ne, left, right))",
+           "every first difference, of phi, of the ICs or of the run bytes, would be named one place early",
+           (T_TREE, T_FREQUENCY, T_RECURSION, T_CLI)),
+    Mutant("_shapes drops the leading 0 lag", RECURSION,
+           "[0, *(a[i] - a[first] for i in rest)]", "[*(a[i] - a[first] for i in rest)]",
+           "each group would lose its first summand's term, in evaluate and the follow run alike", (T_RECURSION,)),
 )
 
 

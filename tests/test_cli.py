@@ -336,6 +336,15 @@ def test_prune_check_prints_seed(capsys):
     assert out.count("identity ok") == 5
 
 
+def test_prune_check_draws_n_up_to_the_option(capsys):
+    """--n caps every sampled n; below the family's threshold it is refused as the single prune refuses it."""
+    code, out, err = run(["prune", "kary", "k=3", "m=0", "p=1", "--n", "2", "--check", "2", "--seed", "1"], capsys)
+    assert (code, out, err) == (2, "", "error: need n >= 5, got 2\n")
+    code, out, err = run(["prune", "kary", "k=3", "m=0", "p=1", "--n", "5", "--check", "3", "--seed", "1"], capsys)
+    assert (code, err) == (0, "seed = 1\n")
+    assert [line.partition(":")[0] for line in out.splitlines()] == ["n = 5"] * 3
+
+
 def test_prune_mismatch_names_the_first_difference(monkeypatch, capsys):
     """A broken prune op: both prune and prune --check say where its result first differs from the rebuilt prefix."""
     real = pruning.prune_kary

@@ -77,7 +77,7 @@ def test_phi_stream_matches_closed_form(k, s, j, c, last, x):
     spec = TreeSpec(k, s, j, c, last, x)
     vmax = 3 * period(spec) + 5
     want = [freq.closed_form(spec, v) for v in range(1, vmax + 1)]
-    assert list(islice(chain.from_iterable(freq._phi_blocks(spec)), vmax)) == want
+    assert list(islice(chain.from_iterable(freq._phi_blocks(spec, freq._entry, [])), vmax)) == want
     assert freq.closed_form_sequence(spec, vmax).entries == tuple(want)
 
 
@@ -87,7 +87,7 @@ def test_phi_blocks_call_closed_form_only_at_block_ends(monkeypatch):
     true_phi = freq.closed_form
     monkeypatch.setattr(freq, "closed_form", lambda spec, v: calls.append(v) or true_phi(spec, v))
     p = period(RUNNING)
-    blocks = list(islice(freq._phi_blocks(RUNNING), 5))
+    blocks = list(islice(freq._phi_blocks(RUNNING, freq._entry, []), 5))
     assert list(map(len, blocks)) == [p, p - 1, 1, p - 1, 1]
     assert calls == [2 * p, 3 * p]
 
@@ -139,9 +139,9 @@ def test_stream_check_reports_first_difference(where, monkeypatch):
            "interior": p + 9, "block end": 2 * p, "after a block end": 2 * p + 1, "partial last chunk": last}[where]
     true_blocks = freq._phi_blocks
 
-    def off_by_one(spec):
+    def off_by_one(spec, unit, empty):
         start = 1
-        for block in true_blocks(spec):
+        for block in true_blocks(spec, unit, empty):
             if start <= bad < start + len(block):
                 block = list(block)
                 block[bad - start] += 1

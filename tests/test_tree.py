@@ -159,12 +159,32 @@ def test_count_sequence_matches_pointwise():
 @example(2, 1, 3, 1, 2, 2, -3)
 @example(3, 0, 1, 1, 1, 0, -1)
 @example(2, 1, 3, 1, 2, 2, 0)
+@example(2, 1, 3, 1, 2, 2, 21)
+@example(2, 1, 3, 1, 2, 2, 22)
 def test_cell_starts_sum_to_closed_form(k, s, j, c, last, x, n):
-    """One byte per label, whose running sum is the descent's count; nothing for n <= 0."""
+    """One byte per label, whose running sum is the descent's count; nothing for n <= 0.
+
+    For the running example, n = 21 ends supernode 3's chunk and n = 22 is
+    the first label of the height-2 subtree's chunk after it.
+    """
     spec = TreeSpec(k, s, j, c, last, x)
     starts = tree.cell_starts(spec, n)
     assert len(starts) == max(n, 0)
     assert list(accumulate(starts)) == [tree.cell_count(spec, i) for i in range(1, n + 1)]
+
+
+def test_first_bytes_reads_no_chunk_past_byte_n_and_closes_the_stream():
+    """Cut inside a chunk, at a seam and one past it; the chunk after the one holding byte n is never asked for,
+    and the generator is closed, freeing what it holds."""
+    def chunks():
+        yield b"ab"
+        yield b"cde"
+        raise AssertionError("a chunk past byte n was read")
+
+    for n, want in ((-1, b""), (0, b""), (1, b"a"), (2, b"ab"), (3, b"abc"), (5, b"abcde")):
+        stream = chunks()
+        assert tree.first_bytes(stream, n) == want
+        assert stream.gi_frame is None
 
 
 def test_cell_positions_are_label_sorted():
